@@ -1,0 +1,66 @@
+"""Golden digests of the CLI tour: every command's stdout and output bytes.
+
+Criterion 10 only checks that two runs of one build agree; this test pins
+the outputs across builds.  Each command of ``_determinism_cases`` runs
+once, and the SHA-256 of its stdout and of its output file must equal the
+digest committed in ``golden/cli_digests.json``.
+
+After a deliberate output change, rewrite the digests with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and record the change in CHANGES.md.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+from chaoscope.cli import main
+
+from test_acceptance import _determinism_cases
+
+GOLDEN = Path(__file__).parent / "golden" / "cli_digests.json"
+
+
+def _run(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    assert code == 0, (argv, code)
+    return buf.getvalue()
+
+
+def compute_digests(root: Path) -> dict:
+    """Run every tour command under root; map name -> stdout and output digests."""
+    cases, ifs_pgm, fic, chx, secret = _determinism_cases(root)
+    _run(["ifs", "--size", "128", "--steps", "4", "--out", str(ifs_pgm)])
+    _run(["compress", "--in", str(root / "in_ramp.pgm"), "--out", str(fic)])
+    _run(["encrypt", "--in", str(secret), "--key", "3.9,0.3", "--out", str(chx)])
+
+    digests = {}
+    for name, argv, outs in cases:
+        cmd = list(argv) + (["--out", outs[0]] if outs is not None else [])
+        stdout = _run(cmd)
+        payload = Path(outs[0]).read_bytes() if outs is not None else b""
+        digests[name] = {
+            "stdout": hashlib.sha256(stdout.encode("utf-8")).hexdigest(),
+            "out": hashlib.sha256(payload).hexdigest(),
+        }
+    return digests
+
+
+def test_cli_outputs_match_golden_digests(tmp_path):
+    expected = json.loads(GOLDEN.read_text())
+    assert compute_digests(tmp_path) == expected
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        digests = compute_digests(Path(tmp))
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {len(digests)} digests to {GOLDEN}")
