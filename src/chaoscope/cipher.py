@@ -16,17 +16,21 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateOrbit, DomainError
+from .errors import DegenerateOrbit, DomainError, FormatError
 
 CONTAINER_MAGIC = b"CHX1"
 CONTAINER_VERSION = 1
 _CONTAINER_HEADER = struct.Struct("<4sBIQ")
 
 _TWO32 = 4294967296.0
+
+#: Largest accepted warmup: about half a second of keystream iterates, so a
+#: container header cannot make decryption spin for hours.
+MAX_WARMUP = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -46,8 +50,10 @@ class ChaosKey:
             raise DomainError("x0 = 0.5 is excluded (maps to the orbit maximum)")
         if self.mu == 4.0 and self.x0 == 0.75:
             raise DomainError("x0 = 0.75 is a fixed point when mu = 4")
-        if self.warmup < 256:
-            raise DomainError(f"warmup must be at least 256, got {self.warmup}")
+        if not (256 <= self.warmup <= MAX_WARMUP):
+            raise DomainError(
+                f"warmup must lie in [256, {MAX_WARMUP}], got {self.warmup}"
+            )
 
 
 def _advance(mu: float, x: float, step: int) -> float:
@@ -133,17 +139,26 @@ def pack_container(key: ChaosKey, payload: bytes) -> bytes:
 
 
 def unpack_container(mu: float, x0: float, data: bytes) -> bytes:
-    """Decrypt a container produced by pack_container with the supplied key."""
+    """Decrypt a container produced by pack_container with the supplied key.
+
+    A bad (mu, x0) raises DomainError before the data is read; any defect
+    of the container itself, its warmup included, raises FormatError.
+    """
+    key = ChaosKey(mu=mu, x0=x0)
     if len(data) < _CONTAINER_HEADER.size:
-        raise DomainError("truncated cipher container")
+        raise FormatError("truncated cipher container")
     magic, version, warmup, length = _CONTAINER_HEADER.unpack_from(data, 0)
     if magic != CONTAINER_MAGIC:
-        raise DomainError(f"bad cipher container magic {magic!r}")
+        raise FormatError(f"bad cipher container magic {magic!r}")
     if version != CONTAINER_VERSION:
-        raise DomainError(f"unsupported cipher container version {version}")
+        raise FormatError(f"unsupported cipher container version {version}")
     body = data[_CONTAINER_HEADER.size :]
     if len(body) != length:
-        raise DomainError(
+        raise FormatError(
             f"container length field says {length}, payload has {len(body)} bytes"
         )
-    return decrypt(ChaosKey(mu=mu, x0=x0, warmup=warmup), body)
+    try:
+        key = replace(key, warmup=warmup)
+    except DomainError as exc:
+        raise FormatError(f"invalid cipher container: {exc}") from None
+    return decrypt(key, body)

@@ -1,10 +1,19 @@
 """Command-line front door: one subcommand per computation, file outputs only.
 
-Exit status protocol: 0 on success, 2 when flag validation fails (one-line
-diagnostic on stderr, nothing computed, no file touched), 1 when the
-computation or output itself fails.  Validation runs fully before any
-computation starts, and files are written atomically, so a failing run never
-leaves partial output behind.
+Each command checks only what the command line alone knows (flag syntax,
+input and output paths, the cipher key, preset names, the --x0 length) and
+then calls the library, whose own checks run before any computation.  The
+exit status follows the type of the error, with a one-line diagnostic on
+stderr:
+
+* 0 on success;
+* 2 for a ``DomainError``, a flag value or input outside a documented
+  precondition;
+* 1 for a malformed input file (``FormatError``), any other
+  ``ChaoscopeError`` raised while computing, or an ``OSError``.
+
+Files are written atomically, so a failing run never leaves partial output
+behind.
 """
 
 from __future__ import annotations
@@ -13,14 +22,15 @@ import argparse
 import os
 import sys
 from pathlib import Path
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from . import analysis, cipher, compression, fractals, systems
-from .errors import ChaoscopeError, DomainError
+from .errors import ChaoscopeError, DomainError, FormatError
 from .formats import (
     read_pgm,
+    write_bytes_atomic,
     write_divergence_csv,
     write_pgm,
     write_rows_csv,
@@ -62,9 +72,8 @@ def _resolve_key(args) -> Tuple[float, float]:
 
 def _check_out(path: str) -> Path:
     out = Path(path)
-    parent = out.parent if str(out.parent) else Path(".")
-    if not parent.is_dir():
-        raise DomainError(f"output directory does not exist: {parent}")
+    if not out.parent.is_dir():
+        raise DomainError(f"output directory does not exist: {out.parent}")
     return out
 
 
@@ -75,21 +84,10 @@ def _check_in(path: str) -> Path:
     return p
 
 
-def _system_args(args, kind: str):
+def _system_args(args):
+    """The --system preset, its --params (None for the defaults) and --x0 state."""
     preset = systems.preset(args.system)
-    if preset.kind != kind:
-        raise DomainError(
-            f"system '{preset.name}' is a {preset.kind}, but this command needs a {kind}"
-        )
-    params = preset.default_params
-    if getattr(args, "params", None):
-        params = _parse_floats(args.params, "--params")
-        if len(params) != len(preset.param_names):
-            names = ",".join(preset.param_names) or "(none)"
-            raise DomainError(
-                f"system '{preset.name}' takes {len(preset.param_names)} "
-                f"parameters ({names}), got {len(params)}"
-            )
+    params = _parse_floats(args.params, "--params") if args.params else None
     state = preset.default_state
     if getattr(args, "x0", None):
         state = _parse_floats(args.x0, "--x0")
@@ -111,136 +109,81 @@ def _integrator_config(args) -> IntegratorConfig:
     )
 
 
-# Each planner validates everything, then returns the zero-argument
-# computation to run.  Nothing may be computed or written during planning.
+# One function per subcommand.  Each checks only what the command line alone
+# knows, resolves the output path before computing, and leaves every other
+# check to the library call.
 
 
-def _plan_simulate(args) -> Callable[[], None]:
-    preset, params, x0 = _system_args(args, "flow")
+def _simulate(args) -> None:
+    preset, params, x0 = _system_args(args)
     t0, t1 = _parse_colon(args.span, 2, "--span")
-    if not t1 > t0:
-        raise DomainError(f"span needs t0 < t1, got '{args.span}'")
-    cfg = _integrator_config(args)
     field = preset.field(params)
     out = _check_out(args.out)
-
-    def run():
-        write_trajectory_csv(integrate(field, x0, t0, t1, cfg), out)
-
-    return run
+    write_trajectory_csv(integrate(field, x0, t0, t1, _integrator_config(args)), out)
 
 
-def _plan_iterate(args) -> Callable[[], None]:
-    preset, params, x0 = _system_args(args, "map")
-    if args.steps < 1:
-        raise DomainError("--steps must be positive")
-    if args.discard < 0 or args.discard >= args.steps:
-        raise DomainError("--discard must satisfy 0 <= discard < steps")
+def _iterate(args) -> None:
+    preset, params, x0 = _system_args(args)
     step = preset.map(params)
     out = _check_out(args.out)
-
-    def run():
-        write_trajectory_csv(iterate_map(step, x0, args.steps, args.discard), out)
-
-    return run
+    write_trajectory_csv(iterate_map(step, x0, args.steps, args.discard), out)
 
 
-def _plan_cobweb(args) -> Callable[[], None]:
+def _cobweb(args) -> None:
     params = systems.LogisticParams(mu=args.mu)
-    if not (0.0 <= args.x0 <= 1.0):
-        raise DomainError(f"--x0 must lie in [0, 1], got {args.x0}")
-    if args.steps < 1:
-        raise DomainError("--steps must be positive")
     out = _check_out(args.out)
-
-    def run():
-        write_trajectory_csv(analysis.cobweb_trace(params, args.x0, args.steps), out)
-
-    return run
+    write_trajectory_csv(analysis.cobweb_trace(params, args.x0, args.steps), out)
 
 
-def _plan_bifurcate(args) -> Callable[[], None]:
+def _bifurcate(args) -> None:
     lo, hi = _parse_colon(args.mu_range, 2, "--mu-range")
-    if not (0.0 <= lo < hi <= 4.0):
-        raise DomainError(f"--mu-range must satisfy 0 <= lo < hi <= 4, got '{args.mu_range}'")
-    if args.mu_steps < 1:
-        raise DomainError("--mu-steps must be positive")
-    if args.discard < 100:
-        raise DomainError("--discard must be at least 100")
-    if args.keep < 1:
-        raise DomainError("--keep must be positive")
+    for mu in (lo, hi):  # both ends must lie in the logistic map's domain
+        systems.LogisticParams(mu)
     out = _check_out(args.out)
-
-    def run():
-        diagram = analysis.bifurcation_scan(
-            lambda mu, x: mu * x * (1.0 - x),
-            lo,
-            hi,
-            args.mu_steps,
-            args.x0,
-            args.discard,
-            args.keep,
-        )
-        write_trajectory_csv(diagram, out)
-
-    return run
+    diagram = analysis.bifurcation_scan(
+        lambda mu, x: mu * x * (1.0 - x),
+        lo,
+        hi,
+        args.mu_steps,
+        args.x0,
+        args.discard,
+        args.keep,
+    )
+    write_trajectory_csv(diagram, out)
 
 
-def _plan_divergence(args) -> Callable[[], None]:
-    preset, params, x0 = _system_args(args, "flow")
-    if not args.delta0 > 0.0:
-        raise DomainError("--delta0 must be positive")
-    if not args.t1 > 0.0:
-        raise DomainError("--t1 must be positive")
-    cfg = _integrator_config(args)
+def _divergence(args) -> None:
+    preset, params, x0 = _system_args(args)
     field = preset.field(params)
     out = _check_out(args.out)
-
-    def run():
-        report = analysis.divergence_rate(field, x0, args.delta0, args.t1, cfg)
-        write_divergence_csv(report, out)
-        print(f"fitted_rate {report.fitted_rate:.17g}")
-        print(
-            f"fit_window {report.fit_window[0]:.17g} {report.fit_window[1]:.17g}"
-        )
-
-    return run
+    report = analysis.divergence_rate(
+        field, x0, args.delta0, args.t1, _integrator_config(args)
+    )
+    write_divergence_csv(report, out)
+    print(f"fitted_rate {report.fitted_rate:.17g}")
+    print(f"fit_window {report.fit_window[0]:.17g} {report.fit_window[1]:.17g}")
 
 
-def _plan_equilibria(args) -> Callable[[], None]:
+def _equilibria(args) -> None:
     if args.system != "lorenz":
         raise DomainError("equilibria currently supports only --system lorenz")
-    params = systems.LorenzParams(
-        *(_parse_floats(args.params, "--params") if args.params else systems.PRESETS["lorenz"].default_params)
-    )
+    preset, params, _ = _system_args(args)
+    params = systems.LorenzParams(*preset.resolve_params(params))
     out = _check_out(args.out)
-
-    def run():
-        points = analysis.lorenz_equilibria(params)
-        write_rows_csv(out, ["x0", "x1", "x2"], (list(p) for p in points))
-
-    return run
+    points = analysis.lorenz_equilibria(params)
+    write_rows_csv(out, ["x0", "x1", "x2"], (list(p) for p in points))
 
 
-def _plan_mandelbrot(args) -> Callable[[], None]:
+def _mandelbrot(args) -> None:
     xmin, xmax, ymin, ymax = _parse_colon(args.window, 4, "--window")
     window = fractals.ComplexWindow(
         xmin=xmin, xmax=xmax, ymin=ymin, ymax=ymax, scale=args.scale
     )
-    if args.nmax < 1:
-        raise DomainError("--nmax must be positive")
-    if args.threshold < 2.0:
-        raise DomainError("--threshold must be at least 2")
     out = _check_out(args.out)
-
-    def run():
-        grid = fractals.mandelbrot_grid(window, args.nmax, args.threshold)
-        write_pgm(grid, out)
-
-    return run
+    write_pgm(fractals.mandelbrot_grid(window, args.nmax, args.threshold), out)
 
 
-def _plan_ifs(args) -> Callable[[], None]:
+def _ifs(args) -> None:
     try:
         make = fractals.IFS_PRESETS[args.preset]
     except KeyError:
@@ -248,139 +191,60 @@ def _plan_ifs(args) -> Callable[[], None]:
         raise DomainError(f"unknown IFS preset '{args.preset}' (known: {known})")
     if args.size < 2:
         raise DomainError("--size must be at least 2")
-    if args.steps < 0:
-        raise DomainError("--steps must be non-negative")
     out = _check_out(args.out)
-
-    def run():
-        start = fractals.BinaryImage.full(args.size, args.size)
-        write_pgm(fractals.ifs_iterate(make(), start, args.steps), out)
-
-    return run
+    start = fractals.BinaryImage.full(args.size, args.size)
+    write_pgm(fractals.ifs_iterate(make(), start, args.steps), out)
 
 
-def _plan_boxdim(args) -> Callable[[], None]:
-    src = _check_in(getattr(args, "input"))
-    if not (1 <= args.min_exp < args.max_exp):
-        raise DomainError("need 1 <= --min-exp < --max-exp")
+def _boxdim(args) -> None:
+    src = _check_in(args.input)
     out = _check_out(args.out) if args.out else None
-
-    def run():
-        image = read_pgm(src)
-        bits = fractals.BinaryImage(bits=image.pixels[::-1] >= 128)
-        estimate, pts = fractals.box_count_dimension(bits, args.min_exp, args.max_exp)
-        if out is not None:
-            write_rows_csv(out, ["x", "y"], ([x, y] for x, y in pts))
-        print(f"dimension {estimate:.17g}")
-
-    return run
+    bits = fractals.BinaryImage(bits=read_pgm(src).pixels[::-1] >= 128)
+    estimate, pts = fractals.box_count_dimension(bits, args.min_exp, args.max_exp)
+    if out is not None:
+        write_rows_csv(out, ["x", "y"], ([x, y] for x, y in pts))
+    print(f"dimension {estimate:.17g}")
 
 
-def _plan_simdim(args) -> Callable[[], None]:
-    if args.copies < 1:
-        raise DomainError("--copies must be a positive integer")
-    if not (0.0 < args.ratio < 1.0):
-        raise DomainError("--ratio must lie in (0, 1)")
-
-    def run():
-        print(f"dimension {fractals.similarity_dimension(args.copies, args.ratio):.17g}")
-
-    return run
+def _simdim(args) -> None:
+    print(f"dimension {fractals.similarity_dimension(args.copies, args.ratio):.17g}")
 
 
-def _plan_compress(args) -> Callable[[], None]:
-    src = _check_in(getattr(args, "input"))
-    if args.range_size < 1 or args.domain_step < 1:
-        raise DomainError("--range-size and --domain-step must be positive")
-    if not (0.0 <= args.s_max <= 1.0):
-        raise DomainError("--s-max must lie in [0, 1]")
+def _compress(args) -> None:
+    src = _check_in(args.input)
     out = _check_out(args.out)
-
-    def run():
-        image = read_pgm(src)
-        code = compression.pifs_encode(
-            image, args.range_size, args.domain_step, args.s_max
-        )
-        tmp = out.with_name(out.name + ".tmp")
-        tmp.write_bytes(code.to_bytes())
-        os.replace(tmp, out)
-
-    return run
+    code = compression.pifs_encode(
+        read_pgm(src), args.range_size, args.domain_step, args.s_max
+    )
+    write_bytes_atomic(out, code.to_bytes())
 
 
-def _plan_decompress(args) -> Callable[[], None]:
-    src = _check_in(getattr(args, "input"))
-    if args.iterations < 1:
-        raise DomainError("--iterations must be at least 1")
+def _decompress(args) -> None:
+    src = _check_in(args.input)
     out = _check_out(args.out)
-
-    def run():
-        code = compression.PifsCode.from_bytes(src.read_bytes())
-        write_pgm(compression.pifs_decode(code, args.iterations), out)
-
-    return run
+    code = compression.PifsCode.from_bytes(src.read_bytes())
+    write_pgm(compression.pifs_decode(code, args.iterations), out)
 
 
-def _plan_encrypt(args) -> Callable[[], None]:
+def _encrypt(args) -> None:
     mu, x0 = _resolve_key(args)
     key = cipher.ChaosKey(mu=mu, x0=x0, warmup=args.warmup)
-    src = _check_in(getattr(args, "input"))
+    src = _check_in(args.input)
     out = _check_out(args.out)
-
-    def run():
-        container = cipher.pack_container(key, src.read_bytes())
-        tmp = out.with_name(out.name + ".tmp")
-        tmp.write_bytes(container)
-        os.replace(tmp, out)
-
-    return run
+    write_bytes_atomic(out, cipher.pack_container(key, src.read_bytes()))
 
 
-def _plan_decrypt(args) -> Callable[[], None]:
+def _decrypt(args) -> None:
     mu, x0 = _resolve_key(args)
-    src = _check_in(getattr(args, "input"))
+    src = _check_in(args.input)
     out = _check_out(args.out)
-
-    def run():
-        payload = cipher.unpack_container(mu, x0, src.read_bytes())
-        tmp = out.with_name(out.name + ".tmp")
-        tmp.write_bytes(payload)
-        os.replace(tmp, out)
-
-    return run
+    write_bytes_atomic(out, cipher.unpack_container(mu, x0, src.read_bytes()))
 
 
-def _plan_avalanche(args) -> Callable[[], None]:
+def _avalanche(args) -> None:
     mu, x0 = _resolve_key(args)
     key = cipher.ChaosKey(mu=mu, x0=x0, warmup=args.warmup)
-    if args.bytes < 1024:
-        raise DomainError("--bytes must be at least 1024")
-    if args.trials < 8:
-        raise DomainError("--trials must be at least 8")
-
-    def run():
-        print(f"avalanche_fraction {cipher.avalanche_test(key, args.bytes, args.trials):.17g}")
-
-    return run
-
-
-_PLANNERS = {
-    "simulate": _plan_simulate,
-    "iterate": _plan_iterate,
-    "cobweb": _plan_cobweb,
-    "bifurcate": _plan_bifurcate,
-    "divergence": _plan_divergence,
-    "equilibria": _plan_equilibria,
-    "mandelbrot": _plan_mandelbrot,
-    "ifs": _plan_ifs,
-    "boxdim": _plan_boxdim,
-    "simdim": _plan_simdim,
-    "compress": _plan_compress,
-    "decompress": _plan_decompress,
-    "encrypt": _plan_encrypt,
-    "decrypt": _plan_decrypt,
-    "avalanche": _plan_avalanche,
-}
+    print(f"avalanche_fraction {cipher.avalanche_test(key, args.bytes, args.trials):.17g}")
 
 
 def _add_integrator_flags(p: argparse.ArgumentParser) -> None:
@@ -398,8 +262,10 @@ def build_parser() -> argparse.ArgumentParser:
         "compression, and a logistic-map stream cipher.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    warmup_help = f"keystream warmup iterates, 256 to {cipher.MAX_WARMUP}"
 
     p = sub.add_parser("simulate", help="integrate a flow preset over a time span")
+    p.set_defaults(run=_simulate)
     p.add_argument("--system", required=True)
     p.add_argument("--span", required=True, help="t0:t1")
     p.add_argument("--x0", help="comma-separated initial state")
@@ -408,6 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("iterate", help="iterate a map preset")
+    p.set_defaults(run=_iterate)
     p.add_argument("--system", required=True)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--discard", type=int, default=0)
@@ -416,12 +283,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("cobweb", help="graphical iteration of the logistic map")
+    p.set_defaults(run=_cobweb)
     p.add_argument("--mu", type=float, default=3.8282)
     p.add_argument("--x0", type=float, default=0.2)
     p.add_argument("--steps", type=int, default=50)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("bifurcate", help="logistic bifurcation-diagram scan")
+    p.set_defaults(run=_bifurcate)
     p.add_argument("--mu-range", required=True, help="lo:hi")
     p.add_argument("--mu-steps", type=int, default=600)
     p.add_argument("--x0", type=float, default=0.3)
@@ -430,6 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("divergence", help="twin-trajectory separation rate")
+    p.set_defaults(run=_divergence)
     p.add_argument("--system", required=True)
     p.add_argument("--x0", help="comma-separated initial state")
     p.add_argument("--params", help="comma-separated system parameters")
@@ -439,11 +309,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("equilibria", help="equilibrium points of a flow")
+    p.set_defaults(run=_equilibria)
     p.add_argument("--system", required=True)
     p.add_argument("--params", help="comma-separated system parameters")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("mandelbrot", help="escape-time grid as PGM")
+    p.set_defaults(run=_mandelbrot)
     p.add_argument("--window", default="-2.4:1.2:-1.5:1.5", help="xmin:xmax:ymin:ymax")
     p.add_argument("--scale", type=float, default=0.005)
     p.add_argument("--nmax", type=int, default=50)
@@ -451,22 +323,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("ifs", help="deterministic IFS iteration as PGM")
+    p.set_defaults(run=_ifs)
     p.add_argument("--preset", default="sierpinski")
     p.add_argument("--size", type=int, default=1024)
     p.add_argument("--steps", type=int, default=7)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("boxdim", help="box-counting dimension of a PGM")
+    p.set_defaults(run=_boxdim)
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--min-exp", type=int, default=2)
     p.add_argument("--max-exp", type=int, default=7)
     p.add_argument("--out", help="optional CSV of the log-log fit points")
 
     p = sub.add_parser("simdim", help="similarity dimension from copies and ratio")
+    p.set_defaults(run=_simdim)
     p.add_argument("--copies", type=int, required=True)
     p.add_argument("--ratio", type=float, required=True)
 
     p = sub.add_parser("compress", help="encode a PGM as block transforms")
+    p.set_defaults(run=_compress)
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--range-size", type=int, default=8)
     p.add_argument("--domain-step", type=int, default=8)
@@ -474,24 +350,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("decompress", help="decode block transforms to a PGM")
+    p.set_defaults(run=_decompress)
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--iterations", type=int, default=10)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("encrypt", help="stream-encrypt a file")
+    p.set_defaults(run=_encrypt)
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--key", help=f"mu,x0 (default: ${KEY_ENV_VAR})")
-    p.add_argument("--warmup", type=int, default=1000)
+    p.add_argument("--warmup", type=int, default=1000, help=warmup_help)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("decrypt", help="decrypt a stream-encrypted file")
+    p.set_defaults(run=_decrypt)
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--key", help=f"mu,x0 (default: ${KEY_ENV_VAR})")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("avalanche", help="keystream sensitivity measurement")
+    p.set_defaults(run=_avalanche)
     p.add_argument("--key", help=f"mu,x0 (default: ${KEY_ENV_VAR})")
-    p.add_argument("--warmup", type=int, default=1000)
+    p.add_argument("--warmup", type=int, default=1000, help=warmup_help)
     p.add_argument("--bytes", type=int, default=10240)
     p.add_argument("--trials", type=int, default=16)
 
@@ -528,17 +408,12 @@ def main(argv: Optional[list] = None) -> int:
         return int(exc.code) if exc.code else 0
 
     try:
-        run = _PLANNERS[args.command](args)
-    except (DomainError, ChaoscopeError) as exc:
-        print(f"chaoscope {args.command}: {exc}", file=sys.stderr)
-        return 2
-
-    try:
-        run()
+        args.run(args)
     except (ChaoscopeError, OSError) as exc:
-        print(
-            f"chaoscope {args.command}: {type(exc).__name__}: {exc}", file=sys.stderr
-        )
+        if isinstance(exc, DomainError) and not isinstance(exc, FormatError):
+            print(f"chaoscope {args.command}: {exc}", file=sys.stderr)
+            return 2
+        print(f"chaoscope {args.command}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     return 0
 

@@ -24,6 +24,7 @@ from .errors import (
     DimensionError,
     DimensionMismatch,
     DomainError,
+    FormatError,
     ImageTooSmall,
 )
 
@@ -89,6 +90,19 @@ class RangeTransform:
         return float(self.o_q)
 
 
+def _check_blocks(width: int, height: int, range_size: int) -> None:
+    """An image must tile into range blocks and fit one 2*range_size domain."""
+    if range_size < 1:
+        raise DomainError(f"range_size must be positive, got {range_size}")
+    if width % range_size or height % range_size:
+        raise DimensionError(
+            f"{width}x{height} image is not divisible by range_size {range_size}"
+        )
+    dsize = 2 * range_size
+    if width < dsize or height < dsize:
+        raise ImageTooSmall(f"no {dsize}x{dsize} domain block fits in {width}x{height}")
+
+
 @dataclass(frozen=True)
 class PifsCode:
     """The compressed image: one transform per range block, row-major."""
@@ -100,6 +114,7 @@ class PifsCode:
 
     def __post_init__(self):
         object.__setattr__(self, "transforms", tuple(self.transforms))
+        _check_blocks(self.width, self.height, self.range_size)
         expected = (self.width // self.range_size) * (self.height // self.range_size)
         if len(self.transforms) != expected:
             raise DomainError(
@@ -122,21 +137,25 @@ class PifsCode:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "PifsCode":
+        """Parse a ``FIC1`` container; any defect raises FormatError."""
         if len(data) < _HEADER.size:
-            raise DomainError("truncated transform container")
+            raise FormatError("truncated transform container")
         magic, width, height, range_size, _ = _HEADER.unpack_from(data, 0)
         if magic != MAGIC:
-            raise DomainError(f"bad container magic {magic!r}")
+            raise FormatError(f"bad container magic {magic!r}")
         body = data[_HEADER.size :]
         if len(body) % _TRANSFORM.size != 0:
-            raise DomainError("transform payload has a partial record")
-        transforms = [
-            RangeTransform(*_TRANSFORM.unpack_from(body, off))
-            for off in range(0, len(body), _TRANSFORM.size)
-        ]
-        return cls(
-            width=width, height=height, range_size=range_size, transforms=transforms
-        )
+            raise FormatError("transform payload has a partial record")
+        try:
+            transforms = [
+                RangeTransform(*_TRANSFORM.unpack_from(body, off))
+                for off in range(0, len(body), _TRANSFORM.size)
+            ]
+            return cls(
+                width=width, height=height, range_size=range_size, transforms=transforms
+            )
+        except DomainError as exc:
+            raise FormatError(f"invalid transform container: {exc}") from None
 
 
 def apply_isometry(block: np.ndarray, t: int) -> np.ndarray:
@@ -177,21 +196,13 @@ def pifs_encode(
     quantized (s_q, o_q) pair with |s_q/63| <= s_max, which makes the result
     the true integer-grid optimum.
     """
-    if range_size < 1 or domain_step < 1:
-        raise DomainError("range_size and domain_step must be positive")
+    if domain_step < 1:
+        raise DomainError("domain_step must be positive")
     if not (0.0 <= s_max <= 1.0):
         raise DomainError("s_max must lie in [0, 1]")
-    if image.width % range_size or image.height % range_size:
-        raise DimensionError(
-            f"{image.width}x{image.height} image is not divisible by "
-            f"range_size {range_size}"
-        )
-    dsize = 2 * range_size
-    if image.width < dsize or image.height < dsize:
-        raise ImageTooSmall(
-            f"no {dsize}x{dsize} domain block fits in {image.width}x{image.height}"
-        )
+    _check_blocks(image.width, image.height, range_size)
 
+    dsize = 2 * range_size
     n = range_size * range_size
     origins = _domain_origins(image.width, image.height, range_size, domain_step)
     px = image.pixels

@@ -64,5 +64,8 @@ class DegenerateOrbit(ChaoscopeError):
     """The keystream orbit hit 0 or a fixed point (pathological key)."""
 
 
-class PgmFormatError(ChaoscopeError):
-    """A PGM file is malformed or uses an unsupported variant."""
+class FormatError(DomainError):
+    """An input file (PGM, ``FIC1`` or ``CHX1`` container) is malformed."""
+
+
+PgmFormatError = FormatError

@@ -1,13 +1,15 @@
 """CSV and PGM serialization shared by the CLI.
 
-All writers are atomic (temp file in the destination directory, then rename)
-and byte-deterministic: floats are printed with 17 significant digits, which
-round-trips IEEE doubles exactly, and lines always end with LF.
+All writers go through ``write_bytes_atomic`` (temp file in the destination
+directory, then rename) and are byte-deterministic: floats are printed with
+17 significant digits, which round-trips IEEE doubles exactly, and lines
+always end with LF.
 """
 
 from __future__ import annotations
 
 import os
+import tempfile
 from pathlib import Path
 from typing import Iterable, Sequence, Union
 
@@ -15,7 +17,7 @@ import numpy as np
 
 from .analysis import BifurcationDiagram, CobwebTrace, DivergenceReport
 from .compression import GrayImage
-from .errors import PgmFormatError
+from .errors import FormatError
 from .fractals import BinaryImage, EscapeGrid
 from .integrate import MapOrbit, Trajectory
 
@@ -23,11 +25,24 @@ Series = Union[Trajectory, MapOrbit, CobwebTrace, BifurcationDiagram]
 Raster = Union[EscapeGrid, GrayImage, BinaryImage]
 
 
-def _atomic_write(path, data: bytes) -> None:
+def write_bytes_atomic(path, data: bytes) -> None:
+    """Write data to path through a unique temp file in its directory and a rename.
+
+    The temp file is removed on any failure, so a failed write leaves
+    nothing behind; the result gets the usual ``0o666 & ~umask`` mode.
+    """
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _fmt(value: float) -> str:
@@ -39,7 +54,7 @@ def write_rows_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> Non
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(str(v) if isinstance(v, int) else _fmt(v) for v in row))
-    _atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
+    write_bytes_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def write_trajectory_csv(series: Series, path) -> None:
@@ -102,7 +117,7 @@ def write_pgm(raster: Raster, path) -> None:
         raise TypeError(f"cannot serialize {type(raster).__name__} as PGM")
     h, w = payload.shape
     header = f"P5\n{w} {h}\n255\n".encode("ascii")
-    _atomic_write(path, header + np.ascontiguousarray(payload).tobytes())
+    write_bytes_atomic(path, header + np.ascontiguousarray(payload).tobytes())
 
 
 def read_pgm(path) -> GrayImage:
@@ -125,20 +140,22 @@ def read_pgm(path) -> GrayImage:
         while pos < len(data) and not data[pos : pos + 1].isspace():
             pos += 1
         if start == pos:
-            raise PgmFormatError("unexpected end of PGM header")
+            raise FormatError("unexpected end of PGM header")
         return data[start:pos]
 
     if token() != b"P5":
-        raise PgmFormatError("only binary PGM (P5) is supported")
+        raise FormatError("only binary PGM (P5) is supported")
     try:
         width, height, maxval = int(token()), int(token()), int(token())
     except ValueError as exc:
-        raise PgmFormatError(f"malformed PGM header: {exc}") from None
+        raise FormatError(f"malformed PGM header: {exc}") from None
+    if width < 1 or height < 1:
+        raise FormatError(f"PGM size {width}x{height} is not positive")
     if maxval != 255:
-        raise PgmFormatError(f"unsupported maxval {maxval} (need 255)")
+        raise FormatError(f"unsupported maxval {maxval} (need 255)")
     pos += 1  # exactly one whitespace byte separates header from payload
     payload = data[pos : pos + width * height]
     if len(payload) != width * height:
-        raise PgmFormatError("PGM payload is shorter than width*height")
+        raise FormatError("PGM payload is shorter than width*height")
     pixels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width)
     return GrayImage(pixels=pixels.copy())

@@ -36,6 +36,11 @@ class ComplexWindow:
             raise DomainError("window bounds must satisfy xmin < xmax and ymin < ymax")
         if not self.scale > 0.0:
             raise DomainError("scale must be positive")
+        if not (
+            math.isfinite((self.xmax - self.xmin) / self.scale)
+            and math.isfinite((self.ymax - self.ymin) / self.scale)
+        ):
+            raise DomainError("window bounds and their spans in pitches must be finite")
         if self.nx < 3 or self.ny < 3:
             raise DomainError("window must span at least 2 grid pitches per axis")
 

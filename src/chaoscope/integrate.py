@@ -156,7 +156,8 @@ def integrate(
     Returns the accepted-step sequence only (no dense output).  The first
     recorded time is exactly t0 and the last exactly t1.
 
-    Raises StepUnderflow when the controller wants a step below min_step,
+    Raises StepUnderflow when the controller wants a step below min_step
+    or one too small to change t,
     MaxStepsExceeded when the attempt budget runs out, NonFiniteState when
     the field produces NaN/Inf.
     """
@@ -193,6 +194,8 @@ def integrate(
             raise StepUnderflow(
                 f"required step {h:.3e} underflows min_step {min_step:.3e} at t={t!r}"
             )
+        elif t + h == t:
+            raise StepUnderflow(f"step {h:.3e} does not advance t={t!r}")
 
         k[0] = k1
         for i in range(1, 7):

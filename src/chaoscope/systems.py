@@ -130,15 +130,6 @@ def linear_solution(p: Linear1DParams, u0: float, t: float) -> float:
     return u0 * math.exp(p.a * t)
 
 
-# Canonical parameter sets.
-LOGISTIC_DEFAULT = LogisticParams(mu=3.8282)
-LOGISTIC_CHAOS = LogisticParams(mu=3.9)
-HENON_DEFAULT = HenonParams(a=1.2, b=0.4)
-LORENZ_DEFAULT = LorenzParams(sigma=10.0, r=28.0, b=8.0 / 3.0)
-CHUA_DEFAULT = ChuaParams(c1=15.0, c2=1.0, c3=25.58, m0=-8.0 / 7.0, m1=-5.0 / 7.0)
-LINEAR1D_DEFAULT = Linear1DParams(a=1.0)
-
-
 @dataclass(frozen=True)
 class SystemPreset:
     """A named system the CLI can run: either a flow (field) or a map (step)."""
@@ -152,17 +143,30 @@ class SystemPreset:
     make_field: Optional[Callable[[Tuple[float, ...]], Callable]] = None
     make_map: Optional[Callable[[Tuple[float, ...]], Callable]] = None
 
+    def resolve_params(self, params: Optional[Tuple[float, ...]] = None):
+        """The given parameters, or the defaults when None, checked for count."""
+        if params is None:
+            return self.default_params
+        params = tuple(params)
+        if len(params) != len(self.param_names):
+            names = ",".join(self.param_names) or "(none)"
+            raise DomainError(
+                f"system '{self.name}' takes {len(self.param_names)} "
+                f"parameters ({names}), got {len(params)}"
+            )
+        return params
+
     def field(self, params: Optional[Tuple[float, ...]] = None):
         """Callable (t, state) -> derivative, for flow presets."""
         if self.make_field is None:
             raise DomainError(f"preset '{self.name}' is not a flow")
-        return self.make_field(self.default_params if params is None else params)
+        return self.make_field(self.resolve_params(params))
 
     def map(self, params: Optional[Tuple[float, ...]] = None):
         """Callable state -> next state, for map presets."""
         if self.make_map is None:
             raise DomainError(f"preset '{self.name}' is not a map")
-        return self.make_map(self.default_params if params is None else params)
+        return self.make_map(self.resolve_params(params))
 
 
 def _logistic_map(params):

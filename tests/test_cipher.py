@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chaoscope.cipher import (
+    MAX_WARMUP,
     ChaosKey,
     avalanche_test,
     bit_difference,
@@ -15,7 +16,7 @@ from chaoscope.cipher import (
     pack_container,
     unpack_container,
 )
-from chaoscope.errors import DegenerateOrbit, DomainError
+from chaoscope.errors import DegenerateOrbit, DomainError, FormatError
 
 GOLDEN_KEY = ChaosKey(mu=3.9, x0=0.2, warmup=1000)
 # computed once by the straight-line oracle below and frozen
@@ -190,3 +191,22 @@ def test_container_rejects_garbage():
         unpack_container(3.9, 0.3, blob[:10])
     with pytest.raises(DomainError):
         unpack_container(3.9, 0.3, blob + b"extra")
+
+
+def test_warmup_is_bounded():
+    assert ChaosKey(3.9, 0.3, MAX_WARMUP).warmup == MAX_WARMUP
+    with pytest.raises(DomainError):
+        ChaosKey(3.9, 0.3, MAX_WARMUP + 1)
+    with pytest.raises(DomainError):
+        ChaosKey(3.9, 0.3, 100_000_000_000)
+
+
+def test_container_warmup_out_of_range_is_format_error():
+    blob = pack_container(ChaosKey(3.9, 0.3, 512), b"payload")
+    huge = blob[:5] + (2**32 - 1).to_bytes(4, "little") + blob[9:]
+    with pytest.raises(FormatError):
+        unpack_container(3.9, 0.3, huge)
+    # a bad key is the caller's error, not the file's, even for a bad file
+    with pytest.raises(DomainError) as err:
+        unpack_container(5.0, 0.3, huge)
+    assert not isinstance(err.value, FormatError)

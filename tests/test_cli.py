@@ -1,9 +1,11 @@
+import struct
+
 import numpy as np
 import pytest
 
 import chaoscope as c
 from chaoscope.cli import KEY_ENV_VAR
-from chaoscope.formats import read_pgm
+from chaoscope.formats import read_pgm, write_pgm
 
 
 def test_simulate_lorenz_writes_csv(tmp_path, run_cli):
@@ -77,6 +79,13 @@ def test_unknown_preset_exits_2(tmp_path, run_cli, capsys):
         ["simdim", "--copies", "3", "--ratio", "1.5"],
         ["equilibria", "--system", "chua", "--out", "o.csv"],
         ["ifs", "--preset", "unknown-ifs", "--out", "o.pgm"],
+        ["equilibria", "--system", "lorenz", "--params", "1,2", "--out", "o.csv"],
+        ["mandelbrot", "--window=-inf:1:-1:1", "--out", "o.pgm"],
+        ["mandelbrot", "--window=-1e308:1e308:-1:1", "--out", "o.pgm"],
+        ["mandelbrot", "--scale", "1e-5", "--out", "o.pgm"],
+        ["encrypt", "--in", __file__, "--key", "3.9,0.3", "--warmup", "100000000000",
+         "--out", "o.chx"],
+        ["avalanche", "--key", "3.9,0.3", "--warmup", "100000000000"],
     ],
 )
 def test_validation_failures_exit_2_without_output(argv, tmp_path, run_cli, monkeypatch):
@@ -238,4 +247,89 @@ def test_decrypt_bad_container_is_runtime_error(tmp_path, run_cli):
     bad.write_bytes(b"JUNKJUNKJUNKJUNKJUNK")
     code, _ = run_cli(["decrypt", "--in", str(bad), "--key", "3.9,0.3", "--out", str(tmp_path / "o")])
     assert code == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_stalled_step_exits_1_without_output(tmp_path, run_cli, capsys):
+    # at t = 1e6 a 1e-12 step rounds away (t + h == t) although h > min_step
+    out = tmp_path / "t.csv"
+    code, _ = run_cli(
+        ["simulate", "--system", "lorenz", "--span", "1e6:1000001",
+         "--initial-step", "1e-12", "--min-step", "1e-13", "--out", str(out)]
+    )
+    assert code == 1
+    assert "StepUnderflow" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_out_naming_a_directory_exits_1_and_leaves_no_temp(tmp_path, run_cli):
+    target = tmp_path / "adir"
+    target.mkdir()
+    code, _ = run_cli(["cobweb", "--out", str(target)])
+    assert code == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["adir"]
+    assert list(target.iterdir()) == []
+
+
+_BAD_INPUTS = {
+    "fic-range-size-0": struct.pack("<4sHHBB", b"FIC1", 16, 16, 0, 0),
+    "fic-20x16-range-8": struct.pack("<4sHHBB", b"FIC1", 20, 16, 8, 0)
+    + struct.pack("<HHBbh", 0, 0, 0, 0, 10) * 4,
+    "fic-4x4-range-8": struct.pack("<4sHHBB", b"FIC1", 4, 4, 8, 0),
+    "chx-warmup-2**32-1": struct.pack("<4sBIQ", b"CHX1", 1, 2**32 - 1, 4) + b"abcd",
+    "pgm-size-minus-1": b"P5\n-1 -1\n255\n\x00",
+}
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("fic-range-size-0", ["decompress"]),
+        ("fic-20x16-range-8", ["decompress"]),
+        ("fic-4x4-range-8", ["decompress"]),
+        ("chx-warmup-2**32-1", ["decrypt", "--key", "3.9,0.3"]),
+        ("pgm-size-minus-1", ["compress"]),
+        ("pgm-size-minus-1", ["boxdim"]),
+    ],
+)
+def test_malformed_input_file_exits_1_without_output(name, argv, tmp_path, run_cli, capsys):
+    src = tmp_path / "in" / "bad"
+    src.parent.mkdir()
+    src.write_bytes(_BAD_INPUTS[name])
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    code, _ = run_cli(argv + ["--in", str(src), "--out", str(out_dir / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"chaoscope {argv[0]}: FormatError: ")
+    assert err.count("\n") == 1
+    assert list(out_dir.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # 60x64 is not divisible by the 8-pixel range blocks
+        ["compress", "--range-size", "8"],
+        # 2**7 boxes per side need at least a 128-pixel image
+        ["boxdim", "--min-exp", "2", "--max-exp", "7"],
+    ],
+)
+def test_input_mismatch_exits_2_without_output(argv, tmp_path, run_cli):
+    src = tmp_path / "in.pgm"
+    write_pgm(c.GrayImage.constant(60, 64, 200), src)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    code, _ = run_cli(argv + ["--in", str(src), "--out", str(out_dir / "o")])
+    assert code == 2
+    assert list(out_dir.iterdir()) == []
+
+
+def test_decrypt_out_of_range_key_exits_2(tmp_path, run_cli):
+    secret = tmp_path / "s.bin"
+    secret.write_bytes(b"hello")
+    enc = tmp_path / "s.chx"
+    assert run_cli(["encrypt", "--in", str(secret), "--key", "3.9,0.3", "--out", str(enc)])[0] == 0
+    code, _ = run_cli(["decrypt", "--in", str(enc), "--key", "5,0.3", "--out", str(tmp_path / "o")])
+    assert code == 2
     assert not (tmp_path / "o").exists()

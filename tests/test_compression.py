@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from chaoscope.errors import (
     DimensionError,
     DimensionMismatch,
     DomainError,
+    FormatError,
     ImageTooSmall,
 )
 
@@ -166,3 +169,23 @@ def test_transform_validation():
             RangeTransform(8, 0, 0, 0, 0),
             good, good, good,
         ))
+
+
+@pytest.mark.parametrize(
+    "width, height, range_size, error",
+    [
+        (16, 16, 0, DomainError),  # used to divide by zero
+        (20, 16, 8, DimensionError),  # columns 16..19 were never written
+        (4, 4, 8, DimensionError),  # no range block at all
+        (8, 8, 8, ImageTooSmall),  # range blocks, but no 16x16 domain
+    ],
+)
+def test_code_geometry_is_checked(width, height, range_size, error):
+    count = (width // max(range_size, 1)) * (height // max(range_size, 1))
+    transforms = [RangeTransform(0, 0, 0, 0, 10)] * count
+    with pytest.raises(error):
+        PifsCode(width=width, height=height, range_size=range_size, transforms=transforms)
+    blob = struct.pack("<4sHHBB", b"FIC1", width, height, range_size, 0)
+    blob += struct.pack("<HHBbh", 0, 0, 0, 0, 10) * count
+    with pytest.raises(FormatError):
+        PifsCode.from_bytes(blob)

@@ -6,6 +6,7 @@ from chaoscope.analysis import BifurcationDiagram
 from chaoscope.errors import PgmFormatError
 from chaoscope.formats import (
     read_pgm,
+    write_bytes_atomic,
     write_pgm,
     write_rows_csv,
     write_trajectory_csv,
@@ -152,3 +153,26 @@ def test_csv_17_digit_roundtrip_format(tmp_path):
     text = out.read_text().splitlines()[1]
     assert float(text) == value
     assert text == "0.30000000000000004"
+
+
+@pytest.mark.parametrize("size", [b"-1 -1", b"0 3", b"3 0"])
+def test_pgm_reader_rejects_non_positive_size(tmp_path, size):
+    f = tmp_path / "bad.pgm"
+    f.write_bytes(b"P5\n" + size + b"\n255\n\x00")
+    with pytest.raises(PgmFormatError):
+        read_pgm(f)
+
+
+def test_atomic_write_cleans_up_and_keeps_the_umask_mode(tmp_path):
+    target = tmp_path / "adir"
+    target.mkdir()
+    with pytest.raises(IsADirectoryError):
+        write_bytes_atomic(target, b"data")
+    assert [p.name for p in tmp_path.iterdir()] == ["adir"]
+
+    reference = tmp_path / "ref"
+    reference.write_bytes(b"")
+    out = tmp_path / "out"
+    write_bytes_atomic(out, b"data")
+    assert out.read_bytes() == b"data"
+    assert out.stat().st_mode == reference.stat().st_mode

@@ -214,3 +214,16 @@ def test_box_count_preconditions():
         box_count_dimension(img, 0, 4)
     with pytest.raises(DomainError):
         box_count_dimension(img, 1, 7)  # 2^7 exceeds the 64-pixel side
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        (-math.inf, 1.0, -1.0, 1.0),
+        (-1.0, 1.0, -1.0, math.inf),
+        (-1e308, 1e308, -1.0, 1.0),  # finite bounds, infinite span
+    ],
+)
+def test_window_needs_finite_bounds(bounds):
+    with pytest.raises(DomainError):
+        ComplexWindow(*bounds, scale=0.01)

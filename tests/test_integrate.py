@@ -201,3 +201,10 @@ def test_iterate_preconditions():
 def test_map_orbit_requires_points():
     with pytest.raises(DomainError):
         MapOrbit(points=np.empty((0, 1)))
+
+
+def test_step_that_does_not_advance_t_underflows():
+    # h = 1e-12 is above min_step, but 1e6 + 1e-12 == 1e6 in binary64
+    cfg = IntegratorConfig(initial_step=1e-12, min_step=1e-13)
+    with pytest.raises(StepUnderflow):
+        integrate(linear_field(1.0), [1.0], 1e6, 1e6 + 1.0, cfg)

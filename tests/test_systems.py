@@ -218,3 +218,13 @@ def test_preset_map_and_field_evaluate():
     assert np.array_equal(lorenz(0.0, np.zeros(3)), np.zeros(3))
     linear = preset("linear1d").field((2.0,))
     assert linear(0.0, np.array([3.0]))[0] == 6.0
+
+
+def test_preset_checks_parameter_count():
+    with pytest.raises(DomainError):
+        preset("lorenz").field((1.0, 2.0))
+    with pytest.raises(DomainError):
+        preset("henon").map((1.2,))
+    with pytest.raises(DomainError):
+        preset("chua-paper-code").field((1.0,))
+    assert preset("lorenz").resolve_params([10.0, 28.0, 1.0]) == (10.0, 28.0, 1.0)
