@@ -38,6 +38,24 @@ def make_blurred_checker64():
     return c.GrayImage(pixels=np.round(255 * sm).astype(np.uint8))
 
 
+def make_photo(height, width, seed):
+    """Seeded photo-like image: shading, a periodic texture, hard-edged
+    shapes, a noisy patch and mild noise everywhere."""
+    rng = np.random.default_rng(seed)
+    y, x = np.mgrid[0:height, 0:width] / max(height, width)
+    img = 128.0 + 70.0 * (x - y) + 18.0 * np.sin(2 * np.pi * 7 * x) * np.cos(2 * np.pi * 5 * y)
+    for _ in range(4):
+        x0, x1 = np.sort(rng.uniform(0.0, 1.0, 2))
+        y0, y1 = np.sort(rng.uniform(0.0, 1.0, 2))
+        img[(x >= x0) & (x < x1) & (y >= y0) & (y < y1)] = rng.uniform(20.0, 235.0)
+    cx, cy, r = rng.uniform(0.3, 0.7), rng.uniform(0.3, 0.7), rng.uniform(0.1, 0.25)
+    img[(x - cx) ** 2 + (y - cy) ** 2 < r * r] = rng.uniform(20.0, 235.0)
+    img += rng.normal(0.0, 2.0, img.shape)
+    patch = (x < 0.3) & (y > 0.6)
+    img[patch] += rng.normal(0.0, 15.0, int(patch.sum()))
+    return c.GrayImage(pixels=np.clip(np.rint(img), 0, 255).astype(np.uint8))
+
+
 @pytest.fixture(scope="session")
 def corpus64():
     return {

@@ -3,7 +3,10 @@
 Criterion 10 only checks that two runs of one build agree; this test pins
 the outputs across builds.  Each command of ``_determinism_cases`` runs
 once, and the SHA-256 of its stdout and of its output file must equal the
-digest committed in ``golden/cli_digests.json``.
+digest committed in ``golden/cli_digests.json``.  The codec cases add
+``compress`` runs on seeded photo-like images (textured, edged and noisy,
+one of them non-square) and ``decompress`` of each resulting code, which
+the tour's flat ramp barely exercises.
 
 After a deliberate output change, rewrite the digests with
 
@@ -21,9 +24,20 @@ from pathlib import Path
 
 from chaoscope.cli import main
 
+from chaoscope.formats import write_pgm
+
+from conftest import make_photo
 from test_acceptance import _determinism_cases
 
 GOLDEN = Path(__file__).parent / "golden" / "cli_digests.json"
+
+# name -> (height, width, seed, extra compress flags)
+CODEC_CASES = {
+    "photo128": (128, 128, 2026, []),
+    "photo128_rs4": (128, 128, 2026, ["--range-size", "4", "--domain-step", "4",
+                                      "--s-max", "0.5"]),
+    "photo96x64": (64, 96, 2027, []),
+}
 
 
 def _run(argv):
@@ -34,9 +48,24 @@ def _run(argv):
     return buf.getvalue()
 
 
+def _codec_cases(root: Path):
+    """compress each seeded photo, then decompress the code it wrote."""
+    cases = []
+    for name, (height, width, seed, flags) in CODEC_CASES.items():
+        pgm, fic = root / f"{name}.pgm", root / f"{name}.fic"
+        write_pgm(make_photo(height, width, seed), pgm)
+        cases.append((f"compress_{name}", ["compress", "--in", str(pgm)] + flags,
+                      [str(fic)]))
+        cases.append((f"decompress_{name}", ["decompress", "--in", str(fic)],
+                      [str(root / f"{name}_dec.pgm")]))
+    return cases
+
+
 def compute_digests(root: Path) -> dict:
-    """Run every tour command under root; map name -> stdout and output digests."""
+    """Run every tour and codec command under root; map name -> stdout and
+    output digests."""
     cases, ifs_pgm, fic, chx, secret = _determinism_cases(root)
+    cases = cases + _codec_cases(root)
     _run(["ifs", "--size", "128", "--steps", "4", "--out", str(ifs_pgm)])
     _run(["compress", "--in", str(root / "in_ramp.pgm"), "--out", str(fic)])
     _run(["encrypt", "--in", str(secret), "--key", "3.9,0.3", "--out", str(chx)])
