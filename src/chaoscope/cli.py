@@ -27,7 +27,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import analysis, cipher, compression, fractals, systems
-from .errors import ChaoscopeError, DomainError, FormatError
+from .errors import ChaoscopeError, DomainError, FormatError, GridTooLarge
 from .formats import (
     read_pgm,
     write_bytes_atomic,
@@ -39,6 +39,11 @@ from .formats import (
 from .integrate import IntegratorConfig, integrate, iterate_map
 
 KEY_ENV_VAR = "CHAOSCOPE_KEY"
+
+#: Largest ``ifs --size``: ifs_iterate peaks at about 84 bytes per pixel
+#: (tracemalloc, sierpinski from a full start image), so 3500^2 pixels keep
+#: it under 1 GiB.
+IFS_MAX_SIZE = 3500
 
 
 def _parse_floats(text: str, what: str) -> Tuple[float, ...]:
@@ -191,6 +196,8 @@ def _ifs(args) -> None:
         raise DomainError(f"unknown IFS preset '{args.preset}' (known: {known})")
     if args.size < 2:
         raise DomainError("--size must be at least 2")
+    if args.size > IFS_MAX_SIZE:
+        raise GridTooLarge(f"--size {args.size} exceeds the cap of {IFS_MAX_SIZE}")
     out = _check_out(args.out)
     start = fractals.BinaryImage.full(args.size, args.size)
     write_pgm(fractals.ifs_iterate(make(), start, args.steps), out)
@@ -325,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ifs", help="deterministic IFS iteration as PGM")
     p.set_defaults(run=_ifs)
     p.add_argument("--preset", default="sierpinski")
-    p.add_argument("--size", type=int, default=1024)
+    p.add_argument("--size", type=int, default=1024, help=f"2 to {IFS_MAX_SIZE}")
     p.add_argument("--steps", type=int, default=7)
     p.add_argument("--out", required=True)
 

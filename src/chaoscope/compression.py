@@ -10,6 +10,15 @@ residual scaled by 252 is s_q*S_i + 252*o_q - 252*R_i, an integer, so the
 squared error scaled by 252^2 is an exact int64.  Ties are broken by the
 lowest (domain_y, domain_x, isometry, s_q, o_q) tuple, which makes encodes
 reproducible bit-for-bit and testable against brute force.
+
+The search is exact but pruned (Fisher (ed.), *Fractal Image Compression*,
+1995, ch. 2-3).  For each range block, every candidate's unconstrained real
+least-squares residual, 252^2 * (varR - cov^2/varD) / n, is a lower bound on
+its integer error.  Only candidates whose bound is at most U, the exact
+best error of the candidate with the smallest bound, plus a margin for
+float64 rounding are scanned exactly.  Since no candidate that can reach the
+optimum, or tie with it, is skipped, the codes are byte-identical to an
+exhaustive scan (see ``pifs_encode``).
 """
 
 from __future__ import annotations
@@ -25,6 +34,7 @@ from .errors import (
     DimensionMismatch,
     DomainError,
     FormatError,
+    GridTooLarge,
     ImageTooSmall,
 )
 
@@ -37,6 +47,12 @@ _TRANSFORM = struct.Struct("<HHBbh")
 _SCALE = 252
 
 PSNR_CAP_DB = 99.0
+
+#: Largest image a code may describe.  Decoding peaks at about 330 bytes per
+#: pixel for range size 1, where the parsed transforms dominate, and about
+#: 70 for range sizes of 8 and up (tracemalloc over ``from_bytes`` plus
+#: ``pifs_decode``), so 3M pixels keep a decode under 1 GiB.
+MAX_PIXELS = 3_000_000
 
 
 @dataclass(frozen=True)
@@ -91,7 +107,10 @@ class RangeTransform:
 
 
 def _check_blocks(width: int, height: int, range_size: int) -> None:
-    """An image must tile into range blocks and fit one 2*range_size domain."""
+    """An image must stay within MAX_PIXELS, tile into range blocks and fit
+    one 2*range_size domain."""
+    if width * height > MAX_PIXELS:
+        raise GridTooLarge(f"{width}x{height} image exceeds the {MAX_PIXELS}-pixel cap")
     if range_size < 1:
         raise DomainError(f"range_size must be positive, got {range_size}")
     if width % range_size or height % range_size:
@@ -159,27 +178,44 @@ class PifsCode:
 
 
 def apply_isometry(block: np.ndarray, t: int) -> np.ndarray:
-    """Dihedral-group element t in [0, 7]: rotations, then mirrored rotations."""
+    """Dihedral-group element t in [0, 7] on the last two axes: rotations,
+    then mirrored rotations."""
     if t < 4:
-        return np.rot90(block, t)
-    return np.rot90(np.fliplr(block), t - 4)
+        return np.rot90(block, t, axes=(-2, -1))
+    return np.rot90(block[..., ::-1], t - 4, axes=(-2, -1))
 
 
-def _downsample_sums(block: np.ndarray) -> np.ndarray:
-    """2x2 pixel sums (values 0..1020); divide by 4 for the actual average."""
-    h, w = block.shape
-    return (
-        block.astype(np.int64)
-        .reshape(h // 2, 2, w // 2, 2)
-        .sum(axis=(1, 3))
-    )
+def _scan(cross, sd, sd2, sr, sr2, n, s_grid):
+    """Exact integer errors of candidates against one range block.
 
-
-def _domain_origins(width: int, height: int, range_size: int, domain_step: int):
-    dsize = 2 * range_size
-    ys = range(0, height - dsize + 1, domain_step)
-    xs = range(0, width - dsize + 1, domain_step)
-    return [(dy, dx) for dy in ys for dx in xs]
+    cross, sd and sd2 hold each candidate's sum(S*R), sum(S) and sum(S^2).
+    Returns (err, o), both (candidates, len(s_grid)): the scaled squared
+    error at the best offset for each contrast, and that offset.
+    """
+    s = s_grid[None, :]
+    sd = sd[:, None]
+    # optimal real offset o* = (252*sr - s*sd) / (252*n); test floor and
+    # floor+1 since the error is convex in o on the integer grid
+    o_f = (_SCALE * sr - s * sd) // (_SCALE * n)
+    best_err = best_o = None
+    for o_cand in (o_f, o_f + 1):
+        o = np.clip(o_cand, -255, 255)
+        big_o = _SCALE * o
+        err = (
+            s * s * sd2[:, None]
+            + n * big_o * big_o
+            + (_SCALE * _SCALE) * sr2
+            + 2 * s * big_o * sd
+            - 2 * (_SCALE * s) * cross[:, None]
+            - 2 * (_SCALE * big_o) * sr
+        )
+        if best_err is None:
+            best_err, best_o = err, o
+        else:
+            take = err < best_err  # strict: ties keep the smaller o
+            best_err = np.where(take, err, best_err)
+            best_o = np.where(take, o, best_o)
+    return best_err, best_o
 
 
 def pifs_encode(
@@ -192,9 +228,27 @@ def pifs_encode(
 
     Domain blocks are 2*range_size squares stepped by domain_step and
     downsampled by 2x2 averaging; all 8 isometries are candidates.  For each
-    range block the encoder minimizes the exact squared error over every
-    quantized (s_q, o_q) pair with |s_q/63| <= s_max, which makes the result
-    the true integer-grid optimum.
+    range block the encoder finds the exact squared-error minimum over every
+    candidate and every quantized (s_q, o_q) pair with |s_q/63| <= s_max: the
+    true integer-grid optimum, with the documented tie-break.
+
+    The search is pruned without changing its result.  With the candidate's
+    moments varD = n*sd2 - sd^2, cov = n*cross - sd*sr and the block's
+    varR = n*sr2 - sr^2, the unconstrained real least-squares residual
+    L = 252^2 * (varR - cov^2/varD) / n (252^2 * varR / n when varD = 0) is
+    a lower bound on the candidate's scaled integer error, because the
+    quantized (s_q, o_q) grid, clipped offsets included, is a subset of the
+    real plane.  The exact integer scan runs first on the candidate with
+    the smallest L, whose best error U bounds the optimum from above, and
+    then on every candidate with L <= U + margin, in candidate order.  Every
+    candidate that can reach the optimum, ties included, survives, so the
+    first minimum is the exhaustive search's first minimum.
+
+    L is evaluated in float64 from exact int64 moments with fewer than ten
+    roundings of relative size 2^-53 each, so it lies within 10 * 2^-53 * Z
+    of its true value, where Z = 252^2 * varR / n >= L.  The margin
+    2^-40 * (Z + U) exceeds that error, and the rounding of U + margin, by
+    a factor of several hundred; pruning less than possible only costs time.
     """
     if domain_step < 1:
         raise DomainError("domain_step must be positive")
@@ -202,75 +256,54 @@ def pifs_encode(
         raise DomainError("s_max must lie in [0, 1]")
     _check_blocks(image.width, image.height, range_size)
 
-    dsize = 2 * range_size
-    n = range_size * range_size
-    origins = _domain_origins(image.width, image.height, range_size, domain_step)
+    rs = range_size
+    n = rs * rs
+    nby, nbx = image.height // rs, image.width // rs
     px = image.pixels
 
     # candidate pool: (domain row-major) x (isometry 0..7), flattened blocks
-    cand = np.empty((len(origins) * 8, n), dtype=np.int64)
-    for d, (dy, dx) in enumerate(origins):
-        sums = _downsample_sums(px[dy : dy + dsize, dx : dx + dsize])
-        for t in range(8):
-            cand[d * 8 + t] = apply_isometry(sums, t).ravel()
+    windows = np.lib.stride_tricks.sliding_window_view(px, (2 * rs, 2 * rs))
+    windows = windows[::domain_step, ::domain_step]
+    n_dx = windows.shape[1]
+    sums = windows.reshape(-1, rs, 2, rs, 2).sum(axis=(2, 4), dtype=np.int64)
+    cand = np.stack([apply_isometry(sums, t) for t in range(8)], axis=1).reshape(-1, n)
     sd = cand.sum(axis=1)
     sd2 = (cand * cand).sum(axis=1)
+    # varD = 0 only for a flat domain, where cov = 0 as well; 1 keeps cov^2/varD 0
+    var_d = np.maximum(n * sd2 - sd * sd, 1).astype(np.float64)
 
     s_cap = min(63, int(np.floor(63.0 * s_max + 1e-9)))
     s_grid = np.arange(-s_cap, s_cap + 1, dtype=np.int64)
 
-    nby = image.height // range_size
-    nbx = image.width // range_size
-    ranges = np.empty((nby * nbx, n), dtype=np.int64)
-    for ry in range(nby):
-        for rx in range(nbx):
-            block = px[
-                ry * range_size : (ry + 1) * range_size,
-                rx * range_size : (rx + 1) * range_size,
-            ]
-            ranges[ry * nbx + rx] = block.astype(np.int64).ravel()
-    cross_all = cand @ ranges.T  # (candidates, range blocks)
+    ranges = px.reshape(nby, rs, nbx, rs).transpose(0, 2, 1, 3).reshape(-1, n)
+    ranges = ranges.astype(np.int64)
+    scale = _SCALE * _SCALE / n
 
     transforms: List[RangeTransform] = []
-    for b in range(nby * nbx):
-        r = ranges[b]
+    for r in ranges:
+        cross = cand @ r  # per block: no (candidates x blocks) matrix
         sr = int(r.sum())
-        sr2 = int((r * r).sum())
-        cross = cross_all[:, b][:, None]  # (C, 1)
-        s = s_grid[None, :]  # (1, S)
-        # optimal real offset o* = (252*sr - s*sd) / (252*n); test floor and
-        # floor+1 since the error is convex in o on the integer grid
-        num = 252 * sr - s * sd[:, None]
-        o_f = num // (252 * n)
-        best_err = None
-        best_o = None
-        for o_cand in (o_f, o_f + 1):
-            o = np.clip(o_cand, -255, 255)
-            big_o = _SCALE * o
-            err = (
-                s * s * sd2[:, None]
-                + n * big_o * big_o
-                + (_SCALE * _SCALE) * sr2
-                + 2 * s * big_o * sd[:, None]
-                - 2 * (_SCALE * s) * cross
-                - 2 * (_SCALE * big_o) * sr
-            )
-            if best_err is None:
-                best_err, best_o = err, o
-            else:
-                take = err < best_err  # strict: ties keep the smaller o
-                best_err = np.where(take, err, best_err)
-                best_o = np.where(take, o, best_o)
-        flat = int(np.argmin(best_err))  # first minimum: lowest (dy,dx,iso,s_q)
-        c_idx, s_idx = divmod(flat, len(s_grid))
-        dy, dx = origins[c_idx // 8]
+        sr2 = int(r @ r)
+        var_r = n * sr2 - sr * sr
+        cov = (n * cross - sd * sr).astype(np.float64)
+        bound = (var_r - cov * cov / var_d) * scale
+        c0 = int(np.argmin(bound))
+        sl = slice(c0, c0 + 1)
+        upper = int(_scan(cross[sl], sd[sl], sd2[sl], sr, sr2, n, s_grid)[0].min())
+        margin = 2.0**-40 * (var_r * scale + upper)
+        keep = np.flatnonzero(bound <= upper + margin)
+        err, o = _scan(cross[keep], sd[keep], sd2[keep], sr, sr2, n, s_grid)
+        flat = int(np.argmin(err))  # first minimum: lowest (dy,dx,iso,s_q)
+        k, s_idx = divmod(flat, len(s_grid))
+        d, iso = divmod(int(keep[k]), 8)
+        d_y, d_x = divmod(d, n_dx)
         transforms.append(
             RangeTransform(
-                domain_x=dx,
-                domain_y=dy,
-                isometry=c_idx % 8,
+                domain_x=d_x * domain_step,
+                domain_y=d_y * domain_step,
+                isometry=iso,
                 s_q=int(s_grid[s_idx]),
-                o_q=int(best_o[c_idx, s_idx]),
+                o_q=int(o[k, s_idx]),
             )
         )
     return PifsCode(
@@ -290,34 +323,48 @@ def pifs_decode(
     clamp(round(s * D^ + o)) into each range block, and feeds the result
     back in; the iterates converge to the encoded fixed point regardless
     of the start.
+
+    All blocks are decoded at once.  The 2x2 sum commutes with every
+    isometry of the square domain block, so the isometries are applied once,
+    one group at a time, to a flat index of each block's source pixels,
+    ordered like the output image.  A pass is then one gather of the four
+    sources of every output pixel, their uint16 sum, and the gray map in
+    the per-block loop's float64 operation order, which keeps the output
+    bit-identical to it.
     """
     if iterations < 1:
         raise DomainError("iterations must be at least 1")
+    h, w = code.height, code.width
     if start is None:
-        img = np.full((code.height, code.width), 128, dtype=np.uint8)
+        img = np.full((h, w), 128, dtype=np.uint8)
     else:
-        if start.width != code.width or start.height != code.height:
+        if start.width != w or start.height != h:
             raise DimensionMismatch(
                 f"start image {start.width}x{start.height} does not match "
-                f"code {code.width}x{code.height}"
+                f"code {w}x{h}"
             )
-        img = start.pixels.copy()
+        img = start.pixels
 
     rs = code.range_size
-    dsize = 2 * rs
-    nbx = code.width // rs
+    nby, nbx = h // rs, w // rs
+    dy, dx, iso, s_q, o_q = np.array(
+        [(t.domain_y, t.domain_x, t.isometry, t.s_q, t.o_q) for t in code.transforms],
+        dtype=np.int64,
+    ).T
+    span = np.arange(2 * rs)
+    src = (dy[:, None, None] + span[:, None]) * w + (dx[:, None, None] + span)
+    for t in np.unique(iso):
+        sel = iso == t
+        src[sel] = apply_isometry(src[sel], t)
+    # (block row, block col, cell row, a, cell col, b) -> (a, b, output row, col)
+    src = src.reshape(nby, nbx, rs, 2, rs, 2).transpose(3, 5, 0, 2, 1, 4)
+    src = src.reshape(4, nby, rs, nbx, rs)
+    s = (s_q / 63.0).reshape(nby, 1, nbx, 1)
+    o = o_q.astype(np.float64).reshape(nby, 1, nbx, 1)
     for _ in range(iterations):
-        nxt = np.empty_like(img)
-        for i, t in enumerate(code.transforms):
-            ry, rx = divmod(i, nbx)
-            domain = img[t.domain_y : t.domain_y + dsize, t.domain_x : t.domain_x + dsize]
-            dhat = _downsample_sums(domain).astype(np.float64) / 4.0
-            block = apply_isometry(dhat, t.isometry)
-            vals = np.clip(np.rint(t.s * block + t.o), 0.0, 255.0)
-            nxt[ry * rs : (ry + 1) * rs, rx * rs : (rx + 1) * rs] = vals.astype(
-                np.uint8
-            )
-        img = nxt
+        sums = img.ravel()[src].sum(axis=0, dtype=np.uint16)
+        vals = np.clip(np.rint(s * (sums / 4.0) + o), 0.0, 255.0)
+        img = vals.astype(np.uint8).reshape(h, w)
     return GrayImage(pixels=img)
 
 

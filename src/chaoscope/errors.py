@@ -41,7 +41,7 @@ class SeparationUnderflow(ChaoscopeError):
 
 
 class GridTooLarge(DomainError):
-    """An escape grid would exceed the configured pixel cap."""
+    """A raster (escape grid, IFS image, PIFS code) would exceed its pixel cap."""
 
 
 class EmptyImage(DomainError):

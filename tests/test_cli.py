@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import chaoscope as c
+from chaoscope import compression
 from chaoscope.cli import KEY_ENV_VAR
 from chaoscope.formats import read_pgm, write_pgm
 
@@ -86,6 +87,7 @@ def test_unknown_preset_exits_2(tmp_path, run_cli, capsys):
         ["encrypt", "--in", __file__, "--key", "3.9,0.3", "--warmup", "100000000000",
          "--out", "o.chx"],
         ["avalanche", "--key", "3.9,0.3", "--warmup", "100000000000"],
+        ["ifs", "--size", "1000000", "--out", "o.pgm"],
     ],
 )
 def test_validation_failures_exit_2_without_output(argv, tmp_path, run_cli, monkeypatch):
@@ -279,6 +281,23 @@ _BAD_INPUTS = {
     "chx-warmup-2**32-1": struct.pack("<4sBIQ", b"CHX1", 1, 2**32 - 1, 4) + b"abcd",
     "pgm-size-minus-1": b"P5\n-1 -1\n255\n\x00",
 }
+
+
+def test_oversized_code_exits_1_before_decoding(tmp_path, run_cli, capsys, monkeypatch):
+    def no_decode(*args):
+        raise AssertionError("the oversized code reached the decoder")
+
+    monkeypatch.setattr(compression, "pifs_decode", no_decode)
+    src = tmp_path / "big.fic"  # 0.5 MB declaring a 65280x65280 image
+    src.write_bytes(struct.pack("<4sHHBB", b"FIC1", 65280, 65280, 255, 0)
+                    + struct.pack("<HHBbh", 0, 0, 0, 0, 10) * (256 * 256))
+    out = tmp_path / "big.pgm"
+    code, _ = run_cli(["decompress", "--in", str(src), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("chaoscope decompress: FormatError: ") and "pixel cap" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

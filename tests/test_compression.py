@@ -2,8 +2,12 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from chaoscope.compression import (
+    MAX_PIXELS,
     GrayImage,
     PifsCode,
     RangeTransform,
@@ -16,8 +20,11 @@ from chaoscope.errors import (
     DimensionMismatch,
     DomainError,
     FormatError,
+    GridTooLarge,
     ImageTooSmall,
 )
+
+from conftest import exhaustive_encode, loop_decode, make_photo
 
 
 def _rms(a, b):
@@ -189,3 +196,127 @@ def test_code_geometry_is_checked(width, height, range_size, error):
     blob += struct.pack("<HHBbh", 0, 0, 0, 0, 10) * count
     with pytest.raises(FormatError):
         PifsCode.from_bytes(blob)
+
+
+def test_code_pixel_cap_is_checked_before_decoding():
+    # 0.5 MB of valid header and records that declare a 65280x65280 image
+    blob = struct.pack("<4sHHBB", b"FIC1", 65280, 65280, 255, 0)
+    blob += struct.pack("<HHBbh", 0, 0, 0, 0, 10) * (256 * 256)
+    with pytest.raises(FormatError, match="pixel cap"):
+        PifsCode.from_bytes(blob)
+    with pytest.raises(GridTooLarge):
+        PifsCode(width=65280, height=65280, range_size=255, transforms=())
+    with pytest.raises(GridTooLarge):
+        pifs_encode(GrayImage.constant(2000, MAX_PIXELS // 2000 + 1, 0))
+
+
+def _oracle_isometry_pixel(i, j, m, t):
+    """Source cell of output cell (i, j) in an m x m block under isometry t."""
+    return [
+        (i, j), (j, m - 1 - i), (m - 1 - i, m - 1 - j), (m - 1 - j, i),
+        (i, m - 1 - j), (j, i), (m - 1 - i, j), (m - 1 - j, m - 1 - i),
+    ][t]
+
+
+def test_loop_decoder_matches_pixel_formula():
+    """Pins the per-block decode oracle to one pass written pixel by pixel."""
+    rng = np.random.default_rng(5)
+    rs, w, h = 4, 16, 12
+    transforms = [
+        RangeTransform(int(rng.integers(0, w - 7)), int(rng.integers(0, h - 7)),
+                       t % 8, int(rng.integers(-63, 64)), int(rng.integers(-255, 256)))
+        for t in range(12)
+    ]
+    code = PifsCode(width=w, height=h, range_size=rs, transforms=transforms)
+    start = rng.integers(0, 256, size=(h, w), dtype=np.uint8)
+    px = start.astype(int)
+    want = np.empty_like(start)
+    for b, t in enumerate(transforms):
+        ry, rx = divmod(b, w // rs)
+        for i in range(rs):
+            for j in range(rs):
+                ci, cj = _oracle_isometry_pixel(i, j, rs, t.isometry)
+                y, x = t.domain_y + 2 * ci, t.domain_x + 2 * cj
+                dhat = (px[y, x] + px[y, x + 1] + px[y + 1, x] + px[y + 1, x + 1]) / 4.0
+                want[ry * rs + i, rx * rs + j] = min(max(round(t.s * dhat + t.o), 0), 255)
+    assert np.array_equal(loop_decode(code, 1, GrayImage(pixels=start)).pixels, want)
+
+
+def test_exhaustive_oracle_matches_brute_force(brute_force_encoder):
+    rng = np.random.default_rng(43)
+    yy, xx = np.mgrid[0:16, 0:16]
+    images = [
+        GrayImage(pixels=rng.integers(0, 256, size=(16, 16), dtype=np.uint8)),
+        GrayImage(pixels=((xx * 5 + yy * 11) % 256).astype(np.uint8)),
+    ]
+    for img in images:
+        code = exhaustive_encode(img, range_size=8, domain_step=8, s_max=1.0)
+        got = [(t.domain_y, t.domain_x, t.isometry, t.s_q, t.o_q) for t in code.transforms]
+        assert got == [e[1:] for e in brute_force_encoder(img, 8, 8, 1.0)]
+
+
+def _equivalence_images():
+    rng = np.random.default_rng(2024)
+    half = rng.integers(0, 256, size=(32, 16), dtype=np.uint8)
+    return {
+        "random32": GrayImage(pixels=rng.integers(0, 256, size=(32, 32), dtype=np.uint8)),
+        "random64": GrayImage(pixels=rng.integers(0, 256, size=(64, 64), dtype=np.uint8)),
+        "flat64": GrayImage.constant(64, 64, 93),
+        "mirror32": GrayImage(pixels=np.concatenate([half, half[:, ::-1]], axis=1)),
+        "photo48x64": make_photo(48, 64, 11),
+    }
+
+
+# (range_size, domain_step, s_max): together every value of each setting
+_SEARCH_SETTINGS = [(8, 8, 1.0), (8, 4, 0.5), (4, 8, 0.5), (4, 4, 0.0)]
+
+
+@pytest.mark.parametrize("rs, step, s_max", _SEARCH_SETTINGS)
+def test_pruned_search_and_vectorised_decode_match_oracles(rs, step, s_max, corpus64):
+    images = dict(corpus64, **_equivalence_images())
+    for name, img in images.items():
+        code = pifs_encode(img, rs, step, s_max)
+        assert code.to_bytes() == exhaustive_encode(img, rs, step, s_max).to_bytes(), name
+        start = GrayImage(pixels=np.roll(img.pixels, 3, axis=1))
+        for s in (None, start):
+            got = pifs_decode(code, 3, s).pixels
+            assert np.array_equal(got, loop_decode(code, 3, s).pixels), name
+
+
+@st.composite
+def small_images(draw):
+    h, w = draw(st.sampled_from([(16, 16), (16, 24), (24, 16)]))
+    # a small palette makes exact ties between candidates likely
+    palette = draw(st.sampled_from([st.integers(0, 255), st.sampled_from([0, 64, 255])]))
+    return GrayImage(pixels=draw(arrays(np.uint8, (h, w), elements=palette)))
+
+
+@settings(deadline=None, max_examples=60)
+@given(small_images(), st.floats(0.0, 1.0), st.sampled_from([(4, 4), (8, 4), (4, 8)]))
+def test_pruned_search_matches_exhaustive_property(img, s_max, rs_step):
+    rs, step = rs_step
+    assert pifs_encode(img, rs, step, s_max) == exhaustive_encode(img, rs, step, s_max)
+
+
+@st.composite
+def valid_codes(draw):
+    rs = draw(st.sampled_from([1, 2, 4]))
+    nby, nbx = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    h, w = nby * rs, nbx * rs
+    transforms = draw(st.lists(
+        st.builds(RangeTransform, st.integers(0, w - 2 * rs), st.integers(0, h - 2 * rs),
+                  st.integers(0, 7), st.integers(-63, 63), st.integers(-255, 255)),
+        min_size=nby * nbx, max_size=nby * nbx,
+    ))
+    return PifsCode(width=w, height=h, range_size=rs, transforms=transforms)
+
+
+@settings(deadline=None, max_examples=60)
+@given(valid_codes(), st.integers(1, 3), st.booleans(), st.integers(0, 2**32 - 1))
+def test_vectorised_decode_matches_loop_property(code, iterations, with_start, seed):
+    start = None
+    if with_start:
+        rng = np.random.default_rng(seed)
+        start = GrayImage(pixels=rng.integers(0, 256, (code.height, code.width), np.uint8))
+    got = pifs_decode(code, iterations, start).pixels
+    assert np.array_equal(got, loop_decode(code, iterations, start).pixels)
