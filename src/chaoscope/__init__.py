@@ -22,7 +22,6 @@ from .cipher import ChaosKey, avalanche_test, decrypt, encrypt, keystream
 from .compression import (
     GrayImage,
     PifsCode,
-    RangeTransform,
     pifs_decode,
     pifs_encode,
     psnr,
@@ -85,7 +84,6 @@ __all__ = [
     "MapOrbit",
     "PRESETS",
     "PifsCode",
-    "RangeTransform",
     "Stability",
     "Trajectory",
     "avalanche_test",

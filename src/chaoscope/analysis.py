@@ -132,21 +132,15 @@ def bifurcation_scan(
     row = 0
     for param in params:
         x = x0
-        for i in range(discard):
+        for i in range(discard + keep):
+            if i >= discard:
+                rows[row] = (param, x)
+                row += 1
             x = family(param, x)
             if not math.isfinite(x):
                 raise NonFiniteState(
                     f"orbit diverged at parameter {param!r}, iterate {i + 1}",
                     index=i + 1,
-                )
-        for i in range(keep):
-            rows[row] = (param, x)
-            row += 1
-            x = family(param, x)
-            if not math.isfinite(x):
-                raise NonFiniteState(
-                    f"orbit diverged at parameter {param!r}, iterate {discard + i + 1}",
-                    index=discard + i + 1,
                 )
     return BifurcationDiagram(
         points=rows,

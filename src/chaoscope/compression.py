@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -40,7 +40,14 @@ from .errors import (
 
 MAGIC = b"FIC1"
 _HEADER = struct.Struct("<4sHHBB")
-_TRANSFORM = struct.Struct("<HHBbh")
+
+#: One range transform, exactly as a ``FIC1`` record stores it: the domain
+#: block's top-left corner, the isometry index in [0, 7], the contrast
+#: s_q = round(s * 63) in [-63, 63] and the offset o_q in gray levels, in
+#: [-255, 255].  Decoding writes clamp(round(s_q/63 * D^ + o_q)).
+TRANSFORM = np.dtype(
+    [("domain_x", "<u2"), ("domain_y", "<u2"), ("isometry", "u1"), ("s_q", "i1"), ("o_q", "<i2")]
+)
 
 #: Scale factor that turns residuals into integers: 63 (contrast grid) * 4
 #: (domain downsample denominator).
@@ -48,10 +55,11 @@ _SCALE = 252
 
 PSNR_CAP_DB = 99.0
 
-#: Largest image a code may describe.  Decoding peaks at about 330 bytes per
-#: pixel for range size 1, where the parsed transforms dominate, and about
-#: 70 for range sizes of 8 and up (tracemalloc over ``from_bytes`` plus
-#: ``pifs_decode``), so 3M pixels keep a decode under 1 GiB.
+#: Largest image a code may describe.  Parsing plus a decode peaks at about
+#: 85 bytes per pixel for range size 1 and about 65-70 for range sizes of 8
+#: and up (tracemalloc over ``from_bytes`` plus ``pifs_decode``, 1024^2), so
+#: a decode at the cap peaks near 250 MB.  The cap is not raised to match,
+#: so that the set of refused inputs stays the same.
 MAX_PIXELS = 3_000_000
 
 
@@ -79,33 +87,6 @@ class GrayImage:
         return cls(pixels=np.full((height, width), value, dtype=np.uint8))
 
 
-@dataclass(frozen=True)
-class RangeTransform:
-    """One range block's source and gray-axis map: pixel = s * D^ + o."""
-
-    domain_x: int
-    domain_y: int
-    isometry: int
-    s_q: int  # contrast, stored as round(s * 63), |s_q| <= 63
-    o_q: int  # brightness offset in gray levels, [-255, 255]
-
-    def __post_init__(self):
-        if not (0 <= self.isometry <= 7):
-            raise DomainError("isometry index must lie in [0, 7]")
-        if not (-63 <= self.s_q <= 63):
-            raise DomainError("quantized contrast must lie in [-63, 63]")
-        if not (-255 <= self.o_q <= 255):
-            raise DomainError("quantized offset must lie in [-255, 255]")
-
-    @property
-    def s(self) -> float:
-        return self.s_q / 63.0
-
-    @property
-    def o(self) -> float:
-        return float(self.o_q)
-
-
 def _check_blocks(width: int, height: int, range_size: int) -> None:
     """An image must stay within MAX_PIXELS, tile into range blocks and fit
     one 2*range_size domain."""
@@ -122,37 +103,60 @@ def _check_blocks(width: int, height: int, range_size: int) -> None:
         raise ImageTooSmall(f"no {dsize}x{dsize} domain block fits in {width}x{height}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PifsCode:
-    """The compressed image: one transform per range block, row-major."""
+    """The compressed image: one transform per range block, row-major.
+
+    ``transforms`` is a read-only record array of TRANSFORM; it may be given
+    as such an array or as (N, 5) integer rows in TRANSFORM's field order.
+    Codes compare equal when their ``FIC1`` bytes do.
+    """
 
     width: int
     height: int
     range_size: int
-    transforms: Tuple[RangeTransform, ...]
+    transforms: np.recarray
 
     def __post_init__(self):
-        object.__setattr__(self, "transforms", tuple(self.transforms))
         _check_blocks(self.width, self.height, self.range_size)
+        rows = np.asarray(self.transforms)
+        if rows.dtype == TRANSFORM:
+            rows = np.stack([rows[name] for name in TRANSFORM.names], axis=-1)
+        elif rows.size == 0:
+            rows = np.empty((0, 5), dtype=np.int64)
+        if rows.ndim != 2 or rows.shape[1] != 5 or rows.dtype.kind not in "iu":
+            raise DomainError("transforms must be TRANSFORM records or (N, 5) integer rows")
         expected = (self.width // self.range_size) * (self.height // self.range_size)
-        if len(self.transforms) != expected:
-            raise DomainError(
-                f"expected {expected} transforms, got {len(self.transforms)}"
-            )
+        if len(rows) != expected:
+            raise DomainError(f"expected {expected} transforms, got {len(rows)}")
+        x, y, iso, s_q, o_q = rows.T
+        if np.any((iso < 0) | (iso > 7)):
+            raise DomainError("isometry index must lie in [0, 7]")
+        if np.any((s_q < -63) | (s_q > 63)):
+            raise DomainError("quantized contrast must lie in [-63, 63]")
+        if np.any((o_q < -255) | (o_q > 255)):
+            raise DomainError("quantized offset must lie in [-255, 255]")
         dsize = 2 * self.range_size
-        for t in self.transforms:
-            if t.domain_x + dsize > self.width or t.domain_y + dsize > self.height:
-                raise DomainError(
-                    f"domain block at ({t.domain_x}, {t.domain_y}) leaves the image"
-                )
+        # x > width - dsize rather than x + dsize > width: int64 rows cannot wrap
+        out = (x < 0) | (x > self.width - dsize) | (y < 0) | (y > self.height - dsize)
+        if np.any(out):
+            i = int(np.argmax(out))
+            raise DomainError(f"domain block at ({x[i]}, {y[i]}) leaves the image")
+        rec = np.rec.fromarrays(rows.T, dtype=TRANSFORM)  # a copy the code owns
+        rec.flags.writeable = False
+        object.__setattr__(self, "transforms", rec)
+
+    def __eq__(self, other):
+        if not isinstance(other, PifsCode):
+            return NotImplemented
+        return self.to_bytes() == other.to_bytes()
+
+    def __hash__(self):
+        return hash(self.to_bytes())
 
     def to_bytes(self) -> bytes:
-        out = [_HEADER.pack(MAGIC, self.width, self.height, self.range_size, 0)]
-        for t in self.transforms:
-            out.append(
-                _TRANSFORM.pack(t.domain_x, t.domain_y, t.isometry, t.s_q, t.o_q)
-            )
-        return b"".join(out)
+        header = _HEADER.pack(MAGIC, self.width, self.height, self.range_size, 0)
+        return header + self.transforms.tobytes()
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "PifsCode":
@@ -162,17 +166,11 @@ class PifsCode:
         magic, width, height, range_size, _ = _HEADER.unpack_from(data, 0)
         if magic != MAGIC:
             raise FormatError(f"bad container magic {magic!r}")
-        body = data[_HEADER.size :]
-        if len(body) % _TRANSFORM.size != 0:
+        if (len(data) - _HEADER.size) % TRANSFORM.itemsize != 0:
             raise FormatError("transform payload has a partial record")
+        records = np.frombuffer(data, TRANSFORM, offset=_HEADER.size)
         try:
-            transforms = [
-                RangeTransform(*_TRANSFORM.unpack_from(body, off))
-                for off in range(0, len(body), _TRANSFORM.size)
-            ]
-            return cls(
-                width=width, height=height, range_size=range_size, transforms=transforms
-            )
+            return cls(width=width, height=height, range_size=range_size, transforms=records)
         except DomainError as exc:
             raise FormatError(f"invalid transform container: {exc}") from None
 
@@ -279,8 +277,8 @@ def pifs_encode(
     ranges = ranges.astype(np.int64)
     scale = _SCALE * _SCALE / n
 
-    transforms: List[RangeTransform] = []
-    for r in ranges:
+    rows = np.empty((len(ranges), 5), dtype=np.int64)  # TRANSFORM's field order
+    for b, r in enumerate(ranges):
         cross = cand @ r  # per block: no (candidates x blocks) matrix
         sr = int(r.sum())
         sr2 = int(r @ r)
@@ -292,25 +290,19 @@ def pifs_encode(
         upper = int(_scan(cross[sl], sd[sl], sd2[sl], sr, sr2, n, s_grid)[0].min())
         margin = 2.0**-40 * (var_r * scale + upper)
         keep = np.flatnonzero(bound <= upper + margin)
+        if upper == 0:  # nothing scores lower, so no later candidate wins a tie
+            keep = keep[keep <= c0]
         err, o = _scan(cross[keep], sd[keep], sd2[keep], sr, sr2, n, s_grid)
         flat = int(np.argmin(err))  # first minimum: lowest (dy,dx,iso,s_q)
         k, s_idx = divmod(flat, len(s_grid))
         d, iso = divmod(int(keep[k]), 8)
         d_y, d_x = divmod(d, n_dx)
-        transforms.append(
-            RangeTransform(
-                domain_x=d_x * domain_step,
-                domain_y=d_y * domain_step,
-                isometry=iso,
-                s_q=int(s_grid[s_idx]),
-                o_q=int(o[k, s_idx]),
-            )
-        )
+        rows[b] = (d_x * domain_step, d_y * domain_step, iso, s_grid[s_idx], o[k, s_idx])
     return PifsCode(
         width=image.width,
         height=image.height,
         range_size=range_size,
-        transforms=transforms,
+        transforms=rows,
     )
 
 
@@ -347,20 +339,17 @@ def pifs_decode(
 
     rs = code.range_size
     nby, nbx = h // rs, w // rs
-    dy, dx, iso, s_q, o_q = np.array(
-        [(t.domain_y, t.domain_x, t.isometry, t.s_q, t.o_q) for t in code.transforms],
-        dtype=np.int64,
-    ).T
+    rec = code.transforms
     span = np.arange(2 * rs)
-    src = (dy[:, None, None] + span[:, None]) * w + (dx[:, None, None] + span)
-    for t in np.unique(iso):
-        sel = iso == t
-        src[sel] = apply_isometry(src[sel], t)
+    src = (rec.domain_y[:, None, None] + span[:, None]) * w + (rec.domain_x[:, None, None] + span)
+    for t in np.unique(rec.isometry):
+        sel = rec.isometry == t
+        src[sel] = apply_isometry(src[sel], int(t))
     # (block row, block col, cell row, a, cell col, b) -> (a, b, output row, col)
     src = src.reshape(nby, nbx, rs, 2, rs, 2).transpose(3, 5, 0, 2, 1, 4)
     src = src.reshape(4, nby, rs, nbx, rs)
-    s = (s_q / 63.0).reshape(nby, 1, nbx, 1)
-    o = o_q.astype(np.float64).reshape(nby, 1, nbx, 1)
+    s = (rec.s_q / 63.0).reshape(nby, 1, nbx, 1)
+    o = rec.o_q.astype(np.float64).reshape(nby, 1, nbx, 1)
     for _ in range(iterations):
         sums = img.ravel()[src].sum(axis=0, dtype=np.uint16)
         vals = np.clip(np.rint(s * (sums / 4.0) + o), 0.0, 255.0)

@@ -5,7 +5,7 @@ and vectorised decoder must reproduce exactly."""
 
 import contextlib
 import io
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -16,7 +16,6 @@ from chaoscope.compression import (
     _SCALE,
     GrayImage,
     PifsCode,
-    RangeTransform,
     _check_blocks,
 )
 from chaoscope.errors import DimensionMismatch, DomainError
@@ -191,7 +190,7 @@ def exhaustive_encode(
             ranges[ry * nbx + rx] = block.astype(np.int64).ravel()
     cross_all = cand @ ranges.T  # (candidates, range blocks)
 
-    transforms: List[RangeTransform] = []
+    transforms = []
     for b in range(nby * nbx):
         r = ranges[b]
         sr = int(r.sum())
@@ -224,14 +223,9 @@ def exhaustive_encode(
         flat = int(np.argmin(best_err))  # first minimum: lowest (dy,dx,iso,s_q)
         c_idx, s_idx = divmod(flat, len(s_grid))
         dy, dx = origins[c_idx // 8]
+        # (domain_x, domain_y, isometry, s_q, o_q)
         transforms.append(
-            RangeTransform(
-                domain_x=dx,
-                domain_y=dy,
-                isometry=c_idx % 8,
-                s_q=int(s_grid[s_idx]),
-                o_q=int(best_o[c_idx, s_idx]),
-            )
+            (dx, dy, c_idx % 8, int(s_grid[s_idx]), int(best_o[c_idx, s_idx]))
         )
     return PifsCode(
         width=image.width,
@@ -273,7 +267,7 @@ def loop_decode(
             domain = img[t.domain_y : t.domain_y + dsize, t.domain_x : t.domain_x + dsize]
             dhat = _downsample_sums(domain).astype(np.float64) / 4.0
             block = apply_isometry(dhat, t.isometry)
-            vals = np.clip(np.rint(t.s * block + t.o), 0.0, 255.0)
+            vals = np.clip(np.rint(t.s_q / 63.0 * block + float(t.o_q)), 0.0, 255.0)
             nxt[ry * rs : (ry + 1) * rs, rx * rs : (rx + 1) * rs] = vals.astype(
                 np.uint8
             )

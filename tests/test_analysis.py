@@ -15,7 +15,7 @@ from chaoscope.analysis import (
     lorenz_equilibria,
     verify_equilibrium,
 )
-from chaoscope.errors import DomainError, SeparationUnderflow
+from chaoscope.errors import DomainError, NonFiniteState, SeparationUnderflow
 from chaoscope.integrate import IntegratorConfig
 from chaoscope.systems import Linear1DParams, LogisticParams, LorenzParams, linear_solution, lorenz_field
 
@@ -191,6 +191,30 @@ def test_bifurcation_scan_preconditions():
         bifurcation_scan(logistic_family, 2.0, 3.0, 5, 0.3, 99, 10)
     with pytest.raises(DomainError):
         bifurcation_scan(logistic_family, 2.0, 3.0, 5, 0.3, 500, 0)
+
+
+@pytest.mark.parametrize(
+    "nan_call, param, index",
+    [
+        (50, 2.0, 50),  # discard phase of the first parameter
+        (103, 2.0, 103),  # keep phase of the first parameter
+        (112, 3.0, 7),  # the second parameter starts over at iterate 1
+    ],
+)
+def test_bifurcation_scan_reports_the_diverging_iterate(nan_call, param, index):
+    calls = []
+
+    def family(mu, x):
+        calls.append(mu)
+        return math.nan if len(calls) == nan_call else logistic_family(mu, x)
+
+    # 100 discarded + 5 kept iterates: 105 calls per parameter
+    with pytest.raises(NonFiniteState) as info:
+        bifurcation_scan(family, 2.0, 3.0, 2, 0.3, 100, 5)
+    assert info.value.index == index
+    want = f"orbit diverged at parameter {np.float64(param)!r}, iterate {index}"
+    assert str(info.value) == want
+    assert len(calls) == nan_call
 
 
 def test_divergence_rate_linear_field():

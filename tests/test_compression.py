@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from chaoscope import compression
 from chaoscope.compression import (
     MAX_PIXELS,
     GrayImage,
     PifsCode,
-    RangeTransform,
+    TRANSFORM,
     pifs_decode,
     pifs_encode,
     psnr,
@@ -163,19 +164,51 @@ def test_decode_preconditions():
 
 
 def test_transform_validation():
-    with pytest.raises(DomainError):
-        RangeTransform(0, 0, 8, 0, 0)
-    with pytest.raises(DomainError):
-        RangeTransform(0, 0, 0, 64, 0)
-    with pytest.raises(DomainError):
-        RangeTransform(0, 0, 0, 0, 300)
-    # domain blocks must stay inside the image
-    good = RangeTransform(0, 0, 0, 0, 0)
-    with pytest.raises(DomainError):
-        PifsCode(width=16, height=16, range_size=8, transforms=(
-            RangeTransform(8, 0, 0, 0, 0),
-            good, good, good,
-        ))
+    good = (0, 0, 0, 0, 0)
+    for bad, message in [
+        ((0, 0, 8, 0, 0), "isometry"),
+        ((0, 0, -1, 0, 0), "isometry"),
+        ((0, 0, 0, 64, 0), "contrast"),
+        ((0, 0, 0, -64, 0), "contrast"),
+        ((0, 0, 0, 0, 300), "offset"),
+        ((0, 0, 0, 0, -256), "offset"),
+        ((0, 0, 0, -2**63, 0), "contrast"),  # abs() of it would wrap
+        # domain blocks must stay inside the image
+        ((8, 0, 0, 0, 0), r"domain block at \(8, 0\) leaves"),
+        ((0, 1, 0, 0, 0), r"domain block at \(0, 1\) leaves"),
+        ((-1, 0, 0, 0, 0), r"domain block at \(-1, 0\) leaves"),
+        ((2**63 - 1, 0, 0, 0, 0), "domain block at"),  # x + 16 would wrap
+    ]:
+        with pytest.raises(DomainError, match=message):
+            PifsCode(width=16, height=16, range_size=8, transforms=(good, good, bad, good))
+
+
+def test_transforms_must_be_records_or_integer_rows():
+    for rows in ([(0, 0, 0, 0)] * 4, [(0.0, 0, 0, 0, 0)] * 4, [0] * 20):
+        with pytest.raises(DomainError, match="integer rows"):
+            PifsCode(width=16, height=16, range_size=8, transforms=rows)
+    with pytest.raises(DomainError, match="expected 4 transforms, got 3"):
+        PifsCode(width=16, height=16, range_size=8, transforms=[(0, 0, 0, 0, 0)] * 3)
+
+
+def test_record_layout_is_the_fic1_layout():
+    # 16x16 at range size 4: 16 records, domain corners in [0, 8]
+    rows = [(0, 8, 7, -63, -255), (8, 0, 3, 63, 255), (4, 2, 0, 0, 0), (1, 1, 5, -1, 17)] * 4
+    blob = struct.pack("<4sHHBB", b"FIC1", 16, 16, 4, 0)
+    blob += b"".join(struct.pack("<HHBbh", *r) for r in rows)
+    assert TRANSFORM.itemsize == 8
+    code = PifsCode(width=16, height=16, range_size=4, transforms=rows)
+    assert code.to_bytes() == blob
+    back = PifsCode.from_bytes(blob)
+    assert back == code and back.to_bytes() == blob
+    assert [tuple(int(v) for v in t) for t in back.transforms] == rows
+    assert [int(t.s_q) for t in back.transforms[:4]] == [-63, 63, 0, -1]
+    # a TRANSFORM array is accepted as is, and a code's records are read-only
+    assert PifsCode(width=16, height=16, range_size=4, transforms=back.transforms) == code
+    with pytest.raises(ValueError):
+        code.transforms.o_q[0] = 1
+    with pytest.raises(ValueError):
+        back.transforms[0] = (0, 0, 0, 0, 0)
 
 
 @pytest.mark.parametrize(
@@ -189,7 +222,7 @@ def test_transform_validation():
 )
 def test_code_geometry_is_checked(width, height, range_size, error):
     count = (width // max(range_size, 1)) * (height // max(range_size, 1))
-    transforms = [RangeTransform(0, 0, 0, 0, 10)] * count
+    transforms = [(0, 0, 0, 0, 10)] * count
     with pytest.raises(error):
         PifsCode(width=width, height=height, range_size=range_size, transforms=transforms)
     blob = struct.pack("<4sHHBB", b"FIC1", width, height, range_size, 0)
@@ -223,22 +256,23 @@ def test_loop_decoder_matches_pixel_formula():
     rng = np.random.default_rng(5)
     rs, w, h = 4, 16, 12
     transforms = [
-        RangeTransform(int(rng.integers(0, w - 7)), int(rng.integers(0, h - 7)),
-                       t % 8, int(rng.integers(-63, 64)), int(rng.integers(-255, 256)))
+        (int(rng.integers(0, w - 7)), int(rng.integers(0, h - 7)),
+         t % 8, int(rng.integers(-63, 64)), int(rng.integers(-255, 256)))
         for t in range(12)
     ]
     code = PifsCode(width=w, height=h, range_size=rs, transforms=transforms)
     start = rng.integers(0, 256, size=(h, w), dtype=np.uint8)
     px = start.astype(int)
     want = np.empty_like(start)
-    for b, t in enumerate(transforms):
+    for b, t in enumerate(code.transforms):
         ry, rx = divmod(b, w // rs)
         for i in range(rs):
             for j in range(rs):
                 ci, cj = _oracle_isometry_pixel(i, j, rs, t.isometry)
                 y, x = t.domain_y + 2 * ci, t.domain_x + 2 * cj
                 dhat = (px[y, x] + px[y, x + 1] + px[y + 1, x] + px[y + 1, x + 1]) / 4.0
-                want[ry * rs + i, rx * rs + j] = min(max(round(t.s * dhat + t.o), 0), 255)
+                gray = t.s_q / 63.0 * dhat + float(t.o_q)
+                want[ry * rs + i, rx * rs + j] = min(max(round(gray), 0), 255)
     assert np.array_equal(loop_decode(code, 1, GrayImage(pixels=start)).pixels, want)
 
 
@@ -283,6 +317,26 @@ def test_pruned_search_and_vectorised_decode_match_oracles(rs, step, s_max, corp
             assert np.array_equal(got, loop_decode(code, 3, s).pixels), name
 
 
+def test_flat_range_blocks_scan_at_most_two_candidates(monkeypatch):
+    scanned = []
+    scan = compression._scan
+
+    def counting_scan(cross, *args):
+        scanned.append(len(cross))
+        return scan(cross, *args)
+
+    monkeypatch.setattr(compression, "_scan", counting_scan)
+    rng = np.random.default_rng(8)
+    tiles = rng.integers(0, 256, size=(8, 8), dtype=np.uint8)
+    images = [GrayImage.constant(64, 64, 93), GrayImage(pixels=np.kron(tiles, np.ones((8, 8), np.uint8)))]
+    for img in images:
+        scanned.clear()
+        code = pifs_encode(img)  # every 8x8 range block is flat
+        assert len(scanned) == 2 * 64
+        assert all(a + b <= 2 for a, b in zip(scanned[::2], scanned[1::2]))
+        assert code == exhaustive_encode(img, 8, 8, 1.0)
+
+
 @st.composite
 def small_images(draw):
     h, w = draw(st.sampled_from([(16, 16), (16, 24), (24, 16)]))
@@ -304,7 +358,7 @@ def valid_codes(draw):
     nby, nbx = draw(st.integers(2, 4)), draw(st.integers(2, 4))
     h, w = nby * rs, nbx * rs
     transforms = draw(st.lists(
-        st.builds(RangeTransform, st.integers(0, w - 2 * rs), st.integers(0, h - 2 * rs),
+        st.tuples(st.integers(0, w - 2 * rs), st.integers(0, h - 2 * rs),
                   st.integers(0, 7), st.integers(-63, 63), st.integers(-255, 255)),
         min_size=nby * nbx, max_size=nby * nbx,
     ))
