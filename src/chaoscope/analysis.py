@@ -139,7 +139,7 @@ def bifurcation_scan(
             x = family(param, x)
             if not math.isfinite(x):
                 raise NonFiniteState(
-                    f"orbit diverged at parameter {param!r}, iterate {i + 1}",
+                    f"orbit diverged at parameter {float(param)!r}, iterate {i + 1}",
                     index=i + 1,
                 )
     return BifurcationDiagram(

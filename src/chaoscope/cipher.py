@@ -32,6 +32,9 @@ _TWO32 = 4294967296.0
 #: container header cannot make decryption spin for hours.
 MAX_WARMUP = 1_000_000
 
+#: Iterates per chunk of the keystream loop: 64 KiB of output bytes.
+_CHUNK = 65536
+
 
 @dataclass(frozen=True)
 class ChaosKey:
@@ -56,27 +59,39 @@ class ChaosKey:
             )
 
 
-def _advance(mu: float, x: float, step: int) -> float:
-    nxt = mu * x * (1.0 - x)
-    if nxt == 0.0:
-        raise DegenerateOrbit(f"orbit hit 0 at iterate {step}")
-    if nxt == x:
-        raise DegenerateOrbit(f"orbit hit the fixed point {x!r} at iterate {step}")
-    return nxt
-
-
 def keystream(key: ChaosKey, n: int) -> bytes:
-    """Generate n keystream bytes; deterministic for a given key."""
+    """Generate n keystream bytes; deterministic for a given key.
+
+    The orbit is iterated on Python floats, _CHUNK iterates at a time
+    (the warmup first, then the output bytes), so memory stays bounded for
+    any n.  Each chunk is then checked with numpy for the degenerate
+    iterates 0 and "same as the previous iterate", and turned into bytes.
+    """
     if n < 0:
         raise DomainError("n must be non-negative")
-    x = key.x0
-    for i in range(key.warmup):
-        x = _advance(key.mu, x, i + 1)
-    out = bytearray(n)
-    for i in range(n):
-        x = _advance(key.mu, x, key.warmup + i + 1)
-        out[i] = int(x * _TWO32) & 0xFF
-    return bytes(out)
+    mu, x = key.mu, key.x0
+    out = np.empty(n, dtype=np.uint8)
+    done = -key.warmup  # iterates done, counted from the first output byte
+    while done < n:
+        m = min(_CHUNK, -done if done < 0 else n - done)
+        prev = x
+        xs = np.fromiter((x := mu * x * (1.0 - x) for _ in range(m)), np.float64, m)
+        before = np.concatenate(([prev], xs[:-1]))
+        bad = (xs == 0.0) | (xs == before)
+        if bad.any():
+            j = int(bad.argmax())
+            step = key.warmup + done + j + 1
+            if xs[j] == 0.0:
+                raise DegenerateOrbit(f"orbit hit 0 at iterate {step}")
+            raise DegenerateOrbit(
+                f"orbit hit the fixed point {float(before[j])!r} at iterate {step}"
+            )
+        if done >= 0:  # chunks end where the warmup ends
+            # with mu <= 4 every rounded iterate lies in [0, 1], so the
+            # int64 cast truncates x * 2**32 exactly as int() does
+            out[done : done + m] = (xs * _TWO32).astype(np.int64) & 0xFF
+        done += m
+    return out.tobytes()
 
 
 def _xor(data: bytes, ks: bytes) -> bytes:

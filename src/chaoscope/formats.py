@@ -45,15 +45,20 @@ def write_bytes_atomic(path, data: bytes) -> None:
         raise
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
-
-
 def write_rows_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write a generic CSV with 17-significant-digit numeric fields."""
+    """Write a generic CSV with 17-significant-digit numeric fields.
+
+    A Python int prints as an integer and any other value as a float with
+    17 significant digits.  Every row must have the length and the column
+    kinds of the first, whose values fix the one format string of all rows.
+    """
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(str(v) if isinstance(v, int) else _fmt(v) for v in row))
+    rows = iter(rows)
+    first = next(rows, None)
+    if first is not None:
+        fmt = ",".join("%d" if isinstance(v, int) else "%.17g" for v in first)
+        lines.append(fmt % tuple(first))
+        lines.extend(fmt % tuple(row) for row in rows)
     write_bytes_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
@@ -65,20 +70,19 @@ def write_trajectory_csv(series: Series, path) -> None:
     """
     if isinstance(series, Trajectory):
         header = ["t"] + [f"x{i}" for i in range(series.dimension)]
-        rows = (
-            [t] + list(state) for t, state in zip(series.times, series.states)
-        )
+        times = series.times.tolist()
+        rows = ([t] + state.tolist() for t, state in zip(times, series.states))
     elif isinstance(series, MapOrbit):
         header = ["n"] + [f"x{i}" for i in range(series.dimension)]
         rows = (
-            [series.discarded + k] + list(p) for k, p in enumerate(series.points)
+            [series.discarded + k] + p.tolist() for k, p in enumerate(series.points)
         )
     elif isinstance(series, CobwebTrace):
         header = ["x", "y"]
-        rows = (list(v) for v in series.vertices)
+        rows = (v.tolist() for v in series.vertices)
     elif isinstance(series, BifurcationDiagram):
         header = ["x", "y"]
-        rows = (list(p) for p in series.points)
+        rows = (p.tolist() for p in series.points)
     else:
         raise TypeError(f"cannot serialize {type(series).__name__} as series CSV")
     write_rows_csv(path, header, rows)
@@ -87,7 +91,7 @@ def write_trajectory_csv(series: Series, path) -> None:
 def write_divergence_csv(report: DivergenceReport, path) -> None:
     """Time / log-separation pairs with an x,y header."""
     write_rows_csv(
-        path, ["x", "y"], ([t, s] for t, s in zip(report.times, report.log_separation))
+        path, ["x", "y"], zip(report.times.tolist(), report.log_separation.tolist())
     )
 
 

@@ -13,6 +13,7 @@ bit-identical outputs on one platform.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
@@ -50,6 +51,8 @@ _FAC_MIN = 0.2
 _FAC_MAX = 5.0
 _PI_ALPHA = 0.17  # proportional exponent (order 5, with integral damping)
 _PI_BETA = 0.04  # integral memory exponent
+
+_isfinite = math.isfinite
 
 
 def as_state(x: ArrayLike) -> np.ndarray:
@@ -133,15 +136,79 @@ class MapOrbit:
         return self.points.shape[1]
 
 
-def _eval_field(field: FieldFn, t: float, y: np.ndarray, dim: int) -> np.ndarray:
-    f = np.asarray(field(t, y), dtype=np.float64)
-    if f.shape != (dim,):
-        raise DomainError(
-            f"field returned shape {f.shape}, expected ({dim},)"
-        )
-    if not np.all(np.isfinite(f)):
+class FloatKernel:
+    """A FieldFn or MapFn whose arithmetic is written on Python floats.
+
+    ``kernel`` takes ``(t, state)`` for a flow or ``(state)`` for a map,
+    where state is a sequence of floats, and returns a sequence of floats.
+    ``integrate`` and ``iterate_map`` run it directly on floats; called like
+    any other FieldFn or MapFn, with an ndarray state, it returns an
+    ndarray.  Preset fields and maps are FloatKernels.
+    """
+
+    __slots__ = ("kernel",)
+
+    def __init__(self, kernel: Callable):
+        self.kernel = kernel
+
+    def __call__(self, *args) -> np.ndarray:
+        return np.array(self.kernel(*args), dtype=np.float64)
+
+
+def _field_kernel(field: FieldFn, dim: int) -> Callable:
+    """The float kernel of field: its own, or one adapting an ndarray FieldFn."""
+    if isinstance(field, FloatKernel):
+        return field.kernel
+
+    def adapted(t, y):
+        f = np.asarray(field(t, np.array(y)), dtype=np.float64)
+        if f.shape != (dim,):
+            raise DomainError(f"field returned shape {f.shape}, expected ({dim},)")
+        return f.tolist()
+
+    return adapted
+
+
+def _map_kernel(map_fn: MapFn, dim: int) -> Callable:
+    """The float kernel of map_fn: its own, or one adapting an ndarray MapFn."""
+    if isinstance(map_fn, FloatKernel):
+        return map_fn.kernel
+
+    def adapted(x):
+        nxt = np.atleast_1d(np.asarray(map_fn(np.array(x)), dtype=np.float64))
+        if nxt.shape != (dim,):
+            raise DomainError(f"map returned shape {nxt.shape}, expected ({dim},)")
+        return nxt.tolist()
+
+    return adapted
+
+
+def _check_finite(k, t) -> None:
+    # 0.0 * sum(k) != 0.0 holds whenever a value is NaN or Inf, and tests
+    # faster than the values one by one; a finite sum that overflows passes it
+    # and then the exact test.
+    if 0.0 * sum(k) != 0.0 and not all(map(_isfinite, k)):
         raise NonFiniteState(f"field returned NaN/Inf at t={t!r}")
-    return f
+
+
+def _check_length(values, dim: int, what: str) -> None:
+    if len(values) != dim:
+        raise DomainError(f"{what} returned shape ({len(values)},), expected ({dim},)")
+
+
+# The tableau entries by name, for the unrolled stage loop below.
+_, _C2, _C3, _C4, _C5, _C6, _C7 = _DP_C
+(
+    _,
+    (_A21,),
+    (_A31, _A32),
+    (_A41, _A42, _A43),
+    (_A51, _A52, _A53, _A54),
+    (_A61, _A62, _A63, _A64, _A65),
+    (_A71, _A72, _A73, _A74, _A75, _A76),
+) = _DP_A
+_B1, _, _B3, _B4, _B5, _B6, _ = _DP_B5
+_E1, _, _E3, _E4, _E5, _E6, _E7 = _DP_E
 
 
 def integrate(
@@ -160,26 +227,35 @@ def integrate(
     or one too small to change t,
     MaxStepsExceeded when the attempt budget runs out, NonFiniteState when
     the field produces NaN/Inf.
+
+    The state and the stages are Python floats.  Every sum keeps the
+    order of the ndarray formulation ``sum(a_j * k_j)``, its leading
+    integer 0 and its skipped zero weights included, so times and states
+    are bit-identical to it: IEEE float64 ``*``, ``+`` and ``abs`` round
+    the same in Python and in numpy, and neither fuses them.
     """
     cfg = config if config is not None else IntegratorConfig()
     if not t1 > t0:
         raise DomainError(f"need t1 > t0, got [{t0}, {t1}]")
-    y = as_state(x0)
-    dim = y.size
+    y = as_state(x0).tolist()
+    dim = len(y)
+    f = _field_kernel(field, dim)
     span = t1 - t0
     min_step = cfg.min_step if cfg.min_step is not None else 1e-12 * span
     if cfg.initial_step is not None:
         h = min(cfg.initial_step, span)
     else:
         h = min(max(span / 100.0, min_step), span)
+    atol, rtol = cfg.abs_tol, cfg.rel_tol
 
     t = t0
-    k1 = _eval_field(field, t, y, dim)
+    k1 = f(t, y)
+    _check_length(k1, dim, "field")
+    _check_finite(k1, t)
     times = [t0]
-    states = [y.copy()]
+    states = [y]
     prev_err = 1e-4
     attempts = 0
-    k = [np.zeros(dim) for _ in range(7)]
 
     while t < t1:
         attempts += 1
@@ -197,21 +273,62 @@ def integrate(
         elif t + h == t:
             raise StepUnderflow(f"step {h:.3e} does not advance t={t!r}")
 
-        k[0] = k1
-        for i in range(1, 7):
-            yi = y + h * sum(a * k[j] for j, a in enumerate(_DP_A[i]))
-            k[i] = _eval_field(field, t + _DP_C[i] * h, yi, dim)
-        y_new = y + h * sum(b * k[i] for i, b in enumerate(_DP_B5) if b != 0.0)
-        err = h * sum(e * k[i] for i, e in enumerate(_DP_E) if e != 0.0)
-        scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-        err_norm = float(np.max(np.abs(err) / scale))
+        ti = t + _C2 * h
+        k2 = f(ti, [y_ + h * (0 + _A21 * a) for y_, a in zip(y, k1)])
+        _check_finite(k2, ti)
+        ti = t + _C3 * h
+        k3 = f(ti, [
+            y_ + h * (0 + _A31 * a + _A32 * b) for y_, a, b in zip(y, k1, k2)
+        ])
+        _check_finite(k3, ti)
+        ti = t + _C4 * h
+        k4 = f(ti, [
+            y_ + h * (0 + _A41 * a + _A42 * b + _A43 * c)
+            for y_, a, b, c in zip(y, k1, k2, k3)
+        ])
+        _check_finite(k4, ti)
+        ti = t + _C5 * h
+        k5 = f(ti, [
+            y_ + h * (0 + _A51 * a + _A52 * b + _A53 * c + _A54 * d)
+            for y_, a, b, c, d in zip(y, k1, k2, k3, k4)
+        ])
+        _check_finite(k5, ti)
+        ti = t + _C6 * h
+        k6 = f(ti, [
+            y_ + h * (0 + _A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e)
+            for y_, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)
+        ])
+        _check_finite(k6, ti)
+        ti = t + _C7 * h
+        k7 = f(ti, [
+            y_ + h * (0 + _A71 * a + _A72 * b + _A73 * c + _A74 * d + _A75 * e
+                      + _A76 * g)
+            for y_, a, b, c, d, e, g in zip(y, k1, k2, k3, k4, k5, k6)
+        ])
+        _check_finite(k7, ti)
+        y_new = [
+            y_ + h * (0 + _B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * g)
+            for y_, a, c, d, e, g in zip(y, k1, k3, k4, k5, k6)
+        ]
+        # |err| / (atol + rtol * max(|y|, |y_new|)), with numpy's NaN-propagating
+        # maximum: |y| is never NaN, so `u if u >= v else v` is np.maximum
+        ratios = [
+            abs(h * (0 + _E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * g + _E7 * k))
+            / (atol + rtol * (u if u >= v else v))
+            for u, v, a, c, d, e, g, k in zip(
+                map(abs, y), map(abs, y_new), k1, k3, k4, k5, k6, k7
+            )
+        ]
+        total = sum(ratios)
+        # np.max propagates NaN; max() alone would skip a NaN after the first
+        err_norm = max(ratios) if total == total else total
 
         if err_norm <= 1.0:
             t = t1 if final else t + h
             y = y_new
-            k1 = k[6]  # FSAL: stage 7 is the next step's stage 1
+            k1 = k7  # FSAL: stage 7 is the next step's stage 1
             times.append(t)
-            states.append(y.copy())
+            states.append(y)
             if err_norm == 0.0:
                 factor = _FAC_MAX
             else:
@@ -235,23 +352,26 @@ def iterate_map(
 
     The orbit counts x0 as iterate 0, so discard=0 keeps the initial point
     and points[k] is iterate discard + k (n - discard points in total).
+    The iterates are Python floats; an ndarray MapFn is called through an
+    adapter that checks the shape of each result.
     """
     if discard < 0:
         raise DomainError("discard cannot be negative")
     if n <= discard:
         raise DomainError(f"need n > discard, got n={n}, discard={discard}")
-    cur = as_state(x0)
-    dim = cur.size
+    cur = as_state(x0).tolist()
+    dim = len(cur)
+    step = _map_kernel(map_fn, dim)
     points = np.empty((n - discard, dim), dtype=np.float64)
     for i in range(n):
         if i >= discard:
             points[i - discard] = cur
         if i == n - 1:
             break
-        cur = np.atleast_1d(np.asarray(map_fn(cur), dtype=np.float64))
-        if cur.shape != (dim,):
-            raise DomainError(f"map returned shape {cur.shape}, expected ({dim},)")
-        if not np.all(np.isfinite(cur)):
+        cur = step(cur)
+        if i == 0:
+            _check_length(cur, dim, "map")
+        if 0.0 * sum(cur) != 0.0 and not all(map(_isfinite, cur)):
             raise NonFiniteState(
                 f"orbit left the finite range at iterate {i + 1}", index=i + 1
             )

@@ -13,6 +13,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .errors import DomainError, UnknownPreset
+from .integrate import FloatKernel
 
 
 @dataclass(frozen=True)
@@ -87,12 +88,14 @@ def henon_inverse(p: HenonParams, s: Tuple[float, float]) -> Tuple[float, float]
     return (xp, x - 1.0 + p.a * xp * xp)
 
 
+def _lorenz(p: LorenzParams, s) -> Tuple[float, float, float]:
+    x, y, z = s
+    return (p.sigma * (y - x), p.r * x - y - x * z, x * y - p.b * z)
+
+
 def lorenz_field(p: LorenzParams, s: np.ndarray) -> np.ndarray:
     """(sigma*(y-x), r*x - y - x*z, x*y - b*z)."""
-    x, y, z = s
-    return np.array(
-        [p.sigma * (y - x), p.r * x - y - x * z, x * y - p.b * z]
-    )
+    return np.array(_lorenz(p, s))
 
 
 def chua_g(p: ChuaParams, x: float) -> float:
@@ -100,12 +103,14 @@ def chua_g(p: ChuaParams, x: float) -> float:
     return p.m1 * x + 0.5 * (p.m0 - p.m1) * (abs(x + 1.0) - abs(x - 1.0))
 
 
+def _chua(p: ChuaParams, s) -> Tuple[float, float, float]:
+    x, y, z = s
+    return (p.c1 * (y - x - chua_g(p, x)), p.c2 * (x - y + z), -p.c3 * y)
+
+
 def chua_field(p: ChuaParams, s: np.ndarray) -> np.ndarray:
     """(c1*(y - x - g(x)), c2*(x - y + z), -c3*y)."""
-    x, y, z = s
-    return np.array(
-        [p.c1 * (y - x - chua_g(p, x)), p.c2 * (x - y + z), -p.c3 * y]
-    )
+    return np.array(_chua(p, s))
 
 
 def chua_paper_code_field(s: np.ndarray) -> np.ndarray:
@@ -118,11 +123,15 @@ def chua_paper_code_field(s: np.ndarray) -> np.ndarray:
     orbits decay instead of scrolling; the preset exists for faithful
     reproduction, not for the double scroll.
     """
+    return np.array(_chua_paper_code(s))
+
+
+def _chua_paper_code(s) -> Tuple[float, float, float]:
     x, y, z = s
     nl = (5.0 / 7.0) * x + 0.5 * (-(8.0 / 7.0) - (-5.0 / 7.0)) * (
         abs(x + 1.0) - abs(x - 1.0)
     )
-    return np.array([15.0 * (y - x) - nl, x - y + z, -25.58 * y])
+    return (15.0 * (y - x) - nl, x - y + z, -25.58 * y)
 
 
 def linear_solution(p: Linear1DParams, u0: float, t: float) -> float:
@@ -169,33 +178,37 @@ class SystemPreset:
         return self.make_map(self.resolve_params(params))
 
 
+# Preset fields and maps are FloatKernels: integrate and iterate_map run
+# their formulas on Python floats, and called with an ndarray they return
+# what the public ndarray functions above return.
+
 def _logistic_map(params):
     p = LogisticParams(*params)
-    return lambda s: np.array([logistic_step(p, s[0])])
+    return FloatKernel(lambda s: (logistic_step(p, s[0]),))
 
 
 def _henon_map(params):
     p = HenonParams(*params)
-    return lambda s: np.array(henon_step(p, (s[0], s[1])))
+    return FloatKernel(lambda s: henon_step(p, s))
 
 
 def _lorenz_flow(params):
     p = LorenzParams(*params)
-    return lambda t, s: lorenz_field(p, s)
+    return FloatKernel(lambda t, s: _lorenz(p, s))
 
 
 def _chua_flow(params):
     p = ChuaParams(*params)
-    return lambda t, s: chua_field(p, s)
+    return FloatKernel(lambda t, s: _chua(p, s))
 
 
 def _chua_paper_code_flow(params):
-    return lambda t, s: chua_paper_code_field(s)
+    return FloatKernel(lambda t, s: _chua_paper_code(s))
 
 
 def _linear1d_flow(params):
     p = Linear1DParams(*params)
-    return lambda t, s: np.array([p.a * s[0]])
+    return FloatKernel(lambda t, s: (p.a * s[0],))
 
 
 PRESETS = {

@@ -212,7 +212,7 @@ def test_bifurcation_scan_reports_the_diverging_iterate(nan_call, param, index):
     with pytest.raises(NonFiniteState) as info:
         bifurcation_scan(family, 2.0, 3.0, 2, 0.3, 100, 5)
     assert info.value.index == index
-    want = f"orbit diverged at parameter {np.float64(param)!r}, iterate {index}"
+    want = f"orbit diverged at parameter {param!r}, iterate {index}"
     assert str(info.value) == want
     assert len(calls) == nan_call
 

@@ -1,10 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from chaoscope import cipher
 from chaoscope.cipher import (
     MAX_WARMUP,
     ChaosKey,
@@ -17,6 +19,8 @@ from chaoscope.cipher import (
     unpack_container,
 )
 from chaoscope.errors import DegenerateOrbit, DomainError, FormatError
+
+from conftest import loop_keystream
 
 GOLDEN_KEY = ChaosKey(mu=3.9, x0=0.2, warmup=1000)
 # computed once by the straight-line oracle below and frozen
@@ -210,3 +214,83 @@ def test_container_warmup_out_of_range_is_format_error():
     with pytest.raises(DomainError) as err:
         unpack_container(5.0, 0.3, huge)
     assert not isinstance(err.value, FormatError)
+
+
+# The chunked keystream against the byte loop it replaced (conftest's
+# loop_keystream): same bytes, and the same DegenerateOrbit message and
+# iterate, on both sides of chunk boundaries.
+
+CHUNK = cipher._CHUNK
+
+
+def _stream_outcome(make_stream, key, n):
+    try:
+        return make_stream(key, n)
+    except DegenerateOrbit as exc:
+        return DegenerateOrbit, str(exc)
+
+
+def _unchecked_key(mu, x0, warmup):
+    """A key that skips ChaosKey's checks, so that a degenerate iterate can
+    fall among the output bytes (warmup < 256) or start the orbit."""
+    key = object.__new__(ChaosKey)
+    for name, value in (("mu", mu), ("x0", x0), ("warmup", warmup)):
+        object.__setattr__(key, name, value)
+    return key
+
+
+def _exact_fixed_point(mu):
+    """A binary64 x with mu*x*(1-x) == x next to 1 - 1/mu, or None."""
+    x = 1.0 - 1.0 / mu
+    for _ in range(4):
+        x = math.nextafter(x, 0.0)
+    for _ in range(9):
+        if mu * x * (1.0 - x) == x:
+            return x
+        x = math.nextafter(x, 1.0)
+    return None
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    mu=st.floats(3.5701, 4.0),
+    x0=st.floats(1e-9, 1.0 - 1e-9),
+    warmup=st.sampled_from([256, 1000, CHUNK - 1, CHUNK + 1]),
+    n=st.sampled_from([0, 1, CHUNK - 1, CHUNK, CHUNK + 1]),
+)
+def test_chunked_keystream_matches_byte_loop(mu, x0, warmup, n):
+    assume(x0 != 0.5 and not (mu == 4.0 and x0 == 0.75))
+    key = ChaosKey(mu, x0, warmup)
+    assert _stream_outcome(keystream, key, n) == _stream_outcome(loop_keystream, key, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=st.sampled_from(["zero", "fixed", "exact"]),
+    mu=st.floats(3.5701, 4.0),
+    delta=st.floats(-(2.0 ** -29), 2.0 ** -29),
+    warmup=st.integers(0, 4),
+    n=st.integers(0, 6),
+    chunk=st.sampled_from([1, 2, 3, CHUNK]),
+)
+def test_degenerate_orbit_reported_like_byte_loop(case, mu, delta, warmup, n, chunk):
+    if case == "zero":  # within 2**-28 of 0.5, x -> 1.0 -> 0 under mu = 4
+        mu, x0 = 4.0, 0.5 + delta
+    elif case == "fixed":  # 0.25 -> 0.75, the fixed point of mu = 4
+        mu, x0 = 4.0, 0.25
+    else:
+        x0 = _exact_fixed_point(mu)
+        assume(x0 is not None)
+    key = _unchecked_key(mu, x0, warmup)
+    want = _stream_outcome(loop_keystream, key, n)
+    with mock.patch.object(cipher, "_CHUNK", chunk):
+        assert _stream_outcome(keystream, key, n) == want
+
+
+def test_degenerate_orbit_message_names_the_iterate():
+    fixed = r"^orbit hit the fixed point 0\.75 at iterate 2$"
+    with pytest.raises(DegenerateOrbit, match=fixed):
+        keystream(ChaosKey(4.0, 0.25, 256), 1)
+    # the second iterate is the first output byte when the warmup is 1
+    with pytest.raises(DegenerateOrbit, match=r"^orbit hit 0 at iterate 2$"):
+        keystream(_unchecked_key(4.0, 0.5 + 2.0 ** -30, 1), 5)

@@ -19,9 +19,15 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
+import pytest
+
+import chaoscope
 from chaoscope.cli import main
 
 from chaoscope.formats import write_pgm
@@ -85,6 +91,34 @@ def compute_digests(root: Path) -> dict:
 def test_cli_outputs_match_golden_digests(tmp_path):
     expected = json.loads(GOLDEN.read_text())
     assert compute_digests(tmp_path) == expected
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_golden_digests_do_not_depend_on_blas_threads(threads, tmp_path):
+    """The digests hold in a fresh process with OPENBLAS_NUM_THREADS=1 and =2.
+
+    The thread count is read when numpy loads, hence the subprocess.  This
+    covers any BLAS or LAPACK call of the tour, such as the least-squares
+    fits behind ``boxdim`` and ``divergence``, splitting its work over a
+    different number of threads.  A different CPU, on which OpenBLAS picks
+    other kernels at run time, cannot be tested by a suite that runs on one
+    machine.
+    """
+    paths = [str(Path(chaoscope.__file__).parents[1]), str(Path(__file__).parent)]
+    if os.environ.get("PYTHONPATH"):
+        paths.append(os.environ["PYTHONPATH"])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(paths))
+    script = (
+        "import json, sys; from pathlib import Path; "
+        "from test_golden import compute_digests; "
+        "print(json.dumps(compute_digests(Path(sys.argv[1]))))"
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert child.returncode == 0, child.stderr
+    assert json.loads(child.stdout) == json.loads(GOLDEN.read_text())
 
 
 if __name__ == "__main__":

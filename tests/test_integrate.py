@@ -6,18 +6,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chaoscope.errors import (
+    ChaoscopeError,
     DomainError,
     MaxStepsExceeded,
     NonFiniteState,
     StepUnderflow,
 )
 from chaoscope.integrate import (
+    FloatKernel,
     IntegratorConfig,
     MapOrbit,
     Trajectory,
     integrate,
     iterate_map,
 )
+from chaoscope.systems import PRESETS
+
+from conftest import loop_integrate, loop_iterate_map
 
 
 def linear_field(a):
@@ -208,3 +213,204 @@ def test_step_that_does_not_advance_t_underflows():
     cfg = IntegratorConfig(initial_step=1e-12, min_step=1e-13)
     with pytest.raises(StepUnderflow):
         integrate(linear_field(1.0), [1.0], 1e6, 1e6 + 1.0, cfg)
+
+
+# The float loops against the ndarray loops they replaced (conftest's
+# loop_integrate and loop_iterate_map): same times, states, orbits, error
+# types, messages and iterate indices, bit for bit.
+
+
+def _outcome(run, *args):
+    """A run's result as bytes, or its error as (type, message, index)."""
+    try:
+        result = run(*args)
+    except ChaoscopeError as exc:
+        return type(exc), str(exc), getattr(exc, "index", None)
+    if isinstance(result, Trajectory):
+        return result.times.tobytes(), result.states.tobytes(), result.states.shape
+    return result.points.tobytes(), result.points.shape, result.discarded
+
+
+def _same_as_oracle(field, x0, t1, cfg):
+    want = _outcome(loop_integrate, field, x0, 0.0, t1, cfg)
+    assert _outcome(integrate, field, x0, 0.0, t1, cfg) == want
+    return want
+
+
+FLOW_PARAMS = {
+    "lorenz": st.tuples(st.floats(0.5, 20.0), st.floats(0.5, 50.0), st.floats(0.1, 5.0)),
+    "chua": st.tuples(
+        st.floats(1.0, 20.0), st.floats(0.1, 2.0), st.floats(1.0, 30.0),
+        st.floats(-2.0, -1.01), st.floats(-1.0, 0.5),
+    ),
+    "chua-paper-code": st.just(()),
+    # |a| up to 1000 overflows to Inf within the span: NonFiniteState
+    "linear1d": st.tuples(st.floats(-1000.0, 1000.0)),
+}
+
+tolerances = st.floats(4.0, 10.0).map(lambda e: 10.0 ** -e)
+configs = st.builds(
+    IntegratorConfig,
+    rel_tol=tolerances,
+    abs_tol=tolerances,
+    max_steps=st.sampled_from([5, 300, 5000]),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(sorted(FLOW_PARAMS)),
+    data=st.data(),
+    t1=st.floats(0.01, 1.0),
+    cfg=configs,
+)
+def test_float_core_matches_ndarray_loop_on_presets(name, data, t1, cfg):
+    p = PRESETS[name]
+    params = data.draw(FLOW_PARAMS[name], label="params")
+    x0 = data.draw(st.lists(st.floats(-20.0, 20.0), min_size=p.dimension,
+                            max_size=p.dimension), label="x0")
+    field = p.field(params)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _same_as_oracle(field, x0, t1, cfg)
+        # the same field as a plain ndarray callable runs through the adapter
+        assert _outcome(integrate, lambda t, s: field(t, s), x0, 0.0, t1, cfg) == want
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    k=st.floats(0.1, 4.0),
+    damping=st.floats(0.0, 1.0),
+    drive=st.floats(-2.0, 2.0),
+    x0=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+    t1=st.floats(0.01, 3.0),
+    cfg=configs,
+)
+def test_float_core_matches_ndarray_loop_on_ndarray_fields(k, damping, drive, x0, t1, cfg):
+    def forced_oscillator(t, x):
+        return np.array([x[1], -k * x[0] - damping * x[1] + drive * math.sin(t)])
+
+    _same_as_oracle(forced_oscillator, list(x0), t1, cfg)
+
+
+@pytest.mark.parametrize(
+    "field,x0,t1,cfg",
+    [
+        # NaN from one stage on, as an ndarray field and as a float kernel
+        (lambda t, x: x if t < 0.37 else x * np.nan, [1.0], 1.0, None),
+        (FloatKernel(lambda t, s: (s[0] if t < 0.37 else math.nan,)), [1.0], 1.0, None),
+        (FloatKernel(lambda t, s: (1.0, -math.inf if t > 0.5 else 0.0)), [0.0, 0.0], 1.0,
+         None),
+        # the state overflows to Inf within the span
+        (lambda t, x: 2000.0 * x, [1.0], 1.0, None),
+        # x' = x^2 from 1 blows up at t = 1
+        (lambda t, x: x * x, [1.0], 1.5, IntegratorConfig(min_step=1e-6)),
+        (lambda t, x: x * x, [1.0], 1.5, None),
+        (lambda t, x: np.zeros(2), [1.0], 1.0, None),
+        (FloatKernel(lambda t, s: (0.0, 0.0)), [1.0], 1.0, None),
+        (linear_field(1.0), [1.0], 50.0, IntegratorConfig(1e-10, 1e-10, max_steps=5)),
+        # the second state component overflows to -Inf, then a drive of the
+        # other sign makes y_new NaN: numpy's NaN-propagating max rejects
+        # every step from then on, until the step underflows
+        (FloatKernel(lambda t, s: (-s[0], -1.7e308 if t < 1.5 else 1.7e308)), [1.0, 0.0],
+         3.0, None),
+        # finite values whose sum overflows are not NaN or Inf
+        (FloatKernel(lambda t, s: (1e308, 1e308)), [0.0, 0.0], 1.0, None),
+        # a field that reads the sign of a zero state: the second stage's
+        # input is -0.0 + h * (0 + a21 * -0.0) = +0.0, thanks to the leading 0
+        (lambda t, x: np.where(t == 0.0, -0.0, np.where(np.signbit(x), 1.0, 2.0)), [-0.0],
+         1.0, None),
+    ],
+)
+def test_float_core_raises_like_ndarray_loop(field, x0, t1, cfg):
+    with np.errstate(over="ignore", invalid="ignore"):
+        _same_as_oracle(field, x0, t1, cfg)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    bad_call=st.integers(1, 20),
+    value=st.sampled_from([math.nan, math.inf, -math.inf]),
+    as_ndarray=st.booleans(),
+)
+def test_float_core_reports_the_first_nonfinite_stage(bad_call, value, as_ndarray):
+    """One evaluation returns NaN or Inf: the same stage time is reported,
+    after the same number of evaluations, or the run goes on as before."""
+
+    def run(integrator):
+        calls = []
+
+        def oscillator(t, s):
+            calls.append(t)
+            return (value if len(calls) == bad_call else -s[1], s[0])
+
+        field = FloatKernel(oscillator)
+        if as_ndarray:
+            field = lambda t, s, kernel=field: kernel(t, s)  # noqa: E731
+        return _outcome(integrator, field, [1.0, 0.0], 0.0, 1.0, None), calls
+
+    assert run(integrate) == run(loop_integrate)
+
+
+def test_float_core_keeps_the_advance_check():
+    cfg = IntegratorConfig(initial_step=1e-12, min_step=1e-13)
+    args = (linear_field(1.0), [1.0], 1e6, 1e6 + 1.0, cfg)
+    want = _outcome(loop_integrate, *args)
+    assert want[0] is StepUnderflow
+    assert _outcome(integrate, *args) == want
+
+
+MAP_PARAMS = {
+    "henon": st.tuples(st.floats(0.0, 2.0), st.floats(-1.0, 1.0)),
+    "logistic": st.tuples(st.floats(0.0, 4.0)),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(sorted(MAP_PARAMS)),
+    data=st.data(),
+    n=st.integers(1, 2000),
+    discard=st.integers(0, 50),
+)
+def test_float_map_loop_matches_ndarray_loop(name, data, n, discard):
+    p = PRESETS[name]
+    step = p.map(data.draw(MAP_PARAMS[name], label="params"))
+    # starting points off the attractor make Henon orbits leave to Inf
+    x0 = data.draw(st.lists(st.floats(-3.0, 3.0), min_size=p.dimension,
+                            max_size=p.dimension), label="x0")
+    n += discard
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _outcome(loop_iterate_map, step, x0, n, discard)
+        assert _outcome(iterate_map, step, x0, n, discard) == want
+        assert _outcome(iterate_map, lambda s: step(s), x0, n, discard) == want
+
+
+@pytest.mark.parametrize(
+    "map_fn,x0",
+    [
+        (lambda s: s * 1e200, [10.0]),
+        (lambda s: np.array([s[0], np.nan]), [1.0, 2.0]),
+        (FloatKernel(lambda s: (s[0] * 1e200,)), [10.0]),
+        (lambda s: s[:1], [1.0, 2.0]),
+        (FloatKernel(lambda s: (s[0], s[0])), [1.0]),
+        (lambda s: float(s[0]) / 2.0, [1.0]),
+    ],
+)
+def test_float_map_loop_raises_like_ndarray_loop(map_fn, x0):
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _outcome(loop_iterate_map, map_fn, x0, 5, 0)
+        assert _outcome(iterate_map, map_fn, x0, 5, 0) == want
+
+
+def test_ndarray_callable_messages_are_unchanged():
+    with pytest.raises(DomainError, match=r"^field returned shape \(2,\), expected \(1,\)$"):
+        integrate(lambda t, x: np.zeros(2), [1.0], 0.0, 1.0)
+    with pytest.raises(NonFiniteState, match=r"^field returned NaN/Inf at t=0\.0$"):
+        integrate(lambda t, x: x * np.nan, [1.0], 0.0, 1.0)
+    with pytest.raises(NonFiniteState, match=r"^field returned NaN/Inf at t=0\.2$"):
+        integrate(lambda t, x: x if t < 0.1 else x * np.nan, [1.0], 0.0, 1.0,
+                  IntegratorConfig(initial_step=1.0))
+    with pytest.raises(DomainError, match=r"^map returned shape \(3,\), expected \(2,\)$"):
+        iterate_map(lambda s: np.zeros(3), [1.0, 2.0], 4)
+    with pytest.raises(NonFiniteState, match=r"^orbit left the finite range at iterate 1$"):
+        iterate_map(lambda s: s * np.inf, [1.0, 2.0], 4)

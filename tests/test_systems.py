@@ -228,3 +228,22 @@ def test_preset_checks_parameter_count():
     with pytest.raises(DomainError):
         preset("chua-paper-code").field((1.0,))
     assert preset("lorenz").resolve_params([10.0, 28.0, 1.0]) == (10.0, 28.0, 1.0)
+
+
+@settings(max_examples=50)
+@given(state=st.lists(st.floats(-50.0, 50.0), min_size=3, max_size=3))
+def test_public_fields_return_ndarrays_equal_to_preset_kernels(state):
+    s = np.array(state)
+    cases = [
+        ("lorenz", (10.0, 28.0, 8.0 / 3.0), lorenz_field(LorenzParams(10.0, 28.0, 8.0 / 3.0), s)),
+        ("chua", (15.0, 1.0, 25.58, -8.0 / 7.0, -5.0 / 7.0),
+         chua_field(ChuaParams(15.0, 1.0, 25.58, -8.0 / 7.0, -5.0 / 7.0), s)),
+        ("chua-paper-code", (), chua_paper_code_field(s)),
+    ]
+    for name, params, public in cases:
+        field = preset(name).field(params)
+        assert isinstance(public, np.ndarray) and public.dtype == np.float64
+        assert public.shape == (3,)
+        assert public.tobytes() == np.array(field.kernel(0.0, state)).tobytes()
+        called = field(0.0, s)
+        assert isinstance(called, np.ndarray) and called.tobytes() == public.tobytes()
