@@ -40,9 +40,10 @@ from .integrate import IntegratorConfig, integrate, iterate_map
 
 KEY_ENV_VAR = "CHAOSCOPE_KEY"
 
-#: Largest ``ifs --size``: ifs_iterate peaks at about 84 bytes per pixel
-#: (tracemalloc, sierpinski from a full start image), so 3500^2 pixels keep
-#: it under 1 GiB.
+#: Largest ``ifs --size``: ifs_iterate peaks at about 3 bytes per pixel at
+#: 2048^2 and 6 at 1024^2 (tracemalloc, sierpinski from a full start image,
+#: 7 steps), and the start image and the PGM writer add about 4, so 3500^2
+#: pixels need about 0.1 GB.
 IFS_MAX_SIZE = 3500
 
 

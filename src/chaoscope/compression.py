@@ -56,10 +56,11 @@ _SCALE = 252
 PSNR_CAP_DB = 99.0
 
 #: Largest image a code may describe.  Parsing plus a decode peaks at about
-#: 85 bytes per pixel for range size 1 and about 65-70 for range sizes of 8
-#: and up (tracemalloc over ``from_bytes`` plus ``pifs_decode``, 1024^2), so
-#: a decode at the cap peaks near 250 MB.  The cap is not raised to match,
-#: so that the set of refused inputs stays the same.
+#: 69 bytes per pixel for range size 1, 50 for range size 2 and 44-46 for
+#: range sizes of 4 and up (tracemalloc over ``from_bytes`` plus
+#: ``pifs_decode``, 1024^2), so a decode at the cap peaks near 210 MB.  The
+#: cap is not raised to match, so that the set of refused inputs stays the
+#: same.  It also keeps the decoder's int32 flat source indices exact.
 MAX_PIXELS = 3_000_000
 
 
@@ -340,7 +341,8 @@ def pifs_decode(
     rs = code.range_size
     nby, nbx = h // rs, w // rs
     rec = code.transforms
-    span = np.arange(2 * rs)
+    # int32 flat indices suffice: h * w <= MAX_PIXELS < 2**31
+    span = np.arange(2 * rs, dtype=np.int32)
     src = (rec.domain_y[:, None, None] + span[:, None]) * w + (rec.domain_x[:, None, None] + span)
     for t in np.unique(rec.isometry):
         sel = rec.isometry == t

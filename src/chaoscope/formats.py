@@ -96,12 +96,14 @@ def write_divergence_csv(report: DivergenceReport, path) -> None:
 
 
 def _escape_to_bytes(grid: EscapeGrid) -> np.ndarray:
-    counts = grid.counts.astype(np.float64)
+    # one byte per count 1..max(counts), indexed by count - 1; the table
+    # holds the float64 rint(255*(c-1)/(nmax-1)) of every count it covers
+    counts = np.arange(1, int(grid.counts.max(initial=1)) + 1, dtype=np.float64)
     if grid.nmax == 1:
         scaled = np.full_like(counts, 255.0)
     else:
         scaled = np.rint(255.0 * (counts - 1.0) / (grid.nmax - 1.0))
-    return scaled.astype(np.uint8)
+    return scaled.astype(np.uint8)[grid.counts - 1]
 
 
 def write_pgm(raster: Raster, path) -> None:

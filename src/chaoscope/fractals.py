@@ -17,8 +17,17 @@ import numpy as np
 
 from .errors import DomainError, EmptyImage, GridTooLarge
 
-#: Refuse to allocate escape grids beyond this many pixels.
+#: Refuse to allocate escape grids beyond this many pixels.  The tiled
+#: kernel peaks at about 4.5 bytes per pixel, the int32 counts plus O(tile)
+#: (tracemalloc, 1801x1501 at nmax 50), and writing the PGM adds about 5, so
+#: a grid at the cap needs about 1 GB.
 DEFAULT_MAX_PIXELS = 100_000_000
+
+#: Pixels per escape-grid tile, rounded down to whole rows (at least one).
+_TILE_PIXELS = 1 << 14
+
+#: Pixels per band of the IFS pass, rounded down to whole rows (at least one).
+_BAND_PIXELS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -103,26 +112,49 @@ def mandelbrot_grid(
     with |w_N| > threshold; points that never escape within nmax iterations
     carry count nmax.  threshold must be at least 2, the proven escape
     radius.
+
+    The grid is walked in tiles of whole rows.  Each tile iterates only its
+    active pixels, as compacted flat index, z and w arrays, so memory is the
+    int32 counts plus O(tile) and the work follows the useful iterations.
+    Every active pixel sees the same float operations as a full-grid update.
     """
     if nmax < 1:
         raise DomainError("nmax must be a positive integer")
-    if threshold < 2.0:
+    if not threshold >= 2.0:  # also refuses NaN
         raise DomainError(f"threshold must be >= 2, got {threshold}")
     nx, ny = window.nx, window.ny
     if nx * ny > max_pixels:
         raise GridTooLarge(f"{nx}x{ny} grid exceeds the {max_pixels}-pixel cap")
 
-    z = window.x_values()[None, :] + 1j * window.y_values()[:, None]
-    w = np.zeros_like(z)
-    counts = np.full(z.shape, nmax, dtype=np.int32)
-    active = np.ones(z.shape, dtype=bool)
-    for n in range(1, nmax + 1):
-        w[active] = w[active] ** 2 + z[active]
-        escaped = active & (np.abs(w) > threshold)
-        counts[escaped] = n
-        active &= ~escaped
-        if not active.any():
-            break
+    xs, ys = window.x_values(), window.y_values()
+    counts = np.full((ny, nx), nmax, dtype=np.int32)
+    flat_counts = counts.reshape(-1)
+    rows_per_tile = max(1, _TILE_PIXELS // nx)
+    for r0 in range(0, ny, rows_per_tile):
+        r1 = min(ny, r0 + rows_per_tile)
+        # the active set of one tile: flat pixel index, c and the iterate
+        idx = np.arange(r0 * nx, r1 * nx)
+        z = (xs[None, :] + 1j * ys[r0:r1, None]).ravel()
+        w = np.zeros_like(z)
+        modulus = np.empty(len(z))
+        live = len(z)
+        for n in range(1, nmax + 1):
+            np.square(w, out=w)
+            w += z
+            out = np.flatnonzero(np.abs(w, out=modulus[: len(w)]) > threshold)
+            if len(out):
+                flat_counts[idx[out]] = n
+                live -= len(out)
+                if not live:
+                    break
+                # park escaped pixels at w = z = 0, a fixed point that never
+                # escapes, and drop them once they are a quarter of the set
+                idx[out] = -1
+                w[out] = 0.0
+                z[out] = 0.0
+                if 4 * live <= 3 * len(idx):
+                    keep = idx >= 0
+                    idx, z, w = idx[keep], z[keep], w[keep]
     return EscapeGrid(counts=counts, nmax=nmax, threshold=threshold, window=window)
 
 
@@ -138,8 +170,21 @@ class AffineMap2:
         object.__setattr__(self, "offset", np.asarray(self.offset, dtype=np.float64))
         if self.linear.shape != (2, 2) or self.offset.shape != (2,):
             raise DomainError("need a 2x2 linear part and a 2-vector offset")
-        if np.linalg.norm(self.linear, 2) >= 1.0:
+        if not (np.isfinite(self.linear).all() and np.isfinite(self.offset).all()):
+            raise DomainError("map entries must be finite")
+        if _spectral_norm(*self.linear.ravel().tolist()) >= 1.0:
             raise DomainError("map is not contractive (operator norm >= 1)")
+
+
+def _spectral_norm(a: float, b: float, c: float, d: float) -> float:
+    """Largest singular value of [[a, b], [c, d]] in closed form.
+
+    The matrix splits into a rotation-scaling and a reflection-scaling part,
+    whose scales add: sigma_max = (|(a+d, c-b)| + |(a-d, b+c)|) / 2.  A few
+    ulps from the exact value, with no LAPACK call whose result could depend
+    on the build.
+    """
+    return 0.5 * (math.hypot(a + d, c - b) + math.hypot(a - d, b + c))
 
 
 @dataclass(frozen=True)
@@ -198,25 +243,40 @@ def ifs_iterate(system: IfsSystem, start: BinaryImage, n: int) -> BinaryImage:
 
     Each pass forward-maps the world centers of set pixels through every map
     and writes the nearest pixel; points leaving the unit square are dropped.
+
+    Set pixels are gathered in bands of whole rows, and each map's products
+    come from per-column and per-row tables, so a pass holds O(band) points
+    besides the two rasters and does the arithmetic of a per-point pass.
     """
     if n < 0:
         raise DomainError("n must be non-negative")
     bits = start.bits.copy()
     h, w = bits.shape
+    cx = (np.arange(w) + 0.5) / w
+    cy = (np.arange(h) + 0.5) / h
+    # (l00*cx, l10*cx) per column and (l01*cy, l11*cy) per row, so a point's
+    # tx = l00*cx + l01*cy + o0 is the same two products summed in order
+    tables = [
+        (m.linear[0, 0] * cx, m.linear[1, 0] * cx, m.linear[0, 1] * cy,
+         m.linear[1, 1] * cy, m.offset[0], m.offset[1])
+        for m in system.maps
+    ]
+    rows_per_band = max(1, _BAND_PIXELS // w)
     for _ in range(n):
-        rows, cols = np.nonzero(bits)
-        nxt = np.zeros_like(bits)
-        if len(rows):
-            cx = (cols + 0.5) / w
-            cy = (rows + 0.5) / h
-            for m in system.maps:
-                tx = m.linear[0, 0] * cx + m.linear[0, 1] * cy + m.offset[0]
-                ty = m.linear[1, 0] * cx + m.linear[1, 1] * cy + m.offset[1]
-                px = np.floor(tx * w).astype(np.int64)
-                py = np.floor(ty * h).astype(np.int64)
-                ok = (px >= 0) & (px < w) & (py >= 0) & (py < h)
-                nxt[py[ok], px[ok]] = True
-        bits = nxt
+        nxt = np.zeros(h * w, dtype=bool)
+        for r0 in range(0, h, rows_per_band):
+            rows, cols = np.nonzero(bits[r0 : r0 + rows_per_band])
+            rows += r0
+            for xc, yc, xr, yr, ox, oy in tables:
+                # 0 <= v < size is 0 <= floor(v) < size for an integer size,
+                # and truncation is floor once v >= 0
+                vx = (xc[cols] + xr[rows]) + ox
+                vx *= w
+                vy = (yc[cols] + yr[rows]) + oy
+                vy *= h
+                ok = (vx >= 0.0) & (vx < w) & (vy >= 0.0) & (vy < h)
+                nxt[vy[ok].astype(np.intp) * w + vx[ok].astype(np.intp)] = True
+        bits = nxt.reshape(h, w)
     return BinaryImage(bits=bits)
 
 

@@ -3,7 +3,8 @@ independent brute-force encoder used to cross-check PIFS encoding, the
 exhaustive encoder and per-block decoder that the library's pruned search
 and vectorised decoder must reproduce exactly, and the ndarray integrator,
 map loop and byte-loop keystream that the library's float loops must
-reproduce exactly."""
+reproduce exactly, and the full-grid escape grid and IFS pass that the
+library's tiled kernels must reproduce exactly."""
 
 import contextlib
 import io
@@ -25,9 +26,17 @@ from chaoscope.errors import (
     DegenerateOrbit,
     DimensionMismatch,
     DomainError,
+    GridTooLarge,
     MaxStepsExceeded,
     NonFiniteState,
     StepUnderflow,
+)
+from chaoscope.fractals import (
+    DEFAULT_MAX_PIXELS,
+    BinaryImage,
+    ComplexWindow,
+    EscapeGrid,
+    IfsSystem,
 )
 from chaoscope.integrate import (
     ArrayLike,
@@ -468,6 +477,68 @@ def loop_keystream(key: ChaosKey, n: int) -> bytes:
         x = _loop_advance(key.mu, x, key.warmup + i + 1)
         out[i] = int(x * 4294967296.0) & 0xFF
     return bytes(out)
+
+
+def full_grid_mandelbrot(
+    window: ComplexWindow,
+    nmax: int,
+    threshold: float = 4.0,
+    max_pixels: int = DEFAULT_MAX_PIXELS,
+) -> EscapeGrid:
+    """Escape-time counts for w <- w^2 + z over the sampled window.
+
+    A point's count is the first N (1-based, tested after the square-add)
+    with |w_N| > threshold; points that never escape within nmax iterations
+    carry count nmax.  threshold must be at least 2, the proven escape
+    radius.
+    """
+    if nmax < 1:
+        raise DomainError("nmax must be a positive integer")
+    if threshold < 2.0:
+        raise DomainError(f"threshold must be >= 2, got {threshold}")
+    nx, ny = window.nx, window.ny
+    if nx * ny > max_pixels:
+        raise GridTooLarge(f"{nx}x{ny} grid exceeds the {max_pixels}-pixel cap")
+
+    z = window.x_values()[None, :] + 1j * window.y_values()[:, None]
+    w = np.zeros_like(z)
+    counts = np.full(z.shape, nmax, dtype=np.int32)
+    active = np.ones(z.shape, dtype=bool)
+    for n in range(1, nmax + 1):
+        w[active] = w[active] ** 2 + z[active]
+        escaped = active & (np.abs(w) > threshold)
+        counts[escaped] = n
+        active &= ~escaped
+        if not active.any():
+            break
+    return EscapeGrid(counts=counts, nmax=nmax, threshold=threshold, window=window)
+
+
+def full_grid_ifs_iterate(system: IfsSystem, start: BinaryImage, n: int) -> BinaryImage:
+    """Apply the union-of-maps operator n times, rasterized on the start's grid.
+
+    Each pass forward-maps the world centers of set pixels through every map
+    and writes the nearest pixel; points leaving the unit square are dropped.
+    """
+    if n < 0:
+        raise DomainError("n must be non-negative")
+    bits = start.bits.copy()
+    h, w = bits.shape
+    for _ in range(n):
+        rows, cols = np.nonzero(bits)
+        nxt = np.zeros_like(bits)
+        if len(rows):
+            cx = (cols + 0.5) / w
+            cy = (rows + 0.5) / h
+            for m in system.maps:
+                tx = m.linear[0, 0] * cx + m.linear[0, 1] * cy + m.offset[0]
+                ty = m.linear[1, 0] * cx + m.linear[1, 1] * cy + m.offset[1]
+                px = np.floor(tx * w).astype(np.int64)
+                py = np.floor(ty * h).astype(np.int64)
+                ok = (px >= 0) & (px < w) & (py >= 0) & (py < h)
+                nxt[py[ok], px[ok]] = True
+        bits = nxt
+    return BinaryImage(bits=bits)
 
 
 @pytest.fixture

@@ -76,6 +76,7 @@ def test_unknown_preset_exits_2(tmp_path, run_cli, capsys):
         ["bifurcate", "--mu-range", "3.0:2.0", "--out", "o.csv"],
         ["bifurcate", "--mu-range", "2.0:3.0", "--discard", "10", "--out", "o.csv"],
         ["mandelbrot", "--threshold", "1.0", "--out", "o.pgm"],
+        ["mandelbrot", "--threshold", "nan", "--out", "o.pgm"],
         ["cobweb", "--x0", "1.4", "--out", "o.csv"],
         ["simdim", "--copies", "3", "--ratio", "1.5"],
         ["equilibria", "--system", "chua", "--out", "o.csv"],

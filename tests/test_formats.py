@@ -102,6 +102,27 @@ def test_escape_grid_pgm_orientation_and_scaling(tmp_path):
     assert list(rows[:, 0]) == [255, 128, 0]
 
 
+@pytest.mark.parametrize(
+    "nmax", [1, 2, 3, 30, 99, 100, 255, 256, 300, 1000, 65535, 10**6]
+)
+def test_escape_grid_pgm_matches_float64_scaling(tmp_path, nmax):
+    # the per-count table must give the bytes of the float64 per-pixel
+    # formula for every count 1..nmax
+    win = c.ComplexWindow(0.0, 1.0, 0.0, 1.0, 0.5)
+    width = 1000
+    counts = np.resize(np.arange(1, nmax + 1, dtype=np.int32), (-(-nmax // width), width))
+    grid = c.EscapeGrid(counts=counts, nmax=nmax, threshold=4.0, window=win)
+    out = tmp_path / "scaled.pgm"
+    write_pgm(grid, out)
+    f = counts.astype(np.float64)
+    if nmax == 1:
+        expected = np.full_like(f, 255.0)
+    else:
+        expected = np.rint(255.0 * (f - 1.0) / (nmax - 1.0))
+    payload = out.read_bytes().split(b"\n255\n", 1)[1]
+    assert payload == expected.astype(np.uint8)[::-1].tobytes()
+
+
 def test_binary_image_pgm(tmp_path):
     bits = np.zeros((2, 3), dtype=bool)
     bits[0, 0] = True  # y-ascending row 0 -> bottom of the image

@@ -1,10 +1,14 @@
 import math
+import tracemalloc
+from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chaoscope import fractals
 from chaoscope.errors import DomainError, EmptyImage, GridTooLarge
 from chaoscope.fractals import (
     AffineMap2,
@@ -17,6 +21,7 @@ from chaoscope.fractals import (
     sierpinski_ifs,
     similarity_dimension,
 )
+from conftest import full_grid_ifs_iterate, full_grid_mandelbrot
 
 CLASSIC_WINDOW = ComplexWindow(-2.4, 1.2, -1.5, 1.5, 0.005)
 
@@ -96,6 +101,8 @@ def test_mandelbrot_preconditions():
     with pytest.raises(DomainError):
         mandelbrot_grid(CLASSIC_WINDOW, 50, 1.9)
     with pytest.raises(DomainError):
+        mandelbrot_grid(CLASSIC_WINDOW, 50, math.nan)
+    with pytest.raises(DomainError):
         mandelbrot_grid(CLASSIC_WINDOW, 0, 4.0)
     with pytest.raises(GridTooLarge):
         mandelbrot_grid(CLASSIC_WINDOW, 50, 4.0, max_pixels=1000)
@@ -107,6 +114,56 @@ def test_affine_map_contractivity_enforced():
     AffineMap2(0.999 * np.eye(2), np.zeros(2))
     with pytest.raises(DomainError):
         IfsSystem(maps=())
+
+
+@pytest.mark.parametrize(
+    "linear, offset",
+    [
+        ([[math.nan, 0.0], [0.0, 0.5]], [0.0, 0.0]),
+        ([[math.inf, 0.0], [0.0, 0.5]], [0.0, 0.0]),
+        ([[0.5, 0.0], [0.0, 0.5]], [math.inf, 0.0]),
+        ([[0.5, 0.0], [0.0, 0.5]], [0.0, math.nan]),
+    ],
+)
+def test_affine_map_refuses_non_finite_entries(linear, offset):
+    with pytest.raises(DomainError, match="finite"):
+        AffineMap2(np.array(linear), np.array(offset))
+
+
+def _mp_spectral_norm(m):
+    with mpmath.workdps(60):
+        a, b, c, d = (mpmath.mpf(float(v)) for v in m.ravel())
+        frob = a * a + b * b + c * c + d * d
+        det = a * d - b * c
+        return mpmath.sqrt((frob + mpmath.sqrt(frob * frob - 4 * det * det)) / 2)
+
+
+_ENTRY = st.floats(-2.0, 2.0, allow_subnormal=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    entries=st.tuples(_ENTRY, _ENTRY, _ENTRY, _ENTRY),
+    ulps=st.one_of(st.none(), st.integers(-64, 64)),
+)
+def test_affine_map_contractivity_agrees_with_mpmath(entries, ulps):
+    m = np.array(entries).reshape(2, 2)
+    if ulps is not None:
+        # rescale to within ulps of operator norm 1, where rounding matters
+        norm = float(_mp_spectral_norm(m))
+        if norm == 0.0:
+            return
+        m = m / norm * (1.0 + ulps * 2.0 ** -52)
+    exact = _mp_spectral_norm(m)
+    if abs(exact - 1) <= 8 * 2.0 ** -52:
+        return  # too close to 1 for a few-ulp closed form to decide
+    refused = True
+    try:
+        AffineMap2(m, np.zeros(2))
+        refused = False
+    except DomainError:
+        pass
+    assert refused == (exact >= 1)
 
 
 def test_ifs_zero_iterations_is_identity():
@@ -227,3 +284,129 @@ def test_box_count_preconditions():
 def test_window_needs_finite_bounds(bounds):
     with pytest.raises(DomainError):
         ComplexWindow(*bounds, scale=0.01)
+
+
+def _window(xmin, ymin, scale, nx, ny, mirrored):
+    if mirrored:
+        ymin = -0.5 * (ny - 1) * scale
+    return ComplexWindow(
+        xmin, xmin + (nx - 1) * scale, ymin, ymin + (ny - 1) * scale, scale
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    xmin=st.floats(-2.5, 0.5),
+    ymin=st.floats(-1.5, 1.0),
+    scale=st.floats(0.005, 0.2),
+    nx=st.integers(3, 40),
+    ny=st.integers(3, 40),
+    mirrored=st.booleans(),
+    nmax=st.integers(1, 300),
+    threshold=st.floats(2.0, 100.0),
+    tile=st.sampled_from([1, 2, 7, 40, 100, 1 << 14]),
+)
+def test_tiled_escape_grid_matches_full_grid(
+    xmin, ymin, scale, nx, ny, mirrored, nmax, threshold, tile
+):
+    # tiles under one row hold one row; others leave a partial last tile
+    window = _window(xmin, ymin, scale, nx, ny, mirrored)
+    with mock.patch.object(fractals, "_TILE_PIXELS", tile):
+        got = mandelbrot_grid(window, nmax, threshold)
+    want = full_grid_mandelbrot(window, nmax, threshold)
+    assert got.counts.dtype == want.counts.dtype
+    assert np.array_equal(got.counts, want.counts)
+    if mirrored:
+        assert np.array_equal(got.counts, got.counts[::-1])
+
+
+def test_escape_grid_rows_wider_than_a_tile_match_full_grid():
+    # nx above _TILE_PIXELS: each tile is one row, and conjugate rows agree
+    scale = 2.5 / 18000
+    window = ComplexWindow(-2.0, 0.5, -2 * scale, 2 * scale, scale)
+    assert window.nx > fractals._TILE_PIXELS and window.ny == 5
+    got = mandelbrot_grid(window, 60)
+    assert np.array_equal(got.counts, full_grid_mandelbrot(window, 60).counts)
+    assert np.array_equal(got.counts, got.counts[::-1])
+
+
+def _contraction(angle, s1, s2, shear, flip):
+    rot = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
+    lin = rot @ np.diag([s1, -s2 if flip else s2])
+    lin[0, 1] += shear
+    return lin
+
+
+_MAP = st.builds(
+    lambda lin, off: (lin, off),
+    st.builds(
+        _contraction,
+        st.floats(-math.pi, math.pi),
+        st.floats(0.0, 0.6),
+        st.floats(0.0, 0.6),
+        st.floats(-0.3, 0.3),
+        st.booleans(),
+    ),
+    st.tuples(st.floats(-0.6, 1.2), st.floats(-0.6, 1.2)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    maps=st.lists(_MAP, min_size=1, max_size=4),
+    height=st.integers(1, 48),
+    width=st.integers(1, 48),
+    density=st.sampled_from([0.0, 0.02, 0.2, 0.7, 1.0]),
+    seed=st.integers(0, 2 ** 32 - 1),
+    steps=st.integers(0, 6),
+    band=st.sampled_from([1, 5, 64, 1 << 16]),
+)
+def test_banded_ifs_pass_matches_full_grid(maps, height, width, density, seed, steps, band):
+    system = IfsSystem(maps=tuple(AffineMap2(lin, np.array(off)) for lin, off in maps))
+    bits = np.random.default_rng(seed).random((height, width)) < density
+    start = BinaryImage(bits=bits)
+    with mock.patch.object(fractals, "_BAND_PIXELS", band):
+        got = ifs_iterate(system, start, steps)
+    want = full_grid_ifs_iterate(system, start, steps)
+    assert np.array_equal(got.bits, want.bits)
+    assert np.array_equal(start.bits, bits)  # the start is not modified
+
+
+def test_banded_ifs_pass_matches_full_grid_on_decimal_maps():
+    # tenths put many points exactly on, or an ulp off, a pixel edge, where
+    # any change in the order of the sums or in the edge test shows
+    rng = np.random.default_rng(7)
+    for _ in range(400):
+        maps = []
+        for _ in range(rng.integers(1, 4)):
+            linear = rng.integers(-5, 6, (2, 2)) / 10.0
+            try:
+                maps.append(AffineMap2(linear, rng.integers(-3, 11, 2) / 10.0))
+            except DomainError:
+                pass
+        if not maps:
+            continue
+        system = IfsSystem(maps=tuple(maps))
+        start = BinaryImage.full(*rng.integers(1, 41, 2))
+        got = ifs_iterate(system, start, 2)
+        assert np.array_equal(got.bits, full_grid_ifs_iterate(system, start, 2).bits)
+
+
+def _peak_bytes_per_px(fn, pixels):
+    tracemalloc.start()
+    try:
+        fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / pixels
+
+
+def test_kernels_peak_at_most_12_bytes_per_pixel():
+    window = ComplexWindow(-2.4, 1.2, -1.5, 1.5, 0.0028)
+    pixels = window.nx * window.ny
+    assert pixels >= 1_000_000
+    assert _peak_bytes_per_px(lambda: mandelbrot_grid(window, 30), pixels) <= 12.0
+    start = BinaryImage.full(1024, 1024)
+    system = sierpinski_ifs()
+    assert _peak_bytes_per_px(lambda: ifs_iterate(system, start, 3), 1024 * 1024) <= 12.0
