@@ -14,13 +14,23 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .errors import DomainError, NonFiniteState, SeparationUnderflow
+from .errors import DomainError, GridTooLarge, NonFiniteState, SeparationUnderflow
 from .integrate import FieldFn, IntegratorConfig, Trajectory, as_state, integrate
 from .systems import LogisticParams, LorenzParams, logistic_step
 
 #: Number of uniform sample times the divergence probe projects both twin
 #: trajectories onto (nearest accepted step endpoint wins).
 DIVERGENCE_GRID_POINTS = 2000
+
+#: Caps of bifurcation_scan, checked before anything is allocated.  A sweep
+#: peaks at about 24 bytes per kept row (16 in the diagram, 8 in the lane
+#: buffer) plus 17 per parameter, so MAX_SCAN_ROWS rows take 0.6-1 GB.  One
+#: lane-iterate costs about 6-10 ns and one step of the loop at least about
+#: 4.5 us whatever the lane count, so a step is charged as at least
+#: _MIN_LANES lanes, and MAX_SCAN_ITERATES takes about 13-18 s.
+MAX_SCAN_ROWS = 25_000_000
+MAX_SCAN_ITERATES = 2_000_000_000
+_MIN_LANES = 512
 
 #: Fraction of the reference attractor diameter beyond which separation is
 #: considered saturated and excluded from the exponential fit.
@@ -107,7 +117,7 @@ class BifurcationDiagram:
 
 
 def bifurcation_scan(
-    family: Callable[[float, float], float],
+    family: Callable[[np.ndarray, np.ndarray], np.ndarray],
     p_lo: float,
     p_hi: float,
     p_steps: int,
@@ -115,9 +125,15 @@ def bifurcation_scan(
     discard: int,
     keep: int,
 ) -> BifurcationDiagram:
-    """Sweep `family(param, x)` over p_steps parameters, keeping post-transient iterates.
+    """Sweep `family(params, x)` over p_steps parameters, keeping post-transient iterates.
 
-    discard must be at least 100 so transients have died before sampling.
+    All parameters are iterated at once as float64 lanes: `family` receives
+    the (p_steps,) parameter and state ndarrays and must act elementwise,
+    returning the next states.  discard must be at least 100 so transients
+    have died before sampling.  An orbit that turns NaN/Inf raises
+    NonFiniteState naming the first such parameter in sweep order and its
+    first non-finite iterate.  Sweeps over MAX_SCAN_ROWS kept rows or
+    MAX_SCAN_ITERATES iterates raise GridTooLarge before any allocation.
     """
     if not p_lo < p_hi:
         raise DomainError("need p_lo < p_hi")
@@ -127,23 +143,42 @@ def bifurcation_scan(
         raise DomainError("discard must be at least 100")
     if keep < 1:
         raise DomainError("keep must be positive")
+    if p_steps * keep > MAX_SCAN_ROWS:
+        raise GridTooLarge(
+            f"{p_steps} parameters x {keep} kept iterates exceed the {MAX_SCAN_ROWS}-row cap"
+        )
+    if max(p_steps, _MIN_LANES) * (discard + keep) > MAX_SCAN_ITERATES:
+        raise GridTooLarge(
+            f"{p_steps} parameters x {discard + keep} iterates exceed the "
+            f"{MAX_SCAN_ITERATES}-iterate cap (a step counts as at least {_MIN_LANES})"
+        )
     params = np.linspace(p_lo, p_hi, p_steps)
-    rows = np.empty((p_steps * keep, 2), dtype=np.float64)
-    row = 0
-    for param in params:
-        x = x0
+    kept = np.empty((keep, p_steps), dtype=np.float64)
+    x = np.full(p_steps, x0, dtype=np.float64)
+    diverged = None  # (parameter, iterate) of the lowest lane gone non-finite
+    with np.errstate(all="ignore"):
         for i in range(discard + keep):
             if i >= discard:
-                rows[row] = (param, x)
-                row += 1
-            x = family(param, x)
-            if not math.isfinite(x):
-                raise NonFiniteState(
-                    f"orbit diverged at parameter {float(param)!r}, iterate {i + 1}",
-                    index=i + 1,
-                )
+                kept[i - discard] = x
+            x = family(params, x)
+            finite = np.isfinite(x)
+            if not finite.all():
+                lane = int(finite.argmin())
+                diverged = (float(params[lane]), i + 1)
+                if lane == 0:
+                    break
+                # only the lanes before it can still be reported
+                params, x, kept = params[:lane], x[:lane], kept[:, :lane]
+    if diverged is not None:
+        param, index = diverged
+        raise NonFiniteState(
+            f"orbit diverged at parameter {param!r}, iterate {index}", index=index
+        )
+    rows = np.empty((p_steps, keep, 2), dtype=np.float64)
+    rows[:, :, 0] = params[:, None]
+    rows[:, :, 1] = kept.T
     return BifurcationDiagram(
-        points=rows,
+        points=rows.reshape(-1, 2),
         param_range=(p_lo, p_hi),
         samples_per_param=keep,
         discard=discard,

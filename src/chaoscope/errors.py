@@ -41,7 +41,8 @@ class SeparationUnderflow(ChaoscopeError):
 
 
 class GridTooLarge(DomainError):
-    """A raster (escape grid, IFS image, PIFS code) would exceed its pixel cap."""
+    """A raster (escape grid, IFS image, PIFS code) or a bifurcation sweep
+    would exceed its size cap."""
 
 
 class EmptyImage(DomainError):

@@ -11,7 +11,8 @@ from __future__ import annotations
 import os
 import tempfile
 from pathlib import Path
-from typing import Iterable, Sequence, Union
+from itertools import chain, islice, repeat
+from typing import Iterable, Iterator, List, Sequence, Union
 
 import numpy as np
 
@@ -24,18 +25,26 @@ from .integrate import MapOrbit, Trajectory
 Series = Union[Trajectory, MapOrbit, CobwebTrace, BifurcationDiagram]
 Raster = Union[EscapeGrid, GrayImage, BinaryImage]
 
+#: Rows that write_rows_csv formats with one ``%`` operation and writes as
+#: one chunk.
+CSV_BLOCK_ROWS = 1024
 
-def write_bytes_atomic(path, data: bytes) -> None:
+
+def write_bytes_atomic(path, data: Union[bytes, Iterable[bytes]]) -> None:
     """Write data to path through a unique temp file in its directory and a rename.
 
-    The temp file is removed on any failure, so a failed write leaves
-    nothing behind; the result gets the usual ``0o666 & ~umask`` mode.
+    data is one bytes object or an iterable of byte chunks, written in order
+    as they come.  The temp file is removed on any failure, a chunk that
+    fails to arrive included, so a failed write leaves nothing behind; the
+    result gets the usual ``0o666 & ~umask`` mode.
     """
     path = Path(path)
+    if isinstance(data, (bytes, bytearray, memoryview)):
+        data = (data,)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            fh.writelines(data)
         umask = os.umask(0)
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)
@@ -45,21 +54,48 @@ def write_bytes_atomic(path, data: bytes) -> None:
         raise
 
 
+def _field_format(value) -> str:
+    if isinstance(value, int):
+        return "%d"
+    return "%s" if isinstance(value, str) else "%.17g"
+
+
+def _csv_chunks(header: Sequence[str], rows: Iterable[Sequence]) -> Iterator[bytes]:
+    yield (",".join(header) + "\n").encode("utf-8")
+    rows = iter(rows)
+    first = next(rows, None)
+    if first is None:
+        return
+    fmt = ",".join(map(_field_format, first)) + "\n"
+    width = len(first)
+    block = [first, *islice(rows, CSV_BLOCK_ROWS - 1)]
+    while block:
+        if any(n != width for n in map(len, block)):
+            raise TypeError(f"every CSV row needs {width} fields, like the first")
+        yield ((fmt * len(block)) % tuple(chain.from_iterable(block))).encode("utf-8")
+        block = list(islice(rows, CSV_BLOCK_ROWS))
+
+
 def write_rows_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """Write a generic CSV with 17-significant-digit numeric fields.
 
-    A Python int prints as an integer and any other value as a float with
-    17 significant digits.  Every row must have the length and the column
-    kinds of the first, whose values fix the one format string of all rows.
+    A Python int prints as an integer, a str as itself and any other value
+    as a float with 17 significant digits.  Every row must have the length
+    and the column kinds of the first, whose values fix the one format
+    string of all rows; rows are formatted and written CSV_BLOCK_ROWS at a
+    time, so the text is never held whole.
     """
-    lines = [",".join(header)]
-    rows = iter(rows)
-    first = next(rows, None)
-    if first is not None:
-        fmt = ",".join("%d" if isinstance(v, int) else "%.17g" for v in first)
-        lines.append(fmt % tuple(first))
-        lines.extend(fmt % tuple(row) for row in rows)
-    write_bytes_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
+    write_bytes_atomic(path, _csv_chunks(header, rows))
+
+
+def _g17_runs(values: np.ndarray) -> List[str]:
+    """``"%.17g"`` text of each value, formatting each run of bit-identical
+    neighbours once."""
+    bits = values.view(np.int64)
+    starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+    lengths = np.diff(starts, append=len(values)).tolist()
+    texts = ["%.17g" % v for v in values[starts].tolist()]
+    return list(chain.from_iterable(map(repeat, texts, lengths)))
 
 
 def write_trajectory_csv(series: Series, path) -> None:
@@ -70,19 +106,24 @@ def write_trajectory_csv(series: Series, path) -> None:
     """
     if isinstance(series, Trajectory):
         header = ["t"] + [f"x{i}" for i in range(series.dimension)]
-        times = series.times.tolist()
-        rows = ([t] + state.tolist() for t, state in zip(times, series.states))
+        rows = zip(series.times.tolist(), *series.states.T.tolist())
     elif isinstance(series, MapOrbit):
         header = ["n"] + [f"x{i}" for i in range(series.dimension)]
-        rows = (
-            [series.discarded + k] + p.tolist() for k, p in enumerate(series.points)
-        )
+        indices = range(series.discarded, series.discarded + len(series.points))
+        rows = zip(indices, *series.points.T.tolist())
     elif isinstance(series, CobwebTrace):
         header = ["x", "y"]
-        rows = (v.tolist() for v in series.vertices)
+        rows = series.vertices.tolist()
     elif isinstance(series, BifurcationDiagram):
+        # the parameter repeats over each kept run: format it once per run,
+        # a block of rows at a time
         header = ["x", "y"]
-        rows = (p.tolist() for p in series.points)
+        points = np.asarray(series.points, dtype=np.float64)
+        params, xs = points[:, 0], points[:, 1]
+        rows = chain.from_iterable(
+            zip(_g17_runs(params[k : k + CSV_BLOCK_ROWS]), xs[k : k + CSV_BLOCK_ROWS].tolist())
+            for k in range(0, len(xs), CSV_BLOCK_ROWS)
+        )
     else:
         raise TypeError(f"cannot serialize {type(series).__name__} as series CSV")
     write_rows_csv(path, header, rows)

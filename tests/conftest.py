@@ -4,17 +4,22 @@ exhaustive encoder and per-block decoder that the library's pruned search
 and vectorised decoder must reproduce exactly, and the ndarray integrator,
 map loop and byte-loop keystream that the library's float loops must
 reproduce exactly, and the full-grid escape grid and IFS pass that the
-library's tiled kernels must reproduce exactly."""
+library's tiled kernels must reproduce exactly, and the per-parameter
+bifurcation loop, the two-streams-per-trial avalanche loop and the
+line-list CSV writer that the lane sweep, the three-keystream avalanche
+and the block CSV writer must reproduce exactly."""
 
 import contextlib
 import io
-from typing import Optional
+import math
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 import pytest
 
 import chaoscope as c
-from chaoscope.cipher import ChaosKey
+from chaoscope.analysis import BifurcationDiagram
+from chaoscope.cipher import ChaosKey, bit_difference
 from chaoscope.cli import main
 from chaoscope.compression import (
     _SCALE,
@@ -539,6 +544,94 @@ def full_grid_ifs_iterate(system: IfsSystem, start: BinaryImage, n: int) -> Bina
                 nxt[py[ok], px[ok]] = True
         bits = nxt
     return BinaryImage(bits=bits)
+
+
+# The logistic-map sweep, the avalanche harness and the CSV writer as they
+# were written before the lane sweep, the three-keystream avalanche and the
+# block writer, kept unchanged as oracles: one family call per parameter and
+# iterate, two keystreams per trial, one format per row and the whole text
+# held in memory.
+
+
+def loop_bifurcation_scan(
+    family: Callable[[float, float], float],
+    p_lo: float,
+    p_hi: float,
+    p_steps: int,
+    x0: float,
+    discard: int,
+    keep: int,
+) -> BifurcationDiagram:
+    """Sweep `family(param, x)` over p_steps parameters, keeping post-transient iterates.
+
+    discard must be at least 100 so transients have died before sampling.
+    """
+    if not p_lo < p_hi:
+        raise DomainError("need p_lo < p_hi")
+    if p_steps < 1:
+        raise DomainError("p_steps must be positive")
+    if discard < 100:
+        raise DomainError("discard must be at least 100")
+    if keep < 1:
+        raise DomainError("keep must be positive")
+    params = np.linspace(p_lo, p_hi, p_steps)
+    rows = np.empty((p_steps * keep, 2), dtype=np.float64)
+    row = 0
+    for param in params:
+        x = x0
+        for i in range(discard + keep):
+            if i >= discard:
+                rows[row] = (param, x)
+                row += 1
+            x = family(param, x)
+            if not math.isfinite(x):
+                raise NonFiniteState(
+                    f"orbit diverged at parameter {float(param)!r}, iterate {i + 1}",
+                    index=i + 1,
+                )
+    return BifurcationDiagram(
+        points=rows,
+        param_range=(p_lo, p_hi),
+        samples_per_param=keep,
+        discard=discard,
+    )
+
+
+def loop_avalanche_test(key: ChaosKey, n_bytes: int, trials: int) -> float:
+    """Mean keystream bit-difference under one-ulp perturbations of x0.
+
+    Each trial nudges x0 by one unit in the last place, alternating the sign
+    across trials, and measures the XOR bit fraction against the unperturbed
+    stream.  A well-diffusing map scores close to 0.5.
+    """
+    if n_bytes < 1024:
+        raise DomainError("n_bytes must be at least 1024")
+    if trials < 8:
+        raise DomainError("trials must be at least 8")
+    fractions = []
+    for i in range(trials):
+        target = 1.0 if i % 2 == 0 else 0.0
+        nudged = math.nextafter(key.x0, target)
+        other = ChaosKey(mu=key.mu, x0=nudged, warmup=key.warmup)
+        fractions.append(bit_difference(key, other, n_bytes))
+    return float(np.mean(fractions))
+
+
+def row_csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """The text of a generic CSV with 17-significant-digit numeric fields.
+
+    A Python int prints as an integer and any other value as a float with
+    17 significant digits.  Every row must have the length and the column
+    kinds of the first, whose values fix the one format string of all rows.
+    """
+    lines = [",".join(header)]
+    rows = iter(rows)
+    first = next(rows, None)
+    if first is not None:
+        fmt = ",".join("%d" if isinstance(v, int) else "%.17g" for v in first)
+        lines.append(fmt % tuple(first))
+        lines.extend(fmt % tuple(row) for row in rows)
+    return "\n".join(lines) + "\n"
 
 
 @pytest.fixture

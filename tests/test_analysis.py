@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 
 import chaoscope as c
 from chaoscope.analysis import (
+    MAX_SCAN_ITERATES,
+    MAX_SCAN_ROWS,
     Stability,
     bifurcation_scan,
     classify_linear,
@@ -15,9 +18,11 @@ from chaoscope.analysis import (
     lorenz_equilibria,
     verify_equilibrium,
 )
-from chaoscope.errors import DomainError, NonFiniteState, SeparationUnderflow
+from chaoscope.errors import DomainError, GridTooLarge, NonFiniteState, SeparationUnderflow
 from chaoscope.integrate import IntegratorConfig
 from chaoscope.systems import Linear1DParams, LogisticParams, LorenzParams, linear_solution, lorenz_field
+
+from conftest import loop_bifurcation_scan
 
 
 def test_classify_linear_trichotomy():
@@ -194,27 +199,102 @@ def test_bifurcation_scan_preconditions():
 
 
 @pytest.mark.parametrize(
-    "nan_call, param, index",
+    "nan_at, param, index, calls_made",
     [
-        (50, 2.0, 50),  # discard phase of the first parameter
-        (103, 2.0, 103),  # keep phase of the first parameter
-        (112, 3.0, 7),  # the second parameter starts over at iterate 1
+        ({0: 50}, 2.0, 50, 50),  # discard phase of the first parameter
+        ({0: 103}, 2.0, 103, 103),  # keep phase of the first parameter
+        ({1: 7}, 3.0, 7, 105),  # the second parameter, at its own iterate 7
+        ({1: 7, 0: 60}, 2.0, 60, 60),  # sweep order wins over time order
     ],
+    # the first three ids count calls as the one-parameter-at-a-time loop made
+    # them: NaN at call 112 there is lane 1's iterate 7 here
+    ids=["50-2.0-50", "103-2.0-103", "112-3.0-7", "sweep-order-2.0-60"],
 )
-def test_bifurcation_scan_reports_the_diverging_iterate(nan_call, param, index):
+def test_bifurcation_scan_reports_the_diverging_iterate(nan_at, param, index, calls_made):
     calls = []
 
-    def family(mu, x):
-        calls.append(mu)
-        return math.nan if len(calls) == nan_call else logistic_family(mu, x)
+    def family(mu, x):  # the logistic map, with NaN put into lane j at call i
+        calls.append(len(mu))
+        nxt = logistic_family(mu, x)
+        for lane, call in nan_at.items():
+            if len(calls) == call and lane < len(nxt):
+                nxt[lane] = math.nan
+        return nxt
 
-    # 100 discarded + 5 kept iterates: 105 calls per parameter
+    # 100 discarded + 5 kept iterates: 105 calls, each on every lane still reported
     with pytest.raises(NonFiniteState) as info:
         bifurcation_scan(family, 2.0, 3.0, 2, 0.3, 100, 5)
     assert info.value.index == index
     want = f"orbit diverged at parameter {param!r}, iterate {index}"
     assert str(info.value) == want
-    assert len(calls) == nan_call
+    assert len(calls) == calls_made
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args), None
+    except Exception as exc:  # compared by type, message and index
+        return None, exc
+
+
+# The lane sweep against the per-parameter loop it replaced (conftest's
+# loop_bifurcation_scan): the same bits, or the same error.  Ranges reaching
+# above mu = 4 send orbits out of [0, 1] and on to -inf.
+@settings(max_examples=80, deadline=None)
+@given(
+    lo=st.floats(0.0, 4.6),
+    width=st.floats(1e-9, 1.5),
+    p_steps=st.integers(1, 40),
+    x0=st.one_of(st.floats(0.0, 1.0), st.floats(-0.5, 1.5)),
+    discard=st.integers(100, 260),
+    keep=st.integers(1, 30),
+)
+def test_bifurcation_scan_matches_the_parameter_loop(lo, width, p_steps, x0, discard, keep):
+    args = (logistic_family, lo, lo + width, p_steps, x0, discard, keep)
+    with np.errstate(all="ignore"):
+        want, want_exc = _outcome(loop_bifurcation_scan, *args)
+    got, got_exc = _outcome(bifurcation_scan, *args)
+    if want_exc is not None:
+        assert type(got_exc) is type(want_exc)
+        assert str(got_exc) == str(want_exc)
+        assert getattr(got_exc, "index", None) == getattr(want_exc, "index", None)
+        return
+    assert got_exc is None
+    assert got.points.shape == want.points.shape == (p_steps * keep, 2)
+    assert np.array_equal(_bits(got.points), _bits(want.points))
+    assert (got.param_range, got.samples_per_param, got.discard) == (
+        want.param_range, want.samples_per_param, want.discard)
+
+
+def test_bifurcation_scan_overflowing_lanes_stay_silent():
+    args = (logistic_family, 3.9, 6.0, 50, 0.3, 100, 5)
+    with np.errstate(all="ignore"):
+        _, want = _outcome(loop_bifurcation_scan, *args)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflow warning would raise here
+        with pytest.raises(NonFiniteState) as info:
+            bifurcation_scan(*args)
+    assert str(info.value) == str(want)
+
+
+@pytest.mark.parametrize(
+    "p_steps, discard, keep",
+    [
+        (MAX_SCAN_ROWS // 100 + 1, 100, 100),  # too many kept rows
+        (1000, MAX_SCAN_ITERATES // 1000, 100),  # too many iterates
+        (1, MAX_SCAN_ITERATES // 512, 1),  # a single lane is charged as 512
+    ],
+)
+def test_bifurcation_scan_caps_refuse_before_allocating(p_steps, discard, keep):
+    def family(mu, x):
+        raise AssertionError("the sweep started")
+
+    with pytest.raises(GridTooLarge):
+        bifurcation_scan(family, 2.8, 4.0, p_steps, 0.3, discard, keep)
 
 
 def test_divergence_rate_linear_field():

@@ -20,7 +20,7 @@ from chaoscope.cipher import (
 )
 from chaoscope.errors import DegenerateOrbit, DomainError, FormatError
 
-from conftest import loop_keystream
+from conftest import loop_avalanche_test, loop_keystream
 
 GOLDEN_KEY = ChaosKey(mu=3.9, x0=0.2, warmup=1000)
 # computed once by the straight-line oracle below and frozen
@@ -294,3 +294,60 @@ def test_degenerate_orbit_message_names_the_iterate():
     # the second iterate is the first output byte when the warmup is 1
     with pytest.raises(DegenerateOrbit, match=r"^orbit hit 0 at iterate 2$"):
         keystream(_unchecked_key(4.0, 0.5 + 2.0 ** -30, 1), 5)
+
+
+# The three-keystream avalanche against the two-streams-per-trial loop it
+# replaced (conftest's loop_avalanche_test): the same float to the last bit,
+# or the same error with the same message, raised at the same point.
+
+
+def _avalanche_outcome(harness, key, n_bytes, trials):
+    try:
+        return repr(harness(key, n_bytes, trials))
+    except (DomainError, DegenerateOrbit) as exc:
+        return type(exc), str(exc)
+
+
+def _ulps_from(x, k):
+    for _ in range(abs(k)):
+        x = math.nextafter(x, 1.0 if k > 0 else 0.0)
+    return x
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    anchor=st.sampled_from([None, 0.5, 0.75, 0.25]),
+    mu=st.one_of(st.just(4.0), st.floats(3.5701, 4.0)),
+    x0=st.floats(1e-6, 1.0 - 1e-6),
+    ulps=st.integers(-2, 2),
+    warmup=st.sampled_from([256, 300, 1000]),
+    n_bytes=st.integers(1024, 2500),
+    trials=st.integers(8, 21),
+)
+def test_avalanche_matches_the_trial_loop(anchor, mu, x0, ulps, warmup, n_bytes, trials):
+    if anchor is not None:  # within two ulps of 0.5, 0.75 or 0.25
+        x0 = _ulps_from(anchor, ulps)
+    try:
+        key = ChaosKey(mu, x0, warmup)
+    except DomainError:
+        assume(False)
+    want = _avalanche_outcome(loop_avalanche_test, key, n_bytes, trials)
+    assert _avalanche_outcome(avalanche_test, key, n_bytes, trials) == want
+
+
+@pytest.mark.parametrize(
+    "x0, error",
+    [
+        (math.nextafter(0.5, 0.0), DomainError),  # the up nudge is 0.5
+        (math.nextafter(0.5, 1.0), DegenerateOrbit),  # 1.0, then 0, in the base stream
+        (math.nextafter(0.75, 0.0), DomainError),  # the up nudge is the fixed point
+        (0.25, DegenerateOrbit),  # the base stream maps onto the fixed point
+        (math.nextafter(0.25, 0.0), DegenerateOrbit),  # so does the up stream
+        (math.nextafter(0.25, 1.0), DegenerateOrbit),  # and the down stream
+    ],
+)
+def test_avalanche_raises_like_the_trial_loop(x0, error):
+    key = ChaosKey(4.0, x0, 256)
+    want = _avalanche_outcome(loop_avalanche_test, key, 1024, 8)
+    assert want[0] is error
+    assert _avalanche_outcome(avalanche_test, key, 1024, 8) == want

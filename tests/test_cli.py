@@ -1,4 +1,8 @@
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -89,6 +93,8 @@ def test_unknown_preset_exits_2(tmp_path, run_cli, capsys):
          "--out", "o.chx"],
         ["avalanche", "--key", "3.9,0.3", "--warmup", "100000000000"],
         ["ifs", "--size", "1000000", "--out", "o.pgm"],
+        ["bifurcate", "--mu-steps", "100000000", "--out", "o.csv"],
+        ["bifurcate", "--discard", str(10**12), "--out", "o.csv"],
     ],
 )
 def test_validation_failures_exit_2_without_output(argv, tmp_path, run_cli, monkeypatch):
@@ -243,6 +249,23 @@ def test_runtime_failure_exits_1_without_output(tmp_path, run_cli, capsys):
     assert code == 1
     assert "MaxStepsExceeded" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_diverging_sweep_exits_1_with_one_line(tmp_path):
+    # from x0 = 1.5 every orbit runs off to -inf; the overflowing lanes must
+    # not add numpy warnings to the one-line diagnostic
+    out = tmp_path / "b.csv"
+    child = subprocess.run(
+        [sys.executable, "-m", "chaoscope", "bifurcate", "--mu-range", "2.8:4.0",
+         "--x0", "1.5", "--out", str(out)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(Path(c.__file__).parents[1])},
+    )
+    assert child.returncode == 1
+    assert child.stderr == (
+        "chaoscope bifurcate: NonFiniteState: orbit diverged at parameter 2.8, iterate 10\n"
+    )
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_decrypt_bad_container_is_runtime_error(tmp_path, run_cli):

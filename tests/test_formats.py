@@ -1,10 +1,16 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import chaoscope as c
 from chaoscope.analysis import BifurcationDiagram
 from chaoscope.errors import PgmFormatError
 from chaoscope.formats import (
+    CSV_BLOCK_ROWS,
     read_pgm,
     write_bytes_atomic,
     write_pgm,
@@ -12,6 +18,8 @@ from chaoscope.formats import (
     write_trajectory_csv,
 )
 from chaoscope.integrate import IntegratorConfig, MapOrbit, Trajectory
+
+from conftest import row_csv_text
 
 
 def test_empty_diagram_writes_header_only(tmp_path):
@@ -197,3 +205,134 @@ def test_atomic_write_cleans_up_and_keeps_the_umask_mode(tmp_path):
     write_bytes_atomic(out, b"data")
     assert out.read_bytes() == b"data"
     assert out.stat().st_mode == reference.stat().st_mode
+
+
+# The block writer against the line-list writer it replaced (conftest's
+# row_csv_text): the same bytes for int, float and str columns, at and around
+# the block size.  A str column carries the "%.17g" text of floats, so its
+# expected bytes are the oracle's on those floats.
+
+BLOCK = CSV_BLOCK_ROWS
+_SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.2250738585072e-308,
+            1.7976931348623157e308, 0.1 + 0.2]
+
+
+def _random_column(kind, n, rng):
+    if kind == "int":
+        return [int(v) for v in rng.integers(-(2**62), 2**62, n)]
+    values = rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64).tolist()
+    for i in rng.integers(0, max(n, 1), min(n, 12)).tolist():
+        values[i] = _SPECIAL[i % len(_SPECIAL)]
+    return values
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kinds=st.lists(st.sampled_from(["int", "float", "str"]), min_size=1, max_size=4),
+    n=st.one_of(st.integers(0, 40), st.sampled_from([BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_block_csv_matches_the_line_writer(tmp_path_factory, kinds, n, seed):
+    rng = np.random.default_rng(seed)
+    columns = [_random_column(k, n, rng) for k in kinds]
+    shown = [["%.17g" % v for v in col] if k == "str" else col for k, col in zip(kinds, columns)]
+    header = [f"c{i}" for i in range(len(kinds))]
+    out = tmp_path_factory.mktemp("csv") / "rows.csv"
+    write_rows_csv(out, header, zip(*shown))
+    assert out.read_bytes() == row_csv_text(header, zip(*columns)).encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {5: 1},  # a short row in the first block
+        {BLOCK + 5: 3},  # a long row in a later block
+        {BLOCK + 2: 1, BLOCK + 3: 3},  # both in one block: the field count adds up
+    ],
+)
+def test_block_csv_refuses_a_row_of_another_length(tmp_path, bad):
+    rows = [[float(i), -float(i)] for i in range(2 * BLOCK + 7)]
+    for i, width in bad.items():
+        rows[i] = rows[i][:1] if width == 1 else rows[i] + [7.0]
+    with pytest.raises(TypeError):
+        write_rows_csv(tmp_path / "rows.csv", ["a", "b"], rows)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_failing_row_source_leaves_no_file_and_no_temp(tmp_path):
+    def rows():
+        for i in range(3 * BLOCK):
+            yield [i, 0.5 * i]
+        raise RuntimeError("source failed")
+
+    with pytest.raises(RuntimeError, match="source failed"):
+        write_rows_csv(tmp_path / "rows.csv", ["n", "x"], rows())
+
+    def chunks():
+        yield b"partial"
+        raise RuntimeError("chunk failed")
+
+    with pytest.raises(RuntimeError, match="chunk failed"):
+        write_bytes_atomic(tmp_path / "out.bin", chunks())
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_atomic_write_takes_byte_chunks(tmp_path):
+    out = tmp_path / "out.bin"
+    write_bytes_atomic(out, iter([b"ab", bytearray(b"cd"), memoryview(b"ef")]))
+    assert out.read_bytes() == b"abcdef"
+
+
+def _series_rows(series):
+    """The per-row lists the series writer built before it went by columns."""
+    if isinstance(series, Trajectory):
+        return ([t] + s.tolist() for t, s in zip(series.times.tolist(), series.states))
+    if isinstance(series, MapOrbit):
+        return ([series.discarded + k] + p.tolist() for k, p in enumerate(series.points))
+    if isinstance(series, c.CobwebTrace):
+        return (v.tolist() for v in series.vertices)
+    return (p.tolist() for p in series.points)
+
+
+def _diagram(points):
+    return BifurcationDiagram(
+        points=np.asarray(points, dtype=np.float64), param_range=(0.0, 1.0),
+        samples_per_param=1, discard=100,
+    )
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: c.integrate(c.preset("lorenz").field(None), [15, 20, 30], 0.0, 2.0,
+                            IntegratorConfig(rel_tol=1e-4, abs_tol=1e-4)),
+        lambda: c.iterate_map(c.preset("henon").map(None), [0.1, 0.1], BLOCK + 50, 7),
+        lambda: c.cobweb_trace(c.LogisticParams(3.8282), 0.2, 50),
+        lambda: c.bifurcation_scan(lambda mu, x: mu * x * (1.0 - x), 2.8, 4.0, 30, 0.3, 100, 70),
+        # runs of equal parameters that differ only in sign, or are NaN,
+        # across the block boundary
+        lambda: _diagram([[-0.0, 1.0]] * (BLOCK - 1) + [[0.0, 2.0]] * 3
+                         + [[math.nan, 3.0]] * 2 + [[5e-324, -0.0]]),
+    ],
+)
+def test_series_csv_matches_the_row_writer(tmp_path, make):
+    series = make()
+    out = tmp_path / "series.csv"
+    write_trajectory_csv(series, out)
+    header = out.read_text().split("\n", 1)[0].split(",")
+    assert out.read_bytes() == row_csv_text(header, _series_rows(series)).encode("utf-8")
+
+
+def test_bench_size_diagram_writes_in_bounded_memory(tmp_path):
+    # 1000 parameters x 100 kept iterates: a 3.9 MB CSV, which the line-list
+    # writer held about three times over (16.4 MiB peak)
+    diagram = c.bifurcation_scan(lambda mu, x: mu * x * (1.0 - x), 2.8, 4.0, 1000, 0.3, 500, 100)
+    out = tmp_path / "bif.csv"
+    tracemalloc.start()
+    try:
+        write_trajectory_csv(diagram, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.stat().st_size > 3_500_000
+    assert peak < 1 * 2**20
