@@ -4,114 +4,84 @@ Chaotic flows and maps with an adaptive Runge-Kutta integrator, escape-time
 and IFS fractals, fractal dimension estimation, a PIFS image codec, and a
 logistic-map stream cipher.  See the ``cli`` module (or the ``chaoscope``
 console script) for the file-emitting command-line interface.
+
+The exported names below load their submodule on first use (PEP 562), so
+``import chaoscope`` and each CLI command load only the code they run.
 """
 
-from .analysis import (
-    BifurcationDiagram,
-    CobwebTrace,
-    DivergenceReport,
-    Stability,
-    bifurcation_scan,
-    classify_linear,
-    cobweb_trace,
-    divergence_rate,
-    lorenz_equilibria,
-    verify_equilibrium,
-)
-from .cipher import ChaosKey, avalanche_test, decrypt, encrypt, keystream
-from .compression import (
-    GrayImage,
-    PifsCode,
-    pifs_decode,
-    pifs_encode,
-    psnr,
-)
-from .fractals import (
-    AffineMap2,
-    BinaryImage,
-    ComplexWindow,
-    EscapeGrid,
-    IfsSystem,
-    box_count_dimension,
-    ifs_iterate,
-    mandelbrot_grid,
-    sierpinski_ifs,
-    similarity_dimension,
-)
-from .integrate import (
-    IntegratorConfig,
-    MapOrbit,
-    Trajectory,
-    integrate,
-    iterate_map,
-)
-from .systems import (
-    ChuaParams,
-    HenonParams,
-    Linear1DParams,
-    LogisticParams,
-    LorenzParams,
-    PRESETS,
-    chua_field,
-    chua_g,
-    chua_paper_code_field,
-    henon_step,
-    linear_solution,
-    logistic_step,
-    lorenz_field,
-    preset,
-)
+import importlib
+
+# The one exported name that shadows its own submodule: bound here, after
+# the submodule has loaded, it stays the function (a later ``import
+# chaoscope.integrate`` finds the module loaded and rebinds nothing).
+from .integrate import integrate
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AffineMap2",
-    "BifurcationDiagram",
-    "BinaryImage",
-    "ChaosKey",
-    "ChuaParams",
-    "CobwebTrace",
-    "ComplexWindow",
-    "DivergenceReport",
-    "EscapeGrid",
-    "GrayImage",
-    "HenonParams",
-    "IfsSystem",
-    "IntegratorConfig",
-    "Linear1DParams",
-    "LogisticParams",
-    "LorenzParams",
-    "MapOrbit",
-    "PRESETS",
-    "PifsCode",
-    "Stability",
-    "Trajectory",
-    "avalanche_test",
-    "bifurcation_scan",
-    "box_count_dimension",
-    "chua_field",
-    "chua_g",
-    "chua_paper_code_field",
-    "classify_linear",
-    "cobweb_trace",
-    "decrypt",
-    "divergence_rate",
-    "encrypt",
-    "henon_step",
-    "ifs_iterate",
-    "integrate",
-    "iterate_map",
-    "keystream",
-    "linear_solution",
-    "logistic_step",
-    "lorenz_equilibria",
-    "lorenz_field",
-    "mandelbrot_grid",
-    "pifs_decode",
-    "pifs_encode",
-    "preset",
-    "psnr",
-    "sierpinski_ifs",
-    "similarity_dimension",
-    "verify_equilibrium",
-]
+#: Exported names by the submodule that defines them.
+_EXPORTS = {
+    "analysis": (
+        "BifurcationDiagram",
+        "CobwebTrace",
+        "DivergenceReport",
+        "Stability",
+        "bifurcation_scan",
+        "classify_linear",
+        "cobweb_trace",
+        "divergence_rate",
+        "lorenz_equilibria",
+        "verify_equilibrium",
+    ),
+    "cipher": ("ChaosKey", "avalanche_test", "decrypt", "encrypt", "keystream"),
+    "compression": ("PifsCode", "pifs_decode", "pifs_encode", "psnr"),
+    "formats": ("GrayImage",),
+    "fractals": (
+        "AffineMap2",
+        "BinaryImage",
+        "ComplexWindow",
+        "EscapeGrid",
+        "IfsSystem",
+        "box_count_dimension",
+        "ifs_iterate",
+        "mandelbrot_grid",
+        "sierpinski_ifs",
+        "similarity_dimension",
+    ),
+    "integrate": ("IntegratorConfig", "MapOrbit", "Trajectory", "integrate", "iterate_map"),
+    "systems": (
+        "ChuaParams",
+        "HenonParams",
+        "Linear1DParams",
+        "LogisticParams",
+        "LorenzParams",
+        "PRESETS",
+        "chua_field",
+        "chua_g",
+        "chua_paper_code_field",
+        "henon_step",
+        "linear_solution",
+        "logistic_step",
+        "lorenz_field",
+        "preset",
+    ),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+#: Submodules that ``import chaoscope`` has always made attributes.
+_SUBMODULES = ("analysis", "cipher", "compression", "fractals", "systems")
+
+__all__ = sorted(_SOURCE)
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _SOURCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_SOURCE[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -15,8 +15,8 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .errors import DomainError, GridTooLarge, NonFiniteState, SeparationUnderflow
-from .integrate import FieldFn, IntegratorConfig, Trajectory, as_state, integrate
-from .systems import LogisticParams, LorenzParams, logistic_step
+from .integrate import FieldFn, IntegratorConfig, Trajectory, as_state
+from .systems import LogisticParams, LorenzParams, check_logistic_x0, logistic_step
 
 #: Number of uniform sample times the divergence probe projects both twin
 #: trajectories onto (nearest accepted step endpoint wins).
@@ -89,8 +89,7 @@ class CobwebTrace:
 
 def cobweb_trace(p: LogisticParams, x0: float, n: int, curve_points: int = 512) -> CobwebTrace:
     """Graphical iteration of the logistic map: 2n staircase vertices after (x0, 0)."""
-    if not (0.0 <= x0 <= 1.0):
-        raise DomainError(f"x0 must lie in [0, 1], got {x0}")
+    check_logistic_x0(x0)
     if n < 1:
         raise DomainError("n must be a positive integer")
     verts = np.empty((2 * n + 1, 2), dtype=np.float64)
@@ -230,6 +229,11 @@ def divergence_rate(
     perturbed[0] += delta0
     if np.array_equal(base, perturbed):
         raise SeparationUnderflow("delta0 vanished under addition; twins coincide")
+
+    # looked up when called, not bound when this module loads: this module
+    # may load after a wrapper was installed on the integrator (a tracer, a
+    # test double), and must not keep that wrapper once it is removed
+    from .integrate import integrate
 
     ref = integrate(field, base, 0.0, t1, config)
     twin = integrate(field, perturbed, 0.0, t1, config)

@@ -13,7 +13,8 @@ stderr:
   ``ChaoscopeError`` raised while computing, or an ``OSError``.
 
 Files are written atomically, so a failing run never leaves partial output
-behind.
+behind.  Each command imports the library modules it calls when it runs, so
+a run loads only the code of its own command.
 """
 
 from __future__ import annotations
@@ -26,17 +27,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from . import analysis, cipher, compression, fractals, systems
 from .errors import ChaoscopeError, DomainError, FormatError, GridTooLarge
-from .formats import (
-    read_pgm,
-    write_bytes_atomic,
-    write_divergence_csv,
-    write_pgm,
-    write_rows_csv,
-    write_trajectory_csv,
-)
-from .integrate import IntegratorConfig, integrate, iterate_map
 
 KEY_ENV_VAR = "CHAOSCOPE_KEY"
 
@@ -45,6 +36,10 @@ KEY_ENV_VAR = "CHAOSCOPE_KEY"
 #: 7 steps), and the start image and the PGM writer add about 4, so 3500^2
 #: pixels need about 0.1 GB.
 IFS_MAX_SIZE = 3500
+
+#: Help text of --warmup; its bound is cipher.MAX_WARMUP, spelled out so that
+#: building the parser does not load the cipher (a test keeps them equal).
+_WARMUP_HELP = "keystream warmup iterates, 256 to 1000000"
 
 
 def _parse_floats(text: str, what: str) -> Tuple[float, ...]:
@@ -92,7 +87,9 @@ def _check_in(path: str) -> Path:
 
 def _system_args(args):
     """The --system preset, its --params (None for the defaults) and --x0 state."""
-    preset = systems.preset(args.system)
+    from .systems import preset as named_preset
+
+    preset = named_preset(args.system)
     params = _parse_floats(args.params, "--params") if args.params else None
     state = preset.default_state
     if getattr(args, "x0", None):
@@ -105,7 +102,9 @@ def _system_args(args):
     return preset, params, np.array(state)
 
 
-def _integrator_config(args) -> IntegratorConfig:
+def _integrator_config(args):
+    from .integrate import IntegratorConfig
+
     return IntegratorConfig(
         rel_tol=args.rel_tol,
         abs_tol=args.abs_tol,
@@ -121,6 +120,9 @@ def _integrator_config(args) -> IntegratorConfig:
 
 
 def _simulate(args) -> None:
+    from .formats import write_trajectory_csv
+    from .integrate import integrate
+
     preset, params, x0 = _system_args(args)
     t0, t1 = _parse_colon(args.span, 2, "--span")
     field = preset.field(params)
@@ -129,6 +131,9 @@ def _simulate(args) -> None:
 
 
 def _iterate(args) -> None:
+    from .formats import write_trajectory_csv
+    from .integrate import iterate_map
+
     preset, params, x0 = _system_args(args)
     step = preset.map(params)
     out = _check_out(args.out)
@@ -136,17 +141,26 @@ def _iterate(args) -> None:
 
 
 def _cobweb(args) -> None:
-    params = systems.LogisticParams(mu=args.mu)
+    from .analysis import cobweb_trace
+    from .formats import write_trajectory_csv
+    from .systems import LogisticParams
+
+    params = LogisticParams(mu=args.mu)
     out = _check_out(args.out)
-    write_trajectory_csv(analysis.cobweb_trace(params, args.x0, args.steps), out)
+    write_trajectory_csv(cobweb_trace(params, args.x0, args.steps), out)
 
 
 def _bifurcate(args) -> None:
+    from .analysis import bifurcation_scan
+    from .formats import write_trajectory_csv
+    from .systems import LogisticParams, check_logistic_x0
+
     lo, hi = _parse_colon(args.mu_range, 2, "--mu-range")
     for mu in (lo, hi):  # both ends must lie in the logistic map's domain
-        systems.LogisticParams(mu)
+        LogisticParams(mu)
+    check_logistic_x0(args.x0)
     out = _check_out(args.out)
-    diagram = analysis.bifurcation_scan(
+    diagram = bifurcation_scan(
         lambda mu, x: mu * x * (1.0 - x),
         lo,
         hi,
@@ -159,10 +173,13 @@ def _bifurcate(args) -> None:
 
 
 def _divergence(args) -> None:
+    from .analysis import divergence_rate
+    from .formats import write_divergence_csv
+
     preset, params, x0 = _system_args(args)
     field = preset.field(params)
     out = _check_out(args.out)
-    report = analysis.divergence_rate(
+    report = divergence_rate(
         field, x0, args.delta0, args.t1, _integrator_config(args)
     )
     write_divergence_csv(report, out)
@@ -171,88 +188,117 @@ def _divergence(args) -> None:
 
 
 def _equilibria(args) -> None:
+    from .analysis import lorenz_equilibria
+    from .formats import write_rows_csv
+    from .systems import LorenzParams
+
     if args.system != "lorenz":
         raise DomainError("equilibria currently supports only --system lorenz")
     preset, params, _ = _system_args(args)
-    params = systems.LorenzParams(*preset.resolve_params(params))
+    params = LorenzParams(*preset.resolve_params(params))
     out = _check_out(args.out)
-    points = analysis.lorenz_equilibria(params)
+    points = lorenz_equilibria(params)
     write_rows_csv(out, ["x0", "x1", "x2"], (list(p) for p in points))
 
 
 def _mandelbrot(args) -> None:
+    from .formats import write_pgm
+    from .fractals import ComplexWindow, mandelbrot_grid
+
     xmin, xmax, ymin, ymax = _parse_colon(args.window, 4, "--window")
-    window = fractals.ComplexWindow(
+    window = ComplexWindow(
         xmin=xmin, xmax=xmax, ymin=ymin, ymax=ymax, scale=args.scale
     )
     out = _check_out(args.out)
-    write_pgm(fractals.mandelbrot_grid(window, args.nmax, args.threshold), out)
+    write_pgm(mandelbrot_grid(window, args.nmax, args.threshold), out)
 
 
 def _ifs(args) -> None:
+    from .formats import write_pgm
+    from .fractals import IFS_PRESETS, BinaryImage, ifs_iterate
+
     try:
-        make = fractals.IFS_PRESETS[args.preset]
+        make = IFS_PRESETS[args.preset]
     except KeyError:
-        known = ", ".join(sorted(fractals.IFS_PRESETS))
+        known = ", ".join(sorted(IFS_PRESETS))
         raise DomainError(f"unknown IFS preset '{args.preset}' (known: {known})")
     if args.size < 2:
         raise DomainError("--size must be at least 2")
     if args.size > IFS_MAX_SIZE:
         raise GridTooLarge(f"--size {args.size} exceeds the cap of {IFS_MAX_SIZE}")
     out = _check_out(args.out)
-    start = fractals.BinaryImage.full(args.size, args.size)
-    write_pgm(fractals.ifs_iterate(make(), start, args.steps), out)
+    start = BinaryImage.full(args.size, args.size)
+    write_pgm(ifs_iterate(make(), start, args.steps), out)
 
 
 def _boxdim(args) -> None:
+    from .formats import read_pgm, write_rows_csv
+    from .fractals import BinaryImage, box_count_dimension
+
     src = _check_in(args.input)
     out = _check_out(args.out) if args.out else None
-    bits = fractals.BinaryImage(bits=read_pgm(src).pixels[::-1] >= 128)
-    estimate, pts = fractals.box_count_dimension(bits, args.min_exp, args.max_exp)
+    bits = BinaryImage(bits=read_pgm(src).pixels[::-1] >= 128)
+    estimate, pts = box_count_dimension(bits, args.min_exp, args.max_exp)
     if out is not None:
         write_rows_csv(out, ["x", "y"], ([x, y] for x, y in pts))
     print(f"dimension {estimate:.17g}")
 
 
 def _simdim(args) -> None:
-    print(f"dimension {fractals.similarity_dimension(args.copies, args.ratio):.17g}")
+    from .fractals import similarity_dimension
+
+    print(f"dimension {similarity_dimension(args.copies, args.ratio):.17g}")
 
 
 def _compress(args) -> None:
+    from .compression import pifs_encode
+    from .formats import read_pgm, write_bytes_atomic
+
     src = _check_in(args.input)
     out = _check_out(args.out)
-    code = compression.pifs_encode(
+    code = pifs_encode(
         read_pgm(src), args.range_size, args.domain_step, args.s_max
     )
     write_bytes_atomic(out, code.to_bytes())
 
 
 def _decompress(args) -> None:
+    from .compression import PifsCode, pifs_decode
+    from .formats import write_pgm
+
     src = _check_in(args.input)
     out = _check_out(args.out)
-    code = compression.PifsCode.from_bytes(src.read_bytes())
-    write_pgm(compression.pifs_decode(code, args.iterations), out)
+    code = PifsCode.from_bytes(src.read_bytes())
+    write_pgm(pifs_decode(code, args.iterations), out)
 
 
 def _encrypt(args) -> None:
+    from .cipher import ChaosKey, pack_container
+    from .formats import write_bytes_atomic
+
     mu, x0 = _resolve_key(args)
-    key = cipher.ChaosKey(mu=mu, x0=x0, warmup=args.warmup)
+    key = ChaosKey(mu=mu, x0=x0, warmup=args.warmup)
     src = _check_in(args.input)
     out = _check_out(args.out)
-    write_bytes_atomic(out, cipher.pack_container(key, src.read_bytes()))
+    write_bytes_atomic(out, pack_container(key, src.read_bytes()))
 
 
 def _decrypt(args) -> None:
+    from .cipher import unpack_container
+    from .formats import write_bytes_atomic
+
     mu, x0 = _resolve_key(args)
     src = _check_in(args.input)
     out = _check_out(args.out)
-    write_bytes_atomic(out, cipher.unpack_container(mu, x0, src.read_bytes()))
+    write_bytes_atomic(out, unpack_container(mu, x0, src.read_bytes()))
 
 
 def _avalanche(args) -> None:
+    from .cipher import ChaosKey, avalanche_test
+
     mu, x0 = _resolve_key(args)
-    key = cipher.ChaosKey(mu=mu, x0=x0, warmup=args.warmup)
-    print(f"avalanche_fraction {cipher.avalanche_test(key, args.bytes, args.trials):.17g}")
+    key = ChaosKey(mu=mu, x0=x0, warmup=args.warmup)
+    print(f"avalanche_fraction {avalanche_test(key, args.bytes, args.trials):.17g}")
 
 
 def _add_integrator_flags(p: argparse.ArgumentParser) -> None:
@@ -270,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
         "compression, and a logistic-map stream cipher.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    warmup_help = f"keystream warmup iterates, 256 to {cipher.MAX_WARMUP}"
 
     p = sub.add_parser("simulate", help="integrate a flow preset over a time span")
     p.set_defaults(run=_simulate)
@@ -367,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_encrypt)
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--key", help=f"mu,x0 (default: ${KEY_ENV_VAR})")
-    p.add_argument("--warmup", type=int, default=1000, help=warmup_help)
+    p.add_argument("--warmup", type=int, default=1000, help=_WARMUP_HELP)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("decrypt", help="decrypt a stream-encrypted file")
@@ -379,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("avalanche", help="keystream sensitivity measurement")
     p.set_defaults(run=_avalanche)
     p.add_argument("--key", help=f"mu,x0 (default: ${KEY_ENV_VAR})")
-    p.add_argument("--warmup", type=int, default=1000, help=warmup_help)
+    p.add_argument("--warmup", type=int, default=1000, help=_WARMUP_HELP)
     p.add_argument("--bytes", type=int, default=10240)
     p.add_argument("--trials", type=int, default=16)
 

@@ -37,6 +37,7 @@ from .errors import (
     GridTooLarge,
     ImageTooSmall,
 )
+from .formats import GrayImage
 
 MAGIC = b"FIC1"
 _HEADER = struct.Struct("<4sHHBB")
@@ -62,30 +63,6 @@ PSNR_CAP_DB = 99.0
 #: cap is not raised to match, so that the set of refused inputs stays the
 #: same.  It also keeps the decoder's int32 flat source indices exact.
 MAX_PIXELS = 3_000_000
-
-
-@dataclass(frozen=True)
-class GrayImage:
-    """8-bit grayscale raster; pixels[0] is the top row."""
-
-    pixels: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "pixels", np.asarray(self.pixels, dtype=np.uint8))
-        if self.pixels.ndim != 2 or self.pixels.size == 0:
-            raise DomainError("pixels must be a non-empty 2-D uint8 array")
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
-    @classmethod
-    def constant(cls, width: int, height: int, value: int) -> "GrayImage":
-        return cls(pixels=np.full((height, width), value, dtype=np.uint8))
 
 
 def _check_blocks(width: int, height: int, range_size: int) -> None:

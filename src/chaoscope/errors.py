@@ -41,8 +41,9 @@ class SeparationUnderflow(ChaoscopeError):
 
 
 class GridTooLarge(DomainError):
-    """A raster (escape grid, IFS image, PIFS code) or a bifurcation sweep
-    would exceed its size cap."""
+    """A raster (escape grid, IFS image, PIFS code), a map orbit, a
+    bifurcation sweep, or the iterations of an escape grid or IFS run would
+    exceed its cap."""
 
 
 class EmptyImage(DomainError):

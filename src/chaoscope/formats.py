@@ -1,33 +1,60 @@
-"""CSV and PGM serialization shared by the CLI.
+"""CSV and PGM serialization shared by the CLI, and the gray image it reads.
 
 All writers go through ``write_bytes_atomic`` (temp file in the destination
 directory, then rename) and are byte-deterministic: floats are printed with
 17 significant digits, which round-trips IEEE doubles exactly, and lines
-always end with LF.
+always end with LF.  The writers import the result types they dispatch on
+only when called, so loading this module loads no computation.
 """
 
 from __future__ import annotations
 
 import os
 import tempfile
-from pathlib import Path
+from dataclasses import dataclass
 from itertools import chain, islice, repeat
-from typing import Iterable, Iterator, List, Sequence, Union
+from pathlib import Path
+from typing import TYPE_CHECKING, Iterable, Iterator, List, Sequence, Union
 
 import numpy as np
 
-from .analysis import BifurcationDiagram, CobwebTrace, DivergenceReport
-from .compression import GrayImage
-from .errors import FormatError
-from .fractals import BinaryImage, EscapeGrid
-from .integrate import MapOrbit, Trajectory
+from .errors import DomainError, FormatError
 
-Series = Union[Trajectory, MapOrbit, CobwebTrace, BifurcationDiagram]
-Raster = Union[EscapeGrid, GrayImage, BinaryImage]
+if TYPE_CHECKING:
+    from .analysis import BifurcationDiagram, CobwebTrace, DivergenceReport
+    from .fractals import BinaryImage, EscapeGrid
+    from .integrate import MapOrbit, Trajectory
+
+    Series = Union[Trajectory, MapOrbit, CobwebTrace, BifurcationDiagram]
+    Raster = Union[EscapeGrid, GrayImage, BinaryImage]
 
 #: Rows that write_rows_csv formats with one ``%`` operation and writes as
 #: one chunk.
 CSV_BLOCK_ROWS = 1024
+
+
+@dataclass(frozen=True)
+class GrayImage:
+    """8-bit grayscale raster; pixels[0] is the top row."""
+
+    pixels: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "pixels", np.asarray(self.pixels, dtype=np.uint8))
+        if self.pixels.ndim != 2 or self.pixels.size == 0:
+            raise DomainError("pixels must be a non-empty 2-D uint8 array")
+
+    @property
+    def width(self) -> int:
+        return self.pixels.shape[1]
+
+    @property
+    def height(self) -> int:
+        return self.pixels.shape[0]
+
+    @classmethod
+    def constant(cls, width: int, height: int, value: int) -> "GrayImage":
+        return cls(pixels=np.full((height, width), value, dtype=np.uint8))
 
 
 def write_bytes_atomic(path, data: Union[bytes, Iterable[bytes]]) -> None:
@@ -104,6 +131,8 @@ def write_trajectory_csv(series: Series, path) -> None:
     Headers: ``t,x0,x1,...`` for trajectories, ``n,x0,...`` for map orbits
     (n is the absolute iterate index), ``x,y`` for traces and diagrams.
     """
+    from .integrate import MapOrbit, Trajectory
+
     if isinstance(series, Trajectory):
         header = ["t"] + [f"x{i}" for i in range(series.dimension)]
         rows = zip(series.times.tolist(), *series.states.T.tolist())
@@ -111,21 +140,25 @@ def write_trajectory_csv(series: Series, path) -> None:
         header = ["n"] + [f"x{i}" for i in range(series.dimension)]
         indices = range(series.discarded, series.discarded + len(series.points))
         rows = zip(indices, *series.points.T.tolist())
-    elif isinstance(series, CobwebTrace):
-        header = ["x", "y"]
-        rows = series.vertices.tolist()
-    elif isinstance(series, BifurcationDiagram):
-        # the parameter repeats over each kept run: format it once per run,
-        # a block of rows at a time
-        header = ["x", "y"]
-        points = np.asarray(series.points, dtype=np.float64)
-        params, xs = points[:, 0], points[:, 1]
-        rows = chain.from_iterable(
-            zip(_g17_runs(params[k : k + CSV_BLOCK_ROWS]), xs[k : k + CSV_BLOCK_ROWS].tolist())
-            for k in range(0, len(xs), CSV_BLOCK_ROWS)
-        )
     else:
-        raise TypeError(f"cannot serialize {type(series).__name__} as series CSV")
+        # only the commands that make these types load analysis
+        from .analysis import BifurcationDiagram, CobwebTrace
+
+        header = ["x", "y"]
+        if isinstance(series, CobwebTrace):
+            rows = series.vertices.tolist()
+        elif isinstance(series, BifurcationDiagram):
+            # the parameter repeats over each kept run: format it once per
+            # run, a block of rows at a time
+            points = np.asarray(series.points, dtype=np.float64)
+            params, xs = points[:, 0], points[:, 1]
+            rows = chain.from_iterable(
+                zip(_g17_runs(params[k : k + CSV_BLOCK_ROWS]),
+                    xs[k : k + CSV_BLOCK_ROWS].tolist())
+                for k in range(0, len(xs), CSV_BLOCK_ROWS)
+            )
+        else:
+            raise TypeError(f"cannot serialize {type(series).__name__} as series CSV")
     write_rows_csv(path, header, rows)
 
 
@@ -154,14 +187,18 @@ def write_pgm(raster: Raster, path) -> None:
     flipped so the largest imaginary part is on top; binary images are
     written as 0/255 with the same flip; gray images are already top-down.
     """
-    if isinstance(raster, EscapeGrid):
-        payload = _escape_to_bytes(raster)[::-1]
-    elif isinstance(raster, GrayImage):
+    if isinstance(raster, GrayImage):
         payload = raster.pixels
-    elif isinstance(raster, BinaryImage):
-        payload = (raster.bits[::-1].astype(np.uint8)) * np.uint8(255)
     else:
-        raise TypeError(f"cannot serialize {type(raster).__name__} as PGM")
+        # only the commands that make these types load fractals
+        from .fractals import BinaryImage, EscapeGrid
+
+        if isinstance(raster, EscapeGrid):
+            payload = _escape_to_bytes(raster)[::-1]
+        elif isinstance(raster, BinaryImage):
+            payload = (raster.bits[::-1].astype(np.uint8)) * np.uint8(255)
+        else:
+            raise TypeError(f"cannot serialize {type(raster).__name__} as PGM")
     h, w = payload.shape
     header = f"P5\n{w} {h}\n255\n".encode("ascii")
     write_bytes_atomic(path, header + np.ascontiguousarray(payload).tobytes())

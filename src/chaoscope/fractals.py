@@ -23,6 +23,23 @@ from .errors import DomainError, EmptyImage, GridTooLarge
 #: a grid at the cap needs about 1 GB.
 DEFAULT_MAX_PIXELS = 100_000_000
 
+#: Cap on the escape iterations of mandelbrot_grid, pixels x nmax, checked
+#: before anything is allocated.  A live pixel-iteration costs about 4-5 ns
+#: and an iteration at least about 6 us however few pixels are live, so a
+#: grid is charged as at least _MIN_ESCAPE_PIXELS pixels; a grid at the cap
+#: that never escapes takes about 12-22 s (801x801 inside the cardioid, 3x3
+#: and 32x32).  It also keeps nmax within the int32 counts.
+MAX_ESCAPE_ITERATES = 4_000_000_000
+_MIN_ESCAPE_PIXELS = 2048
+
+#: Cap on the pixel-steps of ifs_iterate, pixels x n, checked before anything
+#: is allocated.  A pass costs about 30-80 ns per pixel of a full image
+#: (sierpinski, 1024^2 and 2048^2) and at least about 70 us however small the
+#: image, so an image is charged as at least _MIN_IFS_PIXELS pixels; a run at
+#: the cap takes about 13-21 s.
+MAX_IFS_PIXEL_STEPS = 200_000_000
+_MIN_IFS_PIXELS = 1024
+
 #: Pixels per escape-grid tile, rounded down to whole rows (at least one).
 _TILE_PIXELS = 1 << 14
 
@@ -111,7 +128,8 @@ def mandelbrot_grid(
     A point's count is the first N (1-based, tested after the square-add)
     with |w_N| > threshold; points that never escape within nmax iterations
     carry count nmax.  threshold must be at least 2, the proven escape
-    radius.
+    radius.  A grid over max_pixels pixels, or over MAX_ESCAPE_ITERATES
+    pixel-iterations, raises GridTooLarge.
 
     The grid is walked in tiles of whole rows.  Each tile iterates only its
     active pixels, as compacted flat index, z and w arrays, so memory is the
@@ -125,6 +143,11 @@ def mandelbrot_grid(
     nx, ny = window.nx, window.ny
     if nx * ny > max_pixels:
         raise GridTooLarge(f"{nx}x{ny} grid exceeds the {max_pixels}-pixel cap")
+    if max(nx * ny, _MIN_ESCAPE_PIXELS) * nmax > MAX_ESCAPE_ITERATES:
+        raise GridTooLarge(
+            f"{nx}x{ny} pixels x nmax {nmax} exceed the {MAX_ESCAPE_ITERATES}-iteration "
+            f"cap (a grid counts as at least {_MIN_ESCAPE_PIXELS} pixels)"
+        )
 
     xs, ys = window.x_values(), window.y_values()
     counts = np.full((ny, nx), nmax, dtype=np.int32)
@@ -247,9 +270,16 @@ def ifs_iterate(system: IfsSystem, start: BinaryImage, n: int) -> BinaryImage:
     Set pixels are gathered in bands of whole rows, and each map's products
     come from per-column and per-row tables, so a pass holds O(band) points
     besides the two rasters and does the arithmetic of a per-point pass.
+    Runs over MAX_IFS_PIXEL_STEPS pixel-steps raise GridTooLarge.
     """
     if n < 0:
         raise DomainError("n must be non-negative")
+    if max(start.bits.size, _MIN_IFS_PIXELS) * n > MAX_IFS_PIXEL_STEPS:
+        raise GridTooLarge(
+            f"{start.width}x{start.height} pixels x {n} steps exceed the "
+            f"{MAX_IFS_PIXEL_STEPS}-pixel-step cap (an image counts as at least "
+            f"{_MIN_IFS_PIXELS} pixels)"
+        )
     bits = start.bits.copy()
     h, w = bits.shape
     cx = (np.arange(w) + 0.5) / w

@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import (
     DomainError,
+    GridTooLarge,
     MaxStepsExceeded,
     NonFiniteState,
     StepUnderflow,
@@ -53,6 +54,14 @@ _PI_ALPHA = 0.17  # proportional exponent (order 5, with integral damping)
 _PI_BETA = 0.04  # integral memory exponent
 
 _isfinite = math.isfinite
+
+#: Cap on n * dimension in iterate_map, checked before anything is
+#: allocated.  The orbit holds 8 bytes per value and its CSV writer about 32
+#: more (the values as Python floats), so the CLI peaks at about 40 bytes per
+#: kept value (tracemalloc, Henon and logistic, 400k iterates): 0.4 GB at
+#: the cap.  A preset map takes about 1.2-1.5 us per iterate, so the cap
+#: also bounds the loop to about 8-12 s.
+MAX_ORBIT_VALUES = 10_000_000
 
 
 def as_state(x: ArrayLike) -> np.ndarray:
@@ -353,7 +362,9 @@ def iterate_map(
     The orbit counts x0 as iterate 0, so discard=0 keeps the initial point
     and points[k] is iterate discard + k (n - discard points in total).
     The iterates are Python floats; an ndarray MapFn is called through an
-    adapter that checks the shape of each result.
+    adapter that checks the shape of each result.  Orbits of more than
+    MAX_ORBIT_VALUES values (n times the dimension, discarded iterates
+    included) raise GridTooLarge.
     """
     if discard < 0:
         raise DomainError("discard cannot be negative")
@@ -361,6 +372,10 @@ def iterate_map(
         raise DomainError(f"need n > discard, got n={n}, discard={discard}")
     cur = as_state(x0).tolist()
     dim = len(cur)
+    if n * dim > MAX_ORBIT_VALUES:
+        raise GridTooLarge(
+            f"{n} iterates x {dim} components exceed the {MAX_ORBIT_VALUES}-value cap"
+        )
     step = _map_kernel(map_fn, dim)
     points = np.empty((n - discard, dim), dtype=np.float64)
     for i in range(n):

@@ -73,6 +73,13 @@ def logistic_step(p: LogisticParams, x: float) -> float:
     return p.mu * x * (1.0 - x)
 
 
+def check_logistic_x0(x0: float) -> None:
+    """Refuse a logistic-map start outside [0, 1], the interval the map keeps
+    for mu in [0, 4] (NaN included)."""
+    if not (0.0 <= x0 <= 1.0):
+        raise DomainError(f"x0 must lie in [0, 1], got {x0}")
+
+
 def henon_step(p: HenonParams, s: Tuple[float, float]) -> Tuple[float, float]:
     """One iterate (1 + y - a*x^2, b*x)."""
     x, y = s

@@ -1,3 +1,4 @@
+import importlib
 import math
 import warnings
 
@@ -281,6 +282,24 @@ def test_bifurcation_scan_overflowing_lanes_stay_silent():
     assert str(info.value) == str(want)
 
 
+def test_bifurcation_scan_from_x0_above_one_diverges_silently():
+    # the sweep of `bifurcate --mu-range 2.8:4.0 --x0 1.5`, which the CLI now
+    # refuses: every lane runs off to -inf, the first in sweep order at
+    # iterate 10, and the error is the only output
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflow warning would raise here
+        with pytest.raises(NonFiniteState) as info:
+            bifurcation_scan(logistic_family, 2.8, 4.0, 600, 1.5, 500, 100)
+    assert str(info.value) == "orbit diverged at parameter 2.8, iterate 10"
+    assert info.value.index == 10
+
+
+@pytest.mark.parametrize("x0", [-0.1, 1.5, math.nan, math.inf])
+def test_cobweb_refuses_x0_outside_the_unit_interval(x0):
+    with pytest.raises(DomainError, match=r"x0 must lie in \[0, 1\], got "):
+        cobweb_trace(LogisticParams(3.9), x0, 5)
+
+
 @pytest.mark.parametrize(
     "p_steps, discard, keep",
     [
@@ -302,6 +321,21 @@ def test_divergence_rate_linear_field():
     assert abs(report.fitted_rate - 0.7) / 0.7 < 0.05
     assert report.times[0] == 0.0
     assert report.fit_window[0] == 0.0
+
+
+def test_divergence_rate_calls_the_integrator_of_the_moment(monkeypatch):
+    # analysis can load while the integrator is wrapped (the benchmark's
+    # tracer, a test double): it must look the integrator up when called
+    module = importlib.import_module("chaoscope.integrate")
+    real, calls = module.integrate, []
+
+    def counting(field, x0, t0, t1, config=None):
+        calls.append((t0, t1))
+        return real(field, x0, t0, t1, config)
+
+    monkeypatch.setattr(module, "integrate", counting)
+    divergence_rate(lambda t, x: 0.7 * x, [1.0], 1e-8, 2.0)
+    assert calls == [(0.0, 2.0), (0.0, 2.0)]
 
 
 def test_divergence_rate_zero_field():

@@ -1,14 +1,11 @@
-import os
 import struct
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 import chaoscope as c
-from chaoscope import compression
+from chaoscope import cli, compression
+from chaoscope.cipher import MAX_WARMUP
 from chaoscope.cli import KEY_ENV_VAR
 from chaoscope.formats import read_pgm, write_pgm
 
@@ -95,6 +92,12 @@ def test_unknown_preset_exits_2(tmp_path, run_cli, capsys):
         ["ifs", "--size", "1000000", "--out", "o.pgm"],
         ["bifurcate", "--mu-steps", "100000000", "--out", "o.csv"],
         ["bifurcate", "--discard", str(10**12), "--out", "o.csv"],
+        ["iterate", "--system", "henon", "--steps", str(10**13), "--out", "o.csv"],
+        ["ifs", "--steps", "100000", "--out", "o.pgm"],
+        ["mandelbrot", "--nmax", str(10**9), "--out", "o.pgm"],
+        ["mandelbrot", "--nmax", str(2**31), "--out", "o.pgm"],
+        ["bifurcate", "--mu-range", "2.8:4.0", "--x0", "1.5", "--out", "o.csv"],
+        ["bifurcate", "--mu-range", "2.8:4.0", "--x0", "nan", "--out", "o.csv"],
     ],
 )
 def test_validation_failures_exit_2_without_output(argv, tmp_path, run_cli, monkeypatch):
@@ -251,21 +254,22 @@ def test_runtime_failure_exits_1_without_output(tmp_path, run_cli, capsys):
     assert not out.exists()
 
 
-def test_diverging_sweep_exits_1_with_one_line(tmp_path):
-    # from x0 = 1.5 every orbit runs off to -inf; the overflowing lanes must
-    # not add numpy warnings to the one-line diagnostic
-    out = tmp_path / "b.csv"
-    child = subprocess.run(
-        [sys.executable, "-m", "chaoscope", "bifurcate", "--mu-range", "2.8:4.0",
-         "--x0", "1.5", "--out", str(out)],
-        capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": str(Path(c.__file__).parents[1])},
-    )
-    assert child.returncode == 1
-    assert child.stderr == (
-        "chaoscope bifurcate: NonFiniteState: orbit diverged at parameter 2.8, iterate 10\n"
-    )
+@pytest.mark.parametrize("x0", ["1.5", "-0.1", "nan"])
+def test_bifurcate_refuses_x0_outside_unit_interval_like_cobweb(x0, tmp_path, run_cli, capsys,
+                                                                monkeypatch):
+    # one check and one message for the logistic start in both commands
+    monkeypatch.chdir(tmp_path)
+    for argv in (["cobweb"], ["bifurcate", "--mu-range", "2.8:4.0"]):
+        code, _ = run_cli(argv + ["--x0", x0, "--out", "o.csv"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"chaoscope {argv[0]}: x0 must lie in [0, 1], got {float(x0)}\n"
+        )
     assert list(tmp_path.iterdir()) == []
+
+
+def test_warmup_help_names_the_cipher_cap():
+    assert cli._WARMUP_HELP == f"keystream warmup iterates, 256 to {MAX_WARMUP}"
 
 
 def test_decrypt_bad_container_is_runtime_error(tmp_path, run_cli):

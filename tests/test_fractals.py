@@ -26,6 +26,45 @@ from conftest import full_grid_ifs_iterate, full_grid_mandelbrot
 CLASSIC_WINDOW = ComplexWindow(-2.4, 1.2, -1.5, 1.5, 0.005)
 
 
+def test_escape_cap_counts_pixels_times_nmax(monkeypatch):
+    window = ComplexWindow(-2.0, 0.5, -1.0, 1.0, 0.05)  # 51x41 pixels
+    pixels = window.nx * window.ny
+    assert pixels > fractals._MIN_ESCAPE_PIXELS
+    monkeypatch.setattr(fractals, "MAX_ESCAPE_ITERATES", 30 * pixels)
+    assert mandelbrot_grid(window, 30).nmax == 30
+    with pytest.raises(GridTooLarge):
+        mandelbrot_grid(window, 31)
+    # a small grid is charged as _MIN_ESCAPE_PIXELS pixels
+    tiny = ComplexWindow(-0.1, 0.1, -0.1, 0.1, 0.1)
+    monkeypatch.setattr(fractals, "MAX_ESCAPE_ITERATES", 10 * fractals._MIN_ESCAPE_PIXELS)
+    assert mandelbrot_grid(tiny, 10).nmax == 10
+    with pytest.raises(GridTooLarge):
+        mandelbrot_grid(tiny, 11)
+
+
+@pytest.mark.parametrize("nmax", [10**9, 2**31, 2**63])
+def test_escape_cap_refuses_long_runs_and_int32_overflowing_nmax(nmax):
+    with pytest.raises(GridTooLarge):
+        mandelbrot_grid(ComplexWindow(-0.1, 0.1, -0.1, 0.1, 0.1), nmax)
+
+
+def test_ifs_cap_counts_pixels_times_steps(monkeypatch):
+    start = BinaryImage.full(64, 64)
+    monkeypatch.setattr(fractals, "MAX_IFS_PIXEL_STEPS", 3 * 64 * 64)
+    assert ifs_iterate(sierpinski_ifs(), start, 3).bits.shape == (64, 64)
+    with pytest.raises(GridTooLarge):
+        ifs_iterate(sierpinski_ifs(), start, 4)
+    # a small image is charged as _MIN_IFS_PIXELS pixels
+    small = BinaryImage.full(4, 4)
+    monkeypatch.setattr(fractals, "MAX_IFS_PIXEL_STEPS", 5 * fractals._MIN_IFS_PIXELS)
+    assert ifs_iterate(sierpinski_ifs(), small, 5).bits.shape == (4, 4)
+    with pytest.raises(GridTooLarge):
+        ifs_iterate(sierpinski_ifs(), small, 6)
+    monkeypatch.undo()
+    with pytest.raises(GridTooLarge):
+        ifs_iterate(sierpinski_ifs(), BinaryImage.full(1024, 1024), 100_000)
+
+
 def test_window_sample_counts_match_meshgrid():
     assert CLASSIC_WINDOW.nx == 721
     assert CLASSIC_WINDOW.ny == 601

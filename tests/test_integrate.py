@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from chaoscope.errors import (
     ChaoscopeError,
     DomainError,
+    GridTooLarge,
     MaxStepsExceeded,
     NonFiniteState,
     StepUnderflow,
@@ -201,6 +203,22 @@ def test_iterate_preconditions():
         iterate_map(lambda s: s, [0.1], 0, 0)
     with pytest.raises(DomainError):
         iterate_map(lambda s: s, [0.1], 5, -1)
+
+
+def test_iterate_cap_counts_every_value_and_refuses_before_iterating(monkeypatch):
+    # the package attribute `integrate` is the function, so fetch the module
+    module = importlib.import_module("chaoscope.integrate")
+    monkeypatch.setattr(module, "MAX_ORBIT_VALUES", 12)
+    assert iterate_map(lambda s: s, [0.1, 0.2], 6).points.shape == (6, 2)
+
+    def step(s):
+        raise AssertionError("the orbit started")
+
+    with pytest.raises(GridTooLarge):
+        iterate_map(step, [0.1, 0.2], 7, 6)  # discarded iterates count too
+    monkeypatch.undo()
+    with pytest.raises(GridTooLarge):
+        iterate_map(step, [0.1, 0.2], 10**13)
 
 
 def test_map_orbit_requires_points():
