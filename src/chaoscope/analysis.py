@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from .errors import DomainError, GridTooLarge, NonFiniteState, SeparationUnderflow
-from .integrate import FieldFn, IntegratorConfig, Trajectory, as_state
+from .integrate import MAX_ORBIT_VALUES, FieldFn, IntegratorConfig, Trajectory, as_state
 from .systems import LogisticParams, LorenzParams, check_logistic_x0, logistic_step
 
 #: Number of uniform sample times the divergence probe projects both twin
@@ -87,11 +88,21 @@ class CobwebTrace:
     curve_samples: np.ndarray
 
 
-def cobweb_trace(p: LogisticParams, x0: float, n: int, curve_points: int = 512) -> CobwebTrace:
-    """Graphical iteration of the logistic map: 2n staircase vertices after (x0, 0)."""
+def cobweb_trace(p: LogisticParams, x0: float, n: int) -> CobwebTrace:
+    """Graphical iteration of the logistic map: 2n staircase vertices after (x0, 0).
+
+    Traces of more than integrate.MAX_ORBIT_VALUES values, 2 * (2n + 1),
+    raise GridTooLarge before anything is allocated.
+    """
     check_logistic_x0(x0)
+    n = operator.index(n)
     if n < 1:
         raise DomainError("n must be a positive integer")
+    if 2 * (2 * n + 1) > MAX_ORBIT_VALUES:
+        raise GridTooLarge(
+            f"{n} steps make {2 * (2 * n + 1)} trace values, over the "
+            f"{MAX_ORBIT_VALUES}-value cap"
+        )
     verts = np.empty((2 * n + 1, 2), dtype=np.float64)
     verts[0] = (x0, 0.0)
     x = x0
@@ -100,8 +111,8 @@ def cobweb_trace(p: LogisticParams, x0: float, n: int, curve_points: int = 512) 
         verts[2 * k + 1] = (x, nxt)
         verts[2 * k + 2] = (nxt, nxt)
         x = nxt
-    xs = np.linspace(0.0, 1.0, max(curve_points, 256))
-    curve = np.column_stack([xs, p.mu * xs * (1.0 - xs)])
+    xs = np.linspace(0.0, 1.0, 512)
+    curve = np.column_stack([xs, logistic_step(p, xs)])
     return CobwebTrace(vertices=verts, curve_samples=curve)
 
 
@@ -134,6 +145,7 @@ def bifurcation_scan(
     first non-finite iterate.  Sweeps over MAX_SCAN_ROWS kept rows or
     MAX_SCAN_ITERATES iterates raise GridTooLarge before any allocation.
     """
+    p_steps, discard, keep = map(operator.index, (p_steps, discard, keep))
     if not p_lo < p_hi:
         raise DomainError("need p_lo < p_hi")
     if p_steps < 1:

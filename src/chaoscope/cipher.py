@@ -15,12 +15,13 @@ reproducible across platforms with IEEE-754 double arithmetic
 from __future__ import annotations
 
 import math
+import operator
 import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateOrbit, DomainError, FormatError
+from .errors import DegenerateOrbit, DomainError, FormatError, GridTooLarge
 
 CONTAINER_MAGIC = b"CHX1"
 CONTAINER_VERSION = 1
@@ -31,6 +32,15 @@ _TWO32 = 4294967296.0
 #: Largest accepted warmup: about half a second of keystream iterates, so a
 #: container header cannot make decryption spin for hours.
 MAX_WARMUP = 1_000_000
+
+#: Caps of avalanche_test, checked before any keystream is generated.  Its
+#: three keystreams cost about 400-430 ns per byte together and peak at
+#: about 11 bytes per byte (tracemalloc, 1 and 4 MiB), so MAX_AVALANCHE_BYTES
+#: takes about 12-13 s and 0.33 GB.  Each trial adds one list entry, about
+#: 16 bytes and 80-130 ns, so MAX_AVALANCHE_TRIALS adds about 0.17 GB and
+#: 1-1.3 s.
+MAX_AVALANCHE_BYTES = 30_000_000
+MAX_AVALANCHE_TRIALS = 10_000_000
 
 #: Iterates per chunk of the keystream loop: 64 KiB of output bytes.
 _CHUNK = 65536
@@ -131,12 +141,19 @@ def avalanche_test(key: ChaosKey, n_bytes: int, trials: int) -> float:
     Each trial nudges x0 by one unit in the last place, alternating the sign
     across trials, and measures the XOR bit fraction against the unperturbed
     stream.  A well-diffusing map scores close to 0.5.  Only two nudged keys
-    exist, so three keystreams serve every trial.
+    exist, so three keystreams serve every trial.  More than
+    MAX_AVALANCHE_BYTES bytes or MAX_AVALANCHE_TRIALS trials raise
+    GridTooLarge.
     """
+    n_bytes, trials = operator.index(n_bytes), operator.index(trials)
     if n_bytes < 1024:
         raise DomainError("n_bytes must be at least 1024")
     if trials < 8:
         raise DomainError("trials must be at least 8")
+    if n_bytes > MAX_AVALANCHE_BYTES:
+        raise GridTooLarge(f"{n_bytes} bytes exceed the {MAX_AVALANCHE_BYTES}-byte cap")
+    if trials > MAX_AVALANCHE_TRIALS:
+        raise GridTooLarge(f"{trials} trials exceed the {MAX_AVALANCHE_TRIALS}-trial cap")
     up = replace(key, x0=math.nextafter(key.x0, 1.0))
     base = keystream(key, n_bytes)
     up_fraction = _bit_fraction(base, keystream(up, n_bytes))

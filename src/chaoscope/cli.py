@@ -27,7 +27,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import ChaoscopeError, DomainError, FormatError, GridTooLarge
+from .errors import ChaoscopeError, DomainError, FormatError, GridTooLarge, lookup_preset
 
 KEY_ENV_VAR = "CHAOSCOPE_KEY"
 
@@ -217,11 +217,7 @@ def _ifs(args) -> None:
     from .formats import write_pgm
     from .fractals import IFS_PRESETS, BinaryImage, ifs_iterate
 
-    try:
-        make = IFS_PRESETS[args.preset]
-    except KeyError:
-        known = ", ".join(sorted(IFS_PRESETS))
-        raise DomainError(f"unknown IFS preset '{args.preset}' (known: {known})")
+    make = lookup_preset(IFS_PRESETS, args.preset, "IFS")
     if args.size < 2:
         raise DomainError("--size must be at least 2")
     if args.size > IFS_MAX_SIZE:

@@ -23,6 +23,7 @@ exhaustive scan (see ``pifs_encode``).
 
 from __future__ import annotations
 
+import operator
 import struct
 from dataclasses import dataclass
 from typing import Optional
@@ -68,6 +69,7 @@ MAX_PIXELS = 3_000_000
 def _check_blocks(width: int, height: int, range_size: int) -> None:
     """An image must stay within MAX_PIXELS, tile into range blocks and fit
     one 2*range_size domain."""
+    width, height, range_size = map(operator.index, (width, height, range_size))
     if width * height > MAX_PIXELS:
         raise GridTooLarge(f"{width}x{height} image exceeds the {MAX_PIXELS}-pixel cap")
     if range_size < 1:

@@ -17,6 +17,15 @@ class UnknownPreset(DomainError):
     """A system or IFS preset name is not registered."""
 
 
+def lookup_preset(table, name: str, what: str):
+    """table[name], or UnknownPreset listing the names of the ``what`` presets."""
+    try:
+        return table[name]
+    except KeyError:
+        known = ", ".join(sorted(table))
+        raise UnknownPreset(f"unknown {what} preset '{name}' (known: {known})") from None
+
+
 class NonFiniteState(ChaoscopeError):
     """A state or vector-field value became NaN/Inf.
 
@@ -41,9 +50,9 @@ class SeparationUnderflow(ChaoscopeError):
 
 
 class GridTooLarge(DomainError):
-    """A raster (escape grid, IFS image, PIFS code), a map orbit, a
-    bifurcation sweep, or the iterations of an escape grid or IFS run would
-    exceed its cap."""
+    """A raster (escape grid, IFS image, PIFS code), a map orbit, a cobweb
+    trace, a bifurcation sweep, an avalanche run, or the iterations of an
+    escape grid or IFS run would exceed its cap."""
 
 
 class EmptyImage(DomainError):

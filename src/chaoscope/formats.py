@@ -146,7 +146,7 @@ def write_trajectory_csv(series: Series, path) -> None:
 
         header = ["x", "y"]
         if isinstance(series, CobwebTrace):
-            rows = series.vertices.tolist()
+            rows = zip(*series.vertices.T.tolist())
         elif isinstance(series, BifurcationDiagram):
             # the parameter repeats over each kept run: format it once per
             # run, a block of rows at a time

@@ -10,6 +10,7 @@ counts (naive repeated addition misses that by 1 ulp on many rows).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -121,28 +122,28 @@ def mandelbrot_grid(
     window: ComplexWindow,
     nmax: int,
     threshold: float = 4.0,
-    max_pixels: int = DEFAULT_MAX_PIXELS,
 ) -> EscapeGrid:
     """Escape-time counts for w <- w^2 + z over the sampled window.
 
     A point's count is the first N (1-based, tested after the square-add)
     with |w_N| > threshold; points that never escape within nmax iterations
     carry count nmax.  threshold must be at least 2, the proven escape
-    radius.  A grid over max_pixels pixels, or over MAX_ESCAPE_ITERATES
-    pixel-iterations, raises GridTooLarge.
+    radius.  A grid over DEFAULT_MAX_PIXELS pixels, or over
+    MAX_ESCAPE_ITERATES pixel-iterations, raises GridTooLarge.
 
     The grid is walked in tiles of whole rows.  Each tile iterates only its
     active pixels, as compacted flat index, z and w arrays, so memory is the
     int32 counts plus O(tile) and the work follows the useful iterations.
     Every active pixel sees the same float operations as a full-grid update.
     """
+    nmax = operator.index(nmax)
     if nmax < 1:
         raise DomainError("nmax must be a positive integer")
     if not threshold >= 2.0:  # also refuses NaN
         raise DomainError(f"threshold must be >= 2, got {threshold}")
     nx, ny = window.nx, window.ny
-    if nx * ny > max_pixels:
-        raise GridTooLarge(f"{nx}x{ny} grid exceeds the {max_pixels}-pixel cap")
+    if nx * ny > DEFAULT_MAX_PIXELS:
+        raise GridTooLarge(f"{nx}x{ny} grid exceeds the {DEFAULT_MAX_PIXELS}-pixel cap")
     if max(nx * ny, _MIN_ESCAPE_PIXELS) * nmax > MAX_ESCAPE_ITERATES:
         raise GridTooLarge(
             f"{nx}x{ny} pixels x nmax {nmax} exceed the {MAX_ESCAPE_ITERATES}-iteration "
@@ -272,6 +273,7 @@ def ifs_iterate(system: IfsSystem, start: BinaryImage, n: int) -> BinaryImage:
     besides the two rasters and does the arithmetic of a per-point pass.
     Runs over MAX_IFS_PIXEL_STEPS pixel-steps raise GridTooLarge.
     """
+    n = operator.index(n)
     if n < 0:
         raise DomainError("n must be non-negative")
     if max(start.bits.size, _MIN_IFS_PIXELS) * n > MAX_IFS_PIXEL_STEPS:

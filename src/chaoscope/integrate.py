@@ -14,6 +14,7 @@ bit-identical outputs on one platform.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
@@ -366,6 +367,7 @@ def iterate_map(
     MAX_ORBIT_VALUES values (n times the dimension, discarded iterates
     included) raise GridTooLarge.
     """
+    n, discard = operator.index(n), operator.index(discard)
     if discard < 0:
         raise DomainError("discard cannot be negative")
     if n <= discard:

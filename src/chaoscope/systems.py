@@ -1,18 +1,18 @@
 """Concrete systems: logistic and Henon maps, Lorenz and Chua flows, 1-D linear.
 
-Each system is a frozen parameter record plus a step or field evaluator.
-``PRESETS`` maps the names the CLI accepts to ready-to-run configurations.
+Each system is a frozen parameter record plus a step or field formula.
+``PRESETS`` maps the names the CLI accepts to their ``SystemPreset`` records.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .errors import DomainError, UnknownPreset
+from .errors import DomainError, lookup_preset
 from .integrate import FloatKernel
 
 
@@ -68,9 +68,18 @@ class Linear1DParams:
             raise DomainError("a must be finite")
 
 
+@dataclass(frozen=True)
+class _NoParams:
+    """The empty parameter record of a preset that takes no parameters."""
+
+
 def logistic_step(p: LogisticParams, x: float) -> float:
     """One iterate mu * x * (1 - x)."""
     return p.mu * x * (1.0 - x)
+
+
+def _logistic(p: LogisticParams, s) -> Tuple[float]:
+    return (p.mu * s[0] * (1.0 - s[0]),)
 
 
 def check_logistic_x0(x0: float) -> None:
@@ -130,10 +139,10 @@ def chua_paper_code_field(s: np.ndarray) -> np.ndarray:
     orbits decay instead of scrolling; the preset exists for faithful
     reproduction, not for the double scroll.
     """
-    return np.array(_chua_paper_code(s))
+    return np.array(_chua_paper_code(_NoParams(), s))
 
 
-def _chua_paper_code(s) -> Tuple[float, float, float]:
+def _chua_paper_code(p: _NoParams, s) -> Tuple[float, float, float]:
     x, y, z = s
     nl = (5.0 / 7.0) * x + 0.5 * (-(8.0 / 7.0) - (-5.0 / 7.0)) * (
         abs(x + 1.0) - abs(x - 1.0)
@@ -146,18 +155,34 @@ def linear_solution(p: Linear1DParams, u0: float, t: float) -> float:
     return u0 * math.exp(p.a * t)
 
 
+def _linear1d(p: Linear1DParams, s) -> Tuple[float]:
+    return (p.a * s[0],)
+
+
 @dataclass(frozen=True)
 class SystemPreset:
-    """A named system the CLI can run: either a flow (field) or a map (step)."""
+    """A named system the CLI can run: a flow or a map, as one record.
+
+    ``formula(p, state)`` is the right-hand side (flow) or the next state
+    (map) as a tuple of Python floats, with ``p`` an instance of
+    ``params_type``; the state's dimension and the parameter names follow
+    from ``default_state`` and the fields of ``params_type``.
+    """
 
     name: str
     kind: str  # "flow" or "map"
-    dimension: int
+    params_type: type
+    formula: Callable
     default_state: Tuple[float, ...]
-    param_names: Tuple[str, ...]
     default_params: Tuple[float, ...]
-    make_field: Optional[Callable[[Tuple[float, ...]], Callable]] = None
-    make_map: Optional[Callable[[Tuple[float, ...]], Callable]] = None
+
+    @property
+    def dimension(self) -> int:
+        return len(self.default_state)
+
+    @property
+    def param_names(self) -> Tuple[str, ...]:
+        return tuple(f.name for f in fields(self.params_type))
 
     def resolve_params(self, params: Optional[Tuple[float, ...]] = None):
         """The given parameters, or the defaults when None, checked for count."""
@@ -172,114 +197,47 @@ class SystemPreset:
             )
         return params
 
+    def _record(self, kind: str, params):
+        if self.kind != kind:
+            raise DomainError(f"preset '{self.name}' is not a {kind}")
+        return self.params_type(*self.resolve_params(params))
+
+    # Preset fields and maps are FloatKernels: integrate and iterate_map run
+    # the formula on Python floats, and called with an ndarray they return
+    # what the public ndarray functions above return.
+
     def field(self, params: Optional[Tuple[float, ...]] = None):
         """Callable (t, state) -> derivative, for flow presets."""
-        if self.make_field is None:
-            raise DomainError(f"preset '{self.name}' is not a flow")
-        return self.make_field(self.resolve_params(params))
+        p, formula = self._record("flow", params), self.formula
+        return FloatKernel(lambda t, s: formula(p, s))
 
     def map(self, params: Optional[Tuple[float, ...]] = None):
         """Callable state -> next state, for map presets."""
-        if self.make_map is None:
-            raise DomainError(f"preset '{self.name}' is not a map")
-        return self.make_map(self.resolve_params(params))
-
-
-# Preset fields and maps are FloatKernels: integrate and iterate_map run
-# their formulas on Python floats, and called with an ndarray they return
-# what the public ndarray functions above return.
-
-def _logistic_map(params):
-    p = LogisticParams(*params)
-    return FloatKernel(lambda s: (logistic_step(p, s[0]),))
-
-
-def _henon_map(params):
-    p = HenonParams(*params)
-    return FloatKernel(lambda s: henon_step(p, s))
-
-
-def _lorenz_flow(params):
-    p = LorenzParams(*params)
-    return FloatKernel(lambda t, s: _lorenz(p, s))
-
-
-def _chua_flow(params):
-    p = ChuaParams(*params)
-    return FloatKernel(lambda t, s: _chua(p, s))
-
-
-def _chua_paper_code_flow(params):
-    return FloatKernel(lambda t, s: _chua_paper_code(s))
-
-
-def _linear1d_flow(params):
-    p = Linear1DParams(*params)
-    return FloatKernel(lambda t, s: (p.a * s[0],))
+        p, formula = self._record("map", params), self.formula
+        return FloatKernel(lambda s: formula(p, s))
 
 
 PRESETS = {
-    "logistic": SystemPreset(
-        name="logistic",
-        kind="map",
-        dimension=1,
-        default_state=(0.2,),
-        param_names=("mu",),
-        default_params=(3.8282,),
-        make_map=_logistic_map,
-    ),
-    "henon": SystemPreset(
-        name="henon",
-        kind="map",
-        dimension=2,
-        default_state=(0.1, 0.0),
-        param_names=("a", "b"),
-        default_params=(1.2, 0.4),
-        make_map=_henon_map,
-    ),
-    "lorenz": SystemPreset(
-        name="lorenz",
-        kind="flow",
-        dimension=3,
-        default_state=(15.0, 20.0, 30.0),
-        param_names=("sigma", "r", "b"),
-        default_params=(10.0, 28.0, 8.0 / 3.0),
-        make_field=_lorenz_flow,
-    ),
-    "chua": SystemPreset(
-        name="chua",
-        kind="flow",
-        dimension=3,
-        default_state=(-1.6, 0.0, 1.6),
-        param_names=("c1", "c2", "c3", "m0", "m1"),
-        default_params=(15.0, 1.0, 25.58, -8.0 / 7.0, -5.0 / 7.0),
-        make_field=_chua_flow,
-    ),
-    "chua-paper-code": SystemPreset(
-        name="chua-paper-code",
-        kind="flow",
-        dimension=3,
-        default_state=(-1.6, 0.0, 1.6),
-        param_names=(),
-        default_params=(),
-        make_field=_chua_paper_code_flow,
-    ),
-    "linear1d": SystemPreset(
-        name="linear1d",
-        kind="flow",
-        dimension=1,
-        default_state=(1.0,),
-        param_names=("a",),
-        default_params=(1.0,),
-        make_field=_linear1d_flow,
-    ),
+    p.name: p
+    for p in (
+        SystemPreset("logistic", "map", LogisticParams, _logistic, (0.2,), (3.8282,)),
+        SystemPreset("henon", "map", HenonParams, henon_step, (0.1, 0.0), (1.2, 0.4)),
+        SystemPreset(
+            "lorenz", "flow", LorenzParams, _lorenz, (15.0, 20.0, 30.0),
+            (10.0, 28.0, 8.0 / 3.0),
+        ),
+        SystemPreset(
+            "chua", "flow", ChuaParams, _chua, (-1.6, 0.0, 1.6),
+            (15.0, 1.0, 25.58, -8.0 / 7.0, -5.0 / 7.0),
+        ),
+        SystemPreset(
+            "chua-paper-code", "flow", _NoParams, _chua_paper_code, (-1.6, 0.0, 1.6), (),
+        ),
+        SystemPreset("linear1d", "flow", Linear1DParams, _linear1d, (1.0,), (1.0,)),
+    )
 }
 
 
 def preset(name: str) -> SystemPreset:
     """Look up a preset by its exact name."""
-    try:
-        return PRESETS[name]
-    except KeyError:
-        known = ", ".join(sorted(PRESETS))
-        raise UnknownPreset(f"unknown system preset '{name}' (known: {known})") from None
+    return lookup_preset(PRESETS, name, "system")

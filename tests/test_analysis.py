@@ -111,6 +111,8 @@ def test_cobweb_shape_and_curve():
     assert len(trace.curve_samples) >= 256
     assert trace.curve_samples[0][0] == 0.0
     assert trace.curve_samples[-1][0] == 1.0
+    xs = np.linspace(0.0, 1.0, 512)
+    assert np.array_equal(trace.curve_samples, np.column_stack([xs, 3.5 * xs * (1.0 - xs)]))
 
 
 @settings(max_examples=50)
@@ -135,6 +137,16 @@ def test_cobweb_staircase_continuity(mu, x0, n):
         on_curve = abs(y - c.logistic_step(p, x)) <= 1e-12
         on_diagonal = abs(y - x) <= 1e-12
         assert on_curve or on_diagonal
+
+
+def test_cobweb_cap_counts_trace_values_and_refuses_before_tracing(monkeypatch):
+    monkeypatch.setattr(c.analysis, "MAX_ORBIT_VALUES", 2 * (2 * 5 + 1))
+    assert cobweb_trace(LogisticParams(3.9), 0.2, 5).vertices.shape == (11, 2)
+    with pytest.raises(GridTooLarge):
+        cobweb_trace(LogisticParams(3.9), 0.2, 6)
+    monkeypatch.undo()
+    with pytest.raises(GridTooLarge):
+        cobweb_trace(LogisticParams(3.9), 0.2, 10**9)
 
 
 def test_cobweb_domain_checks():

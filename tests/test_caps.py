@@ -1,0 +1,99 @@
+"""The size caps: the README's cap table against the module constants, and
+numpy integer counts, which must meet the caps as Python ints do."""
+
+import importlib
+import re
+import warnings
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import chaoscope as c
+from chaoscope.errors import GridTooLarge
+
+README = Path(__file__).parents[1] / "README.md"
+
+#: The constant of each row with a "counts as at least N" floor, and the
+#: constant that holds N.
+FLOORS = {
+    "fractals.MAX_ESCAPE_ITERATES": "fractals._MIN_ESCAPE_PIXELS",
+    "fractals.MAX_IFS_PIXEL_STEPS": "fractals._MIN_IFS_PIXELS",
+    "analysis.MAX_SCAN_ITERATES": "analysis._MIN_LANES",
+}
+
+
+def _constant(dotted: str):
+    module, name = dotted.split(".")
+    return getattr(importlib.import_module(f"chaoscope.{module}"), name)
+
+
+def _cap_rows():
+    """The cells of each body row of the README's cap table."""
+    lines = README.read_text(encoding="utf-8").splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("| command and flags |"))
+    rows = []
+    for line in lines[start + 2 :]:
+        if not line.startswith("|"):
+            break
+        rows.append([cell.strip() for cell in line.strip("|").split("|")])
+    return rows
+
+
+def _number(text: str) -> int:
+    return int(text.replace(",", ""))
+
+
+def test_readme_cap_table_matches_the_constants():
+    rows = _cap_rows()
+    named = []
+    for flags, limit, _, measured in rows:
+        constant = re.search(r"\(`(\w+\.\w+)`\)", limit).group(1)
+        named.append(constant)
+        assert _number(re.match(r"[\d,]+", limit).group()) == _constant(constant), flags
+        floor = re.search(r"counts as at least ([\d,]+)", measured)
+        if constant in FLOORS:
+            assert _number(floor.group(1)) == _constant(FLOORS[constant]), flags
+        else:
+            assert floor is None, flags
+    assert set(named) == {
+        "analysis.MAX_SCAN_ITERATES", "analysis.MAX_SCAN_ROWS",
+        "cipher.MAX_AVALANCHE_BYTES", "cipher.MAX_AVALANCHE_TRIALS", "cipher.MAX_WARMUP",
+        "cli.IFS_MAX_SIZE", "compression.MAX_PIXELS", "fractals.DEFAULT_MAX_PIXELS",
+        "fractals.MAX_ESCAPE_ITERATES", "fractals.MAX_IFS_PIXEL_STEPS",
+        "integrate.MAX_ORBIT_VALUES",
+    }
+
+
+BIG = np.int64(2**62)
+TINY = c.ComplexWindow(-0.1, 0.1, -0.1, 0.1, 0.1)
+
+
+def _logistic(mu, x):
+    return mu * x * (1.0 - x)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: c.mandelbrot_grid(TINY, BIG),
+        lambda: c.ifs_iterate(c.sierpinski_ifs(), c.BinaryImage.full(4, 4), BIG),
+        lambda: c.bifurcation_scan(_logistic, 3.0, 4.0, BIG, 0.3, 100, 1),
+        lambda: c.bifurcation_scan(_logistic, 3.0, 4.0, 2, 0.3, BIG, 1),
+        lambda: c.bifurcation_scan(_logistic, 3.0, 4.0, 2, 0.3, 100, BIG),
+        lambda: c.iterate_map(c.preset("henon").map(None), [0.1, 0.0], BIG),
+        lambda: c.cobweb_trace(c.LogisticParams(3.9), 0.2, BIG),
+        lambda: c.avalanche_test(c.ChaosKey(3.9, 0.3), BIG, 8),
+        lambda: c.avalanche_test(c.ChaosKey(3.9, 0.3), 1024, BIG),
+        lambda: c.PifsCode(BIG, BIG, 8, np.empty((0, 5), dtype=np.int64)),
+    ],
+    ids=["mandelbrot-nmax", "ifs-n", "bifurcation-p_steps", "bifurcation-discard",
+         "bifurcation-keep", "iterate-n", "cobweb-n", "avalanche-bytes",
+         "avalanche-trials", "pifs-width-height"],
+)
+def test_numpy_integer_counts_meet_the_caps(call):
+    # a numpy product would overflow, warn and pass the check
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GridTooLarge):
+            call()

@@ -18,7 +18,7 @@ from chaoscope.cipher import (
     pack_container,
     unpack_container,
 )
-from chaoscope.errors import DegenerateOrbit, DomainError, FormatError
+from chaoscope.errors import DegenerateOrbit, DomainError, FormatError, GridTooLarge
 
 from conftest import loop_avalanche_test, loop_keystream
 
@@ -128,6 +128,23 @@ def test_avalanche_preconditions():
         avalanche_test(key, 512, 8)
     with pytest.raises(DomainError):
         avalanche_test(key, 2048, 4)
+
+
+def test_avalanche_caps_refuse_before_any_keystream(monkeypatch):
+    key = ChaosKey(3.9, 0.3, 256)
+    monkeypatch.setattr(cipher, "MAX_AVALANCHE_BYTES", 2048)
+    monkeypatch.setattr(cipher, "MAX_AVALANCHE_TRIALS", 9)
+    assert 0.0 < avalanche_test(key, 2048, 9) < 1.0
+    with mock.patch.object(cipher, "keystream", side_effect=AssertionError("ran")):
+        with pytest.raises(GridTooLarge):
+            avalanche_test(key, 2049, 8)
+        with pytest.raises(GridTooLarge):
+            avalanche_test(key, 2048, 10)
+    monkeypatch.undo()
+    with pytest.raises(GridTooLarge):
+        avalanche_test(key, 10**11, 16)
+    with pytest.raises(GridTooLarge):
+        avalanche_test(key, 10240, 10**9)
 
 
 def test_bit_difference_identical_keys_is_zero():

@@ -98,12 +98,25 @@ def test_unknown_preset_exits_2(tmp_path, run_cli, capsys):
         ["mandelbrot", "--nmax", str(2**31), "--out", "o.pgm"],
         ["bifurcate", "--mu-range", "2.8:4.0", "--x0", "1.5", "--out", "o.csv"],
         ["bifurcate", "--mu-range", "2.8:4.0", "--x0", "nan", "--out", "o.csv"],
+        ["cobweb", "--steps", "1000000000", "--out", "o.csv"],
+        ["cobweb", "--steps", "30000000", "--out", "o.csv"],
+        ["avalanche", "--key", "3.9,0.3", "--bytes", "100000000000"],
+        ["avalanche", "--key", "3.9,0.3", "--trials", "1000000000"],
     ],
 )
 def test_validation_failures_exit_2_without_output(argv, tmp_path, run_cli, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, _ = run_cli(argv)
     assert code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_unknown_ifs_preset_exits_2_with_one_line(tmp_path, run_cli, capsys):
+    code, _ = run_cli(["ifs", "--preset", "nope", "--out", str(tmp_path / "o.pgm")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "chaoscope ifs: unknown IFS preset 'nope' (known: sierpinski)\n"
+    )
     assert list(tmp_path.iterdir()) == []
 
 

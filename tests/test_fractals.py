@@ -136,15 +136,16 @@ def test_mandelbrot_threshold_insensitivity_on_classic_window():
     assert disagree <= 0.001
 
 
-def test_mandelbrot_preconditions():
+def test_mandelbrot_preconditions(monkeypatch):
     with pytest.raises(DomainError):
         mandelbrot_grid(CLASSIC_WINDOW, 50, 1.9)
     with pytest.raises(DomainError):
         mandelbrot_grid(CLASSIC_WINDOW, 50, math.nan)
     with pytest.raises(DomainError):
         mandelbrot_grid(CLASSIC_WINDOW, 0, 4.0)
+    monkeypatch.setattr(fractals, "DEFAULT_MAX_PIXELS", 1000)
     with pytest.raises(GridTooLarge):
-        mandelbrot_grid(CLASSIC_WINDOW, 50, 4.0, max_pixels=1000)
+        mandelbrot_grid(CLASSIC_WINDOW, 50, 4.0)
 
 
 def test_affine_map_contractivity_enforced():

@@ -204,6 +204,51 @@ def test_preset_registry():
         preset("nosuch")
 
 
+#: name: (kind, dimension, param_names, default_state, default_params)
+PRESET_RECORDS = {
+    "logistic": ("map", 1, ("mu",), (0.2,), (3.8282,)),
+    "henon": ("map", 2, ("a", "b"), (0.1, 0.0), (1.2, 0.4)),
+    "lorenz": ("flow", 3, ("sigma", "r", "b"), (15.0, 20.0, 30.0), (10.0, 28.0, 8.0 / 3.0)),
+    "chua": ("flow", 3, ("c1", "c2", "c3", "m0", "m1"), (-1.6, 0.0, 1.6),
+             (15.0, 1.0, 25.58, -8.0 / 7.0, -5.0 / 7.0)),
+    "chua-paper-code": ("flow", 3, (), (-1.6, 0.0, 1.6), ()),
+    "linear1d": ("flow", 1, ("a",), (1.0,), (1.0,)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRESET_RECORDS))
+def test_preset_records_are_unchanged(name):
+    p = preset(name)
+    assert p.name == name
+    assert (p.kind, p.dimension, p.param_names, p.default_state, p.default_params) == (
+        PRESET_RECORDS[name]
+    )
+    assert p.resolve_params(None) == p.default_params
+
+
+@pytest.mark.parametrize("name", sorted(PRESET_RECORDS))
+def test_preset_kind_and_count_messages_are_unchanged(name):
+    p = preset(name)
+    kind, _, names, _, _ = PRESET_RECORDS[name]
+    other, build = ("map", p.map) if kind == "flow" else ("flow", p.field)
+    with pytest.raises(DomainError, match=f"^preset '{name}' is not a {other}$"):
+        build(None)
+    listed = ",".join(names) or "(none)"
+    want = f"system '{name}' takes {len(names)} parameters ({listed}), got 6"
+    with pytest.raises(DomainError) as err:
+        (p.field if kind == "flow" else p.map)((1.0,) * 6)
+    assert str(err.value) == want
+
+
+def test_unknown_preset_message_is_unchanged():
+    with pytest.raises(UnknownPreset) as err:
+        preset("nosuch")
+    assert str(err.value) == (
+        "unknown system preset 'nosuch' "
+        "(known: chua, chua-paper-code, henon, linear1d, logistic, lorenz)"
+    )
+
+
 def test_preset_kind_mismatch_raises():
     with pytest.raises(DomainError):
         preset("lorenz").map(None)
