@@ -103,14 +103,17 @@ def cobweb_trace(p: LogisticParams, x0: float, n: int) -> CobwebTrace:
             f"{n} steps make {2 * (2 * n + 1)} trace values, over the "
             f"{MAX_ORBIT_VALUES}-value cap"
         )
+    x, iterates = x0, [x0]
+    for _ in range(n):
+        x = logistic_step(p, x)
+        iterates.append(x)
+    orbit = np.array(iterates, dtype=np.float64)
+    # (x0, 0), then (x_k, x_k+1) and (x_k+1, x_k+1) for each step k
     verts = np.empty((2 * n + 1, 2), dtype=np.float64)
     verts[0] = (x0, 0.0)
-    x = x0
-    for k in range(n):
-        nxt = logistic_step(p, x)
-        verts[2 * k + 1] = (x, nxt)
-        verts[2 * k + 2] = (nxt, nxt)
-        x = nxt
+    verts[1::2, 0] = orbit[:-1]
+    verts[1::2, 1] = orbit[1:]
+    verts[2::2] = orbit[1:, None]
     xs = np.linspace(0.0, 1.0, 512)
     curve = np.column_stack([xs, logistic_step(p, xs)])
     return CobwebTrace(vertices=verts, curve_samples=curve)

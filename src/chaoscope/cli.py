@@ -31,8 +31,8 @@ from .errors import ChaoscopeError, DomainError, FormatError, GridTooLarge, look
 
 KEY_ENV_VAR = "CHAOSCOPE_KEY"
 
-#: Largest ``ifs --size``: ifs_iterate peaks at about 3 bytes per pixel at
-#: 2048^2 and 6 at 1024^2 (tracemalloc, sierpinski from a full start image,
+#: Largest ``ifs --size``: ifs_iterate peaks at about 3.3 bytes per pixel
+#: from 1024^2 to 3500^2 (tracemalloc, sierpinski from a full start image,
 #: 7 steps), and the start image and the PGM writer add about 4, so 3500^2
 #: pixels need about 0.1 GB.
 IFS_MAX_SIZE = 3500

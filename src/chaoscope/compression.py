@@ -65,6 +65,16 @@ PSNR_CAP_DB = 99.0
 #: same.  It also keeps the decoder's int32 flat source indices exact.
 MAX_PIXELS = 3_000_000
 
+#: Cap on the work of pifs_decode, pixels x iterations, checked before
+#: anything is allocated.  A pass costs about 30-50 ns per pixel for range
+#: size 8 (512^2 to 1728^2) and about 80 ns for range size 1 at 1728^2, whose
+#: scattered gathers miss the cache, and at least about 17-29 us however
+#: small the image, so an image is charged as at least _MIN_DECODE_PIXELS
+#: pixels.  A decode at the cap takes about 6-22 s (random codes at 512^2 and
+#: 1728^2, and at 2^2 and 16^2 under that floor).
+MAX_DECODE_PIXEL_PASSES = 200_000_000
+_MIN_DECODE_PIXELS = 256
+
 
 def _check_blocks(width: int, height: int, range_size: int) -> None:
     """An image must stay within MAX_PIXELS, tile into range blocks and fit
@@ -302,11 +312,19 @@ def pifs_decode(
     ordered like the output image.  A pass is then one gather of the four
     sources of every output pixel, their uint16 sum, and the gray map in
     the per-block loop's float64 operation order, which keeps the output
-    bit-identical to it.
+    bit-identical to it.  More than MAX_DECODE_PIXEL_PASSES pixel-passes
+    raise GridTooLarge.
     """
+    iterations = operator.index(iterations)
     if iterations < 1:
         raise DomainError("iterations must be at least 1")
     h, w = code.height, code.width
+    if max(h * w, _MIN_DECODE_PIXELS) * iterations > MAX_DECODE_PIXEL_PASSES:
+        raise GridTooLarge(
+            f"{w}x{h} pixels x {iterations} iterations exceed the "
+            f"{MAX_DECODE_PIXEL_PASSES}-pixel-pass cap (an image counts as at least "
+            f"{_MIN_DECODE_PIXELS} pixels)"
+        )
     if start is None:
         img = np.full((h, w), 128, dtype=np.uint8)
     else:

@@ -34,10 +34,13 @@ MAX_ESCAPE_ITERATES = 4_000_000_000
 _MIN_ESCAPE_PIXELS = 2048
 
 #: Cap on the pixel-steps of ifs_iterate, pixels x n, checked before anything
-#: is allocated.  A pass costs about 30-80 ns per pixel of a full image
-#: (sierpinski, 1024^2 and 2048^2) and at least about 70 us however small the
-#: image, so an image is charged as at least _MIN_IFS_PIXELS pixels; a run at
-#: the cap takes about 13-21 s.
+#: is allocated.  The row-and-column pass costs about 1-1.5 ns per pixel and
+#: diagonal map, set or not (sierpinski, 1024^2 to 3500^2, full or one-pixel
+#: start), and a pass of three maps at least about 30-40 us however small the
+#: image, so an image is charged as at least _MIN_IFS_PIXELS pixels: a
+#: sierpinski run at the cap takes about 0.5-7 s, the most at that floor.
+#: The per-point pass of three rotated maps costs about 80 ns per pixel of
+#: a full image and at least about 90 us, so about 16-18 s at the cap.
 MAX_IFS_PIXEL_STEPS = 200_000_000
 _MIN_IFS_PIXELS = 1024
 
@@ -46,6 +49,10 @@ _TILE_PIXELS = 1 << 14
 
 #: Pixels per band of the IFS pass, rounded down to whole rows (at least one).
 _BAND_PIXELS = 1 << 16
+
+#: Most sources per target pixel, on either axis, of a diagonal IFS map
+#: that takes the row-and-column pass; each costs one gather per pass.
+_MAX_GATHERS = 16
 
 
 @dataclass(frozen=True)
@@ -262,12 +269,51 @@ class BinaryImage:
         return cls(bits=np.ones((height, width), dtype=bool))
 
 
+def _axis_plan(scale: float, offset: float, centres: np.ndarray):
+    """The rows or columns of a diagonal map as (gathers, targets), or None.
+
+    targets is the slice of pixels that in-range sources land on.  gathers[j]
+    holds the j-th source of each target's group, in target order, repeating
+    a group's last source once the group runs out, so OR-ing the gathers
+    over j ORs each group.  None keeps the map on the per-point pass: no
+    source lands on the square, over _MAX_GATHERS land on one target, or a
+    target that no source lands on lies between two that some do.
+    """
+    size = len(centres)
+    v = (scale * centres + offset) * size
+    src = np.flatnonzero((v >= 0.0) & (v < size))
+    if not len(src):
+        return None
+    tgt = v[src].astype(np.intp)
+    order = np.argsort(tgt, kind="stable")
+    src, tgt = src[order], tgt[order]
+    first = np.flatnonzero(np.diff(tgt, prepend=-1))
+    last = np.append(first[1:], len(src)) - 1
+    depth = int((last - first).max()) + 1
+    if depth > _MAX_GATHERS or tgt[-1] - tgt[0] + 1 != len(first):
+        return None
+    return [src[np.minimum(first + j, last)] for j in range(depth)], slice(tgt[0], tgt[-1] + 1)
+
+
 def ifs_iterate(system: IfsSystem, start: BinaryImage, n: int) -> BinaryImage:
     """Apply the union-of-maps operator n times, rasterized on the start's grid.
 
     Each pass forward-maps the world centers of set pixels through every map
     and writes the nearest pixel; points leaving the unit square are dropped.
 
+    A diagonal map (zero off-diagonal entries, as in every preset) moves
+    rows and columns on their own: pixel (r, c) lands on (Y[r], X[c]), where
+    X[c] truncates v = (l00*cx[c] + o0)*w and exists only if 0 <= v < w, and
+    Y likewise.  That v is the per-point one without its zero cross term.
+    Leaving out a sum with a zero can change only the sign of a zero, and
+    neither the range test nor truncation sees that sign, so the bits are
+    the same.  A pass ORs each group of source rows with one target row by
+    whole-row gathers, then each group of columns by column gathers, and
+    ORs that block into the target rows and columns: O(pixels) boolean work,
+    set or not, and at most _MAX_GATHERS gathers per axis.
+
+    Other maps take the per-point pass, and so does a diagonal map with
+    more than _MAX_GATHERS sources on one target or a gap in its targets.
     Set pixels are gathered in bands of whole rows, and each map's products
     come from per-column and per-row tables, so a pass holds O(band) points
     besides the two rasters and does the arithmetic of a per-point pass.
@@ -286,17 +332,37 @@ def ifs_iterate(system: IfsSystem, start: BinaryImage, n: int) -> BinaryImage:
     h, w = bits.shape
     cx = (np.arange(w) + 0.5) / w
     cy = (np.arange(h) + 0.5) / h
-    # (l00*cx, l10*cx) per column and (l01*cy, l11*cy) per row, so a point's
-    # tx = l00*cx + l01*cy + o0 is the same two products summed in order
-    tables = [
-        (m.linear[0, 0] * cx, m.linear[1, 0] * cx, m.linear[0, 1] * cy,
-         m.linear[1, 1] * cy, m.offset[0], m.offset[1])
-        for m in system.maps
-    ]
+    blocks, tables = [], []
+    for m in system.maps:
+        plan = None
+        if m.linear[0, 1] == 0.0 and m.linear[1, 0] == 0.0:
+            rows = _axis_plan(m.linear[1, 1], m.offset[1], cy)
+            cols = _axis_plan(m.linear[0, 0], m.offset[0], cx)
+            plan = None if rows is None or cols is None else (*rows, *cols)
+        if plan is None:
+            # (l00*cx, l10*cx) per column and (l01*cy, l11*cy) per row, so a
+            # point's tx = l00*cx + l01*cy + o0 is the same two products
+            # summed in order
+            tables.append(
+                (m.linear[0, 0] * cx, m.linear[1, 0] * cx, m.linear[0, 1] * cy,
+                 m.linear[1, 1] * cy, m.offset[0], m.offset[1])
+            )
+        else:
+            blocks.append(plan)
     rows_per_band = max(1, _BAND_PIXELS // w)
+    bands = range(0, h, rows_per_band) if tables else range(0)
     for _ in range(n):
-        nxt = np.zeros(h * w, dtype=bool)
-        for r0 in range(0, h, rows_per_band):
+        nxt = np.zeros((h, w), dtype=bool)
+        for row_gathers, row_targets, col_gathers, col_targets in blocks:
+            block = bits[row_gathers[0]]
+            for src in row_gathers[1:]:
+                block |= bits[src]
+            out = block.take(col_gathers[0], axis=1)
+            for src in col_gathers[1:]:
+                out |= block.take(src, axis=1)
+            nxt[row_targets, col_targets] |= out
+        flat = nxt.reshape(-1)
+        for r0 in bands:
             rows, cols = np.nonzero(bits[r0 : r0 + rows_per_band])
             rows += r0
             for xc, yc, xr, yr, ox, oy in tables:
@@ -307,8 +373,8 @@ def ifs_iterate(system: IfsSystem, start: BinaryImage, n: int) -> BinaryImage:
                 vy = (yc[cols] + yr[rows]) + oy
                 vy *= h
                 ok = (vx >= 0.0) & (vx < w) & (vy >= 0.0) & (vy < h)
-                nxt[vy[ok].astype(np.intp) * w + vx[ok].astype(np.intp)] = True
-        bits = nxt.reshape(h, w)
+                flat[vy[ok].astype(np.intp) * w + vx[ok].astype(np.intp)] = True
+        bits = nxt
     return BinaryImage(bits=bits)
 
 

@@ -5,9 +5,10 @@ and vectorised decoder must reproduce exactly, and the ndarray integrator,
 map loop and byte-loop keystream that the library's float loops must
 reproduce exactly, and the full-grid escape grid and IFS pass that the
 library's tiled kernels must reproduce exactly, and the per-parameter
-bifurcation loop, the two-streams-per-trial avalanche loop and the
-line-list CSV writer that the lane sweep, the three-keystream avalanche
-and the block CSV writer must reproduce exactly."""
+bifurcation loop, the two-streams-per-trial avalanche loop, the row-by-row
+cobweb trace and the line-list CSV writer that the lane sweep, the
+three-keystream avalanche, the column-slice trace and the block CSV writer
+must reproduce exactly."""
 
 import contextlib
 import io
@@ -18,7 +19,7 @@ import numpy as np
 import pytest
 
 import chaoscope as c
-from chaoscope.analysis import BifurcationDiagram
+from chaoscope.analysis import BifurcationDiagram, CobwebTrace
 from chaoscope.cipher import ChaosKey, bit_difference
 from chaoscope.cli import main
 from chaoscope.compression import (
@@ -52,6 +53,7 @@ from chaoscope.integrate import (
     Trajectory,
     as_state,
 )
+from chaoscope.systems import LogisticParams, check_logistic_x0, logistic_step
 
 
 def _gauss_kernel(sigma, radius):
@@ -546,11 +548,12 @@ def full_grid_ifs_iterate(system: IfsSystem, start: BinaryImage, n: int) -> Bina
     return BinaryImage(bits=bits)
 
 
-# The logistic-map sweep, the avalanche harness and the CSV writer as they
-# were written before the lane sweep, the three-keystream avalanche and the
-# block writer, kept unchanged as oracles: one family call per parameter and
-# iterate, two keystreams per trial, one format per row and the whole text
-# held in memory.
+# The logistic-map sweep, the avalanche harness, the cobweb trace and the
+# CSV writer as they were written before the lane sweep, the three-keystream
+# avalanche, the column-slice trace and the block writer, kept unchanged as
+# oracles: one family call per parameter and iterate, two keystreams per
+# trial, two vertex rows written per step, one format per row and the whole
+# text held in memory.
 
 
 def loop_bifurcation_scan(
@@ -615,6 +618,24 @@ def loop_avalanche_test(key: ChaosKey, n_bytes: int, trials: int) -> float:
         other = ChaosKey(mu=key.mu, x0=nudged, warmup=key.warmup)
         fractions.append(bit_difference(key, other, n_bytes))
     return float(np.mean(fractions))
+
+
+def loop_cobweb_trace(p: LogisticParams, x0: float, n: int) -> CobwebTrace:
+    """Graphical iteration of the logistic map: 2n staircase vertices after (x0, 0)."""
+    check_logistic_x0(x0)
+    if n < 1:
+        raise DomainError("n must be a positive integer")
+    verts = np.empty((2 * n + 1, 2), dtype=np.float64)
+    verts[0] = (x0, 0.0)
+    x = x0
+    for k in range(n):
+        nxt = logistic_step(p, x)
+        verts[2 * k + 1] = (x, nxt)
+        verts[2 * k + 2] = (nxt, nxt)
+        x = nxt
+    xs = np.linspace(0.0, 1.0, 512)
+    curve = np.column_stack([xs, logistic_step(p, xs)])
+    return CobwebTrace(vertices=verts, curve_samples=curve)
 
 
 def row_csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:

@@ -23,7 +23,7 @@ from chaoscope.errors import DomainError, GridTooLarge, NonFiniteState, Separati
 from chaoscope.integrate import IntegratorConfig
 from chaoscope.systems import Linear1DParams, LogisticParams, LorenzParams, linear_solution, lorenz_field
 
-from conftest import loop_bifurcation_scan
+from conftest import loop_bifurcation_scan, loop_cobweb_trace
 
 
 def test_classify_linear_trichotomy():
@@ -137,6 +137,19 @@ def test_cobweb_staircase_continuity(mu, x0, n):
         on_curve = abs(y - c.logistic_step(p, x)) <= 1e-12
         on_diagonal = abs(y - x) <= 1e-12
         assert on_curve or on_diagonal
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    mu=st.one_of(st.sampled_from([0.0, 1.0, 2.0, 3.0, 3.5699456, 4.0]), st.floats(0.0, 4.0)),
+    x0=st.one_of(st.sampled_from([0.0, 0.5, 0.75, 1.0, 5e-324]), st.floats(0.0, 1.0)),
+    n=st.integers(1, 300),
+)
+def test_cobweb_matches_the_row_loop(mu, x0, n):
+    got = cobweb_trace(LogisticParams(mu), x0, n)
+    want = loop_cobweb_trace(LogisticParams(mu), x0, n)
+    assert got.vertices.tobytes() == want.vertices.tobytes()
+    assert got.curve_samples.tobytes() == want.curve_samples.tobytes()
 
 
 def test_cobweb_cap_counts_trace_values_and_refuses_before_tracing(monkeypatch):

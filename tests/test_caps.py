@@ -20,6 +20,7 @@ FLOORS = {
     "fractals.MAX_ESCAPE_ITERATES": "fractals._MIN_ESCAPE_PIXELS",
     "fractals.MAX_IFS_PIXEL_STEPS": "fractals._MIN_IFS_PIXELS",
     "analysis.MAX_SCAN_ITERATES": "analysis._MIN_LANES",
+    "compression.MAX_DECODE_PIXEL_PASSES": "compression._MIN_DECODE_PIXELS",
 }
 
 
@@ -59,7 +60,8 @@ def test_readme_cap_table_matches_the_constants():
     assert set(named) == {
         "analysis.MAX_SCAN_ITERATES", "analysis.MAX_SCAN_ROWS",
         "cipher.MAX_AVALANCHE_BYTES", "cipher.MAX_AVALANCHE_TRIALS", "cipher.MAX_WARMUP",
-        "cli.IFS_MAX_SIZE", "compression.MAX_PIXELS", "fractals.DEFAULT_MAX_PIXELS",
+        "cli.IFS_MAX_SIZE", "compression.MAX_DECODE_PIXEL_PASSES", "compression.MAX_PIXELS",
+        "fractals.DEFAULT_MAX_PIXELS",
         "fractals.MAX_ESCAPE_ITERATES", "fractals.MAX_IFS_PIXEL_STEPS",
         "integrate.MAX_ORBIT_VALUES",
     }
@@ -86,10 +88,11 @@ def _logistic(mu, x):
         lambda: c.avalanche_test(c.ChaosKey(3.9, 0.3), BIG, 8),
         lambda: c.avalanche_test(c.ChaosKey(3.9, 0.3), 1024, BIG),
         lambda: c.PifsCode(BIG, BIG, 8, np.empty((0, 5), dtype=np.int64)),
+        lambda: c.pifs_decode(c.PifsCode(16, 16, 8, [(0, 0, 0, 32, 10)] * 4), BIG),
     ],
     ids=["mandelbrot-nmax", "ifs-n", "bifurcation-p_steps", "bifurcation-discard",
          "bifurcation-keep", "iterate-n", "cobweb-n", "avalanche-bytes",
-         "avalanche-trials", "pifs-width-height"],
+         "avalanche-trials", "pifs-width-height", "decode-iterations"],
 )
 def test_numpy_integer_counts_meet_the_caps(call):
     # a numpy product would overflow, warn and pass the check

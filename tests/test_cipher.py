@@ -352,6 +352,14 @@ def test_avalanche_matches_the_trial_loop(anchor, mu, x0, ulps, warmup, n_bytes,
     assert _avalanche_outcome(avalanche_test, key, n_bytes, trials) == want
 
 
+@pytest.mark.parametrize("trials", [127, 128, 129, 1001])
+def test_avalanche_matches_the_trial_loop_over_many_trials(trials):
+    # np.mean sums in blocks of 128, so these counts end in, at and past one
+    key = ChaosKey(3.9, 0.3, 256)
+    want = _avalanche_outcome(loop_avalanche_test, key, 1024, trials)
+    assert _avalanche_outcome(avalanche_test, key, 1024, trials) == want
+
+
 @pytest.mark.parametrize(
     "x0, error",
     [

@@ -341,6 +341,19 @@ def test_oversized_code_exits_1_before_decoding(tmp_path, run_cli, capsys, monke
     assert not out.exists()
 
 
+def test_decompress_over_the_pixel_pass_cap_exits_2_without_output(tmp_path, run_cli, capsys):
+    src = tmp_path / "small.fic"
+    src.write_bytes(c.PifsCode(16, 16, 8, [(0, 0, 0, 32, 10)] * 4).to_bytes())
+    out = tmp_path / "small.pgm"
+    code, _ = run_cli(["decompress", "--in", str(src), "--iterations", str(10**9),
+                       "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("chaoscope decompress: ") and "pixel-pass cap" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "name, argv",
     [

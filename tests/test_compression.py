@@ -352,6 +352,33 @@ def test_pruned_search_matches_exhaustive_property(img, s_max, rs_step):
     assert pifs_encode(img, rs, step, s_max) == exhaustive_encode(img, rs, step, s_max)
 
 
+def test_decode_cap_counts_pixels_times_iterations(monkeypatch):
+    code = PifsCode(16, 16, 8, [(0, 0, 0, 32, 10)] * 4)
+    monkeypatch.setattr(compression, "MAX_DECODE_PIXEL_PASSES", 3 * 16 * 16)
+    assert pifs_decode(code, 3).width == 16
+    with pytest.raises(GridTooLarge):
+        pifs_decode(code, 4)
+    # a small image is charged as _MIN_DECODE_PIXELS pixels
+    small = PifsCode(2, 2, 1, [(0, 0, 0, 32, 10)] * 4)
+    assert 4 < compression._MIN_DECODE_PIXELS
+    monkeypatch.setattr(
+        compression, "MAX_DECODE_PIXEL_PASSES", 5 * compression._MIN_DECODE_PIXELS
+    )
+    assert pifs_decode(small, 5).width == 2
+    with pytest.raises(GridTooLarge):
+        pifs_decode(small, 6)
+    monkeypatch.undo()
+    with pytest.raises(GridTooLarge):
+        pifs_decode(code, 10**9)
+    with pytest.raises(TypeError):
+        pifs_decode(code, 2.0)
+
+
+def test_decode_cap_leaves_the_tour_and_benchmark_decodes_far_below_it():
+    assert 512 * 512 * 5 * 50 < compression.MAX_DECODE_PIXEL_PASSES
+    assert 64 * 64 * 8 * 1000 < compression.MAX_DECODE_PIXEL_PASSES
+
+
 @st.composite
 def valid_codes(draw):
     rs = draw(st.sampled_from([1, 2, 4]))

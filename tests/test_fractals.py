@@ -432,6 +432,89 @@ def test_banded_ifs_pass_matches_full_grid_on_decimal_maps():
         assert np.array_equal(got.bits, full_grid_ifs_iterate(system, start, 2).bits)
 
 
+# diagonal entries: zeros and tiny values of both signs (5e-324 is the least),
+# tenths, and anything else strictly inside (-0.99, 0.99)
+_SCALE = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-17, -1e-17]),
+    st.integers(-9, 9).map(lambda k: k / 10.0),
+    st.floats(-0.99, 0.99),
+)
+# offsets from well off the square on either side, tenths among them
+_OFFSET = st.one_of(st.integers(-12, 20).map(lambda k: k / 10.0), st.floats(-1.5, 2.0))
+_DIAGONAL_MAP = st.builds(
+    lambda sx, sy, ox, oy: (np.diag([sx, sy]), (ox, oy)), _SCALE, _SCALE, _OFFSET, _OFFSET
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    maps=st.lists(st.one_of(_DIAGONAL_MAP, _MAP), min_size=1, max_size=4),
+    height=st.integers(1, 48),
+    width=st.integers(1, 48),
+    density=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2 ** 32 - 1),
+    steps=st.integers(0, 6),
+    gathers=st.sampled_from([1, 2, 16, 1 << 30]),
+)
+def test_row_and_column_ifs_pass_matches_full_grid(
+    maps, height, width, density, seed, steps, gathers
+):
+    # the rotated maps take the per-point pass in the same passes
+    system = IfsSystem(maps=tuple(AffineMap2(lin, np.array(off)) for lin, off in maps))
+    bits = np.random.default_rng(seed).random((height, width)) < density
+    start = BinaryImage(bits=bits)
+    with mock.patch.object(fractals, "_MAX_GATHERS", gathers):
+        got = ifs_iterate(system, start, steps)
+    want = full_grid_ifs_iterate(system, start, steps)
+    assert np.array_equal(got.bits, want.bits)
+    assert np.array_equal(start.bits, bits)  # the start is not modified
+
+
+def test_row_and_column_ifs_pass_matches_full_grid_on_decimal_diagonal_maps():
+    # tenths put many points exactly on, or an ulp off, a pixel edge, where
+    # a changed edge test or grouping shows
+    rng = np.random.default_rng(11)
+    for _ in range(400):
+        maps = []
+        for _ in range(rng.integers(1, 4)):
+            linear = np.diag(rng.integers(-9, 10, 2) / 10.0)
+            maps.append(AffineMap2(linear, rng.integers(-10, 16, 2) / 10.0))
+        system = IfsSystem(maps=tuple(maps))
+        start = BinaryImage(bits=rng.random(rng.integers(1, 41, 2)) < rng.random())
+        got = ifs_iterate(system, start, 3)
+        assert np.array_equal(got.bits, full_grid_ifs_iterate(system, start, 3).bits)
+
+
+def test_axis_plan_groups_sources_by_target():
+    centres = (np.arange(4) + 0.5) / 4
+    # v = 1.25, 1.75, 2.25, 2.75: targets 1, 1, 2, 2
+    gathers, targets = fractals._axis_plan(0.5, 0.25, centres)
+    assert [g.tolist() for g in gathers] == [[0, 2], [1, 3]] and targets == slice(1, 3)
+    # a mirror: v = 3.75, 3.25, 2.75, 2.25, so the sources are sorted by target
+    gathers, targets = fractals._axis_plan(-0.5, 1.0, centres)
+    assert [g.tolist() for g in gathers] == [[2, 0], [3, 1]] and targets == slice(2, 4)
+    # a group of three next to one of one: the short group repeats its last source
+    gathers, targets = fractals._axis_plan(0.5, 0.0, (np.arange(5) + 0.5) / 5)
+    assert [g.tolist() for g in gathers] == [[0, 2, 4], [1, 3, 4]] and targets == slice(0, 3)
+    # every source off the square, or 17 on one target, over _MAX_GATHERS
+    assert fractals._axis_plan(0.5, 2.0, centres) is None
+    assert fractals._axis_plan(0.0, 0.5, (np.arange(17) + 0.5) / 17) is None
+
+
+def test_diagonal_map_with_a_gap_in_its_targets_matches_full_grid():
+    # a scale an ulp or so below 1 can round one pixel's image past the
+    # next: target column 15 receives no source column, so this map takes
+    # the per-point pass
+    system = IfsSystem(maps=(AffineMap2(np.diag([0.9999999999999994, 0.5]),
+                                        np.array([0.19827586206896552, 0.25])),))
+    start = BinaryImage.full(58, 7)
+    once = ifs_iterate(system, start, 1).bits
+    assert not once[:, 15].any() and once[:, 14].any() and once[:, 16].any()
+    for steps in (1, 2, 3):
+        got = ifs_iterate(system, start, steps)
+        assert np.array_equal(got.bits, full_grid_ifs_iterate(system, start, steps).bits)
+
+
 def _peak_bytes_per_px(fn, pixels):
     tracemalloc.start()
     try:
