@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import enum
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .errors import DomainError, GridTooLarge, NonFiniteState, SeparationUnderflow
+from .errors import DomainError, NonFiniteState, SeparationUnderflow, check_cap, check_count
 from .integrate import MAX_ORBIT_VALUES, FieldFn, IntegratorConfig, Trajectory, as_state
 from .systems import LogisticParams, LorenzParams, check_logistic_x0, logistic_step
 
@@ -95,14 +94,8 @@ def cobweb_trace(p: LogisticParams, x0: float, n: int) -> CobwebTrace:
     raise GridTooLarge before anything is allocated.
     """
     check_logistic_x0(x0)
-    n = operator.index(n)
-    if n < 1:
-        raise DomainError("n must be a positive integer")
-    if 2 * (2 * n + 1) > MAX_ORBIT_VALUES:
-        raise GridTooLarge(
-            f"{n} steps make {2 * (2 * n + 1)} trace values, over the "
-            f"{MAX_ORBIT_VALUES}-value cap"
-        )
+    n = check_count(n, "n", 1)
+    check_cap(2 * (2 * n + 1), MAX_ORBIT_VALUES, f"2 x (2 x {n} steps + 1)", "value")
     x, iterates = x0, [x0]
     for _ in range(n):
         x = logistic_step(p, x)
@@ -148,24 +141,15 @@ def bifurcation_scan(
     first non-finite iterate.  Sweeps over MAX_SCAN_ROWS kept rows or
     MAX_SCAN_ITERATES iterates raise GridTooLarge before any allocation.
     """
-    p_steps, discard, keep = map(operator.index, (p_steps, discard, keep))
+    p_steps = check_count(p_steps, "p_steps", 1)
+    discard = check_count(discard, "discard", 100)
+    keep = check_count(keep, "keep", 1)
     if not p_lo < p_hi:
         raise DomainError("need p_lo < p_hi")
-    if p_steps < 1:
-        raise DomainError("p_steps must be positive")
-    if discard < 100:
-        raise DomainError("discard must be at least 100")
-    if keep < 1:
-        raise DomainError("keep must be positive")
-    if p_steps * keep > MAX_SCAN_ROWS:
-        raise GridTooLarge(
-            f"{p_steps} parameters x {keep} kept iterates exceed the {MAX_SCAN_ROWS}-row cap"
-        )
-    if max(p_steps, _MIN_LANES) * (discard + keep) > MAX_SCAN_ITERATES:
-        raise GridTooLarge(
-            f"{p_steps} parameters x {discard + keep} iterates exceed the "
-            f"{MAX_SCAN_ITERATES}-iterate cap (a step counts as at least {_MIN_LANES})"
-        )
+    check_cap(p_steps * keep, MAX_SCAN_ROWS, f"{p_steps} parameters x {keep} kept iterates",
+              "row")
+    check_cap(max(p_steps, _MIN_LANES) * (discard + keep), MAX_SCAN_ITERATES,
+              f"max({p_steps}, {_MIN_LANES}) parameters x {discard + keep} iterates", "iterate")
     params = np.linspace(p_lo, p_hi, p_steps)
     kept = np.empty((keep, p_steps), dtype=np.float64)
     x = np.full(p_steps, x0, dtype=np.float64)

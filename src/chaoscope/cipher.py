@@ -15,13 +15,12 @@ reproducible across platforms with IEEE-754 double arithmetic
 from __future__ import annotations
 
 import math
-import operator
 import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateOrbit, DomainError, FormatError, GridTooLarge
+from .errors import DegenerateOrbit, DomainError, FormatError, check_cap, check_count
 
 CONTAINER_MAGIC = b"CHX1"
 CONTAINER_VERSION = 1
@@ -63,10 +62,8 @@ class ChaosKey:
             raise DomainError("x0 = 0.5 is excluded (maps to the orbit maximum)")
         if self.mu == 4.0 and self.x0 == 0.75:
             raise DomainError("x0 = 0.75 is a fixed point when mu = 4")
-        if not (256 <= self.warmup <= MAX_WARMUP):
-            raise DomainError(
-                f"warmup must lie in [256, {MAX_WARMUP}], got {self.warmup}"
-            )
+        object.__setattr__(self, "warmup", check_count(self.warmup, "warmup", 256))
+        check_cap(self.warmup, MAX_WARMUP, "warmup", "iterate")
 
 
 def keystream(key: ChaosKey, n: int) -> bytes:
@@ -77,8 +74,7 @@ def keystream(key: ChaosKey, n: int) -> bytes:
     any n.  Each chunk is then checked with numpy for the degenerate
     iterates 0 and "same as the previous iterate", and turned into bytes.
     """
-    if n < 0:
-        raise DomainError("n must be non-negative")
+    n = check_count(n, "n", 0)
     mu, x = key.mu, key.x0
     out = np.empty(n, dtype=np.uint8)
     done = -key.warmup  # iterates done, counted from the first output byte
@@ -130,8 +126,7 @@ def _bit_fraction(ks_a: bytes, ks_b: bytes) -> float:
 
 def bit_difference(key_a: ChaosKey, key_b: ChaosKey, n_bytes: int) -> float:
     """Fraction of differing bits between the two keys' keystreams."""
-    if n_bytes < 1:
-        raise DomainError("n_bytes must be positive")
+    n_bytes = check_count(n_bytes, "n_bytes", 1)
     return _bit_fraction(keystream(key_a, n_bytes), keystream(key_b, n_bytes))
 
 
@@ -145,15 +140,10 @@ def avalanche_test(key: ChaosKey, n_bytes: int, trials: int) -> float:
     MAX_AVALANCHE_BYTES bytes or MAX_AVALANCHE_TRIALS trials raise
     GridTooLarge.
     """
-    n_bytes, trials = operator.index(n_bytes), operator.index(trials)
-    if n_bytes < 1024:
-        raise DomainError("n_bytes must be at least 1024")
-    if trials < 8:
-        raise DomainError("trials must be at least 8")
-    if n_bytes > MAX_AVALANCHE_BYTES:
-        raise GridTooLarge(f"{n_bytes} bytes exceed the {MAX_AVALANCHE_BYTES}-byte cap")
-    if trials > MAX_AVALANCHE_TRIALS:
-        raise GridTooLarge(f"{trials} trials exceed the {MAX_AVALANCHE_TRIALS}-trial cap")
+    n_bytes = check_count(n_bytes, "n_bytes", 1024)
+    trials = check_count(trials, "trials", 8)
+    check_cap(n_bytes, MAX_AVALANCHE_BYTES, "n_bytes", "byte")
+    check_cap(trials, MAX_AVALANCHE_TRIALS, "trials", "trial")
     up = replace(key, x0=math.nextafter(key.x0, 1.0))
     base = keystream(key, n_bytes)
     up_fraction = _bit_fraction(base, keystream(up, n_bytes))

@@ -27,7 +27,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import ChaoscopeError, DomainError, FormatError, GridTooLarge, lookup_preset
+from .errors import ChaoscopeError, DomainError, FormatError, check_cap, check_count, lookup_preset
 
 KEY_ENV_VAR = "CHAOSCOPE_KEY"
 
@@ -102,16 +102,17 @@ def _system_args(args):
     return preset, params, np.array(state)
 
 
+#: IntegratorConfig fields with a flag each, and the flag's type; a flag not
+#: given leaves the field at IntegratorConfig's default.
+_INTEGRATOR_FLAGS = {"rel_tol": float, "abs_tol": float, "initial_step": float,
+                     "max_steps": int, "min_step": float}
+
+
 def _integrator_config(args):
     from .integrate import IntegratorConfig
 
-    return IntegratorConfig(
-        rel_tol=args.rel_tol,
-        abs_tol=args.abs_tol,
-        initial_step=args.initial_step,
-        max_steps=args.max_steps,
-        min_step=args.min_step,
-    )
+    given = {name: getattr(args, name) for name in _INTEGRATOR_FLAGS}
+    return IntegratorConfig(**{name: v for name, v in given.items() if v is not None})
 
 
 # One function per subcommand.  Each checks only what the command line alone
@@ -218,12 +219,10 @@ def _ifs(args) -> None:
     from .fractals import IFS_PRESETS, BinaryImage, ifs_iterate
 
     make = lookup_preset(IFS_PRESETS, args.preset, "IFS")
-    if args.size < 2:
-        raise DomainError("--size must be at least 2")
-    if args.size > IFS_MAX_SIZE:
-        raise GridTooLarge(f"--size {args.size} exceeds the cap of {IFS_MAX_SIZE}")
+    size = check_count(args.size, "--size", 2)
+    check_cap(size, IFS_MAX_SIZE, "--size", "pixel-side")
     out = _check_out(args.out)
-    start = BinaryImage.full(args.size, args.size)
+    start = BinaryImage.full(size, size)
     write_pgm(ifs_iterate(make(), start, args.steps), out)
 
 
@@ -298,11 +297,8 @@ def _avalanche(args) -> None:
 
 
 def _add_integrator_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--rel-tol", type=float, default=1e-6)
-    p.add_argument("--abs-tol", type=float, default=1e-6)
-    p.add_argument("--initial-step", type=float, default=None)
-    p.add_argument("--max-steps", type=int, default=1_000_000)
-    p.add_argument("--min-step", type=float, default=None)
+    for name, kind in _INTEGRATOR_FLAGS.items():
+        p.add_argument("--" + name.replace("_", "-"), type=kind)
 
 
 def build_parser() -> argparse.ArgumentParser:

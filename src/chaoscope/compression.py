@@ -23,7 +23,6 @@ exhaustive scan (see ``pifs_encode``).
 
 from __future__ import annotations
 
-import operator
 import struct
 from dataclasses import dataclass
 from typing import Optional
@@ -35,8 +34,9 @@ from .errors import (
     DimensionMismatch,
     DomainError,
     FormatError,
-    GridTooLarge,
     ImageTooSmall,
+    check_cap,
+    check_count,
 )
 from .formats import GrayImage
 
@@ -79,11 +79,10 @@ _MIN_DECODE_PIXELS = 256
 def _check_blocks(width: int, height: int, range_size: int) -> None:
     """An image must stay within MAX_PIXELS, tile into range blocks and fit
     one 2*range_size domain."""
-    width, height, range_size = map(operator.index, (width, height, range_size))
-    if width * height > MAX_PIXELS:
-        raise GridTooLarge(f"{width}x{height} image exceeds the {MAX_PIXELS}-pixel cap")
-    if range_size < 1:
-        raise DomainError(f"range_size must be positive, got {range_size}")
+    width = check_count(width, "width", 0)
+    height = check_count(height, "height", 0)
+    check_cap(width * height, MAX_PIXELS, f"{width}x{height} image", "pixel")
+    range_size = check_count(range_size, "range_size", 1)
     if width % range_size or height % range_size:
         raise DimensionError(
             f"{width}x{height} image is not divisible by range_size {range_size}"
@@ -182,28 +181,22 @@ def _scan(cross, sd, sd2, sr, sr2, n, s_grid):
     """
     s = s_grid[None, :]
     sd = sd[:, None]
-    # optimal real offset o* = (252*sr - s*sd) / (252*n); test floor and
-    # floor+1 since the error is convex in o on the integer grid
-    o_f = (_SCALE * sr - s * sd) // (_SCALE * n)
-    best_err = best_o = None
-    for o_cand in (o_f, o_f + 1):
-        o = np.clip(o_cand, -255, 255)
-        big_o = _SCALE * o
-        err = (
-            s * s * sd2[:, None]
-            + n * big_o * big_o
-            + (_SCALE * _SCALE) * sr2
-            + 2 * s * big_o * sd
-            - 2 * (_SCALE * s) * cross[:, None]
-            - 2 * (_SCALE * big_o) * sr
-        )
-        if best_err is None:
-            best_err, best_o = err, o
-        else:
-            take = err < best_err  # strict: ties keep the smaller o
-            best_err = np.where(take, err, best_err)
-            best_o = np.where(take, o, best_o)
-    return best_err, best_o
+    # the error is 252^2*n*(o - num/den)^2 plus a term free of o, with
+    # num = 252*sr - s*sd and den = 252*n: the nearest integer to num/den,
+    # the smaller on a tie, clipped to the offset range, is the best offset
+    den = _SCALE * n
+    o_f, rem = np.divmod(_SCALE * sr - s * sd, den)
+    o = np.clip(o_f + (2 * rem > den), -255, 255)
+    big_o = _SCALE * o
+    err = (
+        s * s * sd2[:, None]
+        + n * big_o * big_o
+        + (_SCALE * _SCALE) * sr2
+        + 2 * s * big_o * sd
+        - 2 * (_SCALE * s) * cross[:, None]
+        - 2 * (_SCALE * big_o) * sr
+    )
+    return err, o
 
 
 def pifs_encode(
@@ -238,8 +231,7 @@ def pifs_encode(
     2^-40 * (Z + U) exceeds that error, and the rounding of U + margin, by
     a factor of several hundred; pruning less than possible only costs time.
     """
-    if domain_step < 1:
-        raise DomainError("domain_step must be positive")
+    domain_step = check_count(domain_step, "domain_step", 1)
     if not (0.0 <= s_max <= 1.0):
         raise DomainError("s_max must lie in [0, 1]")
     _check_blocks(image.width, image.height, range_size)
@@ -315,16 +307,10 @@ def pifs_decode(
     bit-identical to it.  More than MAX_DECODE_PIXEL_PASSES pixel-passes
     raise GridTooLarge.
     """
-    iterations = operator.index(iterations)
-    if iterations < 1:
-        raise DomainError("iterations must be at least 1")
+    iterations = check_count(iterations, "iterations", 1)
     h, w = code.height, code.width
-    if max(h * w, _MIN_DECODE_PIXELS) * iterations > MAX_DECODE_PIXEL_PASSES:
-        raise GridTooLarge(
-            f"{w}x{h} pixels x {iterations} iterations exceed the "
-            f"{MAX_DECODE_PIXEL_PASSES}-pixel-pass cap (an image counts as at least "
-            f"{_MIN_DECODE_PIXELS} pixels)"
-        )
+    check_cap(max(h * w, _MIN_DECODE_PIXELS) * iterations, MAX_DECODE_PIXEL_PASSES,
+              f"max({w}x{h}, {_MIN_DECODE_PIXELS}) pixels x {iterations} iterations", "pixel-pass")
     if start is None:
         img = np.full((h, w), 128, dtype=np.uint8)
     else:

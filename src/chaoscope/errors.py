@@ -1,8 +1,12 @@
 """Exception types shared across the package.
 
 Everything raised on purpose derives from ChaoscopeError so callers (and the
-CLI) can tell deliberate signals from genuine bugs.
+CLI) can tell deliberate signals from genuine bugs.  Every count argument
+goes through check_count and every size cap through check_cap, so each has
+one message form.
 """
+
+import operator
 
 
 class ChaoscopeError(Exception):
@@ -50,9 +54,32 @@ class SeparationUnderflow(ChaoscopeError):
 
 
 class GridTooLarge(DomainError):
-    """A raster (escape grid, IFS image, PIFS code), a map orbit, a cobweb
-    trace, a bifurcation sweep, an avalanche run, or the iterations of an
-    escape grid or IFS run would exceed its cap."""
+    """A raster (escape grid, IFS image, PIFS code), a map orbit, the kept
+    steps of an integration, a cobweb trace, a bifurcation sweep, a keystream
+    warmup, an avalanche run, or the work of an escape grid, IFS run or PIFS
+    decode would exceed its cap; raised by check_cap."""
+
+
+def check_count(value, name: str, least: int) -> int:
+    """value as a Python int, at least ``least``.
+
+    A value that is not an integer (a float, a string) raises TypeError, as
+    operator.index does; a numpy integer becomes a Python int, so products
+    of counts cannot overflow.  A count below ``least`` raises DomainError.
+    """
+    value = operator.index(value)
+    if value < least:
+        raise DomainError(f"{name} must be at least {least}, got {value}")
+    return value
+
+
+def check_cap(amount: int, limit: int, what: str, unit: str) -> None:
+    """Raise GridTooLarge when amount, described by ``what``, exceeds limit.
+
+    ``unit`` names what the cap counts, as in "the 3000000-pixel cap".
+    """
+    if amount > limit:
+        raise GridTooLarge(f"{what} = {amount}, over the {limit}-{unit} cap")
 
 
 class EmptyImage(DomainError):
@@ -77,6 +104,3 @@ class DegenerateOrbit(ChaoscopeError):
 
 class FormatError(DomainError):
     """An input file (PGM, ``FIC1`` or ``CHX1`` container) is malformed."""
-
-
-PgmFormatError = FormatError

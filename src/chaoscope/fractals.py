@@ -10,13 +10,12 @@ counts (naive repeated addition misses that by 1 ulp on many rows).
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
 
-from .errors import DomainError, EmptyImage, GridTooLarge
+from .errors import DomainError, EmptyImage, check_cap, check_count
 
 #: Refuse to allocate escape grids beyond this many pixels.  The tiled
 #: kernel peaks at about 4.5 bytes per pixel, the int32 counts plus O(tile)
@@ -143,19 +142,13 @@ def mandelbrot_grid(
     int32 counts plus O(tile) and the work follows the useful iterations.
     Every active pixel sees the same float operations as a full-grid update.
     """
-    nmax = operator.index(nmax)
-    if nmax < 1:
-        raise DomainError("nmax must be a positive integer")
+    nmax = check_count(nmax, "nmax", 1)
     if not threshold >= 2.0:  # also refuses NaN
         raise DomainError(f"threshold must be >= 2, got {threshold}")
     nx, ny = window.nx, window.ny
-    if nx * ny > DEFAULT_MAX_PIXELS:
-        raise GridTooLarge(f"{nx}x{ny} grid exceeds the {DEFAULT_MAX_PIXELS}-pixel cap")
-    if max(nx * ny, _MIN_ESCAPE_PIXELS) * nmax > MAX_ESCAPE_ITERATES:
-        raise GridTooLarge(
-            f"{nx}x{ny} pixels x nmax {nmax} exceed the {MAX_ESCAPE_ITERATES}-iteration "
-            f"cap (a grid counts as at least {_MIN_ESCAPE_PIXELS} pixels)"
-        )
+    check_cap(nx * ny, DEFAULT_MAX_PIXELS, f"{nx}x{ny} grid", "pixel")
+    check_cap(max(nx * ny, _MIN_ESCAPE_PIXELS) * nmax, MAX_ESCAPE_ITERATES,
+              f"max({nx}x{ny}, {_MIN_ESCAPE_PIXELS}) pixels x nmax {nmax}", "iteration")
 
     xs, ys = window.x_values(), window.y_values()
     counts = np.full((ny, nx), nmax, dtype=np.int32)
@@ -319,17 +312,11 @@ def ifs_iterate(system: IfsSystem, start: BinaryImage, n: int) -> BinaryImage:
     besides the two rasters and does the arithmetic of a per-point pass.
     Runs over MAX_IFS_PIXEL_STEPS pixel-steps raise GridTooLarge.
     """
-    n = operator.index(n)
-    if n < 0:
-        raise DomainError("n must be non-negative")
-    if max(start.bits.size, _MIN_IFS_PIXELS) * n > MAX_IFS_PIXEL_STEPS:
-        raise GridTooLarge(
-            f"{start.width}x{start.height} pixels x {n} steps exceed the "
-            f"{MAX_IFS_PIXEL_STEPS}-pixel-step cap (an image counts as at least "
-            f"{_MIN_IFS_PIXELS} pixels)"
-        )
+    n = check_count(n, "n", 0)
+    h, w = start.bits.shape
+    check_cap(max(h * w, _MIN_IFS_PIXELS) * n, MAX_IFS_PIXEL_STEPS,
+              f"max({w}x{h}, {_MIN_IFS_PIXELS}) pixels x {n} steps", "pixel-step")
     bits = start.bits.copy()
-    h, w = bits.shape
     cx = (np.arange(w) + 0.5) / w
     cy = (np.arange(h) + 0.5) / h
     blocks, tables = [], []
@@ -380,8 +367,7 @@ def ifs_iterate(system: IfsSystem, start: BinaryImage, n: int) -> BinaryImage:
 
 def similarity_dimension(n_copies: int, ratio: float) -> float:
     """Dimension D with n_copies * ratio**D == 1 for a self-similar set."""
-    if n_copies < 1:
-        raise DomainError("n_copies must be a positive integer")
+    n_copies = check_count(n_copies, "n_copies", 1)
     if not (0.0 < ratio < 1.0):
         raise DomainError(f"ratio must lie in (0, 1), got {ratio}")
     return -math.log(n_copies) / math.log(ratio)
@@ -397,12 +383,13 @@ def box_count_dimension(
     the estimate is the least-squares slope of ln(count) against ln(2**k).
     Returns the slope and the fitted (ln 2**k, ln count) points.
     """
+    min_exponent = check_count(min_exponent, "min_exponent", 1)
+    max_exponent = check_count(max_exponent, "max_exponent", min_exponent + 1)
     bits = image.bits
     if not bits.any():
         raise EmptyImage("box counting needs at least one set pixel")
-    if not (1 <= min_exponent < max_exponent):
-        raise DomainError("need 1 <= min_exponent < max_exponent")
-    if 2 ** max_exponent > min(image.width, image.height):
+    # min_side >> k == 0 is 2**k > min_side, without building 2**k
+    if min(image.width, image.height) >> max_exponent == 0:
         raise DomainError("2**max_exponent exceeds the smaller image side")
 
     dim = max(image.width, image.height)

@@ -89,10 +89,12 @@ def _logistic(mu, x):
         lambda: c.avalanche_test(c.ChaosKey(3.9, 0.3), 1024, BIG),
         lambda: c.PifsCode(BIG, BIG, 8, np.empty((0, 5), dtype=np.int64)),
         lambda: c.pifs_decode(c.PifsCode(16, 16, 8, [(0, 0, 0, 32, 10)] * 4), BIG),
+        lambda: c.integrate(c.preset("lorenz").field(None), [1.0, 1.0, 1.0], 0.0, 1.0,
+                            c.IntegratorConfig(max_steps=BIG)),
     ],
     ids=["mandelbrot-nmax", "ifs-n", "bifurcation-p_steps", "bifurcation-discard",
          "bifurcation-keep", "iterate-n", "cobweb-n", "avalanche-bytes",
-         "avalanche-trials", "pifs-width-height", "decode-iterations"],
+         "avalanche-trials", "pifs-width-height", "decode-iterations", "integrate-max_steps"],
 )
 def test_numpy_integer_counts_meet_the_caps(call):
     # a numpy product would overflow, warn and pass the check
@@ -100,3 +102,20 @@ def test_numpy_integer_counts_meet_the_caps(call):
         warnings.simplefilter("error")
         with pytest.raises(GridTooLarge):
             call()
+
+
+def _never_called(t, y):
+    raise AssertionError("the cap is checked before the field is called")
+
+
+def test_integrate_caps_the_kept_steps_before_calling_the_field():
+    cap = _constant("integrate.MAX_ORBIT_VALUES")
+    # max_steps + 1 kept steps of dimension + 1 values each
+    at_cap = c.IntegratorConfig(max_steps=cap // 4 - 1)
+    assert len(c.integrate(c.preset("lorenz").field(None), [1.0, 1.0, 1.0], 0.0, 1.0, at_cap).times)
+    with pytest.raises(GridTooLarge, match="2500001 steps x 4 values"):
+        c.integrate(_never_called, [1.0, 1.0, 1.0], 0.0, 1.0, c.IntegratorConfig(max_steps=cap // 4))
+    # the default budget stays accepted for every flow preset
+    default = c.IntegratorConfig().max_steps
+    flows = [p for p in _constant("systems.PRESETS").values() if p.kind == "flow"]
+    assert flows and all((default + 1) * (p.dimension + 1) <= cap for p in flows)

@@ -102,12 +102,25 @@ def test_unknown_preset_exits_2(tmp_path, run_cli, capsys):
         ["cobweb", "--steps", "30000000", "--out", "o.csv"],
         ["avalanche", "--key", "3.9,0.3", "--bytes", "100000000000"],
         ["avalanche", "--key", "3.9,0.3", "--trials", "1000000000"],
+        ["simulate", "--system", "lorenz", "--span", "0:1000000", "--max-steps", "1000000000",
+         "--out", "o.csv"],
     ],
 )
 def test_validation_failures_exit_2_without_output(argv, tmp_path, run_cli, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, _ = run_cli(argv)
     assert code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_simulate_over_the_kept_step_cap_exits_2_with_one_line(tmp_path, run_cli, capsys):
+    code, _ = run_cli(["simulate", "--system", "lorenz", "--span", "0:1000000",
+                       "--max-steps", "1000000000", "--out", str(tmp_path / "o.csv")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "chaoscope simulate: 1000000001 steps x 4 values = 4000000004, "
+        "over the 10000000-value cap\n"
+    )
     assert list(tmp_path.iterdir()) == []
 
 

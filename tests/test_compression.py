@@ -337,6 +337,46 @@ def test_flat_range_blocks_scan_at_most_two_candidates(monkeypatch):
         assert code == exhaustive_encode(img, 8, 8, 1.0)
 
 
+def _two_candidate_scan(cross, sd, sd2, sr, sr2, n, s_grid):
+    """The rule _scan's closed form replaced: the error at the clipped floor
+    and floor + 1 of the real offset, the smaller kept, a tie to the floor."""
+    s, sd = s_grid[None, :], sd[:, None]
+    o_f = (252 * sr - s * sd) // (252 * n)
+    best_err = best_o = None
+    for o in (np.clip(o_f, -255, 255), np.clip(o_f + 1, -255, 255)):
+        err = (s * s * sd2[:, None] + n * (252 * o) ** 2 + 252**2 * sr2 + 2 * s * 252 * o * sd
+               - 2 * 252 * s * cross[:, None] - 2 * 252**2 * o * sr)
+        if best_err is None:
+            best_err, best_o = err, o
+        else:
+            take = err < best_err
+            best_err, best_o = np.where(take, err, best_err), np.where(take, o, best_o)
+    return best_err, best_o
+
+
+@pytest.mark.parametrize("n", [1, 4, 16])
+@pytest.mark.parametrize("q", [0, 100, 255])
+def test_scan_offset_matches_the_two_candidate_rule_on_ties_and_clips(n, q):
+    rng = np.random.default_rng(17 * n + q)
+    s_grid = np.arange(-63, 64, dtype=np.int64)
+    sr, den = q * n, 252 * n
+    # sd an odd multiple of den/2 makes 252*sr - s*sd a half-integer multiple
+    # of den for every odd s (an exact tie); |sd| up to 3000n puts the real
+    # offset beyond both ends of [-255, 255]
+    odd = np.array([-11, -5, -3, -1, 1, 3, 5, 11], dtype=np.int64)
+    sd = np.concatenate([126 * n * odd, rng.integers(-3000 * n, 3000 * n, 40)])
+    cross = rng.integers(-(10**6), 10**6, len(sd))
+    sd2 = rng.integers(0, 10**7, len(sd))
+    sr2 = int(rng.integers(0, 10**6))
+    num = 252 * sr - s_grid[None, :] * sd[:, None]
+    o_f, rem = num // den, num % den
+    assert (2 * rem == den).any() and (o_f > 255).any() and (o_f + 1 < -255).any()
+    err, o = compression._scan(cross, sd, sd2, sr, sr2, n, s_grid)
+    ref_err, ref_o = _two_candidate_scan(cross, sd, sd2, sr, sr2, n, s_grid)
+    np.testing.assert_array_equal(o, ref_o)
+    np.testing.assert_array_equal(err, ref_err)
+
+
 @st.composite
 def small_images(draw):
     h, w = draw(st.sampled_from([(16, 16), (16, 24), (24, 16)]))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import chaoscope as c
 from chaoscope.analysis import BifurcationDiagram
-from chaoscope.errors import PgmFormatError
+from chaoscope.errors import FormatError
 from chaoscope.formats import (
     CSV_BLOCK_ROWS,
     read_pgm,
@@ -159,13 +159,13 @@ def test_pgm_reader_handles_comments(tmp_path):
 def test_pgm_reader_rejects_bad_input(tmp_path):
     f = tmp_path / "bad.pgm"
     f.write_bytes(b"P2\n2 2\n255\n")
-    with pytest.raises(PgmFormatError):
+    with pytest.raises(FormatError):
         read_pgm(f)
     f.write_bytes(b"P5\n2 2\n65535\n" + b"\x00" * 8)
-    with pytest.raises(PgmFormatError):
+    with pytest.raises(FormatError):
         read_pgm(f)
     f.write_bytes(b"P5\n4 4\n255\n\x00\x00")
-    with pytest.raises(PgmFormatError):
+    with pytest.raises(FormatError):
         read_pgm(f)
 
 
@@ -188,7 +188,7 @@ def test_csv_17_digit_roundtrip_format(tmp_path):
 def test_pgm_reader_rejects_non_positive_size(tmp_path, size):
     f = tmp_path / "bad.pgm"
     f.write_bytes(b"P5\n" + size + b"\n255\n\x00")
-    with pytest.raises(PgmFormatError):
+    with pytest.raises(FormatError):
         read_pgm(f)
 
 

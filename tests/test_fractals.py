@@ -311,6 +311,9 @@ def test_box_count_preconditions():
         box_count_dimension(img, 0, 4)
     with pytest.raises(DomainError):
         box_count_dimension(img, 1, 7)  # 2^7 exceeds the 64-pixel side
+    assert box_count_dimension(img, 1, 6)[0] == pytest.approx(2.0)
+    with pytest.raises(DomainError):
+        box_count_dimension(img, 1, 10**12)  # refused without building 2**(10**12)
 
 
 @pytest.mark.parametrize(
