@@ -1,10 +1,12 @@
 """Command-line front door: one subcommand per computation, file outputs only.
 
-Each command checks only what the command line alone knows (flag syntax,
-input and output paths, the cipher key, preset names, the --x0 length) and
-then calls the library, whose own checks run before any computation.  The
-exit status follows the type of the error, with a one-line diagnostic on
-stderr:
+``main`` checks the --in and --out paths of every command before it runs
+it.  Each command then checks only what the command line alone knows (flag
+syntax, the cipher key, preset names, the --x0 length) and calls the
+library, whose own checks run before any computation.  A flag that mirrors
+a library default has no default of its own: a flag left out is not passed,
+so the library's default applies.  The exit status follows the type of the
+error, with a one-line diagnostic on stderr:
 
 * 0 on success;
 * 2 for a ``DomainError``, a flag value or input outside a documented
@@ -71,18 +73,10 @@ def _resolve_key(args) -> Tuple[float, float]:
     return values
 
 
-def _check_out(path: str) -> Path:
-    out = Path(path)
-    if not out.parent.is_dir():
-        raise DomainError(f"output directory does not exist: {out.parent}")
-    return out
-
-
-def _check_in(path: str) -> Path:
-    p = Path(path)
-    if not p.is_file():
-        raise DomainError(f"input file does not exist: {path}")
-    return p
+def _given(args, *names) -> dict:
+    """The flags among names that the command line gave, by name."""
+    values = {name: getattr(args, name) for name in names}
+    return {name: v for name, v in values.items() if v is not None}
 
 
 def _system_args(args):
@@ -102,33 +96,25 @@ def _system_args(args):
     return preset, params, np.array(state)
 
 
-#: IntegratorConfig fields with a flag each, and the flag's type; a flag not
-#: given leaves the field at IntegratorConfig's default.
+#: IntegratorConfig fields with a flag each, and the flag's type.
 _INTEGRATOR_FLAGS = {"rel_tol": float, "abs_tol": float, "initial_step": float,
                      "max_steps": int, "min_step": float}
 
 
-def _integrator_config(args):
-    from .integrate import IntegratorConfig
-
-    given = {name: getattr(args, name) for name in _INTEGRATOR_FLAGS}
-    return IntegratorConfig(**{name: v for name, v in given.items() if v is not None})
-
-
-# One function per subcommand.  Each checks only what the command line alone
-# knows, resolves the output path before computing, and leaves every other
-# check to the library call.
+# One function per subcommand, named after it; main runs it once the paths
+# are checked.  Each checks only what the command line alone knows and leaves
+# every other check to the library call.
 
 
 def _simulate(args) -> None:
     from .formats import write_trajectory_csv
-    from .integrate import integrate
+    from .integrate import IntegratorConfig, integrate
 
     preset, params, x0 = _system_args(args)
     t0, t1 = _parse_colon(args.span, 2, "--span")
     field = preset.field(params)
-    out = _check_out(args.out)
-    write_trajectory_csv(integrate(field, x0, t0, t1, _integrator_config(args)), out)
+    config = IntegratorConfig(**_given(args, *_INTEGRATOR_FLAGS))
+    write_trajectory_csv(integrate(field, x0, t0, t1, config), args.out)
 
 
 def _iterate(args) -> None:
@@ -137,8 +123,7 @@ def _iterate(args) -> None:
 
     preset, params, x0 = _system_args(args)
     step = preset.map(params)
-    out = _check_out(args.out)
-    write_trajectory_csv(iterate_map(step, x0, args.steps, args.discard), out)
+    write_trajectory_csv(iterate_map(step, x0, args.steps, **_given(args, "discard")), args.out)
 
 
 def _cobweb(args) -> None:
@@ -147,8 +132,7 @@ def _cobweb(args) -> None:
     from .systems import LogisticParams
 
     params = LogisticParams(mu=args.mu)
-    out = _check_out(args.out)
-    write_trajectory_csv(cobweb_trace(params, args.x0, args.steps), out)
+    write_trajectory_csv(cobweb_trace(params, args.x0, args.steps), args.out)
 
 
 def _bifurcate(args) -> None:
@@ -160,7 +144,6 @@ def _bifurcate(args) -> None:
     for mu in (lo, hi):  # both ends must lie in the logistic map's domain
         LogisticParams(mu)
     check_logistic_x0(args.x0)
-    out = _check_out(args.out)
     diagram = bifurcation_scan(
         lambda mu, x: mu * x * (1.0 - x),
         lo,
@@ -170,20 +153,19 @@ def _bifurcate(args) -> None:
         args.discard,
         args.keep,
     )
-    write_trajectory_csv(diagram, out)
+    write_trajectory_csv(diagram, args.out)
 
 
 def _divergence(args) -> None:
     from .analysis import divergence_rate
     from .formats import write_divergence_csv
+    from .integrate import IntegratorConfig
 
     preset, params, x0 = _system_args(args)
     field = preset.field(params)
-    out = _check_out(args.out)
-    report = divergence_rate(
-        field, x0, args.delta0, args.t1, _integrator_config(args)
-    )
-    write_divergence_csv(report, out)
+    config = IntegratorConfig(**_given(args, *_INTEGRATOR_FLAGS))
+    report = divergence_rate(field, x0, args.delta0, args.t1, config)
+    write_divergence_csv(report, args.out)
     print(f"fitted_rate {report.fitted_rate:.17g}")
     print(f"fit_window {report.fit_window[0]:.17g} {report.fit_window[1]:.17g}")
 
@@ -197,9 +179,8 @@ def _equilibria(args) -> None:
         raise DomainError("equilibria currently supports only --system lorenz")
     preset, params, _ = _system_args(args)
     params = LorenzParams(*preset.resolve_params(params))
-    out = _check_out(args.out)
     points = lorenz_equilibria(params)
-    write_rows_csv(out, ["x0", "x1", "x2"], (list(p) for p in points))
+    write_rows_csv(args.out, ["x0", "x1", "x2"], (list(p) for p in points))
 
 
 def _mandelbrot(args) -> None:
@@ -210,8 +191,7 @@ def _mandelbrot(args) -> None:
     window = ComplexWindow(
         xmin=xmin, xmax=xmax, ymin=ymin, ymax=ymax, scale=args.scale
     )
-    out = _check_out(args.out)
-    write_pgm(mandelbrot_grid(window, args.nmax, args.threshold), out)
+    write_pgm(mandelbrot_grid(window, args.nmax, **_given(args, "threshold")), args.out)
 
 
 def _ifs(args) -> None:
@@ -221,21 +201,18 @@ def _ifs(args) -> None:
     make = lookup_preset(IFS_PRESETS, args.preset, "IFS")
     size = check_count(args.size, "--size", 2)
     check_cap(size, IFS_MAX_SIZE, "--size", "pixel-side")
-    out = _check_out(args.out)
     start = BinaryImage.full(size, size)
-    write_pgm(ifs_iterate(make(), start, args.steps), out)
+    write_pgm(ifs_iterate(make(), start, args.steps), args.out)
 
 
 def _boxdim(args) -> None:
     from .formats import read_pgm, write_rows_csv
     from .fractals import BinaryImage, box_count_dimension
 
-    src = _check_in(args.input)
-    out = _check_out(args.out) if args.out else None
-    bits = BinaryImage(bits=read_pgm(src).pixels[::-1] >= 128)
+    bits = BinaryImage(bits=read_pgm(args.input).pixels[::-1] >= 128)
     estimate, pts = box_count_dimension(bits, args.min_exp, args.max_exp)
-    if out is not None:
-        write_rows_csv(out, ["x", "y"], ([x, y] for x, y in pts))
+    if args.out:
+        write_rows_csv(args.out, ["x", "y"], ([x, y] for x, y in pts))
     print(f"dimension {estimate:.17g}")
 
 
@@ -249,22 +226,15 @@ def _compress(args) -> None:
     from .compression import pifs_encode
     from .formats import read_pgm, write_bytes_atomic
 
-    src = _check_in(args.input)
-    out = _check_out(args.out)
-    code = pifs_encode(
-        read_pgm(src), args.range_size, args.domain_step, args.s_max
-    )
-    write_bytes_atomic(out, code.to_bytes())
+    code = pifs_encode(read_pgm(args.input), **_given(args, "range_size", "domain_step", "s_max"))
+    write_bytes_atomic(args.out, code.to_bytes())
 
 
 def _decompress(args) -> None:
-    from .compression import PifsCode, pifs_decode
+    from .compression import decode_container
     from .formats import write_pgm
 
-    src = _check_in(args.input)
-    out = _check_out(args.out)
-    code = PifsCode.from_bytes(src.read_bytes())
-    write_pgm(pifs_decode(code, args.iterations), out)
+    write_pgm(decode_container(args.input.read_bytes(), args.iterations), args.out)
 
 
 def _encrypt(args) -> None:
@@ -272,10 +242,8 @@ def _encrypt(args) -> None:
     from .formats import write_bytes_atomic
 
     mu, x0 = _resolve_key(args)
-    key = ChaosKey(mu=mu, x0=x0, warmup=args.warmup)
-    src = _check_in(args.input)
-    out = _check_out(args.out)
-    write_bytes_atomic(out, pack_container(key, src.read_bytes()))
+    key = ChaosKey(mu=mu, x0=x0, **_given(args, "warmup"))
+    write_bytes_atomic(args.out, pack_container(key, args.input.read_bytes()))
 
 
 def _decrypt(args) -> None:
@@ -283,16 +251,14 @@ def _decrypt(args) -> None:
     from .formats import write_bytes_atomic
 
     mu, x0 = _resolve_key(args)
-    src = _check_in(args.input)
-    out = _check_out(args.out)
-    write_bytes_atomic(out, unpack_container(mu, x0, src.read_bytes()))
+    write_bytes_atomic(args.out, unpack_container(mu, x0, args.input.read_bytes()))
 
 
 def _avalanche(args) -> None:
     from .cipher import ChaosKey, avalanche_test
 
     mu, x0 = _resolve_key(args)
-    key = ChaosKey(mu=mu, x0=x0, warmup=args.warmup)
+    key = ChaosKey(mu=mu, x0=x0, **_given(args, "warmup"))
     print(f"avalanche_fraction {avalanche_test(key, args.bytes, args.trials):.17g}")
 
 
@@ -310,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="integrate a flow preset over a time span")
-    p.set_defaults(run=_simulate)
     p.add_argument("--system", required=True)
     p.add_argument("--span", required=True, help="t0:t1")
     p.add_argument("--x0", help="comma-separated initial state")
@@ -319,23 +284,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("iterate", help="iterate a map preset")
-    p.set_defaults(run=_iterate)
     p.add_argument("--system", required=True)
     p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--discard", type=int, default=0)
+    p.add_argument("--discard", type=int)
     p.add_argument("--x0", help="comma-separated initial state")
     p.add_argument("--params", help="comma-separated system parameters")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("cobweb", help="graphical iteration of the logistic map")
-    p.set_defaults(run=_cobweb)
     p.add_argument("--mu", type=float, default=3.8282)
     p.add_argument("--x0", type=float, default=0.2)
     p.add_argument("--steps", type=int, default=50)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("bifurcate", help="logistic bifurcation-diagram scan")
-    p.set_defaults(run=_bifurcate)
     p.add_argument("--mu-range", required=True, help="lo:hi")
     p.add_argument("--mu-steps", type=int, default=600)
     p.add_argument("--x0", type=float, default=0.3)
@@ -344,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("divergence", help="twin-trajectory separation rate")
-    p.set_defaults(run=_divergence)
     p.add_argument("--system", required=True)
     p.add_argument("--x0", help="comma-separated initial state")
     p.add_argument("--params", help="comma-separated system parameters")
@@ -354,69 +315,59 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("equilibria", help="equilibrium points of a flow")
-    p.set_defaults(run=_equilibria)
     p.add_argument("--system", required=True)
     p.add_argument("--params", help="comma-separated system parameters")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("mandelbrot", help="escape-time grid as PGM")
-    p.set_defaults(run=_mandelbrot)
     p.add_argument("--window", default="-2.4:1.2:-1.5:1.5", help="xmin:xmax:ymin:ymax")
     p.add_argument("--scale", type=float, default=0.005)
     p.add_argument("--nmax", type=int, default=50)
-    p.add_argument("--threshold", type=float, default=4.0)
+    p.add_argument("--threshold", type=float)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("ifs", help="deterministic IFS iteration as PGM")
-    p.set_defaults(run=_ifs)
     p.add_argument("--preset", default="sierpinski")
     p.add_argument("--size", type=int, default=1024, help=f"2 to {IFS_MAX_SIZE}")
     p.add_argument("--steps", type=int, default=7)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("boxdim", help="box-counting dimension of a PGM")
-    p.set_defaults(run=_boxdim)
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--min-exp", type=int, default=2)
     p.add_argument("--max-exp", type=int, default=7)
     p.add_argument("--out", help="optional CSV of the log-log fit points")
 
     p = sub.add_parser("simdim", help="similarity dimension from copies and ratio")
-    p.set_defaults(run=_simdim)
     p.add_argument("--copies", type=int, required=True)
     p.add_argument("--ratio", type=float, required=True)
 
     p = sub.add_parser("compress", help="encode a PGM as block transforms")
-    p.set_defaults(run=_compress)
     p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--range-size", type=int, default=8)
-    p.add_argument("--domain-step", type=int, default=8)
-    p.add_argument("--s-max", type=float, default=1.0)
+    p.add_argument("--range-size", type=int)
+    p.add_argument("--domain-step", type=int)
+    p.add_argument("--s-max", type=float)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("decompress", help="decode block transforms to a PGM")
-    p.set_defaults(run=_decompress)
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--iterations", type=int, default=10)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("encrypt", help="stream-encrypt a file")
-    p.set_defaults(run=_encrypt)
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--key", help=f"mu,x0 (default: ${KEY_ENV_VAR})")
-    p.add_argument("--warmup", type=int, default=1000, help=_WARMUP_HELP)
+    p.add_argument("--warmup", type=int, help=_WARMUP_HELP)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("decrypt", help="decrypt a stream-encrypted file")
-    p.set_defaults(run=_decrypt)
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--key", help=f"mu,x0 (default: ${KEY_ENV_VAR})")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("avalanche", help="keystream sensitivity measurement")
-    p.set_defaults(run=_avalanche)
     p.add_argument("--key", help=f"mu,x0 (default: ${KEY_ENV_VAR})")
-    p.add_argument("--warmup", type=int, default=1000, help=_WARMUP_HELP)
+    p.add_argument("--warmup", type=int, help=_WARMUP_HELP)
     p.add_argument("--bytes", type=int, default=10240)
     p.add_argument("--trials", type=int, default=16)
 
@@ -453,7 +404,14 @@ def main(argv: Optional[list] = None) -> int:
         return int(exc.code) if exc.code else 0
 
     try:
-        args.run(args)
+        if getattr(args, "input", None) is not None:
+            if not Path(args.input).is_file():
+                raise DomainError(f"input file does not exist: {args.input}")
+            args.input = Path(args.input)
+        # --out stays a string: boxdim writes no CSV for an empty one
+        if getattr(args, "out", None) is not None and not Path(args.out).parent.is_dir():
+            raise DomainError(f"output directory does not exist: {Path(args.out).parent}")
+        globals()["_" + args.command](args)
     except (ChaoscopeError, OSError) as exc:
         if isinstance(exc, DomainError) and not isinstance(exc, FormatError):
             print(f"chaoscope {args.command}: {exc}", file=sys.stderr)

@@ -150,18 +150,29 @@ class PifsCode:
     @classmethod
     def from_bytes(cls, data: bytes) -> "PifsCode":
         """Parse a ``FIC1`` container; any defect raises FormatError."""
-        if len(data) < _HEADER.size:
-            raise FormatError("truncated transform container")
-        magic, width, height, range_size, _ = _HEADER.unpack_from(data, 0)
-        if magic != MAGIC:
-            raise FormatError(f"bad container magic {magic!r}")
-        if (len(data) - _HEADER.size) % TRANSFORM.itemsize != 0:
-            raise FormatError("transform payload has a partial record")
+        width, height, range_size = _read_header(data)
         records = np.frombuffer(data, TRANSFORM, offset=_HEADER.size)
         try:
             return cls(width=width, height=height, range_size=range_size, transforms=records)
         except DomainError as exc:
             raise FormatError(f"invalid transform container: {exc}") from None
+
+
+def _read_header(data: bytes):
+    """(width, height, range_size) from a ``FIC1`` header, checked as
+    from_bytes checks it but without reading the records."""
+    if len(data) < _HEADER.size:
+        raise FormatError("truncated transform container")
+    magic, width, height, range_size, _ = _HEADER.unpack_from(data, 0)
+    if magic != MAGIC:
+        raise FormatError(f"bad container magic {magic!r}")
+    if (len(data) - _HEADER.size) % TRANSFORM.itemsize != 0:
+        raise FormatError("transform payload has a partial record")
+    try:
+        _check_blocks(width, height, range_size)
+    except DomainError as exc:
+        raise FormatError(f"invalid transform container: {exc}") from None
+    return width, height, range_size
 
 
 def apply_isometry(block: np.ndarray, t: int) -> np.ndarray:
@@ -288,6 +299,16 @@ def pifs_encode(
     )
 
 
+def _check_passes(width: int, height: int, iterations: int) -> int:
+    """iterations as an int, at least 1, whose pixel-passes over a
+    width x height image stay within MAX_DECODE_PIXEL_PASSES."""
+    iterations = check_count(iterations, "iterations", 1)
+    check_cap(max(width * height, _MIN_DECODE_PIXELS) * iterations, MAX_DECODE_PIXEL_PASSES,
+              f"max({width}x{height}, {_MIN_DECODE_PIXELS}) pixels x {iterations} iterations",
+              "pixel-pass")
+    return iterations
+
+
 def pifs_decode(
     code: PifsCode, iterations: int, start: Optional[GrayImage] = None
 ) -> GrayImage:
@@ -307,10 +328,8 @@ def pifs_decode(
     bit-identical to it.  More than MAX_DECODE_PIXEL_PASSES pixel-passes
     raise GridTooLarge.
     """
-    iterations = check_count(iterations, "iterations", 1)
     h, w = code.height, code.width
-    check_cap(max(h * w, _MIN_DECODE_PIXELS) * iterations, MAX_DECODE_PIXEL_PASSES,
-              f"max({w}x{h}, {_MIN_DECODE_PIXELS}) pixels x {iterations} iterations", "pixel-pass")
+    iterations = _check_passes(w, h, iterations)
     if start is None:
         img = np.full((h, w), 128, dtype=np.uint8)
     else:
@@ -335,11 +354,25 @@ def pifs_decode(
     src = src.reshape(4, nby, rs, nbx, rs)
     s = (rec.s_q / 63.0).reshape(nby, 1, nbx, 1)
     o = rec.o_q.astype(np.float64).reshape(nby, 1, nbx, 1)
+    # take gathers with the int32 index as it is; img.ravel()[src] would
+    # cast it to intp on every pass
     for _ in range(iterations):
-        sums = img.ravel()[src].sum(axis=0, dtype=np.uint16)
+        sums = img.ravel().take(src).sum(axis=0, dtype=np.uint16)
         vals = np.clip(np.rint(s * (sums / 4.0) + o), 0.0, 255.0)
         img = vals.astype(np.uint8).reshape(h, w)
     return GrayImage(pixels=img)
+
+
+def decode_container(data: bytes, iterations: int) -> GrayImage:
+    """pifs_decode of a ``FIC1`` container from the mid-gray start.
+
+    iterations is checked against the header's image size before the
+    records are parsed, so a refused count costs no parsing; pifs_decode
+    repeats that check.  A malformed container raises FormatError.
+    """
+    width, height, _ = _read_header(data)
+    _check_passes(width, height, iterations)
+    return pifs_decode(PifsCode.from_bytes(data), iterations)
 
 
 def psnr(a: GrayImage, b: GrayImage) -> float:

@@ -62,10 +62,11 @@ _isfinite = math.isfinite
 #: kept value (tracemalloc, Henon and logistic, 400k iterates): 0.4 GB at
 #: the cap.  A preset map takes about 1.2-1.5 us per iterate, so the cap
 #: also bounds the loop to about 8-12 s.  integrate keeps up to max_steps + 1
-#: steps of dimension + 1 values and is capped the same way: a Lorenz step
-#: peaks at about 265-270 bytes with the CSV writer and takes about 22-25 us
-#: (tracemalloc and best of 3, 10k-48k steps at rel_tol 1e-6), so the
-#: 2.5M steps of a 3-D flow at the cap take about 0.7 GB and 60 s.
+#: steps of dimension + 1 values, in one flat list of floats, and is capped
+#: the same way: a Lorenz step peaks at about 170 bytes in integrate and
+#: 164-194 in the CSV writer, and takes about 14-25 us (tracemalloc and best
+#: of 3-7, 9.6k-48k steps at rel_tol 1e-6), so the 2.5M steps of a 3-D flow
+#: at the cap take about 0.45 GB and 35-60 s.
 MAX_ORBIT_VALUES = 10_000_000
 
 
@@ -269,8 +270,8 @@ def integrate(
     k1 = f(t, y)
     _check_length(k1, dim, "field")
     _check_finite(k1, t)
-    times = [t0]
-    states = [y]
+    # accepted steps as one flat list of floats, t then the state, per step
+    kept = [t0, *y]
     prev_err = 1e-4
     attempts = 0
 
@@ -344,8 +345,8 @@ def integrate(
             t = t1 if final else t + h
             y = y_new
             k1 = k7  # FSAL: stage 7 is the next step's stage 1
-            times.append(t)
-            states.append(y)
+            kept.append(t)
+            kept += y
             if err_norm == 0.0:
                 factor = _FAC_MAX
             else:
@@ -356,7 +357,8 @@ def integrate(
         else:
             h = h * min(1.0, max(0.1, _SAFETY * err_norm ** (-0.2)))
 
-    return Trajectory(times=np.array(times), states=np.array(states))
+    rows = np.array(kept, dtype=np.float64).reshape(-1, dim + 1)
+    return Trajectory(times=rows[:, 0], states=rows[:, 1:])
 
 
 def iterate_map(

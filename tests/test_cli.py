@@ -1,3 +1,5 @@
+import argparse
+import inspect
 import struct
 
 import numpy as np
@@ -5,9 +7,12 @@ import pytest
 
 import chaoscope as c
 from chaoscope import cli, compression
-from chaoscope.cipher import MAX_WARMUP
+from chaoscope.cipher import MAX_WARMUP, ChaosKey
 from chaoscope.cli import KEY_ENV_VAR
 from chaoscope.formats import read_pgm, write_pgm
+from chaoscope.fractals import mandelbrot_grid
+from chaoscope.integrate import IntegratorConfig, iterate_map
+from conftest import make_blob64
 
 
 def test_simulate_lorenz_writes_csv(tmp_path, run_cli):
@@ -419,3 +424,143 @@ def test_decrypt_out_of_range_key_exits_2(tmp_path, run_cli):
     code, _ = run_cli(["decrypt", "--in", str(enc), "--key", "5,0.3", "--out", str(tmp_path / "o")])
     assert code == 2
     assert not (tmp_path / "o").exists()
+
+
+def test_decompress_refuses_iterations_before_parsing_the_code(tmp_path, run_cli, capsys,
+                                                                monkeypatch):
+    def no_parse(self):
+        raise AssertionError("the records were parsed before --iterations was checked")
+
+    src = tmp_path / "small.fic"
+    src.write_bytes(c.PifsCode(16, 16, 8, [(0, 0, 0, 32, 10)] * 4).to_bytes())
+    monkeypatch.setattr(compression.PifsCode, "__post_init__", no_parse)
+    out = tmp_path / "small.pgm"
+    for iterations, message in (("0", "iterations must be at least 1, got 0"),
+                                (str(10**9), "pixel-pass cap")):
+        code, _ = run_cli(["decompress", "--in", str(src), "--iterations", iterations,
+                           "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("chaoscope decompress: ") and message in err
+    assert not out.exists()
+
+
+#: The flags each command with an --in or --out path needs besides them.
+_PATH_COMMANDS = {
+    "simulate": ["--system", "lorenz", "--span", "0:1"],
+    "iterate": ["--system", "henon", "--steps", "5"],
+    "cobweb": [],
+    "bifurcate": ["--mu-range", "3:4"],
+    "divergence": ["--system", "lorenz", "--t1", "1"],
+    "equilibria": ["--system", "lorenz"],
+    "mandelbrot": [],
+    "ifs": [],
+    "boxdim": [],
+    "compress": [],
+    "decompress": [],
+    "encrypt": ["--key", "3.9,0.3"],
+    "decrypt": ["--key", "3.9,0.3"],
+}
+
+
+def _subparsers():
+    action = next(a for a in cli.build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def _options(parser):
+    return {o for a in parser._actions for o in a.option_strings}
+
+
+_INPUT_COMMANDS = {"boxdim", "compress", "decompress", "encrypt", "decrypt"}
+
+
+def test_path_commands_cover_every_command_with_a_path():
+    parsers = _subparsers()
+    assert {name for name, p in parsers.items() if "--out" in _options(p)} == set(_PATH_COMMANDS)
+    assert {name for name, p in parsers.items() if "--in" in _options(p)} == _INPUT_COMMANDS
+
+
+@pytest.mark.parametrize(
+    "command, missing",
+    [(cmd, "out") for cmd in sorted(_PATH_COMMANDS)]
+    + [(cmd, "input") for cmd in sorted(_INPUT_COMMANDS)],
+)
+def test_paths_are_checked_before_the_command_runs(command, missing, tmp_path, run_cli,
+                                                   capsys, monkeypatch):
+    def never(args):
+        raise AssertionError(f"{command} ran before its paths were checked")
+
+    monkeypatch.setattr(cli, f"_{command}", never)
+    src = tmp_path / "in.bin"
+    src.write_bytes(b"P5\n1 1\n255\n\x00")
+    argv = [command] + _PATH_COMMANDS[command]
+    if command in _INPUT_COMMANDS:
+        argv += ["--in", str(tmp_path / "none" if missing == "input" else src)]
+    argv += ["--out", str(tmp_path / ("none/o" if missing == "out" else "o"))]
+    code, stdout = run_cli(argv)
+    assert (code, stdout) == (2, "")
+    what = "input file" if missing == "input" else "output directory"
+    assert capsys.readouterr().err == (
+        f"chaoscope {command}: {what} does not exist: {tmp_path / 'none'}\n"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.bin"]
+
+
+#: The flags that mirror a library default, the command that takes each,
+#: and the library callable whose parameter of the same name holds it.
+_LIBRARY_DEFAULTS = [
+    ("iterate", "discard", iterate_map),
+    ("mandelbrot", "threshold", mandelbrot_grid),
+    ("compress", "range_size", compression.pifs_encode),
+    ("compress", "domain_step", compression.pifs_encode),
+    ("compress", "s_max", compression.pifs_encode),
+    ("encrypt", "warmup", ChaosKey),
+    ("avalanche", "warmup", ChaosKey),
+] + [
+    (command, name, IntegratorConfig)
+    for command in ("simulate", "divergence") for name in cli._INTEGRATOR_FLAGS
+]
+
+
+@pytest.mark.parametrize("command, name, owner", _LIBRARY_DEFAULTS)
+def test_flags_with_a_library_default_parse_to_none(command, name, owner):
+    parser = _subparsers()[command]
+    assert parser.get_default(name) is None
+    assert "--" + name.replace("_", "-") in _options(parser)
+    assert name in inspect.signature(owner).parameters
+
+
+_DEFAULT_RUNS = {
+    "iterate": ["iterate", "--system", "henon", "--steps", "200"],
+    "mandelbrot": ["mandelbrot", "--scale", "0.05"],
+    "compress": ["compress"],
+    "encrypt": ["encrypt", "--key", "3.9,0.3"],
+    "avalanche": ["avalanche", "--key", "3.9,0.3", "--bytes", "1024", "--trials", "8"],
+    "simulate": ["simulate", "--system", "lorenz", "--span", "0:1"],
+    "divergence": ["divergence", "--system", "lorenz", "--t1", "1"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, name, owner",
+    [(cmd, name, owner) for cmd, name, owner in _LIBRARY_DEFAULTS
+     if inspect.signature(owner).parameters[name].default is not None],
+)
+def test_a_left_out_flag_gives_the_library_default(command, name, owner, tmp_path, run_cli):
+    default = inspect.signature(owner).parameters[name].default
+    src = tmp_path / "in.pgm"
+    write_pgm(make_blob64(), src)
+    outputs = []
+    for extra in ([], ["--" + name.replace("_", "-"), str(default)]):
+        argv = _DEFAULT_RUNS[command] + extra
+        if command in _INPUT_COMMANDS:
+            argv += ["--in", str(src)]
+        out = tmp_path / f"o{len(outputs)}"
+        if command in _PATH_COMMANDS:
+            argv += ["--out", str(out)]
+        code, stdout = run_cli(argv)
+        assert code == 0
+        outputs.append((stdout, out.read_bytes() if out.exists() else None))
+    assert outputs[0] == outputs[1]
