@@ -14,7 +14,8 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .errors import DomainError, NonFiniteState, SeparationUnderflow, check_cap, check_count
+from .errors import (DomainError, NonFiniteState, SeparationUnderflow, check_cap, check_count,
+                     check_real)
 from .integrate import MAX_ORBIT_VALUES, FieldFn, IntegratorConfig, Trajectory, as_state
 from .systems import LogisticParams, LorenzParams, check_logistic_x0, logistic_step
 
@@ -32,6 +33,11 @@ MAX_SCAN_ROWS = 25_000_000
 MAX_SCAN_ITERATES = 2_000_000_000
 _MIN_LANES = 512
 
+#: Smallest t1 of divergence_rate, 2**-511: the least float whose square is
+#: a normal float.  np.polyfit scales the time column by sqrt(sum t^2), which
+#: underflows for a smaller t1 and fails the fit.
+_MIN_T1 = 2.0 ** -511
+
 #: Fraction of the reference attractor diameter beyond which separation is
 #: considered saturated and excluded from the exponential fit.
 SATURATION_FRACTION = 0.01
@@ -45,8 +51,7 @@ class Stability(enum.Enum):
 
 def classify_linear(a: float) -> Stability:
     """Strict sign trichotomy for x' = a*x: decay, growth, or the a=0 boundary."""
-    if not math.isfinite(a):
-        raise DomainError("a must be finite")
+    check_real(a, "a", "(-inf, inf)")
     if a < 0.0:
         return Stability.STABLE
     if a > 0.0:
@@ -58,8 +63,7 @@ def verify_equilibrium(
     field: Callable[[np.ndarray], np.ndarray], point, tol: float
 ) -> bool:
     """True when the max-norm of field(point) is at most tol."""
-    if not tol > 0.0:
-        raise DomainError("tol must be positive")
+    check_real(tol, "tol", "(0, inf)")
     value = np.asarray(field(as_state(point)), dtype=np.float64)
     return bool(np.max(np.abs(value)) <= tol)
 
@@ -144,6 +148,8 @@ def bifurcation_scan(
     p_steps = check_count(p_steps, "p_steps", 1)
     discard = check_count(discard, "discard", 100)
     keep = check_count(keep, "keep", 1)
+    for name, value in (("p_lo", p_lo), ("p_hi", p_hi), ("x0", x0)):
+        check_real(value, name, "(-inf, inf)")
     if not p_lo < p_hi:
         raise DomainError("need p_lo < p_hi")
     check_cap(p_steps * keep, MAX_SCAN_ROWS, f"{p_steps} parameters x {keep} kept iterates",
@@ -217,12 +223,11 @@ def divergence_rate(
     step endpoint), and fits log separation against time by least squares.
     The fit window is the prefix before separation saturates at
     SATURATION_FRACTION of the reference attractor's coordinate diameter;
-    if that prefix is degenerate the full grid is used.
+    if that prefix is degenerate the full grid is used.  t1 must be at least
+    _MIN_T1 = 2**-511.
     """
-    if not delta0 > 0.0:
-        raise DomainError("delta0 must be positive")
-    if not t1 > 0.0:
-        raise DomainError("t1 must be positive")
+    check_real(delta0, "delta0", "(0, inf)")
+    check_real(t1, "t1", f"[{_MIN_T1!r}, inf)")
     base = as_state(x0)
     perturbed = base.copy()
     perturbed[0] += delta0

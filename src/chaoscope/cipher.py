@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateOrbit, DomainError, FormatError, check_cap, check_count
+from .errors import DegenerateOrbit, DomainError, FormatError, check_cap, check_count, check_real
 
 CONTAINER_MAGIC = b"CHX1"
 CONTAINER_VERSION = 1
@@ -54,10 +54,8 @@ class ChaosKey:
     warmup: int = 1000
 
     def __post_init__(self):
-        if not (3.57 < self.mu <= 4.0):
-            raise DomainError(f"mu must lie in (3.57, 4], got {self.mu}")
-        if not (0.0 < self.x0 < 1.0):
-            raise DomainError(f"x0 must lie in (0, 1), got {self.x0}")
+        check_real(self.mu, "mu", "(3.57, 4]")
+        check_real(self.x0, "x0", "(0, 1)")
         if self.x0 == 0.5:
             raise DomainError("x0 = 0.5 is excluded (maps to the orbit maximum)")
         if self.mu == 4.0 and self.x0 == 0.75:

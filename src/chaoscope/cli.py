@@ -336,7 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--min-exp", type=int, default=2)
     p.add_argument("--max-exp", type=int, default=7)
-    p.add_argument("--out", help="optional CSV of the log-log fit points")
+    p.add_argument("--out", type=lambda s: s or None,  # an empty --out writes no CSV
+                   help="optional CSV of the log-log fit points")
 
     p = sub.add_parser("simdim", help="similarity dimension from copies and ratio")
     p.add_argument("--copies", type=int, required=True)
@@ -408,9 +409,12 @@ def main(argv: Optional[list] = None) -> int:
             if not Path(args.input).is_file():
                 raise DomainError(f"input file does not exist: {args.input}")
             args.input = Path(args.input)
-        # --out stays a string: boxdim writes no CSV for an empty one
-        if getattr(args, "out", None) is not None and not Path(args.out).parent.is_dir():
-            raise DomainError(f"output directory does not exist: {Path(args.out).parent}")
+        if getattr(args, "out", None) is not None:
+            out = Path(args.out)
+            if not out.parent.is_dir():
+                raise DomainError(f"output directory does not exist: {out.parent}")
+            if out.is_dir():
+                raise IsADirectoryError(f"output is a directory: {out}")
         globals()["_" + args.command](args)
     except (ChaoscopeError, OSError) as exc:
         if isinstance(exc, DomainError) and not isinstance(exc, FormatError):

@@ -37,6 +37,7 @@ from .errors import (
     ImageTooSmall,
     check_cap,
     check_count,
+    check_real,
 )
 from .formats import GrayImage
 
@@ -243,8 +244,7 @@ def pifs_encode(
     a factor of several hundred; pruning less than possible only costs time.
     """
     domain_step = check_count(domain_step, "domain_step", 1)
-    if not (0.0 <= s_max <= 1.0):
-        raise DomainError("s_max must lie in [0, 1]")
+    check_real(s_max, "s_max", "[0, 1]")
     _check_blocks(image.width, image.height, range_size)
 
     rs = range_size

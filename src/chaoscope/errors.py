@@ -1,12 +1,13 @@
 """Exception types shared across the package.
 
 Everything raised on purpose derives from ChaoscopeError so callers (and the
-CLI) can tell deliberate signals from genuine bugs.  Every count argument
-goes through check_count and every size cap through check_cap, so each has
-one message form.
+CLI) can tell deliberate signals from genuine bugs.  Counts, real parameters
+and size caps go through check_count, check_real and check_cap, one message
+form each; check_real's is "<name> must lie in <interval>, got <value>".
 """
 
 import operator
+import sys
 
 
 class ChaoscopeError(Exception):
@@ -71,6 +72,17 @@ def check_count(value, name: str, least: int) -> int:
     if value < least:
         raise DomainError(f"{name} must be at least {least}, got {value}")
     return value
+
+
+def check_real(value, name: str, interval: str) -> None:
+    """Raise DomainError "<name> must lie in <interval>, got <value>" unless value
+    is finite (a float, or an int within the float range) and in ``interval``,
+    such as "[2, inf)"; a string raises TypeError."""
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    if not (abs(value) <= sys.float_info.max
+            and (lo <= value if interval[0] == "[" else lo < value)
+            and (value <= hi if interval[-1] == "]" else value < hi)):
+        raise DomainError(f"{name} must lie in {interval}, got {value}")
 
 
 def check_cap(amount: int, limit: int, what: str, unit: str) -> None:

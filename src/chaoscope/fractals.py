@@ -15,7 +15,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .errors import DomainError, EmptyImage, check_cap, check_count
+from .errors import DomainError, EmptyImage, check_cap, check_count, check_real
 
 #: Refuse to allocate escape grids beyond this many pixels.  The tiled
 #: kernel peaks at about 4.5 bytes per pixel, the int32 counts plus O(tile)
@@ -65,15 +65,13 @@ class ComplexWindow:
     scale: float
 
     def __post_init__(self):
+        for name in ("xmin", "xmax", "ymin", "ymax"):
+            check_real(getattr(self, name), name, "(-inf, inf)")
+        check_real(self.scale, "scale", "(0, inf)")
         if not (self.xmin < self.xmax and self.ymin < self.ymax):
             raise DomainError("window bounds must satisfy xmin < xmax and ymin < ymax")
-        if not self.scale > 0.0:
-            raise DomainError("scale must be positive")
-        if not (
-            math.isfinite((self.xmax - self.xmin) / self.scale)
-            and math.isfinite((self.ymax - self.ymin) / self.scale)
-        ):
-            raise DomainError("window bounds and their spans in pitches must be finite")
+        check_real((self.xmax - self.xmin) / self.scale, "(xmax - xmin) / scale", "(0, inf)")
+        check_real((self.ymax - self.ymin) / self.scale, "(ymax - ymin) / scale", "(0, inf)")
         if self.nx < 3 or self.ny < 3:
             raise DomainError("window must span at least 2 grid pitches per axis")
 
@@ -143,8 +141,7 @@ def mandelbrot_grid(
     Every active pixel sees the same float operations as a full-grid update.
     """
     nmax = check_count(nmax, "nmax", 1)
-    if not threshold >= 2.0:  # also refuses NaN
-        raise DomainError(f"threshold must be >= 2, got {threshold}")
+    check_real(threshold, "threshold", "[2, inf)")
     nx, ny = window.nx, window.ny
     check_cap(nx * ny, DEFAULT_MAX_PIXELS, f"{nx}x{ny} grid", "pixel")
     check_cap(max(nx * ny, _MIN_ESCAPE_PIXELS) * nmax, MAX_ESCAPE_ITERATES,
@@ -368,8 +365,7 @@ def ifs_iterate(system: IfsSystem, start: BinaryImage, n: int) -> BinaryImage:
 def similarity_dimension(n_copies: int, ratio: float) -> float:
     """Dimension D with n_copies * ratio**D == 1 for a self-similar set."""
     n_copies = check_count(n_copies, "n_copies", 1)
-    if not (0.0 < ratio < 1.0):
-        raise DomainError(f"ratio must lie in (0, 1), got {ratio}")
+    check_real(ratio, "ratio", "(0, 1)")
     return -math.log(n_copies) / math.log(ratio)
 
 

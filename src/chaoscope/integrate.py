@@ -26,6 +26,7 @@ from .errors import (
     StepUnderflow,
     check_cap,
     check_count,
+    check_real,
 )
 
 ArrayLike = Union[Sequence[float], np.ndarray]
@@ -95,16 +96,13 @@ class IntegratorConfig:
     min_step: Optional[float] = None
 
     def __post_init__(self):
-        if not (0.0 < self.rel_tol < 1.0):
-            raise DomainError(f"rel_tol must be in (0, 1), got {self.rel_tol}")
-        if not (0.0 < self.abs_tol < 1.0):
-            raise DomainError(f"abs_tol must be in (0, 1), got {self.abs_tol}")
-        if self.initial_step is not None and self.initial_step <= 0.0:
-            raise DomainError("initial_step must be positive")
+        check_real(self.rel_tol, "rel_tol", "(0, 1)")
+        check_real(self.abs_tol, "abs_tol", "(0, 1)")
+        if self.initial_step is not None:
+            check_real(self.initial_step, "initial_step", "(0, inf)")
         object.__setattr__(self, "max_steps", check_count(self.max_steps, "max_steps", 1))
         if self.min_step is not None:
-            if self.min_step <= 0.0:
-                raise DomainError("min_step must be positive")
+            check_real(self.min_step, "min_step", "(0, inf)")
             if self.initial_step is not None and not self.min_step < self.initial_step:
                 raise DomainError("min_step must be smaller than initial_step")
 
@@ -251,14 +249,16 @@ def integrate(
     the same in Python and in numpy, and neither fuses them.
     """
     cfg = config if config is not None else IntegratorConfig()
+    check_real(t0, "t0", "(-inf, inf)")
+    check_real(t1, "t1", "(-inf, inf)")
     if not t1 > t0:
         raise DomainError(f"need t1 > t0, got [{t0}, {t1}]")
+    check_real(span := t1 - t0, "t1 - t0", "(0, inf)")
     y = as_state(x0).tolist()
     dim = len(y)
     steps = cfg.max_steps + 1
     check_cap(steps * (dim + 1), MAX_ORBIT_VALUES, f"{steps} steps x {dim + 1} values", "value")
     f = _field_kernel(field, dim)
-    span = t1 - t0
     min_step = cfg.min_step if cfg.min_step is not None else 1e-12 * span
     if cfg.initial_step is not None:
         h = min(cfg.initial_step, span)

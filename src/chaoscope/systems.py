@@ -12,42 +12,44 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .errors import DomainError, lookup_preset
+from .errors import DomainError, check_real, lookup_preset
 from .integrate import FloatKernel
 
 
-@dataclass(frozen=True)
-class LogisticParams:
-    mu: float
+class _Params:
+    """A parameter record whose every field must lie in ``interval``."""
+
+    interval = "(-inf, inf)"
 
     def __post_init__(self):
-        if not (math.isfinite(self.mu) and 0.0 <= self.mu <= 4.0):
-            raise DomainError(f"mu must lie in [0, 4], got {self.mu}")
+        for f in fields(self):
+            check_real(getattr(self, f.name), f.name, self.interval)
 
 
 @dataclass(frozen=True)
-class HenonParams:
+class LogisticParams(_Params):
+    mu: float
+
+    interval = "[0, 4]"
+
+
+@dataclass(frozen=True)
+class HenonParams(_Params):
     a: float
     b: float
 
-    def __post_init__(self):
-        if not (math.isfinite(self.a) and math.isfinite(self.b)):
-            raise DomainError("Henon parameters must be finite")
-
 
 @dataclass(frozen=True)
-class LorenzParams:
+class LorenzParams(_Params):
     sigma: float
     r: float
     b: float
 
-    def __post_init__(self):
-        if not (self.sigma > 0.0 and self.r > 0.0 and self.b > 0.0):
-            raise DomainError("Lorenz parameters must all be positive")
+    interval = "(0, inf)"
 
 
 @dataclass(frozen=True)
-class ChuaParams:
+class ChuaParams(_Params):
     c1: float
     c2: float
     c3: float
@@ -55,17 +57,14 @@ class ChuaParams:
     m1: float  # outer slope
 
     def __post_init__(self):
+        super().__post_init__()
         if self.m0 == self.m1:
             raise DomainError("m0 == m1 makes the circuit element linear")
 
 
 @dataclass(frozen=True)
-class Linear1DParams:
+class Linear1DParams(_Params):
     a: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.a):
-            raise DomainError("a must be finite")
 
 
 @dataclass(frozen=True)
@@ -83,10 +82,8 @@ def _logistic(p: LogisticParams, s) -> Tuple[float]:
 
 
 def check_logistic_x0(x0: float) -> None:
-    """Refuse a logistic-map start outside [0, 1], the interval the map keeps
-    for mu in [0, 4] (NaN included)."""
-    if not (0.0 <= x0 <= 1.0):
-        raise DomainError(f"x0 must lie in [0, 1], got {x0}")
+    """Refuse a logistic-map start outside [0, 1], which the map keeps for mu in [0, 4]."""
+    check_real(x0, "x0", "[0, 1]")
 
 
 def henon_step(p: HenonParams, s: Tuple[float, float]) -> Tuple[float, float]:

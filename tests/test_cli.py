@@ -109,6 +109,15 @@ def test_unknown_preset_exits_2(tmp_path, run_cli, capsys):
         ["avalanche", "--key", "3.9,0.3", "--trials", "1000000000"],
         ["simulate", "--system", "lorenz", "--span", "0:1000000", "--max-steps", "1000000000",
          "--out", "o.csv"],
+        ["simulate", "--system", "lorenz", "--span", "0:1", "--min-step", "nan", "--out", "o.csv"],
+        ["equilibria", "--system", "lorenz", "--params", "10,inf,2", "--out", "o.csv"],
+        ["simulate", "--system", "lorenz", "--span", "0:1", "--initial-step", "nan",
+         "--out", "o.csv"],
+        ["simulate", "--system", "lorenz", "--span", "0:inf", "--out", "o.csv"],
+        ["divergence", "--system", "lorenz", "--t1", "inf", "--out", "o.csv"],
+        ["divergence", "--system", "lorenz", "--t1", "1", "--delta0", "inf", "--out", "o.csv"],
+        ["simulate", "--system", "chua", "--span", "0:1", "--params", "nan,1,1,1,2",
+         "--out", "o.csv"],
     ],
 )
 def test_validation_failures_exit_2_without_output(argv, tmp_path, run_cli, monkeypatch):
@@ -330,6 +339,45 @@ def test_out_naming_a_directory_exits_1_and_leaves_no_temp(tmp_path, run_cli):
     assert code == 1
     assert [p.name for p in tmp_path.iterdir()] == ["adir"]
     assert list(target.iterdir()) == []
+
+
+@pytest.mark.parametrize("out", ["adir", ".", ""])
+def test_out_naming_a_directory_exits_1_before_the_command_runs(out, tmp_path, run_cli, capsys,
+                                                                monkeypatch):
+    def never(args):
+        raise AssertionError("cobweb ran with a directory as its output")
+
+    monkeypatch.setattr(cli, "_cobweb", never)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "adir").mkdir()
+    code, stdout = run_cli(["cobweb", "--out", out])
+    assert (code, stdout) == (1, "")
+    assert capsys.readouterr().err == (
+        f"chaoscope cobweb: IsADirectoryError: output is a directory: {out or '.'}\n"
+    )
+    assert [p.name for p in tmp_path.iterdir()] == ["adir"]
+    assert list((tmp_path / "adir").iterdir()) == []
+
+
+def test_boxdim_with_an_empty_out_writes_no_csv(tmp_path, run_cli, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(["ifs", "--size", "64", "--steps", "3", "--out", "s.pgm"])[0] == 0
+    code, stdout = run_cli(["boxdim", "--in", "s.pgm", "--min-exp", "1", "--max-exp", "4",
+                            "--out", ""])
+    assert code == 0 and stdout.startswith("dimension ")
+    assert [p.name for p in tmp_path.iterdir()] == ["s.pgm"]
+
+
+def test_divergence_below_the_least_t1_exits_2_with_one_line(tmp_path, run_cli, capsys):
+    # a smaller t1 underflows np.polyfit's column scale, sqrt(sum t^2)
+    out = tmp_path / "d.csv"
+    code, stdout = run_cli(["divergence", "--system", "lorenz", "--t1", "1e-300",
+                            "--out", str(out)])
+    assert (code, stdout) == (2, "")
+    assert capsys.readouterr().err == (
+        "chaoscope divergence: t1 must lie in [1.4916681462400413e-154, inf), got 1e-300\n"
+    )
+    assert list(tmp_path.iterdir()) == []
 
 
 _BAD_INPUTS = {
