@@ -2,7 +2,7 @@
 
 ``main`` checks the --in and --out paths of every command before it runs
 it.  Each command then checks only what the command line alone knows (flag
-syntax, the cipher key, preset names, the --x0 length) and calls the
+syntax, the cipher key, preset names, the --x0 state) and calls the
 library, whose own checks run before any computation.  A flag that mirrors
 a library default has no default of its own: a flag left out is not passed,
 so the library's default applies.  The exit status follows the type of the
@@ -17,6 +17,19 @@ error, with a one-line diagnostic on stderr:
 Files are written atomically, so a failing run never leaves partial output
 behind.  Each command imports the library modules it calls when it runs, so
 a run loads only the code of its own command.
+
+``run`` is the process entry point (``python -m chaoscope``, the
+``chaoscope`` script).  It calls ``main``, flushes stdout and stderr once,
+and ends the process with ``os._exit``.  That skips the interpreter's
+teardown, about 20 ms per command whose work nobody reads: every output
+file is closed and renamed before ``main`` returns, and nothing in the
+package registers ``atexit`` handlers, relies on ``__del__`` or starts
+threads.  So ``atexit`` handlers do not run in a CLI process, and BLAS
+worker threads are not joined.  A stdout that fails to flush (a closed
+pipe) exits 1 with one line, ``chaoscope <command>: <Type>: <message>``.
+Under a profiler or tracer (``sys.getprofile()`` or ``sys.gettrace()``
+set) ``run`` exits normally, so the tool can write its report.  ``main``
+only returns the exit code, for tests and library callers.
 """
 
 from __future__ import annotations
@@ -29,7 +42,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import ChaoscopeError, DomainError, FormatError, check_cap, check_count, lookup_preset
+from .errors import (ChaoscopeError, DomainError, FormatError, check_cap, check_count, check_real,
+                     lookup_preset)
 
 KEY_ENV_VAR = "CHAOSCOPE_KEY"
 
@@ -80,8 +94,12 @@ def _given(args, *names) -> dict:
 
 
 def _system_args(args):
-    """The --system preset, its --params (None for the defaults) and --x0 state."""
-    from .systems import preset as named_preset
+    """The --system preset, its --params (None for the defaults) and --x0 state.
+
+    Each --x0 component must be finite, and a logistic start must lie in
+    [0, 1], as for cobweb and bifurcate.
+    """
+    from .systems import check_logistic_x0, preset as named_preset
 
     preset = named_preset(args.system)
     params = _parse_floats(args.params, "--params") if args.params else None
@@ -93,6 +111,11 @@ def _system_args(args):
                 f"system '{preset.name}' has dimension {preset.dimension}, "
                 f"--x0 gave {len(state)} components"
             )
+        for value in state:
+            if preset.name == "logistic":
+                check_logistic_x0(value)
+            else:
+                check_real(value, "x0", "(-inf, inf)")
     return preset, params, np.array(state)
 
 
@@ -417,13 +440,41 @@ def main(argv: Optional[list] = None) -> int:
                 raise IsADirectoryError(f"output is a directory: {out}")
         globals()["_" + args.command](args)
     except (ChaoscopeError, OSError) as exc:
-        if isinstance(exc, DomainError) and not isinstance(exc, FormatError):
-            print(f"chaoscope {args.command}: {exc}", file=sys.stderr)
-            return 2
-        print(f"chaoscope {args.command}: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        return _report(f"chaoscope {args.command}", exc)
     return 0
 
 
+def _report(prefix: str, exc: Exception) -> int:
+    """Print the one-line diagnostic of exc; return its exit code."""
+    if isinstance(exc, DomainError) and not isinstance(exc, FormatError):
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return 2
+    print(f"{prefix}: {type(exc).__name__}: {exc}", file=sys.stderr)
+    return 1
+
+
+def run() -> None:
+    """Run main on sys.argv, flush stdout and stderr, and end the process.
+
+    A flush that fails leaves its bytes in the buffer, so stdout is flushed
+    once and the process ends with ``os._exit``, which flushes nothing.
+    """
+    argv = sys.argv[1:]
+    code = main(argv)
+    try:
+        if sys.stdout is not None:  # None when the process started without fd 1
+            sys.stdout.flush()
+    except (OSError, ValueError) as exc:
+        sys.stdout = None  # so that a normal exit, under a tracer, does not flush it again
+        # the top-level parser takes no positional but the command
+        command = argv[0] if argv and not argv[0].startswith("-") else None
+        code = _report(f"chaoscope {command}" if command else "chaoscope", exc)
+    if sys.stderr is not None:
+        sys.stderr.flush()
+    if sys.gettrace() is not None or sys.getprofile() is not None:
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -118,6 +118,10 @@ def test_unknown_preset_exits_2(tmp_path, run_cli, capsys):
         ["divergence", "--system", "lorenz", "--t1", "1", "--delta0", "inf", "--out", "o.csv"],
         ["simulate", "--system", "chua", "--span", "0:1", "--params", "nan,1,1,1,2",
          "--out", "o.csv"],
+        ["iterate", "--system", "logistic", "--x0", "1.5", "--steps", "2000", "--out", "o.csv"],
+        ["iterate", "--system", "logistic", "--x0", "nan", "--steps", "5", "--out", "o.csv"],
+        ["iterate", "--system", "henon", "--x0", "nan,0", "--steps", "5", "--out", "o.csv"],
+        ["simulate", "--system", "lorenz", "--x0", "1,inf,2", "--span", "0:1", "--out", "o.csv"],
     ],
 )
 def test_validation_failures_exit_2_without_output(argv, tmp_path, run_cli, monkeypatch):

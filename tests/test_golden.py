@@ -6,7 +6,9 @@ once, and the SHA-256 of its stdout and of its output file must equal the
 digest committed in ``golden/cli_digests.json``.  The codec cases add
 ``compress`` runs on seeded photo-like images (textured, edged and noisy,
 one of them non-square) and ``decompress`` of each resulting code, which
-the tour's flat ramp barely exercises.
+the tour's flat ramp barely exercises.  The digests must hold both for
+``cli.main`` called in this process and for real ``python -m chaoscope``
+processes, which end through ``cli.run``.
 
 After a deliberate output change, rewrite the digests with
 
@@ -36,6 +38,7 @@ from conftest import make_photo
 from test_acceptance import _determinism_cases
 
 GOLDEN = Path(__file__).parent / "golden" / "cli_digests.json"
+SRC = str(Path(chaoscope.__file__).parents[1])
 
 # name -> (height, width, seed, extra compress flags)
 CODEC_CASES = {
@@ -47,11 +50,27 @@ CODEC_CASES = {
 
 
 def _run(argv):
+    """Run argv through cli.main in this process; return its stdout."""
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = main(argv)
     assert code == 0, (argv, code)
     return buf.getvalue()
+
+
+def _run_child(argv):
+    """Run argv as a ``python -m chaoscope`` process; return its stdout.
+
+    stdout is a pipe, block-buffered since PYTHONUNBUFFERED is removed, so
+    the printed lines reach it only through the flush in ``cli.run``; no
+    bytecode is written, as in the benchmark's children.
+    """
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env.update(PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=SRC)
+    child = subprocess.run([sys.executable, "-m", "chaoscope", *argv], env=env,
+                           capture_output=True, timeout=120)
+    assert (child.returncode, child.stderr) == (0, b""), (argv, child.returncode, child.stderr)
+    return child.stdout.decode("utf-8")
 
 
 def _codec_cases(root: Path):
@@ -67,19 +86,19 @@ def _codec_cases(root: Path):
     return cases
 
 
-def compute_digests(root: Path) -> dict:
-    """Run every tour and codec command under root; map name -> stdout and
-    output digests."""
+def compute_digests(root: Path, run=_run) -> dict:
+    """Run every tour and codec command under root with run(argv) -> stdout;
+    map name -> stdout and output digests."""
     cases, ifs_pgm, fic, chx, secret = _determinism_cases(root)
     cases = cases + _codec_cases(root)
-    _run(["ifs", "--size", "128", "--steps", "4", "--out", str(ifs_pgm)])
-    _run(["compress", "--in", str(root / "in_ramp.pgm"), "--out", str(fic)])
-    _run(["encrypt", "--in", str(secret), "--key", "3.9,0.3", "--out", str(chx)])
+    run(["ifs", "--size", "128", "--steps", "4", "--out", str(ifs_pgm)])
+    run(["compress", "--in", str(root / "in_ramp.pgm"), "--out", str(fic)])
+    run(["encrypt", "--in", str(secret), "--key", "3.9,0.3", "--out", str(chx)])
 
     digests = {}
     for name, argv, outs in cases:
         cmd = list(argv) + (["--out", outs[0]] if outs is not None else [])
-        stdout = _run(cmd)
+        stdout = run(cmd)
         payload = Path(outs[0]).read_bytes() if outs is not None else b""
         digests[name] = {
             "stdout": hashlib.sha256(stdout.encode("utf-8")).hexdigest(),
@@ -93,6 +112,13 @@ def test_cli_outputs_match_golden_digests(tmp_path):
     assert compute_digests(tmp_path) == expected
 
 
+def test_cli_processes_match_golden_digests(tmp_path):
+    """Every case as its own process: each stdout line and output byte is
+    complete when the process ends, and no temp file is left behind."""
+    assert compute_digests(tmp_path, _run_child) == json.loads(GOLDEN.read_text())
+    assert list(tmp_path.rglob("*.tmp")) == []
+
+
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_golden_digests_do_not_depend_on_blas_threads(threads, tmp_path):
     """The digests hold in a fresh process with OPENBLAS_NUM_THREADS=1 and =2.
@@ -104,7 +130,7 @@ def test_golden_digests_do_not_depend_on_blas_threads(threads, tmp_path):
     other kernels at run time, cannot be tested by a suite that runs on one
     machine.
     """
-    paths = [str(Path(chaoscope.__file__).parents[1]), str(Path(__file__).parent)]
+    paths = [SRC, str(Path(__file__).parent)]
     if os.environ.get("PYTHONPATH"):
         paths.append(os.environ["PYTHONPATH"])
     env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(paths))
