@@ -64,7 +64,7 @@ def verify_equilibrium(
 ) -> bool:
     """True when the max-norm of field(point) is at most tol."""
     check_real(tol, "tol", "(0, inf)")
-    value = np.asarray(field(as_state(point)), dtype=np.float64)
+    value = np.asarray(field(as_state(point, "point")), dtype=np.float64)
     return bool(np.max(np.abs(value)) <= tol)
 
 
@@ -228,7 +228,7 @@ def divergence_rate(
     """
     check_real(delta0, "delta0", "(0, inf)")
     check_real(t1, "t1", f"[{_MIN_T1!r}, inf)")
-    base = as_state(x0)
+    base = as_state(x0, "x0")
     perturbed = base.copy()
     perturbed[0] += delta0
     if np.array_equal(base, perturbed):

@@ -2,7 +2,7 @@
 
 ``main`` checks the --in and --out paths of every command before it runs
 it.  Each command then checks only what the command line alone knows (flag
-syntax, the cipher key, preset names, the --x0 state) and calls the
+syntax, the cipher key, preset names, the --x0 dimension) and calls the
 library, whose own checks run before any computation.  A flag that mirrors
 a library default has no default of its own: a flag left out is not passed,
 so the library's default applies.  The exit status follows the type of the
@@ -26,7 +26,8 @@ file is closed and renamed before ``main`` returns, and nothing in the
 package registers ``atexit`` handlers, relies on ``__del__`` or starts
 threads.  So ``atexit`` handlers do not run in a CLI process, and BLAS
 worker threads are not joined.  A stdout that fails to flush (a closed
-pipe) exits 1 with one line, ``chaoscope <command>: <Type>: <message>``.
+pipe) exits 1 with one line, ``chaoscope <command>: <Type>: <message>``;
+so does a printing command without stdout (fd 1 closed), before it runs.
 Under a profiler or tracer (``sys.getprofile()`` or ``sys.gettrace()``
 set) ``run`` exits normally, so the tool can write its report.  ``main``
 only returns the exit code, for tests and library callers.
@@ -40,10 +41,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Tuple
 
-import numpy as np
-
-from .errors import (ChaoscopeError, DomainError, FormatError, check_cap, check_count, check_real,
-                     lookup_preset)
+from .errors import ChaoscopeError, DomainError, FormatError, check_cap, check_count, lookup_preset
 
 KEY_ENV_VAR = "CHAOSCOPE_KEY"
 
@@ -52,6 +50,9 @@ KEY_ENV_VAR = "CHAOSCOPE_KEY"
 #: 7 steps), and the start image and the PGM writer add about 4, so 3500^2
 #: pixels need about 0.1 GB.
 IFS_MAX_SIZE = 3500
+
+#: The commands that print their result on stdout.
+_PRINTING_COMMANDS = frozenset({"divergence", "boxdim", "simdim", "avalanche"})
 
 #: Help text of --warmup; its bound is cipher.MAX_WARMUP, spelled out so that
 #: building the parser does not load the cipher (a test keeps them equal).
@@ -96,8 +97,9 @@ def _given(args, *names) -> dict:
 def _system_args(args):
     """The --system preset, its --params (None for the defaults) and --x0 state.
 
-    Each --x0 component must be finite, and a logistic start must lie in
-    [0, 1], as for cobweb and bifurcate.
+    The --x0 state is a tuple of floats with the preset's dimension, and a
+    logistic start must lie in [0, 1], as for cobweb and bifurcate.  The
+    library checks that each component is finite.
     """
     from .systems import check_logistic_x0, preset as named_preset
 
@@ -111,12 +113,9 @@ def _system_args(args):
                 f"system '{preset.name}' has dimension {preset.dimension}, "
                 f"--x0 gave {len(state)} components"
             )
-        for value in state:
-            if preset.name == "logistic":
-                check_logistic_x0(value)
-            else:
-                check_real(value, "x0", "(-inf, inf)")
-    return preset, params, np.array(state)
+        if preset.name == "logistic":
+            check_logistic_x0(state[0])
+    return preset, params, state
 
 
 #: IntegratorConfig fields with a flag each, and the flag's type.
@@ -438,6 +437,8 @@ def main(argv: Optional[list] = None) -> int:
                 raise DomainError(f"output directory does not exist: {out.parent}")
             if out.is_dir():
                 raise IsADirectoryError(f"output is a directory: {out}")
+        if sys.stdout is None and args.command in _PRINTING_COMMANDS:
+            raise OSError("no stdout to print the result on")
         globals()["_" + args.command](args)
     except (ChaoscopeError, OSError) as exc:
         return _report(f"chaoscope {args.command}", exc)

@@ -32,7 +32,8 @@ def lookup_preset(table, name: str, what: str):
 
 
 class NonFiniteState(ChaoscopeError):
-    """A state or vector-field value became NaN/Inf.
+    """A value computed during a run, a field stage or a map iterate, became
+    NaN/Inf; a NaN or +-inf start state is a DomainError instead.
 
     ``index`` holds the failing iterate for map orbits, when known.
     """

@@ -40,9 +40,13 @@ class GrayImage:
     pixels: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "pixels", np.asarray(self.pixels, dtype=np.uint8))
+        given = np.asarray(self.pixels)
+        with np.errstate(invalid="ignore"):  # NaN and +-inf are refused below
+            object.__setattr__(self, "pixels", given.astype(np.uint8, copy=False))
         if self.pixels.ndim != 2 or self.pixels.size == 0:
             raise DomainError("pixels must be a non-empty 2-D uint8 array")
+        if self.pixels is not given and not np.array_equal(self.pixels, given):
+            raise DomainError("pixels must be whole numbers in [0, 255]")
 
     @property
     def width(self) -> int:
@@ -54,7 +58,7 @@ class GrayImage:
 
     @classmethod
     def constant(cls, width: int, height: int, value: int) -> "GrayImage":
-        return cls(pixels=np.full((height, width), value, dtype=np.uint8))
+        return cls(pixels=np.full((height, width), value))
 
 
 def write_bytes_atomic(path, data: Union[bytes, Iterable[bytes]]) -> None:

@@ -113,9 +113,13 @@ class EscapeGrid:
     window: ComplexWindow
 
     def __post_init__(self):
-        object.__setattr__(self, "counts", np.asarray(self.counts, dtype=np.int32))
+        given = np.asarray(self.counts)
+        with np.errstate(invalid="ignore"):  # NaN and +-inf are refused below
+            object.__setattr__(self, "counts", given.astype(np.int32, copy=False))
         if self.counts.ndim != 2:
             raise DomainError("counts must be a 2-D array")
+        if self.counts is not given and not np.array_equal(self.counts, given):
+            raise DomainError("escape counts must be whole numbers")
         if self.counts.size and not (
             self.counts.min() >= 1 and self.counts.max() <= self.nmax
         ):

@@ -71,13 +71,15 @@ _isfinite = math.isfinite
 MAX_ORBIT_VALUES = 10_000_000
 
 
-def as_state(x: ArrayLike) -> np.ndarray:
-    """Validate and convert a point in phase space to a float64 vector."""
+def as_state(x: ArrayLike, name: str) -> np.ndarray:
+    """The point x in phase space as a float64 vector.  The only check of an
+    input state: a shape other than a non-empty 1-D vector, or a NaN or +-inf
+    component (by check_real), raises a DomainError that names the state."""
     arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
     if arr.ndim != 1 or arr.size < 1:
-        raise DomainError(f"state must be a 1-D vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteState("state contains NaN or Inf")
+        raise DomainError(f"{name} must be a 1-D vector, got shape {arr.shape}")
+    for value in arr.tolist():
+        check_real(value, name, "(-inf, inf)")
     return arr
 
 
@@ -140,8 +142,7 @@ class MapOrbit:
         object.__setattr__(self, "points", np.asarray(self.points, dtype=np.float64))
         if self.points.ndim != 2 or len(self.points) == 0:
             raise DomainError("orbit needs a non-empty 2-D point array")
-        if self.discarded < 0:
-            raise DomainError("discarded count cannot be negative")
+        object.__setattr__(self, "discarded", check_count(self.discarded, "discarded", 0))
 
     @property
     def dimension(self) -> int:
@@ -167,30 +168,17 @@ class FloatKernel:
         return np.array(self.kernel(*args), dtype=np.float64)
 
 
-def _field_kernel(field: FieldFn, dim: int) -> Callable:
-    """The float kernel of field: its own, or one adapting an ndarray FieldFn."""
-    if isinstance(field, FloatKernel):
-        return field.kernel
+def _float_kernel(fn: Callable, dim: int, what: str) -> Callable:
+    """The float kernel of fn: its own, or one adapting an ndarray FieldFn or
+    MapFn, ``what`` in its shape refusal.  A scalar result counts as one value."""
+    if isinstance(fn, FloatKernel):
+        return fn.kernel
 
-    def adapted(t, y):
-        f = np.asarray(field(t, np.array(y)), dtype=np.float64)
-        if f.shape != (dim,):
-            raise DomainError(f"field returned shape {f.shape}, expected ({dim},)")
-        return f.tolist()
-
-    return adapted
-
-
-def _map_kernel(map_fn: MapFn, dim: int) -> Callable:
-    """The float kernel of map_fn: its own, or one adapting an ndarray MapFn."""
-    if isinstance(map_fn, FloatKernel):
-        return map_fn.kernel
-
-    def adapted(x):
-        nxt = np.atleast_1d(np.asarray(map_fn(np.array(x)), dtype=np.float64))
-        if nxt.shape != (dim,):
-            raise DomainError(f"map returned shape {nxt.shape}, expected ({dim},)")
-        return nxt.tolist()
+    def adapted(*args):
+        out = np.atleast_1d(np.asarray(fn(*args[:-1], np.array(args[-1])), dtype=np.float64))
+        if out.shape != (dim,):
+            raise DomainError(f"{what} returned shape {out.shape}, expected ({dim},)")
+        return out.tolist()
 
     return adapted
 
@@ -254,11 +242,11 @@ def integrate(
     if not t1 > t0:
         raise DomainError(f"need t1 > t0, got [{t0}, {t1}]")
     check_real(span := t1 - t0, "t1 - t0", "(0, inf)")
-    y = as_state(x0).tolist()
+    y = as_state(x0, "x0").tolist()
     dim = len(y)
     steps = cfg.max_steps + 1
     check_cap(steps * (dim + 1), MAX_ORBIT_VALUES, f"{steps} steps x {dim + 1} values", "value")
-    f = _field_kernel(field, dim)
+    f = _float_kernel(field, dim, "field")
     min_step = cfg.min_step if cfg.min_step is not None else 1e-12 * span
     if cfg.initial_step is not None:
         h = min(cfg.initial_step, span)
@@ -378,10 +366,10 @@ def iterate_map(
     """
     discard = check_count(discard, "discard", 0)
     n = check_count(n, "n", discard + 1)
-    cur = as_state(x0).tolist()
+    cur = as_state(x0, "x0").tolist()
     dim = len(cur)
     check_cap(n * dim, MAX_ORBIT_VALUES, f"{n} iterates x {dim} components", "value")
-    step = _map_kernel(map_fn, dim)
+    step = _float_kernel(map_fn, dim, "map")
     points = np.empty((n - discard, dim), dtype=np.float64)
     for i in range(n):
         if i >= discard:

@@ -339,7 +339,7 @@ _PI_BETA = 0.04  # integral memory exponent
 
 
 def _loop_eval_field(field: FieldFn, t: float, y: np.ndarray, dim: int) -> np.ndarray:
-    f = np.asarray(field(t, y), dtype=np.float64)
+    f = np.atleast_1d(np.asarray(field(t, y), dtype=np.float64))
     if f.shape != (dim,):
         raise DomainError(
             f"field returned shape {f.shape}, expected ({dim},)"
@@ -369,7 +369,7 @@ def loop_integrate(
     cfg = config if config is not None else IntegratorConfig()
     if not t1 > t0:
         raise DomainError(f"need t1 > t0, got [{t0}, {t1}]")
-    y = as_state(x0)
+    y = as_state(x0, "x0")
     dim = y.size
     span = t1 - t0
     min_step = cfg.min_step if cfg.min_step is not None else 1e-12 * span
@@ -445,7 +445,7 @@ def loop_iterate_map(
         raise DomainError("discard cannot be negative")
     if n <= discard:
         raise DomainError(f"need n > discard, got n={n}, discard={discard}")
-    cur = as_state(x0)
+    cur = as_state(x0, "x0")
     dim = cur.size
     points = np.empty((n - discard, dim), dtype=np.float64)
     for i in range(n):

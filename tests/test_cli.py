@@ -1,6 +1,8 @@
 import argparse
+import ast
 import inspect
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -616,3 +618,25 @@ def test_a_left_out_flag_gives_the_library_default(command, name, owner, tmp_pat
         assert code == 0
         outputs.append((stdout, out.read_bytes() if out.exists() else None))
     assert outputs[0] == outputs[1]
+
+
+def _cli_tree():
+    return ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+
+
+def test_cli_imports_no_numpy():
+    modules = set()
+    for node in ast.walk(_cli_tree()):
+        if isinstance(node, ast.Import):
+            modules |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules.add(node.module.split(".")[0])
+    assert "argparse" in modules and "numpy" not in modules
+
+
+def test_system_args_leaves_the_state_components_to_the_library():
+    # as_state is the only code that checks the components of an input state
+    function = next(n for n in _cli_tree().body
+                    if isinstance(n, ast.FunctionDef) and n.name == "_system_args")
+    assert not [n for n in ast.walk(function) if isinstance(n, (ast.For, ast.comprehension))]
+    assert "check_real" not in ast.unparse(function)

@@ -33,6 +33,7 @@ COUNTS = [
     ("iterate_map-discard",
      lambda v, _: c.iterate_map(c.preset("henon").map(None), [0.1, 0.0], 5, v), 0),
     ("IntegratorConfig-max_steps", lambda v, _: c.IntegratorConfig(max_steps=v), 1),
+    ("MapOrbit-discarded", lambda v, _: c.MapOrbit(points=[[0.0]], discarded=v), 0),
     ("cobweb_trace-n", lambda v, _: c.cobweb_trace(c.LogisticParams(3.9), 0.2, v), 1),
     ("bifurcation_scan-p_steps",
      lambda v, _: c.bifurcation_scan(_logistic, 3.0, 4.0, v, 0.3, 100, 1), 1),

@@ -6,6 +6,7 @@ processes, with PYTHONUNBUFFERED removed so that stdout is block-buffered
 as it is for most users.
 """
 
+import argparse
 import ast
 import os
 import subprocess
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import chaoscope
+from chaoscope import cli
 from chaoscope.cli import main
 
 PACKAGE = Path(chaoscope.__file__).parent
@@ -120,14 +122,45 @@ def test_a_closed_stdout_exits_1_with_one_line(args, prefix):
     assert err == f"{prefix}: BrokenPipeError: [Errno 32] Broken pipe\n"
 
 
+def _without_stdout(argv, **kwargs):
+    """Run cli.run on argv in a process started with fd 1 closed."""
+    inner = _run_script(argv)
+    return _python("-c", "import os, sys; os.close(1); "
+                         f"os.execv(sys.executable, [sys.executable, '-c', {inner!r}])",
+                   **kwargs)
+
+
 def test_a_process_started_without_stdout_still_writes_its_file(tmp_path):
     # with fd 1 closed at start, sys.stdout is None and there is nothing to flush
     out = tmp_path / "cobweb.csv"
-    inner = _run_script(["cobweb", "--out", str(out)])
-    child = _python("-c", "import os, sys; os.close(1); "
-                          f"os.execv(sys.executable, [sys.executable, '-c', {inner!r}])")
+    child = _without_stdout(["cobweb", "--out", str(out)])
     assert (child.returncode, child.stderr) == (0, "")
     assert out.read_text().startswith("x,y\n")
+
+
+@pytest.mark.parametrize("argv", [
+    SIMDIM,
+    ["divergence", "--system", "linear1d", "--params", "0.7", "--x0", "1", "--t1", "5",
+     "--out", "d.csv"],
+])
+def test_a_printing_command_without_stdout_exits_1_before_it_runs(argv, tmp_path):
+    # its result would be lost, so it refuses, and writes no file either
+    child = _without_stdout(argv, cwd=tmp_path)
+    assert child.returncode == 1
+    assert child.stderr == f"chaoscope {argv[0]}: OSError: no stdout to print the result on\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_the_printing_commands_are_the_commands_that_call_print():
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    commands = next(a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+
+    def prints(name):
+        return any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == "print"
+                   for n in ast.walk(_function(tree, "_" + name)))
+
+    assert {name for name in commands if prints(name)} == cli._PRINTING_COMMANDS
 
 
 def test_a_profiler_still_writes_its_report():

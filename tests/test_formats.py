@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import chaoscope as c
 from chaoscope.analysis import BifurcationDiagram
-from chaoscope.errors import FormatError
+from chaoscope.errors import DomainError, FormatError
 from chaoscope.formats import (
     CSV_BLOCK_ROWS,
     read_pgm,
@@ -138,6 +138,27 @@ def test_binary_image_pgm(tmp_path):
     write_pgm(c.BinaryImage(bits=bits), out)
     payload = out.read_bytes().split(b"\n255\n", 1)[1]
     assert payload == bytes([0, 0, 0, 255, 0, 0])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: c.GrayImage(pixels=np.array([[256, -1]])),
+    lambda: c.GrayImage(pixels=np.array([[0.5, 1.0, 254.9]])),
+    lambda: c.GrayImage(pixels=np.array([[np.nan, np.inf]])),
+    lambda: c.GrayImage(pixels=[[256]]),
+    lambda: c.GrayImage.constant(2, 2, 300),
+    lambda: c.GrayImage.constant(2, 2, 2.5),
+], ids=["wrapping-ints", "fractions", "nan-inf", "list", "constant-300", "constant-2.5"])
+def test_gray_image_refuses_values_its_cast_would_change(make):
+    with pytest.raises(DomainError, match=r"^pixels must be whole numbers in \[0, 255\]$"):
+        make()
+
+
+def test_gray_image_keeps_uint8_pixels_and_casts_exact_values():
+    pixels = np.array([[0, 255]], dtype=np.uint8)
+    assert c.GrayImage(pixels=pixels).pixels is pixels  # no pass over uint8 input
+    cast = c.GrayImage(pixels=[[0.0, 255.0]]).pixels
+    assert cast.dtype == np.uint8 and cast.tolist() == [[0, 255]]
+    assert c.GrayImage.constant(3, 2, 44).pixels.tolist() == [[44] * 3] * 2
 
 
 def test_pgm_roundtrip(tmp_path):

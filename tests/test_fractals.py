@@ -14,6 +14,7 @@ from chaoscope.fractals import (
     AffineMap2,
     BinaryImage,
     ComplexWindow,
+    EscapeGrid,
     IfsSystem,
     box_count_dimension,
     ifs_iterate,
@@ -94,6 +95,19 @@ def _count_at(grid, window, zr, zi):
     j = int(np.argmin(np.abs(ys - zi)))
     assert abs(xs[i] - zr) < 1e-12 and abs(ys[j] - zi) < 1e-12
     return int(grid.counts[j, i])
+
+
+@pytest.mark.parametrize("counts", [[[1.9, 2.2, 3.3]], np.array([[2**32 + 1]]), [[np.nan]]])
+def test_escape_grid_refuses_counts_its_cast_would_change(counts):
+    with pytest.raises(DomainError, match="^escape counts must be whole numbers$"):
+        EscapeGrid(counts=counts, nmax=5, threshold=4.0, window=CLASSIC_WINDOW)
+
+
+def test_escape_grid_keeps_int32_counts_and_casts_exact_values():
+    counts = np.ones((2, 3), dtype=np.int32)
+    assert EscapeGrid(counts, 5, 4.0, CLASSIC_WINDOW).counts is counts
+    cast = EscapeGrid([[1.0, 2.0]], 5, 4.0, CLASSIC_WINDOW).counts
+    assert cast.dtype == np.int32 and cast.tolist() == [[1, 2]]
 
 
 def test_mandelbrot_point_counts():

@@ -128,8 +128,12 @@ def test_nonfinite_field_raises():
 
 
 def test_nonfinite_initial_state_rejected():
-    with pytest.raises(NonFiniteState):
+    # an input state is refused by the real check, as every real input is;
+    # NonFiniteState is left to values computed during the run
+    with pytest.raises(DomainError, match=r"^x0 must lie in \(-inf, inf\), got inf$") as err:
         integrate(linear_field(1.0), [float("inf")], 0.0, 1.0)
+    assert err.traceback[-1].name == "check_real"
+    assert not isinstance(err.value, NonFiniteState)
 
 
 def test_reversed_span_rejected():
@@ -140,6 +144,15 @@ def test_reversed_span_rejected():
 def test_field_dimension_mismatch_rejected():
     with pytest.raises(DomainError):
         integrate(lambda t, x: np.zeros(2), [1.0], 0.0, 1.0)
+
+
+def test_a_scalar_field_result_counts_as_one_value():
+    # fields and maps share one ndarray adapter, which takes a 0-d result
+    # of a 1-D system as its one value
+    scalar = integrate(lambda t, x: -0.5 * x[0], [1.0], 0.0, 2.0)
+    vector = integrate(lambda t, x: -0.5 * x, [1.0], 0.0, 2.0)
+    assert scalar.times.tobytes() == vector.times.tobytes()
+    assert scalar.states.tobytes() == vector.states.tobytes()
 
 
 @pytest.mark.parametrize(

@@ -148,6 +148,35 @@ def _float_parameters(obj):
     return [name for name, kind in items if kind in ("float", "Optional[float]")]
 
 
+#: (id, call with one component v of the start state, the state's name).
+#: A state is a vector, not a float parameter, so it stays out of REALS.
+STATES = [
+    ("integrate-x0", lambda v: c.integrate(DECAY, [v], 0.0, 1.0), "x0"),
+    ("iterate_map-x0", lambda v: c.iterate_map(c.preset("henon").map(None), [0.1, v], 5), "x0"),
+    ("divergence_rate-x0", lambda v: c.divergence_rate(LORENZ, [1.0, v, 1.0], 1e-8, 0.01), "x0"),
+    ("verify_equilibrium-point", lambda v: c.verify_equilibrium(lambda s: s, [0.0, v], 1e-9),
+     "point"),
+]
+
+
+@pytest.mark.parametrize("call, name", [case[1:] for case in STATES],
+                         ids=[case[0] for case in STATES])
+def test_a_non_finite_state_component_is_a_domain_error(call, name):
+    for v in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError) as err:
+            call(v)
+        assert str(err.value) == f"{name} must lie in {FINITE}, got {v}"
+        # raised by the real check in as_state, not as a NonFiniteState of the run
+        assert err.traceback[-1].name == "check_real"
+
+
+def test_a_state_that_is_not_a_vector_is_refused_by_its_name():
+    with pytest.raises(DomainError, match=r"^x0 must be a 1-D vector, got shape \(1, 2\)$"):
+        c.integrate(DECAY, [[1.0, 2.0]], 0.0, 1.0)
+    with pytest.raises(DomainError, match=r"^point must be a 1-D vector, got shape \(0,\)$"):
+        c.verify_equilibrium(lambda s: s, [], 1e-9)
+
+
 def test_every_float_parameter_of_the_api_is_checked_or_exempt():
     found = {(api, name) for api in c.__all__ for name in _float_parameters(getattr(c, api))}
     checked = {tuple(case[0].split("-")) for case in REALS}
