@@ -55,13 +55,10 @@ _EXPORTS = {
         "LogisticParams",
         "LorenzParams",
         "PRESETS",
-        "chua_field",
         "chua_g",
-        "chua_paper_code_field",
         "henon_step",
         "linear_solution",
         "logistic_step",
-        "lorenz_field",
         "preset",
     ),
 }

@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import (DomainError, NonFiniteState, SeparationUnderflow, check_cap, check_count,
                      check_real)
-from .integrate import MAX_ORBIT_VALUES, FieldFn, IntegratorConfig, Trajectory, as_state
+from .integrate import (MAX_ORBIT_VALUES, FieldFn, IntegratorConfig, Trajectory, _check_length,
+                        _float_kernel, as_state)
 from .systems import LogisticParams, LorenzParams, check_logistic_x0, logistic_step
 
 #: Number of uniform sample times the divergence probe projects both twin
@@ -59,13 +60,14 @@ def classify_linear(a: float) -> Stability:
     return Stability.BIFURCATION
 
 
-def verify_equilibrium(
-    field: Callable[[np.ndarray], np.ndarray], point, tol: float
-) -> bool:
-    """True when the max-norm of field(point) is at most tol."""
+def verify_equilibrium(field: FieldFn, point, tol: float) -> bool:
+    """True when every |component| of field(0, point) is at most tol (a NaN is
+    not).  The field is evaluated as integrate evaluates it."""
     check_real(tol, "tol", "(0, inf)")
-    value = np.asarray(field(as_state(point, "point")), dtype=np.float64)
-    return bool(np.max(np.abs(value)) <= tol)
+    state = as_state(point, "point").tolist()
+    value = _float_kernel(field, len(state), "field")(0.0, state)
+    _check_length(value, len(state), "field")
+    return all(abs(v) <= tol for v in value)
 
 
 def lorenz_equilibria(p: LorenzParams) -> list[np.ndarray]:
@@ -139,7 +141,8 @@ def bifurcation_scan(
 
     All parameters are iterated at once as float64 lanes: `family` receives
     the (p_steps,) parameter and state ndarrays and must act elementwise,
-    returning the next states.  discard must be at least 100 so transients
+    returning the next states in an array of the same shape (any other shape
+    raises DomainError).  discard must be at least 100 so transients
     have died before sampling.  An orbit that turns NaN/Inf raises
     NonFiniteState naming the first such parameter in sweep order and its
     first non-finite iterate.  Sweeps over MAX_SCAN_ROWS kept rows or
@@ -165,6 +168,8 @@ def bifurcation_scan(
             if i >= discard:
                 kept[i - discard] = x
             x = family(params, x)
+            if np.shape(x) != params.shape:
+                raise DomainError(f"family returned shape {np.shape(x)}, expected {params.shape}")
             finite = np.isfinite(x)
             if not finite.all():
                 lane = int(finite.argmin())
@@ -223,7 +228,9 @@ def divergence_rate(
     step endpoint), and fits log separation against time by least squares.
     The fit window is the prefix before separation saturates at
     SATURATION_FRACTION of the reference attractor's coordinate diameter;
-    if that prefix is degenerate the full grid is used.  t1 must be at least
+    if that prefix is degenerate the full grid is used.  A log separation
+    that is constant over the window (a fixed point, or a t1 too short for
+    any change to show in float64) fits the rate 0.0.  t1 must be at least
     _MIN_T1 = 2**-511.
     """
     check_real(delta0, "delta0", "(0, inf)")
@@ -256,7 +263,10 @@ def divergence_rate(
     if np.any(sep[:cut] == 0.0):
         raise SeparationUnderflow("twin trajectories coincide bit-exactly")
 
-    slope = float(np.polyfit(grid[:cut], log_sep[:cut], 1)[0])
+    # the least-squares slope of constant data is 0; polyfit would return its
+    # rounding error over the window's length (-2.6e136 at t1 = 1e-150)
+    flat = np.all(log_sep[:cut] == log_sep[0])
+    slope = 0.0 if flat else float(np.polyfit(grid[:cut], log_sep[:cut], 1)[0])
     return DivergenceReport(
         times=grid,
         log_separation=log_sep,

@@ -2,11 +2,11 @@
 
 ``main`` checks the --in and --out paths of every command before it runs
 it.  Each command then checks only what the command line alone knows (flag
-syntax, the cipher key, preset names, the --x0 dimension) and calls the
-library, whose own checks run before any computation.  A flag that mirrors
-a library default has no default of its own: a flag left out is not passed,
-so the library's default applies.  The exit status follows the type of the
-error, with a one-line diagnostic on stderr:
+syntax, the cipher key, preset names) and calls the library, whose own
+checks run before any computation.  A flag that mirrors a library default
+has no default of its own: a flag left out is not passed, so the library's
+default applies.  The exit status follows the type of the error, with a
+one-line diagnostic on stderr:
 
 * 0 on success;
 * 2 for a ``DomainError``, a flag value or input outside a documented
@@ -97,9 +97,9 @@ def _given(args, *names) -> dict:
 def _system_args(args):
     """The --system preset, its --params (None for the defaults) and --x0 state.
 
-    The --x0 state is a tuple of floats with the preset's dimension, and a
-    logistic start must lie in [0, 1], as for cobweb and bifurcate.  The
-    library checks that each component is finite.
+    The --x0 state is a tuple of floats, and a logistic start must lie in
+    [0, 1], as for cobweb and bifurcate.  The library checks that each
+    component is finite and that the state has the preset's dimension.
     """
     from .systems import check_logistic_x0, preset as named_preset
 
@@ -108,11 +108,6 @@ def _system_args(args):
     state = preset.default_state
     if getattr(args, "x0", None):
         state = _parse_floats(args.x0, "--x0")
-        if len(state) != preset.dimension:
-            raise DomainError(
-                f"system '{preset.name}' has dimension {preset.dimension}, "
-                f"--x0 gave {len(state)} components"
-            )
         if preset.name == "logistic":
             check_logistic_x0(state[0])
     return preset, params, state

@@ -153,25 +153,33 @@ class FloatKernel:
     """A FieldFn or MapFn whose arithmetic is written on Python floats.
 
     ``kernel`` takes ``(t, state)`` for a flow or ``(state)`` for a map,
-    where state is a sequence of floats, and returns a sequence of floats.
-    ``integrate`` and ``iterate_map`` run it directly on floats; called like
-    any other FieldFn or MapFn, with an ndarray state, it returns an
-    ndarray.  Preset fields and maps are FloatKernels.
+    where state is a sequence of ``dimension`` floats, and returns a
+    sequence of floats.  The library runs it directly on floats and refuses
+    a state of another length; called like any other FieldFn or MapFn, with
+    an ndarray state, it returns an ndarray.  Preset fields and maps are
+    FloatKernels.
     """
 
-    __slots__ = ("kernel",)
+    __slots__ = ("kernel", "dimension")
 
-    def __init__(self, kernel: Callable):
+    def __init__(self, kernel: Callable, dimension: int):
         self.kernel = kernel
+        self.dimension = dimension
 
     def __call__(self, *args) -> np.ndarray:
         return np.array(self.kernel(*args), dtype=np.float64)
 
 
 def _float_kernel(fn: Callable, dim: int, what: str) -> Callable:
-    """The float kernel of fn: its own, or one adapting an ndarray FieldFn or
-    MapFn, ``what`` in its shape refusal.  A scalar result counts as one value."""
+    """The float kernel of fn for a state of dim components: its own, or one
+    adapting an ndarray FieldFn or MapFn, ``what`` in its refusals.  The only
+    check that a FloatKernel fits the state; a scalar result of an adapted
+    callable counts as one value."""
     if isinstance(fn, FloatKernel):
+        if fn.dimension != dim:
+            raise DomainError(
+                f"{what} has dimension {fn.dimension}, got a state of dimension {dim}"
+            )
         return fn.kernel
 
     def adapted(*args):

@@ -1,7 +1,9 @@
 """Concrete systems: logistic and Henon maps, Lorenz and Chua flows, 1-D linear.
 
-Each system is a frozen parameter record plus a step or field formula.
-``PRESETS`` maps the names the CLI accepts to their ``SystemPreset`` records.
+Each system is a frozen parameter record plus a formula on Python floats.
+``PRESETS`` maps the names the CLI accepts to their ``SystemPreset`` records,
+whose ``.field()`` or ``.map()``, a FloatKernel of the system's dimension, is
+the one callable form of a system.
 """
 
 from __future__ import annotations
@@ -9,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from typing import Callable, Optional, Tuple
-
-import numpy as np
 
 from .errors import DomainError, check_real, lookup_preset
 from .integrate import FloatKernel
@@ -102,13 +102,9 @@ def henon_inverse(p: HenonParams, s: Tuple[float, float]) -> Tuple[float, float]
 
 
 def _lorenz(p: LorenzParams, s) -> Tuple[float, float, float]:
+    """(sigma*(y-x), r*x - y - x*z, x*y - b*z)."""
     x, y, z = s
     return (p.sigma * (y - x), p.r * x - y - x * z, x * y - p.b * z)
-
-
-def lorenz_field(p: LorenzParams, s: np.ndarray) -> np.ndarray:
-    """(sigma*(y-x), r*x - y - x*z, x*y - b*z)."""
-    return np.array(_lorenz(p, s))
 
 
 def chua_g(p: ChuaParams, x: float) -> float:
@@ -117,29 +113,21 @@ def chua_g(p: ChuaParams, x: float) -> float:
 
 
 def _chua(p: ChuaParams, s) -> Tuple[float, float, float]:
+    """(c1*(y - x - g(x)), c2*(x - y + z), -c3*y)."""
     x, y, z = s
     return (p.c1 * (y - x - chua_g(p, x)), p.c2 * (x - y + z), -p.c3 * y)
 
 
-def chua_field(p: ChuaParams, s: np.ndarray) -> np.ndarray:
-    """(c1*(y - x - g(x)), c2*(x - y + z), -c3*y)."""
-    return np.array(_chua(p, s))
-
-
-def chua_paper_code_field(s: np.ndarray) -> np.ndarray:
+def _chua_paper_code(p: _NoParams, s) -> Tuple[float, float, float]:
     """Verbatim reproduction of a circulating fixed-constant variant.
 
     The x equation is 15*(y - x) minus the piecewise-linear term directly
     (not multiplied by 15), with slopes +5/7 and -3/14 baked in; y and z use
-    unit coupling and -25.58*y.  Unlike chua_field with the canonical
+    unit coupling and -25.58*y.  Unlike the chua preset with the canonical
     slopes, the only equilibrium here is the origin and it is stable, so
     orbits decay instead of scrolling; the preset exists for faithful
     reproduction, not for the double scroll.
     """
-    return np.array(_chua_paper_code(_NoParams(), s))
-
-
-def _chua_paper_code(p: _NoParams, s) -> Tuple[float, float, float]:
     x, y, z = s
     nl = (5.0 / 7.0) * x + 0.5 * (-(8.0 / 7.0) - (-5.0 / 7.0)) * (
         abs(x + 1.0) - abs(x - 1.0)
@@ -199,19 +187,19 @@ class SystemPreset:
             raise DomainError(f"preset '{self.name}' is not a {kind}")
         return self.params_type(*self.resolve_params(params))
 
-    # Preset fields and maps are FloatKernels: integrate and iterate_map run
-    # the formula on Python floats, and called with an ndarray they return
-    # what the public ndarray functions above return.
+    # Preset fields and maps are FloatKernels of the preset's dimension: the
+    # library runs the formula on Python floats and refuses a state of
+    # another length, and called with an ndarray they return an ndarray.
 
     def field(self, params: Optional[Tuple[float, ...]] = None):
         """Callable (t, state) -> derivative, for flow presets."""
         p, formula = self._record("flow", params), self.formula
-        return FloatKernel(lambda t, s: formula(p, s))
+        return FloatKernel(lambda t, s: formula(p, s), self.dimension)
 
     def map(self, params: Optional[Tuple[float, ...]] = None):
         """Callable state -> next state, for map presets."""
         p, formula = self._record("map", params), self.formula
-        return FloatKernel(lambda s: formula(p, s))
+        return FloatKernel(lambda s: formula(p, s), self.dimension)
 
 
 PRESETS = {

@@ -1,6 +1,8 @@
+import ast
 import importlib
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chaoscope as c
+from chaoscope import analysis
 from chaoscope.analysis import (
     MAX_SCAN_ITERATES,
     MAX_SCAN_ROWS,
@@ -20,8 +23,8 @@ from chaoscope.analysis import (
     verify_equilibrium,
 )
 from chaoscope.errors import DomainError, GridTooLarge, NonFiniteState, SeparationUnderflow
-from chaoscope.integrate import IntegratorConfig
-from chaoscope.systems import Linear1DParams, LogisticParams, LorenzParams, linear_solution, lorenz_field
+from chaoscope.integrate import FloatKernel, IntegratorConfig
+from chaoscope.systems import Linear1DParams, LogisticParams, LorenzParams, linear_solution
 
 from conftest import loop_bifurcation_scan, loop_cobweb_trace
 
@@ -44,9 +47,7 @@ def test_classifier_consistent_with_closed_form(a):
 
 LORENZ = LorenzParams(10.0, 28.0, 8.0 / 3.0)
 
-
-def _lorenz(point):
-    return lorenz_field(LORENZ, point)
+_lorenz = c.preset("lorenz").field((LORENZ.sigma, LORENZ.r, LORENZ.b))
 
 
 def test_verify_equilibrium_cases():
@@ -55,6 +56,35 @@ def test_verify_equilibrium_cases():
     assert not verify_equilibrium(_lorenz, [1.0, 1.0, 1.0], 1e-6)
     with pytest.raises(DomainError):
         verify_equilibrium(_lorenz, [0.0, 0.0, 0.0], 0.0)
+
+
+def test_verify_equilibrium_evaluates_a_field_at_t_zero():
+    assert verify_equilibrium(c.preset("lorenz").field(None), [0, 0, 0], 1e-9)
+    assert verify_equilibrium(lambda t, s: s * t, [1.0, 2.0], 1e-9)
+    assert not verify_equilibrium(lambda t, s: s + t, [1.0, 2.0], 1e-9)
+    # a scalar result counts as one value, as in integrate
+    assert verify_equilibrium(lambda t, s: 0.0, [5.0], 1e-9)
+    assert not verify_equilibrium(lambda t, s: [0.0, math.nan], [0.0, 0.0], 1e-9)
+
+
+@pytest.mark.parametrize("field, want", [
+    (lambda t, s: s[:1], r"^field returned shape \(1,\), expected \(3,\)$"),
+    (lambda t, s: [], r"^field returned shape \(0,\), expected \(3,\)$"),
+    # a FloatKernel of the right dimension whose formula returns too little
+    (FloatKernel(lambda t, s: (0.0,), 3), r"^field returned shape \(1,\), expected \(3,\)$"),
+])
+def test_verify_equilibrium_refuses_a_result_of_another_length(field, want):
+    with pytest.raises(DomainError, match=want):
+        verify_equilibrium(field, [0.0, 0.0, 0.0], 1e-9)
+
+
+def test_analysis_evaluates_its_field_only_through_the_float_kernel():
+    # verify_equilibrium and, through integrate, divergence_rate evaluate a
+    # field as the integrator does: no call of a field in analysis itself
+    tree = ast.parse(Path(analysis.__file__).read_text(encoding="utf-8"))
+    called = [node.func.id for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
+    assert "field" not in called and "_float_kernel" in called
 
 
 def test_lorenz_equilibria_below_onset():
@@ -84,7 +114,7 @@ def test_lorenz_equilibria_above_onset():
 def test_lorenz_equilibria_verify(sigma, r, b):
     params = LorenzParams(sigma, r, b)
     for point in lorenz_equilibria(params):
-        assert verify_equilibrium(lambda s: lorenz_field(params, s), point, 1e-9)
+        assert verify_equilibrium(c.preset("lorenz").field((sigma, r, b)), point, 1e-9)
 
 
 def test_cobweb_first_vertices():
@@ -222,6 +252,20 @@ def test_bifurcation_scan_preconditions():
         bifurcation_scan(logistic_family, 2.0, 3.0, 5, 0.3, 99, 10)
     with pytest.raises(DomainError):
         bifurcation_scan(logistic_family, 2.0, 3.0, 5, 0.3, 500, 0)
+
+
+@pytest.mark.parametrize("family, shape", [
+    (lambda mu, x: 0.5, "()"),
+    (lambda mu, x: x[:1], "(1,)"),
+    (lambda mu, x: np.full((2, 3), 0.5), "(2, 3)"),
+    (lambda mu, x: np.full(4, 0.5), "(4,)"),
+])
+def test_bifurcation_scan_refuses_a_result_of_another_shape(family, shape):
+    # a scalar or one-value result would otherwise broadcast to every lane
+    want = f"family returned shape {shape}, expected (3,)"
+    with pytest.raises(DomainError) as err:
+        bifurcation_scan(family, 2.0, 3.0, 3, 0.3, 100, 5)
+    assert str(err.value) == want
 
 
 @pytest.mark.parametrize(
@@ -381,6 +425,15 @@ def test_divergence_rate_lorenz_positive():
     assert report.fitted_rate > 0.5
     # the fit stops before the separation saturates on the attractor
     assert report.fit_window[1] < 40.0
+
+
+@pytest.mark.parametrize("t1", [2.0 ** -511, 1e-150, 1e-10, 3e-9])
+def test_divergence_rate_of_a_constant_log_separation_is_zero(t1):
+    # the twins' log separation is bit-constant over so short a window; the
+    # least-squares slope of constant data is 0 (polyfit gave -2.6e136 at 1e-150)
+    report = divergence_rate(c.preset("lorenz").field(None), [15.0, 20.0, 30.0], 1e-8, t1)
+    assert len(set(report.log_separation.tolist())) == 1
+    assert report.fitted_rate == 0.0 and report.fit_window == (0.0, t1)
 
 
 def test_divergence_rate_separation_underflow():

@@ -640,3 +640,30 @@ def test_system_args_leaves_the_state_components_to_the_library():
                     if isinstance(n, ast.FunctionDef) and n.name == "_system_args")
     assert not [n for n in ast.walk(function) if isinstance(n, (ast.For, ast.comprehension))]
     assert "check_real" not in ast.unparse(function)
+
+
+def test_system_args_leaves_the_dimension_to_the_library():
+    # a preset's FloatKernel is the only check that a state fits the system
+    function = next(n for n in _cli_tree().body
+                    if isinstance(n, ast.FunctionDef) and n.name == "_system_args")
+    assert not [n for n in ast.walk(function)
+                if isinstance(n, ast.Attribute) and n.attr == "dimension"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--system", "lorenz", "--span", "0:1", "--x0", "1,2"],
+     "field has dimension 3, got a state of dimension 2"),
+    (["divergence", "--system", "chua", "--t1", "1", "--x0", "1,2,3,4"],
+     "field has dimension 3, got a state of dimension 4"),
+    (["iterate", "--system", "henon", "--steps", "5", "--x0", "1,2,3"],
+     "map has dimension 2, got a state of dimension 3"),
+    (["iterate", "--system", "logistic", "--steps", "5", "--x0", "0.2,0.3"],
+     "map has dimension 1, got a state of dimension 2"),
+])
+def test_an_x0_of_another_dimension_exits_2_with_one_line(argv, message, tmp_path, run_cli,
+                                                          capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, _ = run_cli(argv + ["--out", "o.csv"])
+    assert code == 2
+    assert capsys.readouterr().err == f"chaoscope {argv[0]}: {message}\n"
+    assert list(tmp_path.iterdir()) == []

@@ -344,8 +344,8 @@ def test_float_core_matches_ndarray_loop_on_ndarray_fields(k, damping, drive, x0
     [
         # NaN from one stage on, as an ndarray field and as a float kernel
         (lambda t, x: x if t < 0.37 else x * np.nan, [1.0], 1.0, None),
-        (FloatKernel(lambda t, s: (s[0] if t < 0.37 else math.nan,)), [1.0], 1.0, None),
-        (FloatKernel(lambda t, s: (1.0, -math.inf if t > 0.5 else 0.0)), [0.0, 0.0], 1.0,
+        (FloatKernel(lambda t, s: (s[0] if t < 0.37 else math.nan,), 1), [1.0], 1.0, None),
+        (FloatKernel(lambda t, s: (1.0, -math.inf if t > 0.5 else 0.0), 2), [0.0, 0.0], 1.0,
          None),
         # the state overflows to Inf within the span
         (lambda t, x: 2000.0 * x, [1.0], 1.0, None),
@@ -353,15 +353,15 @@ def test_float_core_matches_ndarray_loop_on_ndarray_fields(k, damping, drive, x0
         (lambda t, x: x * x, [1.0], 1.5, IntegratorConfig(min_step=1e-6)),
         (lambda t, x: x * x, [1.0], 1.5, None),
         (lambda t, x: np.zeros(2), [1.0], 1.0, None),
-        (FloatKernel(lambda t, s: (0.0, 0.0)), [1.0], 1.0, None),
+        (FloatKernel(lambda t, s: (0.0, 0.0), 1), [1.0], 1.0, None),
         (linear_field(1.0), [1.0], 50.0, IntegratorConfig(1e-10, 1e-10, max_steps=5)),
         # the second state component overflows to -Inf, then a drive of the
         # other sign makes y_new NaN: numpy's NaN-propagating max rejects
         # every step from then on, until the step underflows
-        (FloatKernel(lambda t, s: (-s[0], -1.7e308 if t < 1.5 else 1.7e308)), [1.0, 0.0],
+        (FloatKernel(lambda t, s: (-s[0], -1.7e308 if t < 1.5 else 1.7e308), 2), [1.0, 0.0],
          3.0, None),
         # finite values whose sum overflows are not NaN or Inf
-        (FloatKernel(lambda t, s: (1e308, 1e308)), [0.0, 0.0], 1.0, None),
+        (FloatKernel(lambda t, s: (1e308, 1e308), 2), [0.0, 0.0], 1.0, None),
         # a field that reads the sign of a zero state: the second stage's
         # input is -0.0 + h * (0 + a21 * -0.0) = +0.0, thanks to the leading 0
         (lambda t, x: np.where(t == 0.0, -0.0, np.where(np.signbit(x), 1.0, 2.0)), [-0.0],
@@ -390,7 +390,7 @@ def test_float_core_reports_the_first_nonfinite_stage(bad_call, value, as_ndarra
             calls.append(t)
             return (value if len(calls) == bad_call else -s[1], s[0])
 
-        field = FloatKernel(oscillator)
+        field = FloatKernel(oscillator, 2)
         if as_ndarray:
             field = lambda t, s, kernel=field: kernel(t, s)  # noqa: E731
         return _outcome(integrator, field, [1.0, 0.0], 0.0, 1.0, None), calls
@@ -437,9 +437,9 @@ def test_float_map_loop_matches_ndarray_loop(name, data, n, discard):
     [
         (lambda s: s * 1e200, [10.0]),
         (lambda s: np.array([s[0], np.nan]), [1.0, 2.0]),
-        (FloatKernel(lambda s: (s[0] * 1e200,)), [10.0]),
+        (FloatKernel(lambda s: (s[0] * 1e200,), 1), [10.0]),
         (lambda s: s[:1], [1.0, 2.0]),
-        (FloatKernel(lambda s: (s[0], s[0])), [1.0]),
+        (FloatKernel(lambda s: (s[0], s[0]), 1), [1.0]),
         (lambda s: float(s[0]) / 2.0, [1.0]),
     ],
 )
@@ -447,6 +447,22 @@ def test_float_map_loop_raises_like_ndarray_loop(map_fn, x0):
     with np.errstate(over="ignore", invalid="ignore"):
         want = _outcome(loop_iterate_map, map_fn, x0, 5, 0)
         assert _outcome(iterate_map, map_fn, x0, 5, 0) == want
+
+
+def test_a_float_kernel_of_another_dimension_is_refused_before_it_runs():
+    calls = []
+    field = FloatKernel(lambda t, s: calls.append(t) or (s[1], -s[0]), 2)
+    step = FloatKernel(lambda s: calls.append(0) or (s[1], s[0]), 2)
+    with pytest.raises(DomainError, match=r"^field has dimension 2, got a state of dimension 1$"):
+        integrate(field, [1.0], 0.0, 1.0)
+    with pytest.raises(DomainError, match=r"^field has dimension 2, got a state of dimension 3$"):
+        integrate(field, [1.0, 0.0, 0.0], 0.0, 1.0)
+    with pytest.raises(DomainError, match=r"^map has dimension 2, got a state of dimension 1$"):
+        iterate_map(step, [1.0], 5)
+    assert calls == []
+    assert field.dimension == step.dimension == 2
+    assert len(integrate(field, [1.0, 0.0], 0.0, 1.0).times) > 1
+    assert iterate_map(step, [1.0, 2.0], 3).points.tolist() == [[1.0, 2.0], [2.0, 1.0], [1.0, 2.0]]
 
 
 def test_ndarray_callable_messages_are_unchanged():

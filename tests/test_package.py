@@ -28,8 +28,8 @@ EXPORTS = {
                  "similarity_dimension"],
     "integrate": ["IntegratorConfig", "MapOrbit", "Trajectory", "integrate", "iterate_map"],
     "systems": ["ChuaParams", "HenonParams", "Linear1DParams", "LogisticParams",
-                "LorenzParams", "PRESETS", "chua_field", "chua_g", "chua_paper_code_field",
-                "henon_step", "linear_solution", "logistic_step", "lorenz_field", "preset"],
+                "LorenzParams", "PRESETS", "chua_g", "henon_step", "linear_solution",
+                "logistic_step", "preset"],
 }
 
 ALL = [
@@ -37,11 +37,10 @@ ALL = [
     "CobwebTrace", "ComplexWindow", "DivergenceReport", "EscapeGrid", "GrayImage",
     "HenonParams", "IfsSystem", "IntegratorConfig", "Linear1DParams", "LogisticParams",
     "LorenzParams", "MapOrbit", "PRESETS", "PifsCode", "Stability", "Trajectory",
-    "avalanche_test", "bifurcation_scan", "box_count_dimension", "chua_field", "chua_g",
-    "chua_paper_code_field", "classify_linear", "cobweb_trace", "decrypt",
-    "divergence_rate", "encrypt", "henon_step", "ifs_iterate", "integrate", "iterate_map",
-    "keystream", "linear_solution", "logistic_step", "lorenz_equilibria", "lorenz_field",
-    "mandelbrot_grid", "pifs_decode", "pifs_encode", "preset", "psnr", "sierpinski_ifs",
+    "avalanche_test", "bifurcation_scan", "box_count_dimension", "chua_g", "classify_linear",
+    "cobweb_trace", "decrypt", "divergence_rate", "encrypt", "henon_step", "ifs_iterate",
+    "integrate", "iterate_map", "keystream", "linear_solution", "logistic_step",
+    "lorenz_equilibria", "mandelbrot_grid", "pifs_decode", "pifs_encode", "preset", "psnr", "sierpinski_ifs",
     "similarity_dimension", "verify_equilibrium",
 ]
 

@@ -17,6 +17,9 @@ SRC = Path(c.__file__).parent
 IMAGE = c.GrayImage.constant(16, 16, 100)
 LORENZ = c.preset("lorenz").field(None)
 DECAY = c.preset("linear1d").field((-1.0,))
+#: x' = 2**511 x: over t1 = 2**-511 its twins' log separation still changes
+#: (8 distinct values), so divergence_rate fits a rate at its least t1
+GROWTH = c.preset("linear1d").field((2.0 ** 511,))
 WINDOW = (-0.1, 0.1, -0.1, 0.1, 0.1)
 
 
@@ -62,7 +65,7 @@ REALS = [
      "tol", "(0, inf)"),
     ("divergence_rate-delta0", lambda v: c.divergence_rate(LORENZ, [1.0, 1.0, 1.0], v, 0.01),
      "delta0", "(0, inf)"),
-    ("divergence_rate-t1", lambda v: c.divergence_rate(LORENZ, [1.0, 1.0, 1.0], 1e-8, v),
+    ("divergence_rate-t1", lambda v: c.divergence_rate(GROWTH, [1.0], 1e-8, v),
      "t1", "[1.4916681462400413e-154, inf)"),
     ("bifurcation_scan-p_lo", lambda v: c.bifurcation_scan(_logistic, v, 4.0, 2, 0.3, 100, 1),
      "p_lo", FINITE),
@@ -154,7 +157,7 @@ STATES = [
     ("integrate-x0", lambda v: c.integrate(DECAY, [v], 0.0, 1.0), "x0"),
     ("iterate_map-x0", lambda v: c.iterate_map(c.preset("henon").map(None), [0.1, v], 5), "x0"),
     ("divergence_rate-x0", lambda v: c.divergence_rate(LORENZ, [1.0, v, 1.0], 1e-8, 0.01), "x0"),
-    ("verify_equilibrium-point", lambda v: c.verify_equilibrium(lambda s: s, [0.0, v], 1e-9),
+    ("verify_equilibrium-point", lambda v: c.verify_equilibrium(lambda t, s: s, [0.0, v], 1e-9),
      "point"),
 ]
 
@@ -174,7 +177,7 @@ def test_a_state_that_is_not_a_vector_is_refused_by_its_name():
     with pytest.raises(DomainError, match=r"^x0 must be a 1-D vector, got shape \(1, 2\)$"):
         c.integrate(DECAY, [[1.0, 2.0]], 0.0, 1.0)
     with pytest.raises(DomainError, match=r"^point must be a 1-D vector, got shape \(0,\)$"):
-        c.verify_equilibrium(lambda s: s, [], 1e-9)
+        c.verify_equilibrium(lambda t, s: s, [], 1e-9)
 
 
 def test_every_float_parameter_of_the_api_is_checked_or_exempt():

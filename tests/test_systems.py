@@ -1,12 +1,16 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chaoscope import systems
+from chaoscope.analysis import divergence_rate, verify_equilibrium
 from chaoscope.errors import DomainError, UnknownPreset
-from chaoscope.integrate import IntegratorConfig, integrate
+from chaoscope.integrate import IntegratorConfig, integrate, iterate_map
 from chaoscope.systems import (
     ChuaParams,
     HenonParams,
@@ -14,16 +18,16 @@ from chaoscope.systems import (
     LogisticParams,
     LorenzParams,
     PRESETS,
-    chua_field,
     chua_g,
-    chua_paper_code_field,
     henon_inverse,
     henon_step,
     linear_solution,
     logistic_step,
-    lorenz_field,
     preset,
 )
+
+LORENZ_DEFAULTS = (10.0, 28.0, 8.0 / 3.0)
+CHUA_DEFAULTS = (15.0, 1.0, 25.58, -8.0 / 7.0, -5.0 / 7.0)
 
 
 def test_logistic_step_values():
@@ -76,16 +80,17 @@ def test_henon_inverse_needs_nonzero_b():
 
 
 def test_lorenz_field_values():
-    p = LorenzParams(10.0, 28.0, 8.0 / 3.0)
-    assert np.all(lorenz_field(p, np.zeros(3)) == 0.0)
-    f = lorenz_field(p, np.array([1.0, 1.0, 1.0]))
+    p = LorenzParams(*LORENZ_DEFAULTS)
+    field = preset("lorenz").field(LORENZ_DEFAULTS)
+    assert np.all(field(0.0, np.zeros(3)) == 0.0)
+    f = field(0.0, np.array([1.0, 1.0, 1.0]))
     # third component is x*y - b*z = 1 - 8/3
     assert f[0] == 0.0
     assert f[1] == 26.0
     assert f[2] == 1.0 - 8.0 / 3.0
     w = math.sqrt(p.b * (p.r - 1.0))
     assert abs(w - 8.485281) < 1e-6
-    residual = lorenz_field(p, np.array([w, w, p.r - 1.0]))
+    residual = field(0.0, np.array([w, w, p.r - 1.0]))
     assert np.max(np.abs(residual)) < 1e-12
 
 
@@ -123,9 +128,9 @@ def test_chua_g_continuous_at_corners(corner, eps):
 
 
 def test_chua_field_values():
-    p = ChuaParams(15.0, 1.0, 25.58, m0=-8.0 / 7.0, m1=-5.0 / 7.0)
-    assert np.all(chua_field(p, np.zeros(3)) == 0.0)
-    f = chua_field(p, np.array([1.0, 0.0, 0.0]))
+    field = preset("chua").field(CHUA_DEFAULTS)
+    assert np.all(field(0.0, np.zeros(3)) == 0.0)
+    f = field(0.0, np.array([1.0, 0.0, 0.0]))
     assert abs(f[0] - 15.0 / 7.0) < 1e-12
     assert f[1] == 1.0
     assert f[2] == 0.0
@@ -133,9 +138,9 @@ def test_chua_field_values():
 
 def test_chua_field_outer_equilibria():
     # x + g(x) = 0 at x = +-3/2 for the shipped slopes, so (x, 0, -x) is fixed
-    p = ChuaParams(15.0, 1.0, 25.58, m0=-8.0 / 7.0, m1=-5.0 / 7.0)
+    field = preset("chua").field(CHUA_DEFAULTS)
     for x in (1.5, -1.5):
-        f = chua_field(p, np.array([x, 0.0, -x]))
+        f = field(0.0, np.array([x, 0.0, -x]))
         assert np.max(np.abs(f)) < 1e-12
 
 
@@ -150,12 +155,13 @@ def test_chua_paper_code_field_matches_straight_line():
         (5.0 / 7.0) * x
         + 0.5 * (-(8.0 / 7.0) - (-5.0 / 7.0)) * (abs(x + 1.0) - abs(x - 1.0))
     )
-    f = chua_paper_code_field(np.array([x, y, z]))
+    field = preset("chua-paper-code").field(())
+    f = field(0.0, np.array([x, y, z]))
     assert f[0] == expected_x
     assert abs(f[0] - 24.714286) < 1e-6
     assert f[1] == x - y + z
     assert f[2] == -25.58 * y
-    assert np.all(chua_paper_code_field(np.zeros(3)) == 0.0)
+    assert np.all(field(0.0, np.zeros(3)) == 0.0)
 
 
 def test_chua_paper_code_orbit_decays_to_origin():
@@ -240,6 +246,41 @@ def test_preset_kind_and_count_messages_are_unchanged(name):
     assert str(err.value) == want
 
 
+#: Each library entry point that takes a preset of a kind, with its call.
+ENTRY_POINTS = {
+    "flow": {
+        "integrate": lambda f, x0: integrate(f, x0, 0.0, 1.0),
+        "divergence_rate": lambda f, x0: divergence_rate(f, x0, 1e-8, 1.0),
+        "verify_equilibrium": lambda f, x0: verify_equilibrium(f, x0, 1e-9),
+    },
+    "map": {"iterate_map": lambda f, x0: iterate_map(f, x0, 5)},
+}
+
+
+@pytest.mark.parametrize("name, entry, dim", [
+    (name, entry, dim)
+    for name, (kind, d, *_) in sorted(PRESET_RECORDS.items())
+    for entry in ENTRY_POINTS[kind]
+    for dim in (d - 1, d + 1) if dim >= 1
+])
+def test_a_start_of_another_dimension_is_a_domain_error(name, entry, dim):
+    p = preset(name)
+    what, fn = ("field", p.field(None)) if p.kind == "flow" else ("map", p.map(None))
+    want = f"^{what} has dimension {p.dimension}, got a state of dimension {dim}$"
+    with pytest.raises(DomainError, match=want):
+        ENTRY_POINTS[p.kind][entry](fn, [0.5] * dim)
+
+
+def test_systems_imports_no_numpy():
+    # a preset has one form, the FloatKernel, which computes on Python floats
+    tree = ast.parse(Path(systems.__file__).read_text(encoding="utf-8"))
+    modules = {alias.name.split(".")[0] for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for alias in node.names}
+    modules |= {node.module.split(".")[0] for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level == 0}
+    assert "dataclasses" in modules and "numpy" not in modules
+
+
 def test_unknown_preset_message_is_unchanged():
     with pytest.raises(UnknownPreset) as err:
         preset("nosuch")
@@ -278,17 +319,12 @@ def test_preset_checks_parameter_count():
 @settings(max_examples=50)
 @given(state=st.lists(st.floats(-50.0, 50.0), min_size=3, max_size=3))
 def test_public_fields_return_ndarrays_equal_to_preset_kernels(state):
+    # a preset field called with an ndarray returns the kernel's floats as one
     s = np.array(state)
-    cases = [
-        ("lorenz", (10.0, 28.0, 8.0 / 3.0), lorenz_field(LorenzParams(10.0, 28.0, 8.0 / 3.0), s)),
-        ("chua", (15.0, 1.0, 25.58, -8.0 / 7.0, -5.0 / 7.0),
-         chua_field(ChuaParams(15.0, 1.0, 25.58, -8.0 / 7.0, -5.0 / 7.0), s)),
-        ("chua-paper-code", (), chua_paper_code_field(s)),
-    ]
-    for name, params, public in cases:
+    for name, params in (("lorenz", LORENZ_DEFAULTS), ("chua", CHUA_DEFAULTS),
+                         ("chua-paper-code", ())):
         field = preset(name).field(params)
-        assert isinstance(public, np.ndarray) and public.dtype == np.float64
-        assert public.shape == (3,)
-        assert public.tobytes() == np.array(field.kernel(0.0, state)).tobytes()
         called = field(0.0, s)
-        assert isinstance(called, np.ndarray) and called.tobytes() == public.tobytes()
+        assert isinstance(called, np.ndarray) and called.dtype == np.float64
+        assert called.shape == (3,)
+        assert called.tobytes() == np.array(field.kernel(0.0, state)).tobytes()
