@@ -6,9 +6,12 @@ once, and the SHA-256 of its stdout and of its output file must equal the
 digest committed in ``golden/cli_digests.json``.  The codec cases add
 ``compress`` runs on seeded photo-like images (textured, edged and noisy,
 one of them non-square) and ``decompress`` of each resulting code, which
-the tour's flat ramp barely exercises.  The digests must hold both for
-``cli.main`` called in this process and for real ``python -m chaoscope``
-processes, which end through ``cli.run``.
+the tour's flat ramp barely exercises.  The large cases add the
+benchmark's ``bifurcate`` run: its 100k rows cross many CSV blocks and
+repeat each parameter 100 times, where the tour's 25 rows fit in one
+block.  The digests must hold both for ``cli.main`` called in this
+process and for real ``python -m chaoscope`` processes, which end through
+``cli.run``.
 
 After a deliberate output change, rewrite the digests with
 
@@ -46,6 +49,12 @@ CODEC_CASES = {
     "photo128_rs4": (128, 128, 2026, ["--range-size", "4", "--domain-step", "4",
                                       "--s-max", "0.5"]),
     "photo96x64": (64, 96, 2027, []),
+}
+
+# name -> argv of a larger run than the tour's, written to <name>.csv
+LARGE_CASES = {
+    "bifurcate_1000x100": ["bifurcate", "--mu-range", "2.8:4.0", "--mu-steps", "1000",
+                           "--discard", "500", "--keep", "100"],
 }
 
 
@@ -91,6 +100,7 @@ def compute_digests(root: Path, run=_run) -> dict:
     map name -> stdout and output digests."""
     cases, ifs_pgm, fic, chx, secret = _determinism_cases(root)
     cases = cases + _codec_cases(root)
+    cases += [(name, argv, [str(root / f"{name}.csv")]) for name, argv in LARGE_CASES.items()]
     run(["ifs", "--size", "128", "--steps", "4", "--out", str(ifs_pgm)])
     run(["compress", "--in", str(root / "in_ramp.pgm"), "--out", str(fic)])
     run(["encrypt", "--in", str(secret), "--key", "3.9,0.3", "--out", str(chx)])
