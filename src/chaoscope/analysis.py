@@ -25,11 +25,13 @@ from .systems import LogisticParams, LorenzParams, check_logistic_x0, logistic_s
 DIVERGENCE_GRID_POINTS = 2000
 
 #: Caps of bifurcation_scan, checked before anything is allocated.  A sweep
-#: peaks at about 24 bytes per kept row (16 in the diagram, 8 in the lane
-#: buffer) plus 17 per parameter, so MAX_SCAN_ROWS rows take 0.6-1 GB.  One
-#: lane-iterate costs about 6-10 ns and one step of the loop at least about
-#: 4.5 us whatever the lane count, so a step is charged as at least
-#: _MIN_LANES lanes, and MAX_SCAN_ITERATES takes about 13-18 s.
+#: of the logistic family peaks at about 8 bytes per kept row (the lane
+#: buffer, which the diagram keeps as its samples) plus 33 per parameter (the
+#: lanes and the family's temporaries), and its CSV writer streams, so
+#: MAX_SCAN_ROWS rows take 0.2-1 GB (tracemalloc).  One lane-iterate costs
+#: about 6-10 ns and one step of the loop at least about 4.5 us whatever the
+#: lane count, so a step is charged as at least _MIN_LANES lanes, and
+#: MAX_SCAN_ITERATES takes about 13-18 s.
 MAX_SCAN_ROWS = 25_000_000
 MAX_SCAN_ITERATES = 2_000_000_000
 _MIN_LANES = 512
@@ -120,12 +122,22 @@ def cobweb_trace(p: LogisticParams, x0: float, n: int) -> CobwebTrace:
 
 @dataclass(frozen=True)
 class BifurcationDiagram:
-    """Post-transient samples of a 1-D family across a parameter sweep."""
+    """Post-transient samples of a 1-D family across a parameter sweep.
 
-    points: np.ndarray  # (N, 2) rows of (parameter, x)
-    param_range: Tuple[float, float]
-    samples_per_param: int
-    discard: int
+    ``params`` holds the P swept parameters and ``samples`` the (P, keep)
+    kept iterates: samples[i] are the iterates at params[i], in iterate
+    order.
+    """
+
+    params: np.ndarray
+    samples: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "params", np.asarray(self.params, dtype=np.float64))
+        object.__setattr__(self, "samples", np.asarray(self.samples, dtype=np.float64))
+        if (self.params.ndim != 1 or self.samples.ndim != 2
+                or len(self.samples) != len(self.params)):
+            raise DomainError("diagram needs 1-D params and 2-D samples with a row per param")
 
 
 def bifurcation_scan(
@@ -183,15 +195,7 @@ def bifurcation_scan(
         raise NonFiniteState(
             f"orbit diverged at parameter {param!r}, iterate {index}", index=index
         )
-    rows = np.empty((p_steps, keep, 2), dtype=np.float64)
-    rows[:, :, 0] = params[:, None]
-    rows[:, :, 1] = kept.T
-    return BifurcationDiagram(
-        points=rows.reshape(-1, 2),
-        param_range=(p_lo, p_hi),
-        samples_per_param=keep,
-        discard=discard,
-    )
+    return BifurcationDiagram(params=params, samples=kept.T)
 
 
 @dataclass(frozen=True)

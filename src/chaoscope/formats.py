@@ -14,7 +14,7 @@ import tempfile
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, List, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -119,16 +119,6 @@ def write_rows_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> Non
     write_bytes_atomic(path, _csv_chunks(header, rows))
 
 
-def _g17_runs(values: np.ndarray) -> List[str]:
-    """``"%.17g"`` text of each value, formatting each run of bit-identical
-    neighbours once."""
-    bits = values.view(np.int64)
-    starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
-    lengths = np.diff(starts, append=len(values)).tolist()
-    texts = ["%.17g" % v for v in values[starts].tolist()]
-    return list(chain.from_iterable(map(repeat, texts, lengths)))
-
-
 def write_trajectory_csv(series: Series, path) -> None:
     """Serialize a trajectory, orbit, trace, or diagram as CSV.
 
@@ -152,15 +142,14 @@ def write_trajectory_csv(series: Series, path) -> None:
         if isinstance(series, CobwebTrace):
             rows = zip(*series.vertices.T.tolist())
         elif isinstance(series, BifurcationDiagram):
-            # the parameter repeats over each kept run: format it once per
-            # run, a block of rows at a time
-            points = np.asarray(series.points, dtype=np.float64)
-            params, xs = points[:, 0], points[:, 1]
-            rows = chain.from_iterable(
-                zip(_g17_runs(params[k : k + CSV_BLOCK_ROWS]),
-                    xs[k : k + CSV_BLOCK_ROWS].tolist())
-                for k in range(0, len(xs), CSV_BLOCK_ROWS)
-            )
+            # each parameter is formatted once and its text repeated over its
+            # row of samples; both columns stream, the samples a block at a
+            # time in row order, so memory stays flat whatever the shape
+            texts = map("%.17g".__mod__, series.params)
+            flat, keep = series.samples.flat, series.samples.shape[1]
+            rows = zip(chain.from_iterable(map(repeat, texts, repeat(keep))),
+                       chain.from_iterable(flat[k : k + CSV_BLOCK_ROWS].tolist()
+                                           for k in range(0, len(flat), CSV_BLOCK_ROWS)))
         else:
             raise TypeError(f"cannot serialize {type(series).__name__} as series CSV")
     write_rows_csv(path, header, rows)
@@ -176,7 +165,7 @@ def write_divergence_csv(report: DivergenceReport, path) -> None:
 def _escape_to_bytes(grid: EscapeGrid) -> np.ndarray:
     # one byte per count 1..max(counts), indexed by count - 1; the table
     # holds the float64 rint(255*(c-1)/(nmax-1)) of every count it covers
-    counts = np.arange(1, int(grid.counts.max(initial=1)) + 1, dtype=np.float64)
+    counts = np.arange(1, int(grid.counts.max()) + 1, dtype=np.float64)
     if grid.nmax == 1:
         scaled = np.full_like(counts, 255.0)
     else:

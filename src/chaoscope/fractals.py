@@ -116,13 +116,11 @@ class EscapeGrid:
         given = np.asarray(self.counts)
         with np.errstate(invalid="ignore"):  # NaN and +-inf are refused below
             object.__setattr__(self, "counts", given.astype(np.int32, copy=False))
-        if self.counts.ndim != 2:
-            raise DomainError("counts must be a 2-D array")
+        if self.counts.ndim != 2 or self.counts.size == 0:
+            raise DomainError("counts must be a non-empty 2-D array")
         if self.counts is not given and not np.array_equal(self.counts, given):
             raise DomainError("escape counts must be whole numbers")
-        if self.counts.size and not (
-            self.counts.min() >= 1 and self.counts.max() <= self.nmax
-        ):
+        if not (self.counts.min() >= 1 and self.counts.max() <= self.nmax):
             raise DomainError("escape counts must lie in [1, nmax]")
 
 
@@ -246,9 +244,12 @@ class BinaryImage:
     bits: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "bits", np.asarray(self.bits, dtype=bool))
+        given = np.asarray(self.bits)
+        object.__setattr__(self, "bits", given.astype(bool, copy=False))
         if self.bits.ndim != 2 or self.bits.size == 0:
             raise DomainError("bits must be a non-empty 2-D boolean array")
+        if self.bits is not given and not np.array_equal(self.bits, given):
+            raise DomainError("bits must be 0 or 1")
 
     @property
     def width(self) -> int:

@@ -33,21 +33,21 @@ ArrayLike = Union[Sequence[float], np.ndarray]
 FieldFn = Callable[[float, np.ndarray], ArrayLike]
 MapFn = Callable[[np.ndarray], ArrayLike]
 
-# Dormand-Prince 5(4) tableau.  The seventh stage equals the next step's
-# first stage (FSAL), which the main loop exploits.
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-# b5 - b4: weights for the embedded error estimate
-_DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+# Dormand-Prince 5(4) tableau by name, for the unrolled stage loop below:
+# nodes C, stage weights A, fifth-order weights B and error weights E = b5 - b4
+# (zero entries omitted).  Stage 7 is taken at the fifth-order solution, so
+# its weights are the B weights and it equals the next step's first stage
+# (FSAL), which the main loop exploits.
+_C2, _C3, _C4, _C5, _C6, _C7 = 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
+_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+_A71, _A72, _A73, _A74, _A75, _A76 = _B1, 0.0, _B3, _B4, _B5, _B6
+_E1, _E3, _E4, _E5, _E6, _E7 = (
+    71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 
 _SAFETY = 0.9
 _FAC_MIN = 0.2
@@ -154,10 +154,10 @@ class FloatKernel:
 
     ``kernel`` takes ``(t, state)`` for a flow or ``(state)`` for a map,
     where state is a sequence of ``dimension`` floats, and returns a
-    sequence of floats.  The library runs it directly on floats and refuses
-    a state of another length; called like any other FieldFn or MapFn, with
-    an ndarray state, it returns an ndarray.  Preset fields and maps are
-    FloatKernels.
+    sequence of floats.  The library runs it directly on floats; called like
+    any other FieldFn or MapFn, with an ndarray state, it returns an ndarray.
+    Either way a state of another length is refused.  Preset fields and maps
+    are FloatKernels.
     """
 
     __slots__ = ("kernel", "dimension")
@@ -167,19 +167,22 @@ class FloatKernel:
         self.dimension = dimension
 
     def __call__(self, *args) -> np.ndarray:
+        _check_dimension(self, len(args[-1]), "field" if len(args) == 2 else "map")
         return np.array(self.kernel(*args), dtype=np.float64)
+
+
+def _check_dimension(fn: FloatKernel, dim: int, what: str) -> None:
+    """The only check that a FloatKernel fits a state of dim components."""
+    if fn.dimension != dim:
+        raise DomainError(f"{what} has dimension {fn.dimension}, got a state of dimension {dim}")
 
 
 def _float_kernel(fn: Callable, dim: int, what: str) -> Callable:
     """The float kernel of fn for a state of dim components: its own, or one
-    adapting an ndarray FieldFn or MapFn, ``what`` in its refusals.  The only
-    check that a FloatKernel fits the state; a scalar result of an adapted
-    callable counts as one value."""
+    adapting an ndarray FieldFn or MapFn, ``what`` in its refusals.  A scalar
+    result of an adapted callable counts as one value."""
     if isinstance(fn, FloatKernel):
-        if fn.dimension != dim:
-            raise DomainError(
-                f"{what} has dimension {fn.dimension}, got a state of dimension {dim}"
-            )
+        _check_dimension(fn, dim, what)
         return fn.kernel
 
     def adapted(*args):
@@ -202,21 +205,6 @@ def _check_finite(k, t) -> None:
 def _check_length(values, dim: int, what: str) -> None:
     if len(values) != dim:
         raise DomainError(f"{what} returned shape ({len(values)},), expected ({dim},)")
-
-
-# The tableau entries by name, for the unrolled stage loop below.
-_, _C2, _C3, _C4, _C5, _C6, _C7 = _DP_C
-(
-    _,
-    (_A21,),
-    (_A31, _A32),
-    (_A41, _A42, _A43),
-    (_A51, _A52, _A53, _A54),
-    (_A61, _A62, _A63, _A64, _A65),
-    (_A71, _A72, _A73, _A74, _A75, _A76),
-) = _DP_A
-_B1, _, _B3, _B4, _B5, _B6, _ = _DP_B5
-_E1, _, _E3, _E4, _E5, _E6, _E7 = _DP_E
 
 
 def integrate(

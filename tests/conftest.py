@@ -578,26 +578,19 @@ def loop_bifurcation_scan(
     if keep < 1:
         raise DomainError("keep must be positive")
     params = np.linspace(p_lo, p_hi, p_steps)
-    rows = np.empty((p_steps * keep, 2), dtype=np.float64)
-    row = 0
-    for param in params:
+    samples = np.empty((p_steps, keep), dtype=np.float64)
+    for row, param in enumerate(params):
         x = x0
         for i in range(discard + keep):
             if i >= discard:
-                rows[row] = (param, x)
-                row += 1
+                samples[row, i - discard] = x
             x = family(param, x)
             if not math.isfinite(x):
                 raise NonFiniteState(
                     f"orbit diverged at parameter {float(param)!r}, iterate {i + 1}",
                     index=i + 1,
                 )
-    return BifurcationDiagram(
-        points=rows,
-        param_range=(p_lo, p_hi),
-        samples_per_param=keep,
-        discard=discard,
-    )
+    return BifurcationDiagram(params=params, samples=samples)
 
 
 def loop_avalanche_test(key: ChaosKey, n_bytes: int, trials: int) -> float:

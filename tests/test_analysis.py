@@ -1,6 +1,7 @@
 import ast
 import importlib
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from chaoscope import analysis
 from chaoscope.analysis import (
     MAX_SCAN_ITERATES,
     MAX_SCAN_ROWS,
+    BifurcationDiagram,
     Stability,
     bifurcation_scan,
     classify_linear,
@@ -215,18 +217,20 @@ def _clusters(values, radius=1e-4):
 
 def test_bifurcation_scan_attracting_zero():
     diagram = bifurcation_scan(logistic_family, 0.4, 0.5, 3, 0.3, 500, 10)
-    assert np.all(np.abs(diagram.points[:, 1]) < 1e-6)
+    assert np.all(np.abs(diagram.samples) < 1e-6)
 
 
 def test_bifurcation_scan_interior_fixed_point():
     diagram = bifurcation_scan(logistic_family, 1.99, 2.0, 2, 0.3, 500, 10)
-    samples = diagram.points[diagram.points[:, 0] == 2.0][:, 1]
+    assert diagram.params[1] == 2.0
+    samples = diagram.samples[1]
     assert np.all(np.abs(samples - 0.5) < 1e-9)
 
 
 def test_bifurcation_scan_period_two_cycle():
     diagram = bifurcation_scan(logistic_family, 3.19999, 3.2, 2, 0.3, 500, 20)
-    samples = diagram.points[diagram.points[:, 0] == 3.2][:, 1]
+    assert diagram.params[1] == 3.2
+    samples = diagram.samples[1]
     groups = _clusters(samples)
     assert len(groups) == 2
     lo, hi = (np.mean(g) for g in groups)
@@ -236,12 +240,10 @@ def test_bifurcation_scan_period_two_cycle():
 
 def test_bifurcation_period_doubling_onset():
     above = bifurcation_scan(logistic_family, 3.02, 3.08, 4, 0.3, 500, 12)
-    for mu in np.unique(above.points[:, 0]):
-        samples = above.points[above.points[:, 0] == mu][:, 1]
+    for samples in above.samples:
         assert len(_clusters(samples)) == 2
     below = bifurcation_scan(logistic_family, 2.90, 2.98, 4, 0.3, 500, 12)
-    for mu in np.unique(below.points[:, 0]):
-        samples = below.points[below.points[:, 0] == mu][:, 1]
+    for samples in below.samples:
         assert len(_clusters(samples)) == 1
 
 
@@ -334,10 +336,10 @@ def test_bifurcation_scan_matches_the_parameter_loop(lo, width, p_steps, x0, dis
         assert getattr(got_exc, "index", None) == getattr(want_exc, "index", None)
         return
     assert got_exc is None
-    assert got.points.shape == want.points.shape == (p_steps * keep, 2)
-    assert np.array_equal(_bits(got.points), _bits(want.points))
-    assert (got.param_range, got.samples_per_param, got.discard) == (
-        want.param_range, want.samples_per_param, want.discard)
+    assert got.params.shape == want.params.shape == (p_steps,)
+    assert got.samples.shape == want.samples.shape == (p_steps, keep)
+    assert np.array_equal(_bits(got.params), _bits(want.params))
+    assert np.array_equal(_bits(got.samples), _bits(want.samples))
 
 
 def test_bifurcation_scan_overflowing_lanes_stay_silent():
@@ -361,6 +363,42 @@ def test_bifurcation_scan_from_x0_above_one_diverges_silently():
             bifurcation_scan(logistic_family, 2.8, 4.0, 600, 1.5, 500, 100)
     assert str(info.value) == "orbit diverged at parameter 2.8, iterate 10"
     assert info.value.index == 10
+
+
+def test_bifurcation_scan_keeps_one_float_per_kept_row():
+    # the diagram's samples are the lane buffer itself, transposed: 8 bytes
+    # per kept row, where (parameter, x) rows built from it took 16 more
+    tracemalloc.start()
+    try:
+        diagram = bifurcation_scan(logistic_family, 2.8, 4.0, 2000, 0.3, 100, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert diagram.samples.shape == (2000, 1000)
+    assert peak <= 10 * 2000 * 1000
+
+
+def test_bifurcation_diagram_is_its_grid():
+    diagram = BifurcationDiagram(params=[2, 3], samples=[[1], [0]])
+    assert diagram.params.dtype == diagram.samples.dtype == np.float64
+    assert diagram.params.tolist() == [2.0, 3.0]
+    assert diagram.samples.tolist() == [[1.0], [0.0]]
+
+
+@pytest.mark.parametrize(
+    "params, samples",
+    [
+        (2.0, np.zeros((1, 4))),  # a scalar sweep
+        ([[2.0, 3.0]], np.zeros((2, 4))),  # a 2-D sweep
+        ([2.0, 3.0], np.zeros(2)),  # one sample per parameter, not a row
+        ([2.0, 3.0], np.zeros((2, 4, 1))),
+        ([2.0, 3.0], np.zeros((3, 4))),  # a row too many
+        ([2.0, 3.0], np.zeros((1, 4))),  # a row too few
+    ],
+)
+def test_bifurcation_diagram_refuses_other_shapes(params, samples):
+    with pytest.raises(DomainError, match=r"^diagram needs 1-D params and 2-D samples"):
+        BifurcationDiagram(params=params, samples=samples)
 
 
 @pytest.mark.parametrize("x0", [-0.1, 1.5, math.nan, math.inf])

@@ -23,9 +23,7 @@ from conftest import row_csv_text
 
 
 def test_empty_diagram_writes_header_only(tmp_path):
-    empty = BifurcationDiagram(
-        points=np.empty((0, 2)), param_range=(0.0, 1.0), samples_per_param=1, discard=100
-    )
+    empty = BifurcationDiagram(params=np.empty(0), samples=np.empty((0, 1)))
     out = tmp_path / "empty.csv"
     write_trajectory_csv(empty, out)
     assert out.read_bytes() == b"x,y\n"
@@ -312,14 +310,8 @@ def _series_rows(series):
         return ([series.discarded + k] + p.tolist() for k, p in enumerate(series.points))
     if isinstance(series, c.CobwebTrace):
         return (v.tolist() for v in series.vertices)
-    return (p.tolist() for p in series.points)
-
-
-def _diagram(points):
-    return BifurcationDiagram(
-        points=np.asarray(points, dtype=np.float64), param_range=(0.0, 1.0),
-        samples_per_param=1, discard=100,
-    )
+    return ([p, x] for p, row in zip(series.params.tolist(), series.samples.tolist())
+            for x in row)
 
 
 @pytest.mark.parametrize(
@@ -330,10 +322,13 @@ def _diagram(points):
         lambda: c.iterate_map(c.preset("henon").map(None), [0.1, 0.1], BLOCK + 50, 7),
         lambda: c.cobweb_trace(c.LogisticParams(3.8282), 0.2, 50),
         lambda: c.bifurcation_scan(lambda mu, x: mu * x * (1.0 - x), 2.8, 4.0, 30, 0.3, 100, 70),
-        # runs of equal parameters that differ only in sign, or are NaN,
-        # across the block boundary
-        lambda: _diagram([[-0.0, 1.0]] * (BLOCK - 1) + [[0.0, 2.0]] * 3
-                         + [[math.nan, 3.0]] * 2 + [[5e-324, -0.0]]),
+        # parameters that differ only in sign, or are NaN or subnormal, with
+        # rows of BLOCK - 1 samples, so that each row after the first crosses
+        # a block boundary
+        lambda: BifurcationDiagram(
+            params=[-0.0, 0.0, math.nan, 5e-324],
+            samples=np.arange(4.0 * (BLOCK - 1)).reshape(4, BLOCK - 1) * -0.5,
+        ),
     ],
 )
 def test_series_csv_matches_the_row_writer(tmp_path, make):
@@ -356,4 +351,21 @@ def test_bench_size_diagram_writes_in_bounded_memory(tmp_path):
     finally:
         tracemalloc.stop()
     assert out.stat().st_size > 3_500_000
+    assert peak < 1 * 2**20
+
+
+@pytest.mark.parametrize("p_steps, keep", [(100_000, 1), (1, 100_000)])
+def test_a_diagram_of_any_shape_writes_in_bounded_memory(tmp_path, p_steps, keep):
+    # neither column is held whole as Python objects: 100k parameter texts
+    # take about 8 MB, and one row of 100k samples as floats 3.2 MB
+    samples = np.random.default_rng(5).random((p_steps, keep))
+    diagram = BifurcationDiagram(params=np.linspace(2.8, 4.0, p_steps), samples=samples)
+    out = tmp_path / "bif.csv"
+    tracemalloc.start()
+    try:
+        write_trajectory_csv(diagram, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.read_bytes().count(b"\n") == p_steps * keep + 1
     assert peak < 1 * 2**20

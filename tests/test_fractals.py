@@ -110,6 +110,26 @@ def test_escape_grid_keeps_int32_counts_and_casts_exact_values():
     assert cast.dtype == np.int32 and cast.tolist() == [[1, 2]]
 
 
+@pytest.mark.parametrize("counts", [np.empty((0, 3)), np.empty((3, 0)), [1, 2], [[[1]]]])
+def test_escape_grid_refuses_counts_no_pgm_can_hold(counts):
+    # an empty grid would write a 0x0 PGM, which read_pgm refuses
+    with pytest.raises(DomainError, match=r"^counts must be a non-empty 2-D array$"):
+        EscapeGrid(counts=counts, nmax=5, threshold=4.0, window=CLASSIC_WINDOW)
+
+
+@pytest.mark.parametrize("bad", [0.5, math.nan, 7, math.inf, -1, 2])
+def test_binary_image_refuses_bits_its_cast_would_change(bad):
+    with pytest.raises(DomainError, match=r"^bits must be 0 or 1$"):
+        BinaryImage(bits=[[0.0, bad, 1.0]])
+
+
+def test_binary_image_keeps_bool_bits_and_casts_zeros_and_ones():
+    bits = np.ones((2, 3), dtype=bool)
+    assert BinaryImage(bits=bits).bits is bits
+    cast = BinaryImage(bits=[[0, 1.0, -0.0]]).bits
+    assert cast.dtype == bool and cast.tolist() == [[False, True, False]]
+
+
 def test_mandelbrot_point_counts():
     window = ComplexWindow(-2.0, 2.0, -1.0, 1.0, 0.25)
     grid = mandelbrot_grid(window, 50, 4.0)

@@ -246,29 +246,47 @@ def test_preset_kind_and_count_messages_are_unchanged(name):
     assert str(err.value) == want
 
 
-#: Each library entry point that takes a preset of a kind, with its call.
+#: Each library entry point that takes a preset of a kind, with its call,
+#: and the preset's own ndarray form.
 ENTRY_POINTS = {
     "flow": {
         "integrate": lambda f, x0: integrate(f, x0, 0.0, 1.0),
         "divergence_rate": lambda f, x0: divergence_rate(f, x0, 1e-8, 1.0),
         "verify_equilibrium": lambda f, x0: verify_equilibrium(f, x0, 1e-9),
+        "ndarray": lambda f, x0: f(0.0, np.array(x0)),
     },
-    "map": {"iterate_map": lambda f, x0: iterate_map(f, x0, 5)},
+    "map": {
+        "iterate_map": lambda f, x0: iterate_map(f, x0, 5),
+        "ndarray": lambda f, x0: f(np.array(x0)),
+    },
 }
-
-
-@pytest.mark.parametrize("name, entry, dim", [
+OTHER_DIMENSIONS = [
     (name, entry, dim)
     for name, (kind, d, *_) in sorted(PRESET_RECORDS.items())
     for entry in ENTRY_POINTS[kind]
     for dim in (d - 1, d + 1) if dim >= 1
-])
+]
+#: A preset wrapped in another callable, as the benchmark's tracer wraps it:
+#: the library then calls the preset's ndarray form.
+WRAPPED = {"flow": lambda f: lambda t, s: f(t, s), "map": lambda f: lambda s: f(s)}
+
+
+@pytest.mark.parametrize("name, entry, dim", OTHER_DIMENSIONS)
 def test_a_start_of_another_dimension_is_a_domain_error(name, entry, dim):
     p = preset(name)
     what, fn = ("field", p.field(None)) if p.kind == "flow" else ("map", p.map(None))
     want = f"^{what} has dimension {p.dimension}, got a state of dimension {dim}$"
     with pytest.raises(DomainError, match=want):
         ENTRY_POINTS[p.kind][entry](fn, [0.5] * dim)
+
+
+@pytest.mark.parametrize("name, entry, dim", OTHER_DIMENSIONS)
+def test_a_wrapped_preset_refuses_another_dimension(name, entry, dim):
+    p = preset(name)
+    what, fn = ("field", p.field(None)) if p.kind == "flow" else ("map", p.map(None))
+    want = f"^{what} has dimension {p.dimension}, got a state of dimension {dim}$"
+    with pytest.raises(DomainError, match=want):
+        ENTRY_POINTS[p.kind][entry](WRAPPED[p.kind](fn), [0.5] * dim)
 
 
 def test_systems_imports_no_numpy():
