@@ -356,8 +356,8 @@ def test_bench_size_diagram_writes_in_bounded_memory(tmp_path):
 
 @pytest.mark.parametrize("p_steps, keep", [(100_000, 1), (1, 100_000)])
 def test_a_diagram_of_any_shape_writes_in_bounded_memory(tmp_path, p_steps, keep):
-    # neither column is held whole as Python objects: 100k parameter texts
-    # take about 8 MB, and one row of 100k samples as floats 3.2 MB
+    # neither column is held whole as Python objects: 100k parameters as
+    # floats and texts take about 10 MB, and one row of 100k samples 3.2 MB
     samples = np.random.default_rng(5).random((p_steps, keep))
     diagram = BifurcationDiagram(params=np.linspace(2.8, 4.0, p_steps), samples=samples)
     out = tmp_path / "bif.csv"
