@@ -9,7 +9,9 @@ one of them non-square) and ``decompress`` of each resulting code, which
 the tour's flat ramp barely exercises.  The large cases add the
 benchmark's ``bifurcate`` run: its 100k rows cross many CSV blocks and
 repeat each parameter 100 times, where the tour's 25 rows fit in one
-block.  The digests must hold both for ``cli.main`` called in this
+block.  They also add the benchmark's two ``mandelbrot`` windows and a
+zoom on the neck at -0.75 at nmax 3000, whose pixels lie mostly inside
+the main cardioid and the period-2 bulb or at their common boundary.  The digests must hold both for ``cli.main`` called in this
 process and for real ``python -m chaoscope`` processes, which end through
 ``cli.run``.
 
@@ -51,10 +53,16 @@ CODEC_CASES = {
     "photo96x64": (64, 96, 2027, []),
 }
 
-# name -> argv of a larger run than the tour's, written to <name>.csv
+# name -> (output file suffix, argv) of a larger run than the tour's
 LARGE_CASES = {
-    "bifurcate_1000x100": ["bifurcate", "--mu-range", "2.8:4.0", "--mu-steps", "1000",
-                           "--discard", "500", "--keep", "100"],
+    "bifurcate_1000x100": (".csv", ["bifurcate", "--mu-range", "2.8:4.0", "--mu-steps", "1000",
+                                    "--discard", "500", "--keep", "100"]),
+    "mandelbrot_overview": (".pgm", ["mandelbrot", "--window=-2.4:1.2:-1.5:1.5",
+                                     "--scale", "0.004", "--nmax", "100"]),
+    "mandelbrot_zoom": (".pgm", ["mandelbrot", "--window=-0.8:-0.7:0.05:0.15",
+                                 "--scale", "4e-4", "--nmax", "300"]),
+    "mandelbrot_neck_3000": (".pgm", ["mandelbrot", "--window=-0.755:-0.745:-0.005:0.005",
+                                      "--scale", "4e-5", "--nmax", "3000"]),
 }
 
 
@@ -100,7 +108,8 @@ def compute_digests(root: Path, run=_run) -> dict:
     map name -> stdout and output digests."""
     cases, ifs_pgm, fic, chx, secret = _determinism_cases(root)
     cases = cases + _codec_cases(root)
-    cases += [(name, argv, [str(root / f"{name}.csv")]) for name, argv in LARGE_CASES.items()]
+    cases += [(name, argv, [str(root / f"{name}{suffix}")])
+              for name, (suffix, argv) in LARGE_CASES.items()]
     run(["ifs", "--size", "128", "--steps", "4", "--out", str(ifs_pgm)])
     run(["compress", "--in", str(root / "in_ramp.pgm"), "--out", str(fic)])
     run(["encrypt", "--in", str(secret), "--key", "3.9,0.3", "--out", str(chx)])
