@@ -4,7 +4,10 @@ The escape grid reproduces the classic meshgrid convention: samples at
 lo + k*scale along each axis, endpoints included.  For windows that are
 mirror-symmetric about the real axis the imaginary-axis samples are built
 by exact negation of the lower half, so conjugate rows carry bitwise-equal
-counts (naive repeated addition misses that by 1 ulp on many rows).
+counts (naive repeated addition misses that by 1 ulp on many rows), and
+the grid iterates only the lower half and copies it.  Pixels inside the
+main cardioid or the period-2 bulb take count nmax without iterating; the
+argument that they never escape is in mandelbrot_grid.
 """
 
 from __future__ import annotations
@@ -24,11 +27,12 @@ from .errors import DomainError, EmptyImage, check_cap, check_count, check_real
 DEFAULT_MAX_PIXELS = 100_000_000
 
 #: Cap on the escape iterations of mandelbrot_grid, pixels x nmax, checked
-#: before anything is allocated.  A live pixel-iteration costs about 4-5 ns
-#: and an iteration at least about 6 us however few pixels are live, so a
+#: before anything is allocated.  A live pixel-iteration costs about 4 ns
+#: and an iteration at least about 5.5 us however few pixels are live, so a
 #: grid is charged as at least _MIN_ESCAPE_PIXELS pixels; a grid at the cap
-#: that never escapes takes about 12-22 s (801x801 inside the cardioid, 3x3
-#: and 32x32).  It also keeps nmax within the int32 counts.
+#: that never escapes takes about 11-20 s (801x801, 32x32 and 3x3 inside the
+#: period-3 component near -1.7549, which no shortcut skips).  It also keeps
+#: nmax within the int32 counts.
 MAX_ESCAPE_ITERATES = 4_000_000_000
 _MIN_ESCAPE_PIXELS = 2048
 
@@ -45,6 +49,10 @@ _MIN_IFS_PIXELS = 1024
 
 #: Pixels per escape-grid tile, rounded down to whole rows (at least one).
 _TILE_PIXELS = 1 << 14
+
+#: Relative margin of the cardioid and bulb tests, far above their own
+#: rounding (a few ulps) where no term cancels; see mandelbrot_grid.
+_INTERIOR_MARGIN = 1e-9
 
 #: Pixels per band of the IFS pass, rounded down to whole rows (at least one).
 _BAND_PIXELS = 1 << 16
@@ -124,6 +132,18 @@ class EscapeGrid:
             raise DomainError("escape counts must lie in [1, nmax]")
 
 
+def _interior(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Whether c = x + iy passes the main cardioid test, q(q + x - 1/4) <
+    y^2/4 with q = (x - 1/4)^2 + y^2, or the period-2 bulb test,
+    (x + 1)^2 + y^2 < 1/16, each with the right side shrunk by
+    _INTERIOR_MARGIN.  x and y broadcast together."""
+    a = x - 0.25
+    yy = y * y
+    q = a * a + yy
+    cardioid = q * (q + a) < (0.25 * (1.0 - _INTERIOR_MARGIN)) * yy
+    return cardioid | ((x + 1.0) * (x + 1.0) + yy < (1.0 - _INTERIOR_MARGIN) / 16.0)
+
+
 def mandelbrot_grid(
     window: ComplexWindow,
     nmax: int,
@@ -141,6 +161,47 @@ def mandelbrot_grid(
     active pixels, as compacted flat index, z and w arrays, so memory is the
     int32 counts plus O(tile) and the work follows the useful iterations.
     Every active pixel sees the same float operations as a full-grid update.
+    Two kinds of pixel are never iterated, and neither changes a count:
+
+    Mirrored rows.  When the imaginary samples satisfy ys == -ys[::-1]
+    exactly, only the lower ceil(ny/2) rows are iterated and the upper
+    rows are copied from them.  Negating the imaginary parts of w and z
+    negates the imaginary part of w^2 + z and keeps its real part, in
+    numpy's complex square and add with or without FMA, because each
+    product and sum rounds symmetrically; only the sign of a zero can
+    differ, and neither later products nor |w| see it.  So a conjugate
+    pixel has the conjugate orbit, the same moduli and the same count.
+
+    The interior (_interior).  Pixels inside the main cardioid or the
+    period-2 bulb keep count nmax.  What is proven:
+    - For c in either closed region, c lies in the Mandelbrot set, and the
+      exact orbit of 0 stays in the filled Julia set K_c, which lies in
+      |w| <= 1/2 + sqrt(1/4 + |c|): beyond that radius |w^2 + c| >=
+      |w|^2 - |c| > |w|, and the orbit grows without bound.  The cardioid
+      has |c| <= 3/4 and the bulb |c| <= 5/4, so the exact orbit stays
+      within 1/2 + sqrt(3/2) < 1.725 < 2 <= threshold.
+    - Each float step rounds w^2 + c within a few ulps of |w|^2 + |c|,
+      about 1e-15 at most.  In the cardioid, c = lam/2 - lam^2/4, where
+      lam is the multiplier of the attracting fixed point w* = lam/2, and
+      f(w) - w* = (w - w*)(w + w*).  Where |lam| <= 0.6, the disc
+      |w - w*| < 0.35 holds 0, and f maps it into the disc of radius
+      0.35 (|lam| + 0.35) <= 0.3325: a slack of 0.0175 that rounding cannot
+      use up, so the float orbit stays within |w| < 0.65.
+    - Nearer the cardioid's boundary, and in the whole bulb, this is not
+      proven.  There the attraction weakens as |lam| nears 1, and that
+      rounding never carries the float orbit across the Julia set, out of
+      K_c, rests on measurement: the boundary zooms of the tests compare
+      every count with a full-grid iteration at high nmax.
+    - The tests themselves are floats.  Every operation rounds within half
+      an ulp, so where no sum cancels each side is within a few ulps, and
+      the margin of 1e-9 keeps a passing pixel inside the exact region.
+      Only q + (x - 1/4) can cancel, on the circle |c + 1/4| = 1/2 inside
+      the cardioid, which meets its boundary only at the cusp 1/4 and the
+      neck -3/4.  At the cusp the outside has x > 1/4, where the sum does
+      not cancel.  Near the neck the test may pass a pixel outside the
+      cardioid by less than about 1e-15; such a c escapes, if at all,
+      after about pi / sqrt(distance) iterations (a heuristic from the
+      parabolic point), far beyond any nmax the cap allows.
     """
     nmax = check_count(nmax, "nmax", 1)
     check_real(threshold, "threshold", "[2, inf)")
@@ -152,15 +213,20 @@ def mandelbrot_grid(
     xs, ys = window.x_values(), window.y_values()
     counts = np.full((ny, nx), nmax, dtype=np.int32)
     flat_counts = counts.reshape(-1)
+    mirrored = np.array_equal(ys, -ys[::-1])
+    rows = (ny + 1) // 2 if mirrored else ny
     rows_per_tile = max(1, _TILE_PIXELS // nx)
-    for r0 in range(0, ny, rows_per_tile):
-        r1 = min(ny, r0 + rows_per_tile)
+    for r0 in range(0, rows, rows_per_tile):
+        r1 = min(rows, r0 + rows_per_tile)
         # the active set of one tile: flat pixel index, c and the iterate
-        idx = np.arange(r0 * nx, r1 * nx)
-        z = (xs[None, :] + 1j * ys[r0:r1, None]).ravel()
+        outside = ~_interior(xs[None, :], ys[r0:r1, None]).ravel()
+        idx = np.flatnonzero(outside) + r0 * nx
+        live = len(idx)
+        if not live:
+            continue
+        z = (xs[None, :] + 1j * ys[r0:r1, None]).ravel()[outside]
         w = np.zeros_like(z)
-        modulus = np.empty(len(z))
-        live = len(z)
+        modulus = np.empty(live)
         for n in range(1, nmax + 1):
             np.square(w, out=w)
             w += z
@@ -178,6 +244,9 @@ def mandelbrot_grid(
                 if 4 * live <= 3 * len(idx):
                     keep = idx >= 0
                     idx, z, w = idx[keep], z[keep], w[keep]
+    if mirrored:
+        half = ny // 2
+        counts[ny - half :] = counts[:half][::-1]
     return EscapeGrid(counts=counts, nmax=nmax, threshold=threshold, window=window)
 
 

@@ -156,8 +156,8 @@ class FloatKernel:
     where state is a sequence of ``dimension`` floats, and returns a
     sequence of floats.  The library runs it directly on floats; called like
     any other FieldFn or MapFn, with an ndarray state, it returns an ndarray.
-    Either way a state of another length is refused.  Preset fields and maps
-    are FloatKernels.
+    Either way a state of another length is refused, and a scalar state
+    counts as one component.  Preset fields and maps are FloatKernels.
     """
 
     __slots__ = ("kernel", "dimension")
@@ -167,7 +167,11 @@ class FloatKernel:
         self.dimension = dimension
 
     def __call__(self, *args) -> np.ndarray:
-        _check_dimension(self, len(args[-1]), "field" if len(args) == 2 else "map")
+        try:
+            dim = len(args[-1])
+        except TypeError:  # a scalar is a state of one component, as in as_state
+            args, dim = args[:-1] + ([args[-1]],), 1
+        _check_dimension(self, dim, "field" if len(args) == 2 else "map")
         return np.array(self.kernel(*args), dtype=np.float64)
 
 

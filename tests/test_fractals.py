@@ -1,3 +1,4 @@
+import cmath
 import math
 import tracemalloc
 from unittest import mock
@@ -5,7 +6,7 @@ from unittest import mock
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chaoscope import fractals
@@ -383,6 +384,9 @@ def _window(xmin, ymin, scale, nx, ny, mirrored):
     threshold=st.floats(2.0, 100.0),
     tile=st.sampled_from([1, 2, 7, 40, 100, 1 << 14]),
 )
+# a first tile wholly inside the cardioid, which iterates nothing
+@example(xmin=-0.3, ymin=0.0, scale=0.03, nx=15, ny=30, mirrored=False, nmax=100,
+         threshold=4.0, tile=1)
 def test_tiled_escape_grid_matches_full_grid(
     xmin, ymin, scale, nx, ny, mirrored, nmax, threshold, tile
 ):
@@ -405,6 +409,87 @@ def test_escape_grid_rows_wider_than_a_tile_match_full_grid():
     got = mandelbrot_grid(window, 60)
     assert np.array_equal(got.counts, full_grid_mandelbrot(window, 60).counts)
     assert np.array_equal(got.counts, got.counts[::-1])
+
+
+@pytest.mark.parametrize(
+    "ymin, ymax, scale",
+    [
+        # samples 4e-9 off mirror symmetry: beyond y_values' tolerance of
+        # 1e-6 x scale, so none are mirrored, but within np.allclose's
+        (-0.1 + 4e-9, 0.1 + 4e-9, 4e-3),
+        # mirrored ends, but the span is not a whole number of pitches
+        (-0.1, 0.1, 3e-3),
+    ],
+)
+def test_escape_grid_iterates_every_row_of_a_window_not_exactly_mirrored(ymin, ymax, scale):
+    window = ComplexWindow(-0.8, -0.7, ymin, ymax, scale)
+    ys = window.y_values()
+    assert not np.array_equal(ys, -ys[::-1])
+    got = mandelbrot_grid(window, 5000)
+    want = full_grid_mandelbrot(window, 5000)
+    assert np.array_equal(got.counts, want.counts)
+    assert not np.array_equal(want.counts, want.counts[::-1])
+
+
+def _cardioid_edge(t):
+    """The point at angle t on the main cardioid's boundary."""
+    return cmath.exp(1j * t) / 2 - cmath.exp(2j * t) / 4
+
+
+def _bulb_edge(t):
+    """The point at angle t on the period-2 bulb's boundary."""
+    return -1 + cmath.exp(1j * t) / 4
+
+
+# (centre, half side, pitch, nmax): zooms across the edge of the skipped
+# regions, where orbits converge slowest and escape latest.  The neck, the
+# cusp and the bulb edge at -1.25 lie on the real axis, so their windows
+# are mirrored too.
+BOUNDARY_ZOOMS = {
+    "cusp": (0.25 + 0j, 5e-4, 2e-5, 20_000),
+    "neck": (-0.75 + 0j, 2.5e-3, 1e-4, 20_000),
+    "bulb_edge": (-1.25 + 0j, 2.5e-3, 1e-4, 20_000),
+    "cardioid_arc": (_cardioid_edge(1.0), 5e-4, 2e-5, 5_000),
+    "bulb_arc": (_bulb_edge(1.0), 5e-4, 2e-5, 5_000),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDARY_ZOOMS))
+def test_escape_grid_matches_full_grid_across_the_skipped_regions_edge(name):
+    c, half, scale, nmax = BOUNDARY_ZOOMS[name]
+    window = ComplexWindow(c.real - half, c.real + half, c.imag - half, c.imag + half, scale)
+    assert window.nx * window.ny * nmax <= fractals.MAX_ESCAPE_ITERATES
+    got = mandelbrot_grid(window, nmax)
+    want = full_grid_mandelbrot(window, nmax)
+    assert np.array_equal(got.counts, want.counts)
+    # the zoom holds skipped pixels and pixels that escape
+    inside = fractals._interior(window.x_values()[None, :], window.y_values()[:, None])
+    assert inside.any() and (want.counts < nmax).any()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    edge=st.one_of(
+        st.floats(-math.pi, math.pi).map(_cardioid_edge),
+        st.floats(-math.pi, math.pi).map(_bulb_edge),
+        st.sampled_from([0.25 + 0j, -0.75 + 0j, -1.25 + 0j]),
+    ),
+    offset=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)),
+    scale=st.floats(1e-6, 1e-2),
+    nx=st.integers(3, 24),
+    ny=st.integers(3, 24),
+    mirrored=st.booleans(),
+    nmax=st.integers(1, 2000),
+)
+def test_escape_grid_matches_full_grid_on_windows_straddling_a_region_edge(
+    edge, offset, scale, nx, ny, mirrored, nmax
+):
+    # the edge point lies in the window; a mirrored one keeps only its columns
+    xmin = edge.real + (offset[0] - 0.5) * (nx - 1) * scale
+    ymin = edge.imag + (offset[1] - 0.5) * (ny - 1) * scale
+    window = _window(xmin, ymin, scale, nx, ny, mirrored)
+    got = mandelbrot_grid(window, nmax)
+    assert np.array_equal(got.counts, full_grid_mandelbrot(window, nmax).counts)
 
 
 def _contraction(angle, s1, s2, shear, flip):

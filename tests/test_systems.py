@@ -289,6 +289,21 @@ def test_a_wrapped_preset_refuses_another_dimension(name, entry, dim):
         ENTRY_POINTS[p.kind][entry](WRAPPED[p.kind](fn), [0.5] * dim)
 
 
+@pytest.mark.parametrize("state", [0.3, np.float64(0.3), np.array(0.3)], ids=repr)
+@pytest.mark.parametrize("name", sorted(PRESET_RECORDS))
+def test_the_ndarray_form_takes_a_scalar_as_a_state_of_one_component(name, state):
+    # as every library entry point does with a scalar x0
+    p = preset(name)
+    fn, head = (p.field(None), (0.0,)) if p.kind == "flow" else (p.map(None), ())
+    if p.dimension == 1:
+        got = fn(*head, state)
+        assert got.dtype == np.float64 and got.tolist() == fn(*head, [0.3]).tolist()
+    else:
+        want = f"has dimension {p.dimension}, got a state of dimension 1$"
+        with pytest.raises(DomainError, match=want):
+            fn(*head, state)
+
+
 def test_systems_imports_no_numpy():
     # a preset has one form, the FloatKernel, which computes on Python floats
     tree = ast.parse(Path(systems.__file__).read_text(encoding="utf-8"))
