@@ -11,9 +11,13 @@ benchmark's ``bifurcate`` run: its 100k rows cross many CSV blocks and
 repeat each parameter 100 times, where the tour's 25 rows fit in one
 block.  They also add the benchmark's two ``mandelbrot`` windows and a
 zoom on the neck at -0.75 at nmax 3000, whose pixels lie mostly inside
-the main cardioid and the period-2 bulb or at their common boundary.  The digests must hold both for ``cli.main`` called in this
-process and for real ``python -m chaoscope`` processes, which end through
-``cli.run``.
+the main cardioid and the period-2 bulb or at their common boundary.
+Last come the benchmark's flow and map runs: Lorenz and Chua ``simulate``
+over 0:40 at tolerance 1e-8 (thousands of integrator steps, where the
+tour's run takes a few hundred), Lorenz ``divergence`` to t1 = 40, and a
+40k-iterate Henon orbit.  The digests must hold both for ``cli.main``
+called in this process and for real ``python -m chaoscope`` processes,
+which end through ``cli.run``.
 
 After a deliberate output change, rewrite the digests with
 
@@ -63,6 +67,14 @@ LARGE_CASES = {
                                  "--scale", "4e-4", "--nmax", "300"]),
     "mandelbrot_neck_3000": (".pgm", ["mandelbrot", "--window=-0.755:-0.745:-0.005:0.005",
                                       "--scale", "4e-5", "--nmax", "3000"]),
+    "simulate_lorenz_1e-8": (".csv", ["simulate", "--system", "lorenz", "--span", "0:40",
+                                      "--rel-tol", "1e-8", "--abs-tol", "1e-8"]),
+    "simulate_chua_1e-8": (".csv", ["simulate", "--system", "chua", "--span", "0:40",
+                                    "--rel-tol", "1e-8", "--abs-tol", "1e-8"]),
+    "divergence_lorenz_40": (".csv", ["divergence", "--system", "lorenz", "--t1", "40",
+                                      "--rel-tol", "1e-6", "--abs-tol", "1e-6"]),
+    "iterate_henon_40000": (".csv", ["iterate", "--system", "henon", "--steps", "40000",
+                                     "--discard", "49"]),
 }
 
 
