@@ -35,17 +35,16 @@ MapFn = Callable[[np.ndarray], ArrayLike]
 
 # Dormand-Prince 5(4) tableau by name, for the unrolled stage loop below:
 # nodes C, stage weights A, fifth-order weights B and error weights E = b5 - b4
-# (zero entries omitted).  Stage 7 is taken at the fifth-order solution, so
-# its weights are the B weights and it equals the next step's first stage
-# (FSAL), which the main loop exploits.
-_C2, _C3, _C4, _C5, _C6, _C7 = 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0
+# (zero entries omitted).  Stages 6 and 7 have the node 1, written as t + h.
+# Stage 7's weights are the B weights, so it is the field at the new state
+# y_new and equals the next step's first stage (FSAL, "first same as last").
+_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
 _A21 = 1 / 5
 _A31, _A32 = 3 / 40, 9 / 40
 _A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
 _A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
 _A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
 _B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
-_A71, _A72, _A73, _A74, _A75, _A76 = _B1, 0.0, _B3, _B4, _B5, _B6
 _E1, _E3, _E4, _E5, _E6, _E7 = (
     71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 
@@ -65,9 +64,9 @@ _isfinite = math.isfinite
 #: also bounds the loop to about 8-12 s.  integrate keeps up to max_steps + 1
 #: steps of dimension + 1 values, in one flat list of floats, and is capped
 #: the same way: a Lorenz step peaks at about 170 bytes in integrate and
-#: 164-194 in the CSV writer, and takes about 14-25 us (tracemalloc and best
-#: of 3-7, 9.6k-48k steps at rel_tol 1e-6), so the 2.5M steps of a 3-D flow
-#: at the cap take about 0.45 GB and 35-60 s.
+#: 132-161 in the CSV writer, and takes about 13-22 us (tracemalloc, and the
+#: fastest and slowest of 6 runs, 9.6k-48k steps at rel_tol 1e-6), so the
+#: 2.5M steps of a 3-D flow at the cap take about 0.43 GB and 32-55 s.
 MAX_ORBIT_VALUES = 10_000_000
 
 
@@ -88,7 +87,8 @@ class IntegratorConfig:
     """Tolerances and step limits for the adaptive integrator.
 
     ``initial_step=None`` selects h0 = (t1 - t0)/100 clamped to
-    [min_step, t1 - t0].  ``min_step=None`` selects 1e-12 * (t1 - t0).
+    [min_step, t1 - t0], and integrate refuses a given one below min_step.
+    ``min_step=None`` selects 1e-12 * (t1 - t0).
     """
 
     rel_tol: float = 1e-6
@@ -105,8 +105,6 @@ class IntegratorConfig:
         object.__setattr__(self, "max_steps", check_count(self.max_steps, "max_steps", 1))
         if self.min_step is not None:
             check_real(self.min_step, "min_step", "(0, inf)")
-            if self.initial_step is not None and not self.min_step < self.initial_step:
-                raise DomainError("min_step must be smaller than initial_step")
 
 
 @dataclass(frozen=True)
@@ -226,15 +224,18 @@ def integrate(
     Raises StepUnderflow when the controller wants a step below min_step
     or one too small to change t,
     MaxStepsExceeded when the attempt budget runs out, NonFiniteState when
-    the field produces NaN/Inf.  A run whose max_steps + 1 kept steps of
-    dimension + 1 values exceed MAX_ORBIT_VALUES raises GridTooLarge before
-    the field is called.
+    the field produces NaN/Inf.  A given initial_step below min_step raises
+    DomainError, and max_steps + 1 kept steps of dimension + 1 values over
+    MAX_ORBIT_VALUES GridTooLarge, before the field is called.
 
     The state and the stages are Python floats.  Every sum keeps the
     order of the ndarray formulation ``sum(a_j * k_j)``, its leading
-    integer 0 and its skipped zero weights included, so times and states
-    are bit-identical to it: IEEE float64 ``*``, ``+`` and ``abs`` round
-    the same in Python and in numpy, and neither fuses them.
+    integer 0 included, so times and states are bit-identical to it: IEEE
+    float64 ``*``, ``+`` and ``abs`` round the same in Python and in numpy,
+    and neither fuses them.  Stage 7 is the field at y_new, where that
+    formulation sums the row (b1, 0, b3, ..., b6): ``0 + b1*k1`` is never
+    -0.0 and k2 is finite, so adding ``0.0*k2`` (+-0.0) changes no bit of
+    the sum, zero signs included.
     """
     cfg = config if config is not None else IntegratorConfig()
     check_real(t0, "t0", "(-inf, inf)")
@@ -249,6 +250,7 @@ def integrate(
     f = _float_kernel(field, dim, "field")
     min_step = cfg.min_step if cfg.min_step is not None else 1e-12 * span
     if cfg.initial_step is not None:
+        check_real(cfg.initial_step, "initial_step", f"[{min_step!r}, inf)")
         h = min(cfg.initial_step, span)
     else:
         h = min(max(span / 100.0, min_step), span)
@@ -299,23 +301,18 @@ def integrate(
             for y_, a, b, c, d in zip(y, k1, k2, k3, k4)
         ])
         _check_finite(k5, ti)
-        ti = t + _C6 * h
+        ti = t + h
         k6 = f(ti, [
             y_ + h * (0 + _A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e)
             for y_, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)
         ])
         _check_finite(k6, ti)
-        ti = t + _C7 * h
-        k7 = f(ti, [
-            y_ + h * (0 + _A71 * a + _A72 * b + _A73 * c + _A74 * d + _A75 * e
-                      + _A76 * g)
-            for y_, a, b, c, d, e, g in zip(y, k1, k2, k3, k4, k5, k6)
-        ])
-        _check_finite(k7, ti)
         y_new = [
             y_ + h * (0 + _B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * g)
             for y_, a, c, d, e, g in zip(y, k1, k3, k4, k5, k6)
         ]
+        k7 = f(ti, y_new)
+        _check_finite(k7, ti)
         # |err| / (atol + rtol * max(|y|, |y_new|)), with numpy's NaN-propagating
         # maximum: |y| is never NaN, so `u if u >= v else v` is np.maximum
         ratios = [

@@ -1,5 +1,6 @@
 import argparse
 import ast
+import dataclasses
 import inspect
 import struct
 from pathlib import Path
@@ -336,6 +337,38 @@ def test_stalled_step_exits_1_without_output(tmp_path, run_cli, capsys):
     assert code == 1
     assert "StepUnderflow" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", [["simulate", "--span", "0:1"], ["divergence", "--t1", "1"]],
+                         ids=["simulate", "divergence"])
+@pytest.mark.parametrize(
+    "flags, floor",
+    [
+        (["--initial-step", "1e-13"], "1e-12"),
+        (["--initial-step", "9.9e-13"], "1e-12"),
+        (["--initial-step", "1e-6", "--min-step", "1e-3"], "0.001"),
+        (["--initial-step", "1e-12"], None),
+    ],
+    ids=["below-default-floor", "just-below-default-floor", "below-min-step", "at-default-floor"],
+)
+def test_initial_step_below_the_step_floor_exits_2_before_the_field_runs(
+        command, flags, floor, tmp_path, run_cli, capsys, monkeypatch):
+    # min_step defaults to 1e-12 * span; an initial step equal to it runs
+    lorenz = c.PRESETS["lorenz"]
+    calls = []
+    counted = lambda p, s: calls.append(s) or lorenz.formula(p, s)  # noqa: E731
+    monkeypatch.setitem(c.PRESETS, "lorenz", dataclasses.replace(lorenz, formula=counted))
+    out = tmp_path / "o.csv"
+    code, _ = run_cli(command[:1] + ["--system", "lorenz"] + command[1:] + flags
+                      + ["--out", str(out)])
+    if floor is None:
+        assert code == 0 and calls and out.exists()
+        return
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"chaoscope {command[0]}: initial_step must lie in [{floor}, inf), got {float(flags[1])}\n"
+    )
+    assert calls == [] and list(tmp_path.iterdir()) == []
 
 
 def test_out_naming_a_directory_exits_1_and_leaves_no_temp(tmp_path, run_cli):

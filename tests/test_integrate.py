@@ -165,12 +165,46 @@ def test_a_scalar_field_result_counts_as_one_value():
         {"initial_step": 0.0},
         {"max_steps": 0},
         {"min_step": 0.0},
-        {"initial_step": 1e-6, "min_step": 1e-3},
     ],
 )
 def test_invalid_config_rejected(kwargs):
     with pytest.raises(DomainError):
         IntegratorConfig(**kwargs)
+
+
+def _never_called(t, x):
+    raise AssertionError("the field was called")
+
+
+# integrate judges initial_step against min_step, given or 1e-12 * (t1 - t0),
+# with the closed end of the step rule, which refuses only h < min_step
+@pytest.mark.parametrize(
+    "kwargs, floor",
+    [
+        ({"initial_step": 1e-6, "min_step": 1e-3}, "0.001"),
+        ({"initial_step": 1e-13}, "1e-12"),
+        ({"initial_step": 9.9e-13}, "1e-12"),
+    ],
+    ids=["below-given-min_step", "below-default-floor", "just-below-default-floor"],
+)
+def test_initial_step_below_min_step_is_refused_before_the_field_runs(kwargs, floor):
+    cfg = IntegratorConfig(**kwargs)
+    message = rf"^initial_step must lie in \[{floor}, inf\), got {kwargs['initial_step']}$"
+    with pytest.raises(DomainError, match=message) as err:
+        integrate(_never_called, [1.0], 0.0, 1.0, cfg)
+    assert err.traceback[-1].name == "check_real"
+
+
+@pytest.mark.parametrize(
+    "kwargs", [{"initial_step": 1e-12}, {"initial_step": 1e-3, "min_step": 1e-3}],
+    ids=["at-default-floor", "at-given-min_step"],
+)
+def test_initial_step_equal_to_min_step_runs(kwargs):
+    cfg = IntegratorConfig(**kwargs)
+    traj = integrate(linear_field(1.0), [1.0], 0.0, 1.0, cfg)
+    assert traj.times[1] == kwargs["initial_step"]
+    assert traj.times[-1] == 1.0
+    _same_as_oracle(linear_field(1.0), [1.0], 1.0, cfg)
 
 
 def test_trajectory_requires_increasing_times():
@@ -396,6 +430,45 @@ def test_float_core_reports_the_first_nonfinite_stage(bad_call, value, as_ndarra
         return _outcome(integrator, field, [1.0, 0.0], 0.0, 1.0, None), calls
 
     assert run(integrate) == run(loop_integrate)
+
+
+@pytest.mark.parametrize("as_ndarray", [False, True], ids=["FloatKernel", "ndarray"])
+def test_each_attempt_calls_the_field_six_times_and_ends_at_y_new(as_ndarray):
+    # FSAL: stage 1 of an attempt is the previous attempt's stage 7, so an
+    # attempt calls the field six times and never at its own start, and its
+    # last call is at (t + h, y_new), the next kept row when it is accepted.
+    # bench/tracing.py infers the rejected steps from this count.
+    lorenz = PRESETS["lorenz"].field(None)
+    cfg = IntegratorConfig(rel_tol=1e-8, abs_tol=1e-8, initial_step=0.5)
+
+    def run(integrator):
+        calls = []
+
+        def kernel(t, s):
+            calls.append((t.hex(), [float(v).hex() for v in s]))
+            return lorenz.kernel(t, s)
+
+        field = FloatKernel(kernel, 3)
+        if as_ndarray:
+            field = lambda t, s, kernel=field: kernel(t, s)  # noqa: E731
+        return integrator(field, [15.0, 20.0, 30.0], 0.0, 1.0, cfg), calls
+
+    traj, calls = run(integrate)
+    # the ndarray loop takes stage 7's state from the A row (b1, 0, b3, ..., b6)
+    assert calls == run(loop_integrate)[1]
+    rows = [(t.hex(), [v.hex() for v in s])
+            for t, s in zip(traj.times.tolist(), traj.states.tolist())]
+    assert calls[0] == rows[0]
+    assert (len(calls) - 1) % 6 == 0
+    attempts = [calls[i:i + 6] for i in range(1, len(calls), 6)]
+    kept = 0
+    for attempt in attempts:
+        assert rows[kept][0] not in [t for t, _ in attempt]
+        assert attempt[5][0] == attempt[4][0]  # stages 6 and 7 both at t + h
+        if attempt[5] == rows[kept + 1]:
+            kept += 1
+    assert kept == len(rows) - 1
+    assert len(attempts) > kept  # the large initial_step is rejected
 
 
 def test_float_core_keeps_the_advance_check():
