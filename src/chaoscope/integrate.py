@@ -64,9 +64,9 @@ _isfinite = math.isfinite
 #: also bounds the loop to about 8-12 s.  integrate keeps up to max_steps + 1
 #: steps of dimension + 1 values, in one flat list of floats, and is capped
 #: the same way: a Lorenz step peaks at about 170 bytes in integrate and
-#: 132-161 in the CSV writer, and takes about 13-22 us (tracemalloc, and the
-#: fastest and slowest of 6 runs, 9.6k-48k steps at rel_tol 1e-6), so the
-#: 2.5M steps of a 3-D flow at the cap take about 0.43 GB and 32-55 s.
+#: 132-161 in the CSV writer, and takes about 11-22 us (tracemalloc, and the
+#: fastest and slowest of 13 runs, 9.6k-48k steps at rel_tol 1e-6), so the
+#: 2.5M steps of a 3-D flow at the cap take about 0.43 GB and 28-55 s.
 MAX_ORBIT_VALUES = 10_000_000
 
 
@@ -151,7 +151,8 @@ class FloatKernel:
     """A FieldFn or MapFn whose arithmetic is written on Python floats.
 
     ``kernel`` takes ``(t, state)`` for a flow or ``(state)`` for a map,
-    where state is a sequence of ``dimension`` floats, and returns a
+    where state is a sequence of ``dimension`` floats that it must not
+    change (integrate passes it the lists it keeps), and returns a
     sequence of floats.  The library runs it directly on floats; called like
     any other FieldFn or MapFn, with an ndarray state, it returns an ndarray.
     Either way a state of another length is refused, and a scalar state
