@@ -99,8 +99,6 @@ def keystream(key: ChaosKey, n: int) -> bytes:
 
 
 def _xor(data: bytes, ks: bytes) -> bytes:
-    if not data:
-        return b""
     a = np.frombuffer(data, dtype=np.uint8)
     b = np.frombuffer(ks, dtype=np.uint8)
     return (a ^ b).tobytes()
@@ -120,12 +118,6 @@ def _bit_fraction(ks_a: bytes, ks_b: bytes) -> float:
     """Fraction of differing bits between two equal-length byte strings."""
     bits = np.unpackbits(np.frombuffer(_xor(ks_a, ks_b), dtype=np.uint8))
     return float(bits.mean())
-
-
-def bit_difference(key_a: ChaosKey, key_b: ChaosKey, n_bytes: int) -> float:
-    """Fraction of differing bits between the two keys' keystreams."""
-    n_bytes = check_count(n_bytes, "n_bytes", 1)
-    return _bit_fraction(keystream(key_a, n_bytes), keystream(key_b, n_bytes))
 
 
 def avalanche_test(key: ChaosKey, n_bytes: int, trials: int) -> float:

@@ -7,6 +7,10 @@ mixed tolerance: a step is accepted when
 
     max_i |err_i| / (abs_tol + rel_tol * max(|y_i|, |y_new_i|)) <= 1
 
+and that test alone judges a trial step: every stage enters err, so a NaN or
+Inf stage rejects and shrinks the step like any other failure (Hairer,
+Norsett & Wanner, Solving ODEs I, sec. II.4).
+
 Both entry points are pure functions of their inputs; identical inputs give
 bit-identical outputs on one platform.
 """
@@ -197,14 +201,6 @@ def _float_kernel(fn: Callable, dim: int, what: str) -> Callable:
     return adapted
 
 
-def _check_finite(k, t) -> None:
-    # 0.0 * sum(k) != 0.0 holds whenever a value is NaN or Inf, and tests
-    # faster than the values one by one; a finite sum that overflows passes it
-    # and then the exact test.
-    if 0.0 * sum(k) != 0.0 and not all(map(_isfinite, k)):
-        raise NonFiniteState(f"field returned NaN/Inf at t={t!r}")
-
-
 def _check_length(values, dim: int, what: str) -> None:
     if len(values) != dim:
         raise DomainError(f"{what} returned shape ({len(values)},), expected ({dim},)")
@@ -222,21 +218,25 @@ def integrate(
     Returns the accepted-step sequence only (no dense output).  The first
     recorded time is exactly t0 and the last exactly t1.
 
-    Raises StepUnderflow when the controller wants a step below min_step
-    or one too small to change t,
-    MaxStepsExceeded when the attempt budget runs out, NonFiniteState when
-    the field produces NaN/Inf.  A given initial_step below min_step raises
-    DomainError, and max_steps + 1 kept steps of dimension + 1 values over
-    MAX_ORBIT_VALUES GridTooLarge, before the field is called.
+    A trial step whose field values include a NaN or Inf is rejected like
+    any other failed step.  When the controller wants a step below min_step,
+    or one too small to change t, the run raises NonFiniteState if the last
+    trial was non-finite, naming the start t of that step, and StepUnderflow
+    otherwise.  MaxStepsExceeded is raised when the attempt budget runs out.
+    A given initial_step below min_step raises DomainError, and max_steps + 1
+    kept steps of dimension + 1 values over MAX_ORBIT_VALUES GridTooLarge,
+    before the field is called.
 
     The state and the stages are Python floats.  Every sum keeps the
     order of the ndarray formulation ``sum(a_j * k_j)``, its leading
     integer 0 included, so times and states are bit-identical to it: IEEE
     float64 ``*``, ``+`` and ``abs`` round the same in Python and in numpy,
-    and neither fuses them.  Stage 7 is the field at y_new, where that
-    formulation sums the row (b1, 0, b3, ..., b6): ``0 + b1*k1`` is never
-    -0.0 and k2 is finite, so adding ``0.0*k2`` (+-0.0) changes no bit of
-    the sum, zero signs included.
+    and neither fuses them.  The error sum keeps the full E row, k2's 0.0
+    weight included.  Stage 7 is the field at y_new, where that formulation
+    sums the row (b1, 0, b3, ..., b6): ``0 + b1*k1`` is never -0.0, so for
+    a finite k2 adding ``0.0*k2`` (+-0.0) changes no bit of the sum, zero
+    signs included.  A NaN or Inf k2 makes the error NaN, so that trial is
+    rejected and its y_new, and stage 7's state, are never kept.
     """
     cfg = config if config is not None else IntegratorConfig()
     check_real(t0, "t0", "(-inf, inf)")
@@ -260,10 +260,10 @@ def integrate(
     t = t0
     k1 = f(t, y)
     _check_length(k1, dim, "field")
-    _check_finite(k1, t)
     # accepted steps as one flat list of floats, t then the state, per step
     kept = [t0, *y]
     prev_err = 1e-4
+    err_norm = 0.0  # the last trial's; NaN or Inf when a stage was
     attempts = 0
 
     while t < t1:
@@ -275,52 +275,47 @@ def integrate(
         final = t + h >= t1
         if final:
             h = t1 - t
-        elif h < min_step:
-            raise StepUnderflow(
-                f"required step {h:.3e} underflows min_step {min_step:.3e} at t={t!r}"
-            )
-        elif t + h == t:
+        elif h < min_step or t + h == t:
+            # the step floor: NonFiniteState if the last trial's err_norm was
+            # NaN or Inf, else StepUnderflow
+            if not _isfinite(err_norm):
+                raise NonFiniteState(f"field returned NaN/Inf at t={t!r}")
+            if h < min_step:
+                raise StepUnderflow(
+                    f"required step {h:.3e} underflows min_step {min_step:.3e} at t={t!r}"
+                )
             raise StepUnderflow(f"step {h:.3e} does not advance t={t!r}")
 
-        ti = t + _C2 * h
-        k2 = f(ti, [y_ + h * (0 + _A21 * a) for y_, a in zip(y, k1)])
-        _check_finite(k2, ti)
-        ti = t + _C3 * h
-        k3 = f(ti, [
+        k2 = f(t + _C2 * h, [y_ + h * (0 + _A21 * a) for y_, a in zip(y, k1)])
+        k3 = f(t + _C3 * h, [
             y_ + h * (0 + _A31 * a + _A32 * b) for y_, a, b in zip(y, k1, k2)
         ])
-        _check_finite(k3, ti)
-        ti = t + _C4 * h
-        k4 = f(ti, [
+        k4 = f(t + _C4 * h, [
             y_ + h * (0 + _A41 * a + _A42 * b + _A43 * c)
             for y_, a, b, c in zip(y, k1, k2, k3)
         ])
-        _check_finite(k4, ti)
-        ti = t + _C5 * h
-        k5 = f(ti, [
+        k5 = f(t + _C5 * h, [
             y_ + h * (0 + _A51 * a + _A52 * b + _A53 * c + _A54 * d)
             for y_, a, b, c, d in zip(y, k1, k2, k3, k4)
         ])
-        _check_finite(k5, ti)
-        ti = t + h
-        k6 = f(ti, [
+        k6 = f(t + h, [
             y_ + h * (0 + _A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e)
             for y_, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)
         ])
-        _check_finite(k6, ti)
         y_new = [
             y_ + h * (0 + _B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * g)
             for y_, a, c, d, e, g in zip(y, k1, k3, k4, k5, k6)
         ]
-        k7 = f(ti, y_new)
-        _check_finite(k7, ti)
+        k7 = f(t + h, y_new)
         # |err| / (atol + rtol * max(|y|, |y_new|)), with numpy's NaN-propagating
-        # maximum: |y| is never NaN, so `u if u >= v else v` is np.maximum
+        # maximum: |y| is never NaN, so `u if u >= v else v` is np.maximum.
+        # Every stage enters err, k2 with the weight 0.0, so a NaN or Inf
+        # stage makes err_norm NaN or Inf and the trial is rejected.
         ratios = [
-            abs(h * (0 + _E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * g + _E7 * k))
+            abs(h * (0 + _E1 * a + 0.0 * b + _E3 * c + _E4 * d + _E5 * e + _E6 * g + _E7 * k))
             / (atol + rtol * (u if u >= v else v))
-            for u, v, a, c, d, e, g, k in zip(
-                map(abs, y), map(abs, y_new), k1, k3, k4, k5, k6, k7
+            for u, v, a, b, c, d, e, g, k in zip(
+                map(abs, y), map(abs, y_new), k1, k2, k3, k4, k5, k6, k7
             )
         ]
         total = sum(ratios)

@@ -92,15 +92,6 @@ def henon_step(p: HenonParams, s: Tuple[float, float]) -> Tuple[float, float]:
     return (1.0 + y - p.a * x * x, p.b * x)
 
 
-def henon_inverse(p: HenonParams, s: Tuple[float, float]) -> Tuple[float, float]:
-    """Inverse iterate, defined for b != 0."""
-    if p.b == 0.0:
-        raise DomainError("Henon map is not invertible for b = 0")
-    x, y = s
-    xp = y / p.b
-    return (xp, x - 1.0 + p.a * xp * xp)
-
-
 def _lorenz(p: LorenzParams, s) -> Tuple[float, float, float]:
     """(sigma*(y-x), r*x - y - x*z, x*y - b*z)."""
     x, y, z = s

@@ -11,7 +11,6 @@ from chaoscope.cipher import (
     MAX_WARMUP,
     ChaosKey,
     avalanche_test,
-    bit_difference,
     decrypt,
     encrypt,
     keystream,
@@ -20,7 +19,7 @@ from chaoscope.cipher import (
 )
 from chaoscope.errors import DegenerateOrbit, DomainError, FormatError, GridTooLarge
 
-from conftest import loop_avalanche_test, loop_keystream
+from conftest import bit_difference, loop_avalanche_test, loop_keystream
 
 GOLDEN_KEY = ChaosKey(mu=3.9, x0=0.2, warmup=1000)
 # computed once by the straight-line oracle below and frozen

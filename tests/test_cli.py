@@ -339,6 +339,21 @@ def test_stalled_step_exits_1_without_output(tmp_path, run_cli, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_a_flow_that_overflows_exits_1_with_nonfinite_state(tmp_path, run_cli, capsys):
+    # x' = 1000 x overflows near t = 0.7: every trial step from there is
+    # non-finite, down to the step floor
+    out = tmp_path / "t.csv"
+    code, _ = run_cli(
+        ["simulate", "--system", "linear1d", "--params", "1000", "--span", "0:10",
+         "--out", str(out)]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("chaoscope simulate: NonFiniteState: field returned NaN/Inf at t=0.7")
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", [["simulate", "--span", "0:1"], ["divergence", "--t1", "1"]],
                          ids=["simulate", "divergence"])
 @pytest.mark.parametrize(

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import chaoscope as c
-from chaoscope import cipher, cli, compression
+from chaoscope import cli, compression
 from chaoscope.errors import DomainError, GridTooLarge, check_cap, check_count
 
 SRC = Path(c.__file__).parent
@@ -57,7 +57,6 @@ COUNTS = [
     ("pifs_decode-iterations", lambda v, _: c.pifs_decode(CODE, v), 1),
     ("ChaosKey-warmup", lambda v, _: c.ChaosKey(3.9, 0.3, v), 256),
     ("keystream-n", lambda v, _: c.keystream(KEY, v), 0),
-    ("bit_difference-n_bytes", lambda v, _: cipher.bit_difference(KEY, KEY, v), 1),
     ("avalanche_test-n_bytes", lambda v, _: c.avalanche_test(KEY, v, 8), 1024),
     ("avalanche_test-trials", lambda v, _: c.avalanche_test(KEY, 1024, v), 8),
     ("cli-ifs-size", _ifs_size, 2),

@@ -414,8 +414,9 @@ def test_float_core_raises_like_ndarray_loop(field, x0, t1, cfg):
     as_ndarray=st.booleans(),
 )
 def test_float_core_reports_the_first_nonfinite_stage(bad_call, value, as_ndarray):
-    """One evaluation returns NaN or Inf: the same stage time is reported,
-    after the same number of evaluations, or the run goes on as before."""
+    """One evaluation returns NaN or Inf: its trial step is rejected and
+    shrunk in both loops, with the same evaluations, and the run goes on to
+    the same trajectory, or to the same error after the same evaluations."""
 
     def run(integrator):
         calls = []
@@ -429,7 +430,8 @@ def test_float_core_reports_the_first_nonfinite_stage(bad_call, value, as_ndarra
             field = lambda t, s, kernel=field: kernel(t, s)  # noqa: E731
         return _outcome(integrator, field, [1.0, 0.0], 0.0, 1.0, None), calls
 
-    assert run(integrate) == run(loop_integrate)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run(integrate) == run(loop_integrate)
 
 
 @pytest.mark.parametrize("as_ndarray", [False, True], ids=["FloatKernel", "ndarray"])
@@ -477,6 +479,111 @@ def test_float_core_keeps_the_advance_check():
     want = _outcome(loop_integrate, *args)
     assert want[0] is StepUnderflow
     assert _outcome(integrate, *args) == want
+
+
+# The error estimate is the one judge of a trial step: a NaN or Inf stage
+# makes it NaN or Inf, so the step is rejected and shrunk like any other, and
+# NonFiniteState is raised only at the step floor after a non-finite trial.
+# Each case runs through a FloatKernel and through an ndarray callable.
+
+as_ndarray_or_not = pytest.mark.parametrize("as_ndarray", [False, True],
+                                            ids=["FloatKernel", "ndarray"])
+
+
+def _field(kernel, dim, as_ndarray):
+    field = FloatKernel(kernel, dim)
+    return (lambda t, s: field(t, s)) if as_ndarray else field
+
+
+@as_ndarray_or_not
+@pytest.mark.parametrize("initial_step", [1.0, 0.5])
+def test_a_first_step_that_overflows_is_shrunk(initial_step, as_ndarray):
+    # x' = -x^3 from 10: the first trial's later stages overflow to Inf
+    field = _field(lambda t, s: (-s[0] * s[0] * s[0],), 1, as_ndarray)
+    cfg = IntegratorConfig(initial_step=initial_step)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _outcome(loop_integrate, field, [10.0], 0.0, 1.0, cfg)
+        traj = integrate(field, [10.0], 0.0, 1.0, cfg)
+    assert (traj.times.tobytes(), traj.states.tobytes(), traj.states.shape) == want
+    assert traj.times[-1] == 1.0
+    assert traj.times[1] < initial_step
+    assert abs(traj.states[-1][0] - 10.0 / math.sqrt(1.0 + 2.0 * 100.0)) <= 1e-6
+
+
+@as_ndarray_or_not
+def test_a_nan_only_at_stage_2_rejects_that_trial(as_ndarray):
+    # the field is 1.0 at every other call, whatever the state, so only the
+    # error estimate, where k2 enters with the weight 0.0, sees the NaN
+    def run(integrator):
+        calls = []
+
+        def kernel(t, s):
+            calls.append(t)
+            return (math.nan if len(calls) == 2 else 1.0,)
+
+        cfg = IntegratorConfig(initial_step=0.5)
+        return integrator(_field(kernel, 1, as_ndarray), [0.0], 0.0, 1.0, cfg), calls
+
+    with np.errstate(invalid="ignore"):
+        traj, calls = run(integrate)
+        want, want_calls = run(loop_integrate)
+    assert calls == want_calls
+    assert traj.times.tobytes() == want.times.tobytes()
+    assert traj.states.tobytes() == want.states.tobytes()
+    assert calls[1] == 0.5 / 5  # stage 2 of the first attempt
+    assert traj.times[1] < 0.5  # that attempt was rejected
+    assert traj.times[-1] == 1.0
+    assert abs(traj.states[-1][0] - 1.0) <= 1e-12
+
+
+@as_ndarray_or_not
+def test_a_field_nan_from_t_0_1_raises_just_below_it(as_ndarray):
+    field = _field(lambda t, s: (s[0] if t < 0.1 else math.nan,), 1, as_ndarray)
+    cfg = IntegratorConfig(initial_step=1.0)
+    with np.errstate(invalid="ignore"):
+        want = _outcome(loop_integrate, field, [1.0], 0.0, 1.0, cfg)
+        with pytest.raises(NonFiniteState,
+                           match=r"^field returned NaN/Inf at t=0\.0999999999991049$") as err:
+            integrate(field, [1.0], 0.0, 1.0, cfg)
+    assert (NonFiniteState, str(err.value), None) == want
+    # the step under the floor (min_step = 1e-12) still crosses 0.1
+    assert 0.1 - 1e-11 < float(str(err.value).rpartition("=")[2]) < 0.1
+
+
+@as_ndarray_or_not
+def test_a_field_nan_far_from_zero_raises_where_t_stops_advancing(as_ndarray):
+    # ulp(1e10) is about 1.9e-6, so t + h == t once h is below about 9.5e-7,
+    # long before h falls under min_step = 1e-12 * span: the floor is reached
+    # through the advance check
+    t0 = 1e10
+    field = _field(lambda t, s: (s[0] if t < t0 + 0.1 else math.nan,), 1, as_ndarray)
+    cfg = IntegratorConfig(initial_step=1.0)
+    with np.errstate(invalid="ignore"):
+        want = _outcome(loop_integrate, field, [1.0], t0, t0 + 1.0, cfg)
+        with pytest.raises(NonFiniteState, match=r"^field returned NaN/Inf at t=") as err:
+            integrate(field, [1.0], t0, t0 + 1.0, cfg)
+    assert (NonFiniteState, str(err.value), None) == want
+    t = float(str(err.value).rpartition("=")[2])
+    assert t0 + 0.1 - 16 * math.ulp(t0) < t < t0 + 0.1
+
+
+@as_ndarray_or_not
+def test_a_stiff_run_that_stays_finite_still_underflows(as_ndarray):
+    # x' = -1e6 (x - cos t): explicit stability needs h of about 3e-6, under
+    # min_step = 1e-3, and every trial stays finite on the way down
+    values = []
+
+    def kernel(t, s):
+        values.append(-1e6 * (s[0] - math.cos(t)))
+        return values[-1:]
+
+    field = _field(kernel, 1, as_ndarray)
+    cfg = IntegratorConfig(min_step=1e-3)
+    want = _outcome(loop_integrate, field, [1.0], 0.0, 1.0, cfg)
+    assert want[0] is StepUnderflow
+    with pytest.raises(StepUnderflow, match=r"^required step .* underflows min_step 1\.000e-03 "):
+        integrate(field, [1.0], 0.0, 1.0, cfg)
+    assert all(map(math.isfinite, values))
 
 
 MAP_PARAMS = {
@@ -543,9 +650,6 @@ def test_ndarray_callable_messages_are_unchanged():
         integrate(lambda t, x: np.zeros(2), [1.0], 0.0, 1.0)
     with pytest.raises(NonFiniteState, match=r"^field returned NaN/Inf at t=0\.0$"):
         integrate(lambda t, x: x * np.nan, [1.0], 0.0, 1.0)
-    with pytest.raises(NonFiniteState, match=r"^field returned NaN/Inf at t=0\.2$"):
-        integrate(lambda t, x: x if t < 0.1 else x * np.nan, [1.0], 0.0, 1.0,
-                  IntegratorConfig(initial_step=1.0))
     with pytest.raises(DomainError, match=r"^map returned shape \(3,\), expected \(2,\)$"):
         iterate_map(lambda s: np.zeros(3), [1.0, 2.0], 4)
     with pytest.raises(NonFiniteState, match=r"^orbit left the finite range at iterate 1$"):

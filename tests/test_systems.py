@@ -19,12 +19,13 @@ from chaoscope.systems import (
     LorenzParams,
     PRESETS,
     chua_g,
-    henon_inverse,
     henon_step,
     linear_solution,
     logistic_step,
     preset,
 )
+
+from conftest import henon_inverse
 
 LORENZ_DEFAULTS = (10.0, 28.0, 8.0 / 3.0)
 CHUA_DEFAULTS = (15.0, 1.0, 25.58, -8.0 / 7.0, -5.0 / 7.0)
