@@ -276,8 +276,7 @@ def integrate(
         if final:
             h = t1 - t
         elif h < min_step or t + h == t:
-            # the step floor: NonFiniteState if the last trial's err_norm was
-            # NaN or Inf, else StepUnderflow
+            # the step floor, reached after a non-finite trial or otherwise
             if not _isfinite(err_norm):
                 raise NonFiniteState(f"field returned NaN/Inf at t={t!r}")
             if h < min_step:

@@ -505,7 +505,6 @@ def bit_difference(key_a: ChaosKey, key_b: ChaosKey, n_bytes: int) -> float:
     return float(np.unpackbits(np.frombuffer(xored, dtype=np.uint8)).mean())
 
 
-
 def full_grid_mandelbrot(
     window: ComplexWindow,
     nmax: int,
