@@ -1,6 +1,7 @@
 import argparse
 import ast
 import dataclasses
+import hashlib
 import inspect
 import struct
 from pathlib import Path
@@ -576,6 +577,39 @@ def _options(parser):
 
 
 _INPUT_COMMANDS = {"boxdim", "compress", "decompress", "encrypt", "decrypt"}
+
+#: SHA-256 of the top-level --help text ("") and of each command's --help
+#: text at 80 columns; argparse wraps its help to the terminal width.
+_HELP_DIGESTS = {
+    "": "ee433eb444552cd590270e89b12b7fd721cc8b823f24f7501743a8079f07472a",
+    "simulate": "9fbae98dbac090bf54a6e374a90b18063465bf26a67532fbc672485d38dab0a4",
+    "iterate": "c29a7c64a11aeb696de6b7f0a286fa51284e2d1980fab5e52acd42de5087ffdb",
+    "cobweb": "df4ada9e6857f0743f957ab375a5cd6fe743a05300fe8425056102d4245305eb",
+    "bifurcate": "c1aca4cf2157ef767d3cb4e5ceee53b6978727babff2325a909d07f1f32ae032",
+    "divergence": "df3e0c2e5853bb457f269fadb735106fc89f930add3e20b4fc64f32379b8276b",
+    "equilibria": "589b3b7158666dc7840ead18408bc02eaed251a872cd942949199ed19010d5ff",
+    "mandelbrot": "cd7371898d3dc13459ba0aa331589ed3be098fc6010e9f3f2ef9041b962692d4",
+    "ifs": "f91b7211ce7e5ab0cdb738061a96c21e909cba37cadeebbeee8ea9fee29a73ea",
+    "boxdim": "c00eb8b43c002ae66bfba0e59e993735405db105698325e926bb151352efa4b0",
+    "simdim": "b5f6e8fefc4f9619a91b1c91821cc85b83671429fea31029673a407b27b95f72",
+    "compress": "c12453360e245475f3fec245fa7d10b2424afd93ab7ca033fbf9175a45b0691c",
+    "decompress": "31b560b17612dea57cd6d356ac54ef29efe7c2f674985eeb643fbe4ecbffd6fb",
+    "encrypt": "2cf4df29da8d8d0e4e32d840f95c775ff9876bdf43d40091f3197e5ed7677b7b",
+    "decrypt": "8720087c001ff66c56e0802b23202b4606d8ceaf8ea8b648d1289d23353f664d",
+    "avalanche": "42f234cbd83d44f06366ae984c25571b50ab8a005853f0d8fbbe082829933cb2",
+}
+
+
+@pytest.mark.parametrize("command", list(_HELP_DIGESTS), ids=lambda c: c or "chaoscope")
+def test_help_texts_are_unchanged(command, run_cli, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, stdout = run_cli([command, "--help"] if command else ["--help"])
+    assert code == 0
+    assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == _HELP_DIGESTS[command]
+
+
+def test_help_digests_cover_every_command():
+    assert set(_HELP_DIGESTS) == {""} | set(_subparsers())
 
 
 def test_path_commands_cover_every_command_with_a_path():
