@@ -118,9 +118,9 @@ _INTEGRATOR_FLAGS = {"rel_tol": float, "abs_tol": float, "initial_step": float,
                      "max_steps": int, "min_step": float}
 
 
-# One function per subcommand, named after it; main runs it once the paths
-# are checked.  Each checks only what the command line alone knows and leaves
-# every other check to the library call.
+# One function per subcommand, named after it; COMMANDS lists it, and main
+# runs it once the paths are checked.  Each checks only what the command
+# line alone knows and leaves every other check to the library call.
 
 
 def _simulate(args) -> None:
@@ -279,9 +279,100 @@ def _avalanche(args) -> None:
     print(f"avalanche_fraction {avalanche_test(key, args.bytes, args.trials):.17g}")
 
 
-def _add_integrator_flags(p: argparse.ArgumentParser) -> None:
-    for name, kind in _INTEGRATOR_FLAGS.items():
-        p.add_argument("--" + name.replace("_", "-"), type=kind)
+def _flag(*names, **options):
+    """One add_argument call: the flag's names and its options."""
+    return names, options
+
+
+# Flags that several commands share, each declared once.
+_OUT = _flag("--out", required=True)
+_IN = _flag("--in", dest="input", required=True)
+_KEY = _flag("--key", help=f"mu,x0 (default: ${KEY_ENV_VAR})")
+_WARMUP = _flag("--warmup", type=int, help=_WARMUP_HELP)
+_SYSTEM = _flag("--system", required=True)
+_X0 = _flag("--x0", help="comma-separated initial state")
+_PARAMS = _flag("--params", help="comma-separated system parameters")
+_INTEGRATOR = tuple(_flag("--" + name.replace("_", "-"), type=kind)
+                    for name, kind in _INTEGRATOR_FLAGS.items())
+
+#: Each command's (help line, runner, flags), in --help order.
+COMMANDS = {
+    "simulate": ("integrate a flow preset over a time span", _simulate, (
+        _SYSTEM,
+        _flag("--span", required=True, help="t0:t1"),
+        _X0, _PARAMS, *_INTEGRATOR, _OUT,
+    )),
+    "iterate": ("iterate a map preset", _iterate, (
+        _SYSTEM,
+        _flag("--steps", type=int, required=True),
+        _flag("--discard", type=int),
+        _X0, _PARAMS, _OUT,
+    )),
+    "cobweb": ("graphical iteration of the logistic map", _cobweb, (
+        _flag("--mu", type=float, default=3.8282),
+        _flag("--x0", type=float, default=0.2),
+        _flag("--steps", type=int, default=50),
+        _OUT,
+    )),
+    "bifurcate": ("logistic bifurcation-diagram scan", _bifurcate, (
+        _flag("--mu-range", required=True, help="lo:hi"),
+        _flag("--mu-steps", type=int, default=600),
+        _flag("--x0", type=float, default=0.3),
+        _flag("--discard", type=int, default=500),
+        _flag("--keep", type=int, default=100),
+        _OUT,
+    )),
+    "divergence": ("twin-trajectory separation rate", _divergence, (
+        _SYSTEM, _X0, _PARAMS,
+        _flag("--delta0", type=float, default=1e-8),
+        _flag("--t1", type=float, required=True),
+        *_INTEGRATOR, _OUT,
+    )),
+    "equilibria": ("equilibrium points of a flow", _equilibria, (_SYSTEM, _PARAMS, _OUT)),
+    "mandelbrot": ("escape-time grid as PGM", _mandelbrot, (
+        _flag("--window", default="-2.4:1.2:-1.5:1.5", help="xmin:xmax:ymin:ymax"),
+        _flag("--scale", type=float, default=0.005),
+        _flag("--nmax", type=int, default=50),
+        _flag("--threshold", type=float),
+        _OUT,
+    )),
+    "ifs": ("deterministic IFS iteration as PGM", _ifs, (
+        _flag("--preset", default="sierpinski"),
+        _flag("--size", type=int, default=1024, help=f"2 to {IFS_MAX_SIZE}"),
+        _flag("--steps", type=int, default=7),
+        _OUT,
+    )),
+    "boxdim": ("box-counting dimension of a PGM", _boxdim, (
+        _IN,
+        _flag("--min-exp", type=int, default=2),
+        _flag("--max-exp", type=int, default=7),
+        _flag("--out", type=lambda s: s or None,  # an empty --out writes no CSV
+              help="optional CSV of the log-log fit points"),
+    )),
+    "simdim": ("similarity dimension from copies and ratio", _simdim, (
+        _flag("--copies", type=int, required=True),
+        _flag("--ratio", type=float, required=True),
+    )),
+    "compress": ("encode a PGM as block transforms", _compress, (
+        _IN,
+        _flag("--range-size", type=int),
+        _flag("--domain-step", type=int),
+        _flag("--s-max", type=float),
+        _OUT,
+    )),
+    "decompress": ("decode block transforms to a PGM", _decompress, (
+        _IN,
+        _flag("--iterations", type=int, default=10),
+        _OUT,
+    )),
+    "encrypt": ("stream-encrypt a file", _encrypt, (_IN, _KEY, _WARMUP, _OUT)),
+    "decrypt": ("decrypt a stream-encrypted file", _decrypt, (_IN, _KEY, _OUT)),
+    "avalanche": ("keystream sensitivity measurement", _avalanche, (
+        _KEY, _WARMUP,
+        _flag("--bytes", type=int, default=10240),
+        _flag("--trials", type=int, default=16),
+    )),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -291,104 +382,10 @@ def build_parser() -> argparse.ArgumentParser:
         "compression, and a logistic-map stream cipher.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="integrate a flow preset over a time span")
-    p.add_argument("--system", required=True)
-    p.add_argument("--span", required=True, help="t0:t1")
-    p.add_argument("--x0", help="comma-separated initial state")
-    p.add_argument("--params", help="comma-separated system parameters")
-    _add_integrator_flags(p)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("iterate", help="iterate a map preset")
-    p.add_argument("--system", required=True)
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--discard", type=int)
-    p.add_argument("--x0", help="comma-separated initial state")
-    p.add_argument("--params", help="comma-separated system parameters")
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("cobweb", help="graphical iteration of the logistic map")
-    p.add_argument("--mu", type=float, default=3.8282)
-    p.add_argument("--x0", type=float, default=0.2)
-    p.add_argument("--steps", type=int, default=50)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("bifurcate", help="logistic bifurcation-diagram scan")
-    p.add_argument("--mu-range", required=True, help="lo:hi")
-    p.add_argument("--mu-steps", type=int, default=600)
-    p.add_argument("--x0", type=float, default=0.3)
-    p.add_argument("--discard", type=int, default=500)
-    p.add_argument("--keep", type=int, default=100)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("divergence", help="twin-trajectory separation rate")
-    p.add_argument("--system", required=True)
-    p.add_argument("--x0", help="comma-separated initial state")
-    p.add_argument("--params", help="comma-separated system parameters")
-    p.add_argument("--delta0", type=float, default=1e-8)
-    p.add_argument("--t1", type=float, required=True)
-    _add_integrator_flags(p)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("equilibria", help="equilibrium points of a flow")
-    p.add_argument("--system", required=True)
-    p.add_argument("--params", help="comma-separated system parameters")
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("mandelbrot", help="escape-time grid as PGM")
-    p.add_argument("--window", default="-2.4:1.2:-1.5:1.5", help="xmin:xmax:ymin:ymax")
-    p.add_argument("--scale", type=float, default=0.005)
-    p.add_argument("--nmax", type=int, default=50)
-    p.add_argument("--threshold", type=float)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("ifs", help="deterministic IFS iteration as PGM")
-    p.add_argument("--preset", default="sierpinski")
-    p.add_argument("--size", type=int, default=1024, help=f"2 to {IFS_MAX_SIZE}")
-    p.add_argument("--steps", type=int, default=7)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("boxdim", help="box-counting dimension of a PGM")
-    p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--min-exp", type=int, default=2)
-    p.add_argument("--max-exp", type=int, default=7)
-    p.add_argument("--out", type=lambda s: s or None,  # an empty --out writes no CSV
-                   help="optional CSV of the log-log fit points")
-
-    p = sub.add_parser("simdim", help="similarity dimension from copies and ratio")
-    p.add_argument("--copies", type=int, required=True)
-    p.add_argument("--ratio", type=float, required=True)
-
-    p = sub.add_parser("compress", help="encode a PGM as block transforms")
-    p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--range-size", type=int)
-    p.add_argument("--domain-step", type=int)
-    p.add_argument("--s-max", type=float)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("decompress", help="decode block transforms to a PGM")
-    p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--iterations", type=int, default=10)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("encrypt", help="stream-encrypt a file")
-    p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--key", help=f"mu,x0 (default: ${KEY_ENV_VAR})")
-    p.add_argument("--warmup", type=int, help=_WARMUP_HELP)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("decrypt", help="decrypt a stream-encrypted file")
-    p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--key", help=f"mu,x0 (default: ${KEY_ENV_VAR})")
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("avalanche", help="keystream sensitivity measurement")
-    p.add_argument("--key", help=f"mu,x0 (default: ${KEY_ENV_VAR})")
-    p.add_argument("--warmup", type=int, help=_WARMUP_HELP)
-    p.add_argument("--bytes", type=int, default=10240)
-    p.add_argument("--trials", type=int, default=16)
-
+    for name, (summary, _, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        for names, options in flags:
+            p.add_argument(*names, **options)
     return parser
 
 
@@ -434,7 +431,7 @@ def main(argv: Optional[list] = None) -> int:
                 raise IsADirectoryError(f"output is a directory: {out}")
         if sys.stdout is None and args.command in _PRINTING_COMMANDS:
             raise OSError("no stdout to print the result on")
-        globals()["_" + args.command](args)
+        COMMANDS[args.command][1](args)
     except (ChaoscopeError, OSError) as exc:
         return _report(f"chaoscope {args.command}", exc)
     return 0

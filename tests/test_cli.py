@@ -628,7 +628,8 @@ def test_paths_are_checked_before_the_command_runs(command, missing, tmp_path, r
     def never(args):
         raise AssertionError(f"{command} ran before its paths were checked")
 
-    monkeypatch.setattr(cli, f"_{command}", never)
+    summary, _, flags = cli.COMMANDS[command]
+    monkeypatch.setitem(cli.COMMANDS, command, (summary, never, flags))
     src = tmp_path / "in.bin"
     src.write_bytes(b"P5\n1 1\n255\n\x00")
     argv = [command] + _PATH_COMMANDS[command]
