@@ -33,8 +33,8 @@ def lookup_preset(table, name: str, what: str):
 
 class NonFiniteState(ChaoscopeError):
     """A value computed during a run became NaN/Inf: a map iterate, or a
-    field value in the integrator's last trial step above its step floor
-    (an earlier non-finite trial step is rejected and shrunk).  A NaN or
+    field value or the new state in the integrator's last trial step above
+    its step floor (an earlier non-finite trial step is rejected and shrunk).  A NaN or
     +-inf start state is a DomainError instead.
 
     ``index`` holds the failing iterate for map orbits, when known.

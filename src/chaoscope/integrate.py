@@ -7,9 +7,10 @@ mixed tolerance: a step is accepted when
 
     max_i |err_i| / (abs_tol + rel_tol * max(|y_i|, |y_new_i|)) <= 1
 
-and that test alone judges a trial step: every stage enters err, so a NaN or
-Inf stage rejects and shrinks the step like any other failure (Hairer,
-Norsett & Wanner, Solving ODEs I, sec. II.4).
+and that test alone judges a trial step: every stage enters err, and each
+ratio adds 0.0 * |y_new_i|, so a NaN or Inf stage or new state rejects and
+shrinks the step like any other failure (Hairer, Norsett & Wanner, Solving
+ODEs I, sec. II.4).
 
 Both entry points are pure functions of their inputs; identical inputs give
 bit-identical outputs on one platform.
@@ -218,8 +219,8 @@ def integrate(
     Returns the accepted-step sequence only (no dense output).  The first
     recorded time is exactly t0 and the last exactly t1.
 
-    A trial step whose field values include a NaN or Inf is rejected like
-    any other failed step.  When the controller wants a step below min_step,
+    A trial step whose field values or new state include a NaN or Inf is
+    rejected like any other failed step.  When the controller wants a step below min_step,
     or one too small to change t, the run raises NonFiniteState if the last
     trial was non-finite, naming the start t of that step, and StepUnderflow
     otherwise.  MaxStepsExceeded is raised when the attempt budget runs out.
@@ -236,7 +237,9 @@ def integrate(
     sums the row (b1, 0, b3, ..., b6): ``0 + b1*k1`` is never -0.0, so for
     a finite k2 adding ``0.0*k2`` (+-0.0) changes no bit of the sum, zero
     signs included.  A NaN or Inf k2 makes the error NaN, so that trial is
-    rejected and its y_new, and stage 7's state, are never kept.
+    rejected and its y_new, and stage 7's state, are never kept.  Each
+    ratio adds ``0.0*|y_new_i|``: +0.0 when y_new_i is finite, which changes
+    no bit of a ratio that is never -0.0, and NaN when it overflowed.
     """
     cfg = config if config is not None else IntegratorConfig()
     check_real(t0, "t0", "(-inf, inf)")
@@ -308,11 +311,12 @@ def integrate(
         k7 = f(t + h, y_new)
         # |err| / (atol + rtol * max(|y|, |y_new|)), with numpy's NaN-propagating
         # maximum: |y| is never NaN, so `u if u >= v else v` is np.maximum.
-        # Every stage enters err, k2 with the weight 0.0, so a NaN or Inf
-        # stage makes err_norm NaN or Inf and the trial is rejected.
+        # Every stage enters err, k2 with the weight 0.0, and 0.0 * v is NaN
+        # for an Inf y_new, so a NaN or Inf stage or new state makes
+        # err_norm NaN or Inf and the trial is rejected.
         ratios = [
             abs(h * (0 + _E1 * a + 0.0 * b + _E3 * c + _E4 * d + _E5 * e + _E6 * g + _E7 * k))
-            / (atol + rtol * (u if u >= v else v))
+            / (atol + rtol * (u if u >= v else v)) + 0.0 * v
             for u, v, a, b, c, d, e, g, k in zip(
                 map(abs, y), map(abs, y_new), k1, k2, k3, k4, k5, k6, k7
             )

@@ -360,8 +360,8 @@ def loop_integrate(
     Returns the accepted-step sequence only (no dense output).  The first
     recorded time is exactly t0 and the last exactly t1.
 
-    A trial step with a NaN or Inf stage has a NaN or Inf error norm and is
-    rejected like any other.  Raises NonFiniteState when the controller wants
+    A trial step with a NaN or Inf stage or new state has a NaN or Inf
+    error norm and is rejected like any other.  Raises NonFiniteState when the controller wants
     a step below min_step, or one too small to change t, after a non-finite
     trial, StepUnderflow after a finite one, and MaxStepsExceeded when the
     attempt budget runs out.
@@ -412,7 +412,7 @@ def loop_integrate(
         y_new = y + h * sum(b * k[i] for i, b in enumerate(_DP_B5) if b != 0.0)
         err = h * sum(e * k[i] for i, e in enumerate(_DP_E))
         scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-        err_norm = float(np.max(np.abs(err) / scale))
+        err_norm = float(np.max(np.abs(err) / scale + 0.0 * np.abs(y_new)))
 
         if err_norm <= 1.0:
             t = t1 if final else t + h

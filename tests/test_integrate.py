@@ -1,5 +1,6 @@
 import importlib
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -584,6 +585,21 @@ def test_a_stiff_run_that_stays_finite_still_underflows(as_ndarray):
     with pytest.raises(StepUnderflow, match=r"^required step .* underflows min_step 1\.000e-03 "):
         integrate(field, [1.0], 0.0, 1.0, cfg)
     assert all(map(math.isfinite, values))
+
+
+@as_ndarray_or_not
+def test_a_state_that_overflows_with_finite_stages_raises(as_ndarray):
+    # x' = 1e308 from 1.7e308: every field value is finite, but a trial whose
+    # y_new overflows to Inf is rejected, and once x nears the largest float
+    # no step above min_step = 1e-12 stays finite
+    field = _field(lambda t, s: (1e308,), 1, as_ndarray)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _outcome(loop_integrate, field, [1.7e308], 0.0, 1.0)
+        with pytest.raises(NonFiniteState, match=r"^field returned NaN/Inf at t=") as err:
+            integrate(field, [1.7e308], 0.0, 1.0)
+    assert (NonFiniteState, str(err.value), None) == want
+    t = float(str(err.value).rpartition("=")[2])
+    assert abs(t - (sys.float_info.max - 1.7e308) / 1e308) < 1e-11
 
 
 MAP_PARAMS = {
