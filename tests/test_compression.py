@@ -96,6 +96,18 @@ def test_decode_iterates_contract(corpus64):
         assert all(b <= a + 1e-12 for a, b in zip(deltas[2:], deltas[3:])), name
 
 
+def test_the_quantised_decode_can_end_in_a_cycle():
+    # on the uint8 grid the decode need not reach a fixed point: this code
+    # repeats pass 14 at pass 17, a cycle of period 3
+    code = pifs_encode(make_photo(128, 128, 3), range_size=8)
+    passes = {n: pifs_decode(code, n).pixels.astype(int) for n in (14, 15, 16, 17)}
+    assert np.array_equal(passes[17], passes[14])
+    assert not np.array_equal(passes[15], passes[14])
+    assert not np.array_equal(passes[16], passes[14])
+    change = passes[15] - passes[14]
+    assert (np.count_nonzero(change), np.abs(change).max()) == (22, 1)
+
+
 def test_encoder_matches_brute_force(brute_force_encoder):
     rng = np.random.default_rng(42)
     images = [
