@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import (DomainError, NonFiniteState, SeparationUnderflow, check_cap, check_count,
                      check_real)
-from .integrate import (MAX_ORBIT_VALUES, FieldFn, IntegratorConfig, Trajectory, _check_length,
-                        _float_kernel, as_state)
+from .integrate import (MAX_ORBIT_VALUES, FieldFn, FloatKernel, IntegratorConfig, Trajectory,
+                        _check_length, _float_kernel, as_state)
 from .systems import LogisticParams, LorenzParams, check_logistic_x0, logistic_step
 
 #: Number of uniform sample times the divergence probe projects both twin
@@ -104,11 +104,10 @@ def cobweb_trace(p: LogisticParams, x0: float, n: int) -> CobwebTrace:
     check_logistic_x0(x0)
     n = check_count(n, "n", 1)
     check_cap(2 * (2 * n + 1), MAX_ORBIT_VALUES, f"2 x (2 x {n} steps + 1)", "value")
-    x, iterates = x0, [x0]
-    for _ in range(n):
-        x = logistic_step(p, x)
-        iterates.append(x)
-    orbit = np.array(iterates, dtype=np.float64)
+    from .integrate import iterate_map  # looked up when called, as in divergence_rate
+
+    step = FloatKernel(lambda s: (logistic_step(p, s[0]),), 1)
+    orbit = iterate_map(step, [x0], n + 1).points[:, 0]
     # (x0, 0), then (x_k, x_k+1) and (x_k+1, x_k+1) for each step k
     verts = np.empty((2 * n + 1, 2), dtype=np.float64)
     verts[0] = (x0, 0.0)
