@@ -466,11 +466,8 @@ def box_count_dimension(
     pts = []
     for k in range(min_exponent, max_exponent + 1):
         side = -(-dim // (2 ** k))  # ceil division
-        nby = -(-image.height // side)
-        nbx = -(-image.width // side)
-        padded = np.zeros((nby * side, nbx * side), dtype=bool)
-        padded[: image.height, : image.width] = bits
-        occupied = padded.reshape(nby, side, nbx, side).any(axis=(1, 3))
+        rows = np.logical_or.reduceat(bits, np.arange(0, image.height, side), axis=0)
+        occupied = np.logical_or.reduceat(rows, np.arange(0, image.width, side), axis=1)
         pts.append((k * math.log(2.0), math.log(int(occupied.sum()))))
     xs = np.array([p[0] for p in pts])
     ys = np.array([p[1] for p in pts])
