@@ -19,11 +19,18 @@ tour's run takes a few hundred), Lorenz ``divergence`` to t1 = 40, and a
 called in this process and for real ``python -m chaoscope`` processes,
 which end through ``cli.run``.
 
+Digests pin bits, not correctness, so each large case must also pass an
+independent check from the benchmark's ``bench/oracles.py``.  The seven
+cases taken from the benchmark use their workload command's check, found
+by command line in ``bench/workloads.py``; the neck zoom, which no
+workload runs, uses the escape-time check on its own window.
+
 After a deliberate output change, rewrite the digests with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and record the change in CHANGES.md.
+which prints the cases whose digests changed and writes nothing when a
+large case fails its check.  Record the change in CHANGES.md.
 """
 
 import contextlib
@@ -48,6 +55,14 @@ from test_acceptance import _determinism_cases
 
 GOLDEN = Path(__file__).parent / "golden" / "cli_digests.json"
 SRC = str(Path(chaoscope.__file__).parents[1])
+sys.path.insert(0, str(Path(__file__).parents[1] / "bench"))
+
+import oracles  # noqa: E402
+import workloads  # noqa: E402
+
+#: Seeds the pixels that the escape-time checks sample.
+ORACLE_SEED = 2026
+NECK = (-0.755, -0.745, -0.005, 0.005)
 
 # name -> (height, width, seed, extra compress flags)
 CODEC_CASES = {
@@ -65,7 +80,7 @@ LARGE_CASES = {
                                      "--scale", "0.004", "--nmax", "100"]),
     "mandelbrot_zoom": (".pgm", ["mandelbrot", "--window=-0.8:-0.7:0.05:0.15",
                                  "--scale", "4e-4", "--nmax", "300"]),
-    "mandelbrot_neck_3000": (".pgm", ["mandelbrot", "--window=-0.755:-0.745:-0.005:0.005",
+    "mandelbrot_neck_3000": (".pgm", ["mandelbrot", workloads.window_flag(NECK),
                                       "--scale", "4e-5", "--nmax", "3000"]),
     "simulate_lorenz_1e-8": (".csv", ["simulate", "--system", "lorenz", "--span", "0:40",
                                       "--rel-tol", "1e-8", "--abs-tol", "1e-8"]),
@@ -115,9 +130,9 @@ def _codec_cases(root: Path):
     return cases
 
 
-def compute_digests(root: Path, run=_run) -> dict:
-    """Run every tour and codec command under root with run(argv) -> stdout;
-    map name -> stdout and output digests."""
+def run_cases(root: Path, run=_run) -> dict:
+    """Run every tour, codec and large case under root with run(argv) ->
+    stdout; map name -> (stdout, output path or None)."""
     cases, ifs_pgm, fic, chx, secret = _determinism_cases(root)
     cases = cases + _codec_cases(root)
     cases += [(name, argv, [str(root / f"{name}{suffix}")])
@@ -126,21 +141,55 @@ def compute_digests(root: Path, run=_run) -> dict:
     run(["compress", "--in", str(root / "in_ramp.pgm"), "--out", str(fic)])
     run(["encrypt", "--in", str(secret), "--key", "3.9,0.3", "--out", str(chx)])
 
-    digests = {}
+    outputs = {}
     for name, argv, outs in cases:
         cmd = list(argv) + (["--out", outs[0]] if outs is not None else [])
-        stdout = run(cmd)
-        payload = Path(outs[0]).read_bytes() if outs is not None else b""
-        digests[name] = {
+        outputs[name] = run(cmd), Path(outs[0]) if outs is not None else None
+    return outputs
+
+
+def digests_of(outputs: dict) -> dict:
+    """Map name -> stdout and output digests."""
+    return {
+        name: {
             "stdout": hashlib.sha256(stdout.encode("utf-8")).hexdigest(),
-            "out": hashlib.sha256(payload).hexdigest(),
+            "out": hashlib.sha256(out.read_bytes() if out is not None else b"").hexdigest(),
         }
-    return digests
+        for name, (stdout, out) in outputs.items()
+    }
+
+
+def compute_digests(root: Path, run=_run) -> dict:
+    return digests_of(run_cases(root, run))
+
+
+def large_case_checks(root: Path) -> dict:
+    """Map each large case to its oracle check."""
+    inputs = {name: root / name for name in ("payload.bin", "photo128.pgm", "code512.fic")}
+    by_argv = {cmd.argv[:-2] if cmd.out is not None else cmd.argv: cmd.check
+               for make in workloads.WORKLOADS.values()
+               for cmd in make(inputs, root, ORACLE_SEED)}
+    checks = {name: by_argv[tuple(argv)] for name, (_, argv) in LARGE_CASES.items()
+              if tuple(argv) in by_argv}
+    checks["mandelbrot_neck_3000"] = oracles.mandelbrot(NECK, 4e-5, 3000, ORACLE_SEED)
+    return checks
+
+
+def oracle_failures(root: Path, outputs: dict) -> dict:
+    """Map each large case whose output fails its check to the reason."""
+    reasons = {name: check(outputs[name][1], outputs[name][0])
+               for name, check in large_case_checks(root).items()}
+    return {name: reason for name, reason in reasons.items() if reason is not None}
+
+
+def test_every_large_case_has_an_oracle(tmp_path):
+    assert set(large_case_checks(tmp_path)) == set(LARGE_CASES)
 
 
 def test_cli_outputs_match_golden_digests(tmp_path):
-    expected = json.loads(GOLDEN.read_text())
-    assert compute_digests(tmp_path) == expected
+    outputs = run_cases(tmp_path)
+    assert oracle_failures(tmp_path, outputs) == {}
+    assert digests_of(outputs) == json.loads(GOLDEN.read_text())
 
 
 def test_cli_processes_match_golden_digests(tmp_path):
@@ -180,7 +229,17 @@ def test_golden_digests_do_not_depend_on_blas_threads(threads, tmp_path):
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        digests = compute_digests(Path(tmp))
+        outputs = run_cases(Path(tmp))
+        failures = oracle_failures(Path(tmp), outputs)
+        digests = digests_of(outputs)
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    changed = sorted(name for name in digests.keys() | old.keys()
+                     if digests.get(name) != old.get(name))
+    print("changed: " + (", ".join(changed) or "none"))
+    for name, reason in failures.items():
+        print(f"{name} fails its oracle: {reason}", file=sys.stderr)
+    if failures:
+        sys.exit(f"not writing {GOLDEN}: {len(failures)} case(s) fail their oracles")
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
     print(f"wrote {len(digests)} digests to {GOLDEN}")
