@@ -300,78 +300,66 @@ COMMANDS = {
     "simulate": ("integrate a flow preset over a time span", _simulate, (
         _SYSTEM,
         _flag("--span", required=True, help="t0:t1"),
-        _X0, _PARAMS, *_INTEGRATOR, _OUT,
-    )),
+        _X0, _PARAMS, *_INTEGRATOR, _OUT)),
     "iterate": ("iterate a map preset", _iterate, (
         _SYSTEM,
         _flag("--steps", type=int, required=True),
         _flag("--discard", type=int),
-        _X0, _PARAMS, _OUT,
-    )),
+        _X0, _PARAMS, _OUT)),
     "cobweb": ("graphical iteration of the logistic map", _cobweb, (
         _flag("--mu", type=float, default=3.8282),
         _flag("--x0", type=float, default=0.2),
         _flag("--steps", type=int, default=50),
-        _OUT,
-    )),
+        _OUT)),
     "bifurcate": ("logistic bifurcation-diagram scan", _bifurcate, (
         _flag("--mu-range", required=True, help="lo:hi"),
         _flag("--mu-steps", type=int, default=600),
         _flag("--x0", type=float, default=0.3),
         _flag("--discard", type=int, default=500),
         _flag("--keep", type=int, default=100),
-        _OUT,
-    )),
+        _OUT)),
     "divergence": ("twin-trajectory separation rate", _divergence, (
         _SYSTEM, _X0, _PARAMS,
         _flag("--delta0", type=float, default=1e-8),
         _flag("--t1", type=float, required=True),
-        *_INTEGRATOR, _OUT,
-    )),
+        *_INTEGRATOR, _OUT)),
     "equilibria": ("equilibrium points of a flow", _equilibria, (_SYSTEM, _PARAMS, _OUT)),
     "mandelbrot": ("escape-time grid as PGM", _mandelbrot, (
         _flag("--window", default="-2.4:1.2:-1.5:1.5", help="xmin:xmax:ymin:ymax"),
         _flag("--scale", type=float, default=0.005),
         _flag("--nmax", type=int, default=50),
         _flag("--threshold", type=float),
-        _OUT,
-    )),
+        _OUT)),
     "ifs": ("deterministic IFS iteration as PGM", _ifs, (
         _flag("--preset", default="sierpinski"),
         _flag("--size", type=int, default=1024, help=f"2 to {IFS_MAX_SIZE}"),
         _flag("--steps", type=int, default=7),
-        _OUT,
-    )),
+        _OUT)),
     "boxdim": ("box-counting dimension of a PGM", _boxdim, (
         _IN,
         _flag("--min-exp", type=int, default=2),
         _flag("--max-exp", type=int, default=7),
         _flag("--out", type=lambda s: s or None,  # an empty --out writes no CSV
-              help="optional CSV of the log-log fit points"),
-    )),
+              help="optional CSV of the log-log fit points"))),
     "simdim": ("similarity dimension from copies and ratio", _simdim, (
         _flag("--copies", type=int, required=True),
-        _flag("--ratio", type=float, required=True),
-    )),
+        _flag("--ratio", type=float, required=True))),
     "compress": ("encode a PGM as block transforms", _compress, (
         _IN,
         _flag("--range-size", type=int),
         _flag("--domain-step", type=int),
         _flag("--s-max", type=float),
-        _OUT,
-    )),
+        _OUT)),
     "decompress": ("decode block transforms to a PGM", _decompress, (
         _IN,
         _flag("--iterations", type=int, default=10),
-        _OUT,
-    )),
+        _OUT)),
     "encrypt": ("stream-encrypt a file", _encrypt, (_IN, _KEY, _WARMUP, _OUT)),
     "decrypt": ("decrypt a stream-encrypted file", _decrypt, (_IN, _KEY, _OUT)),
     "avalanche": ("keystream sensitivity measurement", _avalanche, (
         _KEY, _WARMUP,
         _flag("--bytes", type=int, default=10240),
-        _flag("--trials", type=int, default=16),
-    )),
+        _flag("--trials", type=int, default=16))),
 }
 
 

@@ -2,9 +2,8 @@
 
 Encoding maps every range block to the best (domain block, isometry,
 contrast, brightness) combination; decoding iterates the full transform set
-from a start image.  The real-valued map contracts when every |s| < 1, but
-the decode rounds to the uint8 grid and ends in a fixed point or in a short
-cycle, and s_max = 1 allows codes that do not contract at all.
+from a start image, and ends in a fixed point or a short cycle of uint8
+images (see pifs_decode).
 
 All encoder error comparisons happen in exact integer arithmetic.  With
 s = s_q/63 and the domain downsample D^ = S/4 (S the 2x2 pixel sums), the
@@ -319,10 +318,8 @@ def pifs_decode(
     Every pass reads only the previous image (double-buffered), writes
     clamp(round(s * D^ + o)) into each range block, and feeds the result
     back in.  The real-valued transform set contracts when every |s| < 1,
-    but the quantised iterates end in a fixed point or in a short cycle: a
-    128x128 photo-like image coded at range size 8 repeats pass 14 at pass
-    17, with 22 pixels changing by +-1.  With s_max = 1 a code need not
-    contract at all.
+    but the quantised iterates end in a fixed point or in a short cycle,
+    and with s_max = 1 a code need not contract at all.
 
     All blocks are decoded at once.  The 2x2 sum commutes with every
     isometry of the square domain block, so the isometries are applied once,

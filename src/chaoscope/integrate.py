@@ -220,13 +220,13 @@ def integrate(
     recorded time is exactly t0 and the last exactly t1.
 
     A trial step whose field values or new state include a NaN or Inf is
-    rejected like any other failed step.  When the controller wants a step below min_step,
-    or one too small to change t, the run raises NonFiniteState if the last
-    trial was non-finite, naming the start t of that step, and StepUnderflow
-    otherwise.  MaxStepsExceeded is raised when the attempt budget runs out.
-    A given initial_step below min_step raises DomainError, and max_steps + 1
-    kept steps of dimension + 1 values over MAX_ORBIT_VALUES GridTooLarge,
-    before the field is called.
+    rejected like any other failed step.  When the controller wants a step
+    below min_step, or one too small to change t, the run raises
+    NonFiniteState if the last trial was non-finite, naming the start t of
+    that step, and StepUnderflow otherwise.  MaxStepsExceeded is raised
+    when the attempt budget runs out.  A given initial_step below min_step
+    raises DomainError, and max_steps + 1 kept steps of dimension + 1
+    values over MAX_ORBIT_VALUES GridTooLarge, before the field is called.
 
     The state and the stages are Python floats.  Every sum keeps the
     order of the ndarray formulation ``sum(a_j * k_j)``, its leading
