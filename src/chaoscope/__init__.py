@@ -45,9 +45,10 @@ _EXPORTS = {
         "ifs_iterate",
         "mandelbrot_grid",
         "sierpinski_ifs",
-        "similarity_dimension",
     ),
     "integrate": ("IntegratorConfig", "MapOrbit", "Trajectory", "integrate", "iterate_map"),
+    # fractals.similarity_dimension too, without fractals' numpy
+    "similarity": ("similarity_dimension",),
     "systems": (
         "ChuaParams",
         "HenonParams",

@@ -66,7 +66,7 @@ def verify_equilibrium(field: FieldFn, point, tol: float) -> bool:
     """True when every |component| of field(0, point) is at most tol (a NaN is
     not).  The field is evaluated as integrate evaluates it."""
     check_real(tol, "tol", "(0, inf)")
-    state = as_state(point, "point").tolist()
+    state = as_state(point, "point")
     value = _float_kernel(field, len(state), "field")(0.0, state)
     _check_length(value, len(state), "field")
     return all(abs(v) <= tol for v in value)
@@ -239,9 +239,8 @@ def divergence_rate(
     check_real(delta0, "delta0", "(0, inf)")
     check_real(t1, "t1", f"[{_MIN_T1!r}, inf)")
     base = as_state(x0, "x0")
-    perturbed = base.copy()
-    perturbed[0] += delta0
-    if np.array_equal(base, perturbed):
+    perturbed = [base[0] + delta0, *base[1:]]
+    if perturbed == base:
         raise SeparationUnderflow("delta0 vanished under addition; twins coincide")
 
     # looked up when called, not bound when this module loads: this module
@@ -249,15 +248,17 @@ def divergence_rate(
     # test double), and must not keep that wrapper once it is removed
     from .integrate import integrate
 
-    ref = integrate(field, base, 0.0, t1, config)
-    twin = integrate(field, perturbed, 0.0, t1, config)
-
+    # the reference's arrays are read before the twin runs, so its flat
+    # list of floats is freed first and the two runs never hold both
     grid = np.linspace(0.0, t1, DIVERGENCE_GRID_POINTS)
-    sep = np.linalg.norm(_nearest_states(ref, grid) - _nearest_states(twin, grid), axis=1)
+    ref = integrate(field, base, 0.0, t1, config)
+    ref_near = _nearest_states(ref, grid)
+    diameter = float(np.max(np.ptp(ref.states, axis=0)))
+    twin = integrate(field, perturbed, 0.0, t1, config)
+    sep = np.linalg.norm(ref_near - _nearest_states(twin, grid), axis=1)
     with np.errstate(divide="ignore"):
         log_sep = np.log(sep)
 
-    diameter = float(np.max(np.ptp(ref.states, axis=0)))
     threshold = SATURATION_FRACTION * diameter
     below = sep <= threshold
     cut = int(np.argmin(below)) if not below.all() else len(grid)

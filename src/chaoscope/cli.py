@@ -234,7 +234,7 @@ def _boxdim(args) -> None:
 
 
 def _simdim(args) -> None:
-    from .fractals import similarity_dimension
+    from .similarity import similarity_dimension
 
     print(f"dimension {similarity_dimension(args.copies, args.ratio):.17g}")
 

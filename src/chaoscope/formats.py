@@ -3,8 +3,9 @@
 All writers go through ``write_bytes_atomic`` (temp file in the destination
 directory, then rename) and are byte-deterministic: floats are printed with
 17 significant digits, which round-trips IEEE doubles exactly, and lines
-always end with LF.  The writers import the result types they dispatch on
-only when called, so loading this module loads no computation.
+always end with LF.  The writers import the result types they dispatch on,
+and numpy, only when called, so loading this module loads no computation;
+writing a trajectory or map orbit loads no numpy either.
 """
 
 from __future__ import annotations
@@ -12,15 +13,15 @@ from __future__ import annotations
 import os
 import tempfile
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import chain, count, islice, repeat
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import DomainError, FormatError
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .analysis import BifurcationDiagram, CobwebTrace, DivergenceReport
     from .fractals import BinaryImage, EscapeGrid
     from .integrate import MapOrbit, Trajectory
@@ -40,6 +41,8 @@ class GrayImage:
     pixels: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
+
         given = np.asarray(self.pixels)
         with np.errstate(invalid="ignore"):  # NaN and +-inf are refused below
             object.__setattr__(self, "pixels", given.astype(np.uint8, copy=False))
@@ -58,6 +61,8 @@ class GrayImage:
 
     @classmethod
     def constant(cls, width: int, height: int, value: int) -> "GrayImage":
+        import numpy as np
+
         return cls(pixels=np.full((height, width), value))
 
 
@@ -91,13 +96,14 @@ def _field_format(value) -> str:
     return "%s" if isinstance(value, str) else "%.17g"
 
 
-def _csv_chunks(header: Sequence[str], rows: Iterable[Sequence]) -> Iterator[bytes]:
+def _csv_chunks(header: Sequence[str], rows: Iterable[Sequence],
+                fmt: Optional[str] = None) -> Iterator[bytes]:
     yield (",".join(header) + "\n").encode("utf-8")
     rows = iter(rows)
     first = next(rows, None)
     if first is None:
         return
-    fmt = ",".join(map(_field_format, first)) + "\n"
+    fmt = fmt or ",".join(map(_field_format, first)) + "\n"
     width = len(first)
     block = [first, *islice(rows, CSV_BLOCK_ROWS - 1)]
     while block:
@@ -107,16 +113,18 @@ def _csv_chunks(header: Sequence[str], rows: Iterable[Sequence]) -> Iterator[byt
         block = list(islice(rows, CSV_BLOCK_ROWS))
 
 
-def write_rows_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+def write_rows_csv(path, header: Sequence[str], rows: Iterable[Sequence],
+                   fmt: Optional[str] = None) -> None:
     """Write a generic CSV with 17-significant-digit numeric fields.
 
     A Python int prints as an integer, a str as itself and any other value
     as a float with 17 significant digits.  Every row must have the length
     and the column kinds of the first, whose values fix the one format
-    string of all rows; rows are formatted and written CSV_BLOCK_ROWS at a
-    time, so the text is never held whole.
+    string of all rows, unless fmt gives it (a ``%`` format of one row and
+    its newline); rows are formatted and written CSV_BLOCK_ROWS at a time,
+    so the text is never held whole.
     """
-    write_bytes_atomic(path, _csv_chunks(header, rows))
+    write_bytes_atomic(path, _csv_chunks(header, rows, fmt))
 
 
 def write_trajectory_csv(series: Series, path) -> None:
@@ -124,16 +132,22 @@ def write_trajectory_csv(series: Series, path) -> None:
 
     Headers: ``t,x0,x1,...`` for trajectories, ``n,x0,...`` for map orbits
     (n is the absolute iterate index), ``x,y`` for traces and diagrams.
+    Trajectories and orbits are written from their flat lists of floats,
+    read row by row in place, so writing one loads no numpy.
     """
     from .integrate import MapOrbit, Trajectory
 
-    if isinstance(series, Trajectory):
-        header = ["t"] + [f"x{i}" for i in range(series.dimension)]
-        rows = zip(series.times.tolist(), *series.states.T.tolist())
-    elif isinstance(series, MapOrbit):
-        header = ["n"] + [f"x{i}" for i in range(series.dimension)]
-        indices = range(series.discarded, series.discarded + len(series.points))
-        rows = zip(indices, *series.points.T.tolist())
+    fmt = None  # each column's format from the first row's values
+    if isinstance(series, (Trajectory, MapOrbit)):
+        # rows are read in place from the flat floats, in fixed formats
+        names = [f"x{i}" for i in range(series.dimension)]
+        values = iter(series._flat())
+        if isinstance(series, Trajectory):
+            header, first, rows = ["t"] + names, "%.17g", zip(*[values] * (len(names) + 1))
+        else:
+            header, first = ["n"] + names, "%d"
+            rows = zip(count(series.discarded), *[values] * len(names))
+        fmt = ",".join([first] + ["%.17g"] * len(names)) + "\n"
     else:
         # only the commands that make these types load analysis
         from .analysis import BifurcationDiagram, CobwebTrace
@@ -152,7 +166,7 @@ def write_trajectory_csv(series: Series, path) -> None:
                                            for k in range(0, len(flat), CSV_BLOCK_ROWS)))
         else:
             raise TypeError(f"cannot serialize {type(series).__name__} as series CSV")
-    write_rows_csv(path, header, rows)
+    write_rows_csv(path, header, rows, fmt)
 
 
 def write_divergence_csv(report: DivergenceReport, path) -> None:
@@ -165,6 +179,8 @@ def write_divergence_csv(report: DivergenceReport, path) -> None:
 def _escape_to_bytes(grid: EscapeGrid) -> np.ndarray:
     # one byte per count 1..max(counts), indexed by count - 1; the table
     # holds the float64 rint(255*(c-1)/(nmax-1)) of every count it covers
+    import numpy as np
+
     counts = np.arange(1, int(grid.counts.max()) + 1, dtype=np.float64)
     if grid.nmax == 1:
         scaled = np.full_like(counts, 255.0)
@@ -180,6 +196,8 @@ def write_pgm(raster: Raster, path) -> None:
     flipped so the largest imaginary part is on top; binary images are
     written as 0/255 with the same flip; gray images are already top-down.
     """
+    import numpy as np
+
     if isinstance(raster, GrayImage):
         payload = raster.pixels
     else:
@@ -199,6 +217,8 @@ def write_pgm(raster: Raster, path) -> None:
 
 def read_pgm(path) -> GrayImage:
     """Read a binary PGM with maxval 255 into a GrayImage."""
+    import numpy as np
+
     data = Path(path).read_bytes()
     pos = 0
 

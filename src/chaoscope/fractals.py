@@ -436,11 +436,14 @@ def ifs_iterate(system: IfsSystem, start: BinaryImage, n: int) -> BinaryImage:
     return BinaryImage(bits=bits)
 
 
-def similarity_dimension(n_copies: int, ratio: float) -> float:
-    """Dimension D with n_copies * ratio**D == 1 for a self-similar set."""
-    n_copies = check_count(n_copies, "n_copies", 1)
-    check_real(ratio, "ratio", "(0, 1)")
-    return -math.log(n_copies) / math.log(ratio)
+def __getattr__(name):
+    # similarity_dimension, from the numpy-free module that simdim loads; looked
+    # up when asked for, so that a wrapper installed on it is never kept here
+    if name == "similarity_dimension":
+        from .similarity import similarity_dimension
+
+        return similarity_dimension
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def box_count_dimension(

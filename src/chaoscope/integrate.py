@@ -13,16 +13,18 @@ shrinks the step like any other failure (Hairer, Norsett & Wanner, Solving
 ODEs I, sec. II.4).
 
 Both entry points are pure functions of their inputs; identical inputs give
-bit-identical outputs on one platform.
+bit-identical outputs on one platform.  They run on Python floats and keep
+their results as flat lists of floats, so neither loads numpy when called
+with a float kernel and a list or tuple of floats; numpy loads when a
+record's arrays are first read, or when an ndarray callable or state is
+given.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Union
 
 from .errors import (
     DomainError,
@@ -34,9 +36,12 @@ from .errors import (
     check_real,
 )
 
-ArrayLike = Union[Sequence[float], np.ndarray]
-FieldFn = Callable[[float, np.ndarray], ArrayLike]
-MapFn = Callable[[np.ndarray], ArrayLike]
+if TYPE_CHECKING:
+    import numpy as np
+
+ArrayLike = Union[Sequence[float], "np.ndarray"]
+FieldFn = Callable[[float, "np.ndarray"], ArrayLike]
+MapFn = Callable[["np.ndarray"], ArrayLike]
 
 # Dormand-Prince 5(4) tableau by name, for the unrolled stage loop below:
 # nodes C, stage weights A, fifth-order weights B and error weights E = b5 - b4
@@ -62,29 +67,39 @@ _PI_BETA = 0.04  # integral memory exponent
 _isfinite = math.isfinite
 
 #: Cap on n * dimension in iterate_map, checked before anything is
-#: allocated.  The orbit holds 8 bytes per value and its CSV writer about 32
-#: more (the values as Python floats), so the CLI peaks at about 40 bytes per
-#: kept value (tracemalloc, Henon and logistic, 400k iterates): 0.4 GB at
-#: the cap.  A preset map takes about 1.2-1.5 us per iterate, so the cap
-#: also bounds the loop to about 8-12 s.  integrate keeps up to max_steps + 1
-#: steps of dimension + 1 values, in one flat list of floats, and is capped
-#: the same way: a Lorenz step peaks at about 170 bytes in integrate and
-#: 132-161 in the CSV writer, and takes about 11-22 us (tracemalloc, and the
-#: fastest and slowest of 13 runs, 9.6k-48k steps at rel_tol 1e-6), so the
-#: 2.5M steps of a 3-D flow at the cap take about 0.43 GB and 28-55 s.
+#: allocated.  The orbit keeps each value as a Python float in one list, and
+#: its CSV writer reads that list in place, so iterate_map alone and the CLI
+#: both peak at about 32-33 bytes per kept value (tracemalloc, Henon and
+#: logistic, 400k iterates): 0.33 GB at the cap.  A preset map takes about
+#: 0.33-0.40 us per iterate, so the loop at the cap takes about 2-4 s, and
+#: the CLI with its CSV about 10-16 s (1M values took 1.0-1.6 s a child).
+#: integrate keeps up to max_steps + 1 steps of dimension + 1 values, in
+#: one flat list of floats, and is capped the same way: a Lorenz step peaks
+#: at about 130 bytes in integrate and 135 with the CSV writer, and takes
+#: about 11-22 us (tracemalloc, 9.6k-48k steps at rel_tol 1e-6, and the
+#: fastest and slowest of 13 runs), so the 2.5M steps of a 3-D flow at the
+#: cap take about 0.34 GB and 28-55 s.
 MAX_ORBIT_VALUES = 10_000_000
 
 
-def as_state(x: ArrayLike, name: str) -> np.ndarray:
-    """The point x in phase space as a float64 vector.  The only check of an
-    input state: a shape other than a non-empty 1-D vector, or a NaN or +-inf
-    component (by check_real), raises a DomainError that names the state."""
-    arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    if arr.ndim != 1 or arr.size < 1:
-        raise DomainError(f"{name} must be a 1-D vector, got shape {arr.shape}")
-    for value in arr.tolist():
+def as_state(x: ArrayLike, name: str) -> List[float]:
+    """The point x in phase space as a new list of floats.  The only check of
+    an input state: a shape other than a non-empty 1-D vector, or a NaN or
+    +-inf component (by check_real), raises a DomainError that names the
+    state.  A non-empty list or tuple of Python floats is copied and checked
+    without numpy; any other x goes through numpy's float64 conversion."""
+    if type(x) in (list, tuple) and x and all(type(v) is float for v in x):
+        values = list(x)
+    else:
+        import numpy as np
+
+        arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
+        if arr.ndim != 1 or arr.size < 1:
+            raise DomainError(f"{name} must be a 1-D vector, got shape {arr.shape}")
+        values = arr.tolist()
+    for value in values:
         check_real(value, name, "(-inf, inf)")
-    return arr
+    return values
 
 
 @dataclass(frozen=True)
@@ -112,14 +127,41 @@ class IntegratorConfig:
             check_real(self.min_step, "min_step", "(0, inf)")
 
 
+def _from_flat(cls, values: List[float], width: int, **fields):
+    """A record of cls as the engines make it: values holds its rows of
+    width floats back to back, and fields its other fields.  Its arrays are
+    built from values, with the same bits, when first read."""
+    record = object.__new__(cls)
+    record.__dict__.update(fields, _values=values, _width=width)
+    return record
+
+
+def _rows(record, name: str, arrays: tuple):
+    """The float64 rows of record's flat values, which the record then drops
+    to hold its values once; or AttributeError for name when it is not one
+    of arrays or record holds no flat values."""
+    if name not in arrays or "_values" not in record.__dict__:
+        raise AttributeError(f"{type(record).__name__!r} object has no attribute {name!r}")
+    import numpy as np
+
+    return np.array(record.__dict__.pop("_values"), dtype=np.float64).reshape(-1, record._width)
+
+
 @dataclass(frozen=True)
 class Trajectory:
-    """Accepted integration steps: times (strictly increasing) and states."""
+    """Accepted integration steps: times (strictly increasing) and states.
+
+    integrate keeps each step as t then the state, back to back in one list
+    of floats, which the CSV writer reads; times and states are float64
+    arrays built from it on first access, which then replace it.
+    """
 
     times: np.ndarray
     states: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
+
         object.__setattr__(self, "times", np.asarray(self.times, dtype=np.float64))
         object.__setattr__(self, "states", np.asarray(self.states, dtype=np.float64))
         if self.times.ndim != 1 or self.states.ndim != 2:
@@ -128,28 +170,60 @@ class Trajectory:
             raise DomainError("times and states must have equal length")
         if len(self.times) and not np.all(np.diff(self.times) > 0.0):
             raise DomainError("times must be strictly increasing")
+        object.__setattr__(self, "_width", self.states.shape[1] + 1)
+
+    def __getattr__(self, name):
+        rows = _rows(self, name, ("times", "states"))
+        self.__dict__.update(times=rows[:, 0], states=rows[:, 1:])
+        return self.__dict__[name]
 
     @property
     def dimension(self) -> int:
-        return self.states.shape[1]
+        return self._width - 1
+
+    def _flat(self) -> List[float]:
+        """Each step's t, then its state, back to back as floats."""
+        if "_values" in self.__dict__:
+            return self._values
+        import numpy as np
+
+        return np.column_stack((self.times, self.states)).ravel().tolist()
 
 
 @dataclass(frozen=True)
 class MapOrbit:
-    """Iterates of a discrete map; points[k] is iterate number discarded + k."""
+    """Iterates of a discrete map; points[k] is iterate number discarded + k.
+
+    iterate_map keeps the points back to back in one list of floats, which
+    the CSV writer reads; points is a float64 array built from it on first
+    access, which then replaces it.
+    """
 
     points: np.ndarray
     discarded: int = 0
 
     def __post_init__(self):
+        import numpy as np
+
         object.__setattr__(self, "points", np.asarray(self.points, dtype=np.float64))
         if self.points.ndim != 2 or len(self.points) == 0:
             raise DomainError("orbit needs a non-empty 2-D point array")
         object.__setattr__(self, "discarded", check_count(self.discarded, "discarded", 0))
+        object.__setattr__(self, "_width", self.points.shape[1])
+
+    def __getattr__(self, name):
+        self.__dict__["points"] = _rows(self, name, ("points",))
+        return self.points
 
     @property
     def dimension(self) -> int:
-        return self.points.shape[1]
+        return self._width
+
+    def _flat(self) -> List[float]:
+        """The points' coordinates, back to back as floats."""
+        if "_values" in self.__dict__:
+            return self._values
+        return self.points.ravel().tolist()
 
 
 class FloatKernel:
@@ -176,6 +250,8 @@ class FloatKernel:
         except TypeError:  # a scalar is a state of one component, as in as_state
             args, dim = args[:-1] + ([args[-1]],), 1
         _check_dimension(self, dim, "field" if len(args) == 2 else "map")
+        import numpy as np
+
         return np.array(self.kernel(*args), dtype=np.float64)
 
 
@@ -192,6 +268,7 @@ def _float_kernel(fn: Callable, dim: int, what: str) -> Callable:
     if isinstance(fn, FloatKernel):
         _check_dimension(fn, dim, what)
         return fn.kernel
+    import numpy as np
 
     def adapted(*args):
         out = np.atleast_1d(np.asarray(fn(*args[:-1], np.array(args[-1])), dtype=np.float64))
@@ -247,7 +324,7 @@ def integrate(
     if not t1 > t0:
         raise DomainError(f"need t1 > t0, got [{t0}, {t1}]")
     check_real(span := t1 - t0, "t1 - t0", "(0, inf)")
-    y = as_state(x0, "x0").tolist()
+    y = as_state(x0, "x0")
     dim = len(y)
     steps = cfg.max_steps + 1
     check_cap(steps * (dim + 1), MAX_ORBIT_VALUES, f"{steps} steps x {dim + 1} values", "value")
@@ -281,7 +358,7 @@ def integrate(
         elif h < min_step or t + h == t:
             # the step floor, reached after a non-finite trial or otherwise
             if not _isfinite(err_norm):
-                raise NonFiniteState(f"field returned NaN/Inf at t={t!r}")
+                raise NonFiniteState(f"non-finite field value or state in the step from t={t!r}")
             if h < min_step:
                 raise StepUnderflow(
                     f"required step {h:.3e} underflows min_step {min_step:.3e} at t={t!r}"
@@ -341,8 +418,7 @@ def integrate(
         else:
             h = h * min(1.0, max(0.1, _SAFETY * err_norm ** (-0.2)))
 
-    rows = np.array(kept, dtype=np.float64).reshape(-1, dim + 1)
-    return Trajectory(times=rows[:, 0], states=rows[:, 1:])
+    return _from_flat(Trajectory, kept, dim + 1)
 
 
 def iterate_map(
@@ -362,14 +438,14 @@ def iterate_map(
     """
     discard = check_count(discard, "discard", 0)
     n = check_count(n, "n", discard + 1)
-    cur = as_state(x0, "x0").tolist()
+    cur = as_state(x0, "x0")
     dim = len(cur)
     check_cap(n * dim, MAX_ORBIT_VALUES, f"{n} iterates x {dim} components", "value")
     step = _float_kernel(map_fn, dim, "map")
-    points = np.empty((n - discard, dim), dtype=np.float64)
+    points = []  # the kept iterates, back to back
     for i in range(n):
         if i >= discard:
-            points[i - discard] = cur
+            points += cur
         if i == n - 1:
             break
         cur = step(cur)
@@ -379,4 +455,4 @@ def iterate_map(
             raise NonFiniteState(
                 f"orbit left the finite range at iterate {i + 1}", index=i + 1
             )
-    return MapOrbit(points=points, discarded=discard)
+    return _from_flat(MapOrbit, points, dim, discarded=discard)

@@ -369,7 +369,7 @@ def loop_integrate(
     cfg = config if config is not None else IntegratorConfig()
     if not t1 > t0:
         raise DomainError(f"need t1 > t0, got [{t0}, {t1}]")
-    y = as_state(x0, "x0")
+    y = np.array(as_state(x0, "x0"))
     dim = y.size
     span = t1 - t0
     min_step = cfg.min_step if cfg.min_step is not None else 1e-12 * span
@@ -397,7 +397,7 @@ def loop_integrate(
         if final:
             h = t1 - t
         elif not np.isfinite(err_norm) and (h < min_step or t + h == t):
-            raise NonFiniteState(f"field returned NaN/Inf at t={t!r}")
+            raise NonFiniteState(f"non-finite field value or state in the step from t={t!r}")
         elif h < min_step:
             raise StepUnderflow(
                 f"required step {h:.3e} underflows min_step {min_step:.3e} at t={t!r}"
@@ -448,7 +448,7 @@ def loop_iterate_map(
         raise DomainError("discard cannot be negative")
     if n <= discard:
         raise DomainError(f"need n > discard, got n={n}, discard={discard}")
-    cur = as_state(x0, "x0")
+    cur = np.array(as_state(x0, "x0"))
     dim = cur.size
     points = np.empty((n - discard, dim), dtype=np.float64)
     for i in range(n):

@@ -350,7 +350,8 @@ def test_a_flow_that_overflows_exits_1_with_nonfinite_state(tmp_path, run_cli, c
     )
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith("chaoscope simulate: NonFiniteState: field returned NaN/Inf at t=0.7")
+    assert err.startswith("chaoscope simulate: NonFiniteState: "
+                          "non-finite field value or state in the step from t=0.7")
     assert err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
 

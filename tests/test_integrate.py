@@ -1,5 +1,7 @@
+import dataclasses
 import importlib
 import math
+import struct
 import sys
 import tracemalloc
 
@@ -15,12 +17,14 @@ from chaoscope.errors import (
     MaxStepsExceeded,
     NonFiniteState,
     StepUnderflow,
+    check_real,
 )
 from chaoscope.integrate import (
     FloatKernel,
     IntegratorConfig,
     MapOrbit,
     Trajectory,
+    as_state,
     integrate,
     iterate_map,
 )
@@ -28,15 +32,17 @@ from chaoscope.systems import PRESETS
 
 from conftest import loop_integrate, loop_iterate_map
 
+#: The start of the NonFiniteState message at the step floor, before its t.
+NON_FINITE = r"^non-finite field value or state in the step from t="
 
 def linear_field(a):
     return lambda t, x: a * x
 
 
 def test_kept_steps_peak_at_most_200_bytes_each():
-    # Lorenz 0:200 at rel_tol 1e-6 keeps about 9600 steps of 4 values: a
-    # flat float list and its float64 copy peak near 170 bytes a step, one
-    # list of times and one list per state about 265
+    # Lorenz 0:200 at rel_tol 1e-6 keeps about 9600 steps of 4 values: the
+    # flat float list peaks near 130 bytes a step, with a float64 copy made
+    # at the end 170, one list of times and one list per state about 265
     field = PRESETS["lorenz"].field(None)
     tracemalloc.start()
     try:
@@ -46,6 +52,20 @@ def test_kept_steps_peak_at_most_200_bytes_each():
         tracemalloc.stop()
     assert len(traj.times) > 9000
     assert peak <= 200 * len(traj.times)
+
+
+def test_kept_iterates_peak_at_most_36_bytes_per_value():
+    # 200k Henon iterates of 2 values: the flat float list peaks near 32
+    # bytes a value (a float and its pointer), and no float64 copy is made
+    step = PRESETS["henon"].map(None)
+    tracemalloc.start()
+    try:
+        orbit = iterate_map(step, [0.1, 0.0], 200_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(orbit.points) == 200_000
+    assert peak <= 36 * 2 * 200_000
 
 
 def test_exponential_growth_endpoint():
@@ -543,8 +563,7 @@ def test_a_field_nan_from_t_0_1_raises_just_below_it(as_ndarray):
     cfg = IntegratorConfig(initial_step=1.0)
     with np.errstate(invalid="ignore"):
         want = _outcome(loop_integrate, field, [1.0], 0.0, 1.0, cfg)
-        with pytest.raises(NonFiniteState,
-                           match=r"^field returned NaN/Inf at t=0\.0999999999991049$") as err:
+        with pytest.raises(NonFiniteState, match=NON_FINITE + r"0\.0999999999991049$") as err:
             integrate(field, [1.0], 0.0, 1.0, cfg)
     assert (NonFiniteState, str(err.value), None) == want
     # the step under the floor (min_step = 1e-12) still crosses 0.1
@@ -561,7 +580,7 @@ def test_a_field_nan_far_from_zero_raises_where_t_stops_advancing(as_ndarray):
     cfg = IntegratorConfig(initial_step=1.0)
     with np.errstate(invalid="ignore"):
         want = _outcome(loop_integrate, field, [1.0], t0, t0 + 1.0, cfg)
-        with pytest.raises(NonFiniteState, match=r"^field returned NaN/Inf at t=") as err:
+        with pytest.raises(NonFiniteState, match=NON_FINITE) as err:
             integrate(field, [1.0], t0, t0 + 1.0, cfg)
     assert (NonFiniteState, str(err.value), None) == want
     t = float(str(err.value).rpartition("=")[2])
@@ -595,7 +614,7 @@ def test_a_state_that_overflows_with_finite_stages_raises(as_ndarray):
     field = _field(lambda t, s: (1e308,), 1, as_ndarray)
     with np.errstate(over="ignore", invalid="ignore"):
         want = _outcome(loop_integrate, field, [1.7e308], 0.0, 1.0)
-        with pytest.raises(NonFiniteState, match=r"^field returned NaN/Inf at t=") as err:
+        with pytest.raises(NonFiniteState, match=NON_FINITE) as err:
             integrate(field, [1.7e308], 0.0, 1.0)
     assert (NonFiniteState, str(err.value), None) == want
     t = float(str(err.value).rpartition("=")[2])
@@ -664,9 +683,117 @@ def test_a_float_kernel_of_another_dimension_is_refused_before_it_runs():
 def test_ndarray_callable_messages_are_unchanged():
     with pytest.raises(DomainError, match=r"^field returned shape \(2,\), expected \(1,\)$"):
         integrate(lambda t, x: np.zeros(2), [1.0], 0.0, 1.0)
-    with pytest.raises(NonFiniteState, match=r"^field returned NaN/Inf at t=0\.0$"):
+    with pytest.raises(NonFiniteState, match=NON_FINITE + r"0\.0$"):
         integrate(lambda t, x: x * np.nan, [1.0], 0.0, 1.0)
     with pytest.raises(DomainError, match=r"^map returned shape \(3,\), expected \(2,\)$"):
         iterate_map(lambda s: np.zeros(3), [1.0, 2.0], 4)
     with pytest.raises(NonFiniteState, match=r"^orbit left the finite range at iterate 1$"):
         iterate_map(lambda s: s * np.inf, [1.0, 2.0], 4)
+
+
+def _record_outcome(make):
+    """make()'s record as its fields, each array as (dtype, shape, bytes), and
+    its repr; or the type and message of what it raised."""
+    try:
+        record = make()
+    except Exception as exc:  # noqa: BLE001 - the outcome under comparison
+        return type(exc), str(exc)
+    fields = {}
+    for f in dataclasses.fields(record):
+        value = getattr(record, f.name)
+        if isinstance(value, np.ndarray):
+            value = (value.dtype, value.shape, value.tobytes())
+        fields[f.name] = value
+    return fields, repr(record)
+
+
+def _assert_behaves_as_built(record, built):
+    """record, as integrate or iterate_map made it, against the same values
+    given to the public constructor: fields, arrays, repr, replace and
+    immutability."""
+    assert _record_outcome(lambda: record) == _record_outcome(lambda: built)
+    assert [(f.name, f.type) for f in dataclasses.fields(record)] == [
+        (f.name, f.type) for f in dataclasses.fields(built)]
+    assert record.dimension == built.dimension
+    name = dataclasses.fields(record)[0].name
+    assert getattr(record, name) is getattr(record, name)  # built once
+    copy = dataclasses.replace(record)
+    assert type(copy) is type(record)
+    assert _record_outcome(lambda: copy) == _record_outcome(lambda: built)
+    for target in (record, copy):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(target, name, getattr(built, name))
+    with pytest.raises(AttributeError, match="has no attribute 'nosuch'"):
+        record.nosuch  # noqa: B018
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    x0=st.lists(st.floats(-20.0, 20.0), min_size=3, max_size=3),
+    t1=st.floats(0.01, 2.0),
+    n=st.integers(1, 300),
+    discard=st.integers(0, 5),
+)
+def test_engine_records_match_records_built_from_their_values(x0, t1, n, discard):
+    traj = integrate(PRESETS["lorenz"].field(None), x0, 0.0, t1)
+    with pytest.raises(dataclasses.FrozenInstanceError):  # before its arrays exist
+        traj.times = None
+    values = traj._flat()
+    built = Trajectory(times=values[0::4], states=[values[k + 1:k + 4]
+                                                   for k in range(0, len(values), 4)])
+    _assert_behaves_as_built(traj, built)
+    assert traj.times.dtype == traj.states.dtype == np.float64
+
+    orbit = iterate_map(PRESETS["henon"].map(None), [0.1, x0[0] / 100.0], n + discard, discard)
+    values = orbit._flat()
+    built = MapOrbit(points=[values[k:k + 2] for k in range(0, len(values), 2)],
+                     discarded=discard)
+    _assert_behaves_as_built(orbit, built)
+    assert orbit.points.dtype == np.float64
+
+
+def _numpy_state(x, name):
+    """as_state's numpy path, for any input: the oracle of its float path."""
+    arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    if arr.ndim != 1 or arr.size < 1:
+        raise DomainError(f"{name} must be a 1-D vector, got shape {arr.shape}")
+    for value in arr.tolist():
+        check_real(value, name, "(-inf, inf)")
+    return arr.tolist()
+
+
+def _state_outcome(fn, x):
+    try:
+        values = fn(x, "x0")
+    except Exception as exc:  # noqa: BLE001 - the outcome under comparison
+        return type(exc), str(exc)
+    assert type(values) is list and all(type(v) is float for v in values)
+    return [struct.pack("<d", v) for v in values]
+
+
+_ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+_STATES = st.one_of(
+    st.lists(_ANY_FLOAT, max_size=4),
+    st.lists(_ANY_FLOAT, max_size=4).map(tuple),
+    st.lists(st.one_of(_ANY_FLOAT, st.integers(-2**60, 2**60), st.booleans()), max_size=4),
+    st.integers(-2**60, 2**60),
+    st.booleans(),
+    _ANY_FLOAT,
+    st.lists(st.lists(_ANY_FLOAT, min_size=1, max_size=2), min_size=1, max_size=2),
+    st.lists(_ANY_FLOAT, max_size=4).map(np.array),
+    st.lists(_ANY_FLOAT, max_size=4).map(lambda v: [np.float64(x) for x in v]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_STATES)
+def test_as_state_without_numpy_matches_the_numpy_path(x):
+    with np.errstate(all="ignore"):
+        assert _state_outcome(as_state, x) == _state_outcome(_numpy_state, x)
+
+
+def test_as_state_of_floats_is_a_new_list():
+    values = [1.0, -0.0, 2.5]
+    state = as_state(values, "x0")
+    assert state == values and state is not values
+    assert as_state((1.0,), "x0") == [1.0]

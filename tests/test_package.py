@@ -27,6 +27,7 @@ EXPORTS = {
                  "box_count_dimension", "ifs_iterate", "mandelbrot_grid", "sierpinski_ifs",
                  "similarity_dimension"],
     "integrate": ["IntegratorConfig", "MapOrbit", "Trajectory", "integrate", "iterate_map"],
+    "similarity": ["similarity_dimension"],
     "systems": ["ChuaParams", "HenonParams", "Linear1DParams", "LogisticParams",
                 "LorenzParams", "PRESETS", "chua_g", "henon_step", "linear_solution",
                 "logistic_step", "preset"],
@@ -58,7 +59,7 @@ LOADS = {
     "mandelbrot": {"formats", "fractals"},
     "ifs": {"formats", "fractals"},
     "boxdim": {"formats", "fractals"},
-    "simdim": {"fractals"},
+    "simdim": {"similarity"},
     "compress": {"compression", "formats"},
     "decompress": {"compression", "formats"},
     "encrypt": {"cipher", "formats"},
@@ -66,13 +67,17 @@ LOADS = {
     "avalanche": {"cipher"},
 }
 
+#: The commands that run without numpy; every other command loads it.
+NUMPY_FREE = {"simulate", "iterate", "simdim"}
+
 _LOADED = (
     "import contextlib, io, sys\n"
     "from chaoscope.cli import main\n"
     "with contextlib.redirect_stdout(io.StringIO()):\n"
     "    code = main(sys.argv[1:])\n"
     "assert code == 0, code\n"
-    "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'chaoscope')))\n"
+    "names = sorted(m for m in sys.modules if m.split('.')[0] == 'chaoscope')\n"
+    "print(' '.join(names + ['numpy'] * ('numpy' in sys.modules)))\n"
 )
 
 
@@ -165,4 +170,12 @@ def tour(tmp_path_factory):
 @pytest.mark.parametrize("command", sorted(LOADS))
 def test_each_command_loads_only_its_modules(command, tour):
     loaded = set(_child("-c", _LOADED, *tour[command]).split())
-    assert loaded == BASE | {f"chaoscope.{m}" for m in LOADS[command]}
+    numpy = set() if command in NUMPY_FREE else {"numpy"}
+    assert loaded == BASE | {f"chaoscope.{m}" for m in LOADS[command]} | numpy
+
+
+def test_importing_the_package_loads_no_numpy():
+    out = _child("-c", "import sys, chaoscope; print(' '.join(sorted(sys.modules)))")
+    loaded = set(out.split())
+    assert not any(m == "numpy" or m.startswith("numpy.") for m in loaded)
+    assert {m for m in loaded if m.startswith("chaoscope")} == BASE - {"chaoscope.cli"}
