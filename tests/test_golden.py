@@ -19,18 +19,21 @@ tour's run takes a few hundred), Lorenz ``divergence`` to t1 = 40, and a
 called in this process and for real ``python -m chaoscope`` processes,
 which end through ``cli.run``.
 
-Digests pin bits, not correctness, so each large case must also pass an
-independent check from the benchmark's ``bench/oracles.py``.  The seven
-cases taken from the benchmark use their workload command's check, found
-by command line in ``bench/workloads.py``; the neck zoom, which no
-workload runs, uses the escape-time check on its own window.
+Digests pin bits, not correctness, so every case must also pass an
+independent check from the benchmark's ``bench/oracles.py``.  Each tour
+case uses the check of the ``workloads.tour_small`` command with its
+flags, and the seven large cases taken from the benchmark their workload
+command's, found by command line in ``bench/workloads.py``.  The codec
+cases use the same ``compress`` and ``decompress`` checks on their own
+images, and the neck zoom, which no workload runs, the escape-time check
+on its own window.
 
 After a deliberate output change, rewrite the digests with
 
     PYTHONPATH=src python tests/test_golden.py
 
 which prints the cases whose digests changed and writes nothing when a
-large case fails its check.  Record the change in CHANGES.md.
+case fails its check.  Record the change in CHANGES.md.
 """
 
 import contextlib
@@ -46,7 +49,7 @@ from pathlib import Path
 import pytest
 
 import chaoscope
-from chaoscope.cli import main
+from chaoscope.cli import _normalize_argv, main
 
 from chaoscope.formats import write_pgm
 
@@ -163,27 +166,57 @@ def compute_digests(root: Path, run=_run) -> dict:
     return digests_of(run_cases(root, run))
 
 
-def large_case_checks(root: Path) -> dict:
-    """Map each large case to its oracle check."""
-    inputs = {name: root / name for name in ("payload.bin", "photo128.pgm", "code512.fic")}
-    by_argv = {cmd.argv[:-2] if cmd.out is not None else cmd.argv: cmd.check
-               for make in workloads.WORKLOADS.values()
-               for cmd in make(inputs, root, ORACLE_SEED)}
-    checks = {name: by_argv[tuple(argv)] for name, (_, argv) in LARGE_CASES.items()
-              if tuple(argv) in by_argv}
+def _flags(argv) -> tuple:
+    """argv in --flag=value form, without its --in and --out files."""
+    args = _normalize_argv(list(argv))
+    files = {i + 1 for i, arg in enumerate(args) if arg in ("--in", "--out")}
+    return tuple(arg for i, arg in enumerate(args)
+                 if i not in files and arg not in ("--in", "--out"))
+
+
+def case_checks(root: Path) -> dict:
+    """Map each case to its oracle check.
+
+    A tour or large case takes the check of the benchmark command with its
+    flags, from ``workloads.tour_small`` or a workload, built on the tour's
+    input files under root.  A codec case takes the same ``compress`` and
+    ``decompress`` checks on its own image, range size and pass count.
+    """
+    inputs = {"payload.bin": root / "payload.bin", "photo128.pgm": root / "photo128.pgm",
+              "code512.fic": root / "code512.fic", "secret.bin": root / "in_secret.bin",
+              "photo64.pgm": root / "in_ramp.pgm", "code64.fic": root / "in_ramp.fic"}
+
+    def by_flags(*makers):
+        return {_flags(cmd.argv): cmd.check
+                for make in makers for cmd in make(inputs, root, ORACLE_SEED)}
+
+    tour, large = by_flags(workloads.tour_small), by_flags(*workloads.WORKLOADS.values())
+    checks = {name: tour[_flags(argv)] for name, argv, _ in _determinism_cases(root)[0]}
+    checks.update((name, large[_flags(argv)]) for name, (_, argv) in LARGE_CASES.items()
+                  if _flags(argv) in large)
     checks["mandelbrot_neck_3000"] = oracles.mandelbrot(NECK, 4e-5, 3000, ORACLE_SEED)
+    for name, (height, width, seed, flags) in CODEC_CASES.items():
+        given = dict(zip(flags[::2], flags[1::2]))
+        floor = workloads.PSNR_FLOOR_128 if height * width >= 128 * 128 else workloads.PSNR_FLOOR_64
+        checks[f"compress_{name}"] = oracles.encoded(
+            root / f"{name}.pgm", int(given.get("--range-size", 8)), floor)
+        checks[f"decompress_{name}"] = oracles.decoded(root / f"{name}.fic", 10)
     return checks
 
 
 def oracle_failures(root: Path, outputs: dict) -> dict:
-    """Map each large case whose output fails its check to the reason."""
+    """Map each case whose output fails its check to the reason."""
     reasons = {name: check(outputs[name][1], outputs[name][0])
-               for name, check in large_case_checks(root).items()}
+               for name, check in case_checks(root).items()}
     return {name: reason for name, reason in reasons.items() if reason is not None}
 
 
 def test_every_large_case_has_an_oracle(tmp_path):
-    assert set(large_case_checks(tmp_path)) == set(LARGE_CASES)
+    assert set(LARGE_CASES) <= set(case_checks(tmp_path))
+
+
+def test_every_golden_case_has_an_oracle(tmp_path):
+    assert set(case_checks(tmp_path)) == set(json.loads(GOLDEN.read_text()))
 
 
 def test_cli_outputs_match_golden_digests(tmp_path):
