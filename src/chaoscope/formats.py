@@ -133,7 +133,8 @@ def write_trajectory_csv(series: Series, path) -> None:
     Headers: ``t,x0,x1,...`` for trajectories, ``n,x0,...`` for map orbits
     (n is the absolute iterate index), ``x,y`` for traces and diagrams.
     Trajectories and orbits are written from their flat lists of floats,
-    read row by row in place, so writing one loads no numpy.
+    read row by row in place, so writing one that integrate or iterate_map
+    made loads no numpy.
     """
     from .integrate import MapOrbit, Trajectory
 
