@@ -17,7 +17,7 @@ import numpy as np
 from .errors import (DomainError, NonFiniteState, SeparationUnderflow, check_cap, check_count,
                      check_real)
 from .integrate import (MAX_ORBIT_VALUES, FieldFn, FloatKernel, IntegratorConfig, Trajectory,
-                        _check_length, _float_kernel, as_state)
+                        _check_length, _float_kernel, _slope, as_state)
 from .systems import LogisticParams, LorenzParams, check_logistic_x0, logistic_step
 
 #: Number of uniform sample times the divergence probe projects both twin
@@ -35,11 +35,6 @@ DIVERGENCE_GRID_POINTS = 2000
 MAX_SCAN_ROWS = 25_000_000
 MAX_SCAN_ITERATES = 2_000_000_000
 _MIN_LANES = 512
-
-#: Smallest t1 of divergence_rate, 2**-511: the least float whose square is
-#: a normal float.  np.polyfit scales the time column by sqrt(sum t^2), which
-#: underflows for a smaller t1 and fails the fit.
-_MIN_T1 = 2.0 ** -511
 
 #: Fraction of the reference attractor diameter beyond which separation is
 #: considered saturated and excluded from the exponential fit.
@@ -73,10 +68,15 @@ def verify_equilibrium(field: FieldFn, point, tol: float) -> bool:
 
 
 def lorenz_equilibria(p: LorenzParams) -> list[np.ndarray]:
-    """All equilibria of the Lorenz field: the origin, plus C+- when r > 1."""
+    """All equilibria of the Lorenz field: the origin, plus C+- when r > 1.
+    C+- = (+-w, +-w, r - 1) with w = sqrt(b (r - 1)); an overflowing w
+    raises NonFiniteState."""
     points = [np.zeros(3)]
     if p.r > 1.0:
         w = math.sqrt(p.b * (p.r - 1.0))
+        if w == math.inf:
+            raise NonFiniteState(f"C+- are not finite: b * (r - 1) overflows for b={p.b!r}, "
+                                 f"r={p.r!r}")
         points.append(np.array([w, w, p.r - 1.0]))
         points.append(np.array([-w, -w, p.r - 1.0]))
     return points
@@ -228,16 +228,17 @@ def divergence_rate(
 
     Integrates from x0 and from x0 perturbed by delta0 along the first
     coordinate, samples both on a shared uniform grid (nearest accepted
-    step endpoint), and fits log separation against time by least squares.
-    The fit window is the prefix before separation saturates at
-    SATURATION_FRACTION of the reference attractor's coordinate diameter;
-    if that prefix is degenerate the full grid is used.  A log separation
-    that is constant over the window (a fixed point, or a t1 too short for
-    any change to show in float64) fits the rate 0.0.  t1 must be at least
-    _MIN_T1 = 2**-511.
+    step endpoint), and fits log separation against time by least squares
+    (integrate._slope, with the grid step t1 / (DIVERGENCE_GRID_POINTS - 1),
+    which must not underflow to 0).  The fit window is the prefix before
+    separation saturates at SATURATION_FRACTION of the reference attractor's
+    coordinate diameter; if that prefix is degenerate the full grid is used.
+    A log separation that is constant over the window (a fixed point, or a
+    t1 too short for any change to show in float64) fits the rate 0.0.
     """
     check_real(delta0, "delta0", "(0, inf)")
-    check_real(t1, "t1", f"[{_MIN_T1!r}, inf)")
+    check_real(t1, "t1", "(0, inf)")
+    check_real(step := t1 / (DIVERGENCE_GRID_POINTS - 1), "t1 / 1999", "(0, inf)")
     base = as_state(x0, "x0")
     perturbed = [base[0] + delta0, *base[1:]]
     if perturbed == base:
@@ -267,13 +268,9 @@ def divergence_rate(
     if np.any(sep[:cut] == 0.0):
         raise SeparationUnderflow("twin trajectories coincide bit-exactly")
 
-    # the least-squares slope of constant data is 0; polyfit would return its
-    # rounding error over the window's length (-2.6e136 at t1 = 1e-150)
-    flat = np.all(log_sep[:cut] == log_sep[0])
-    slope = 0.0 if flat else float(np.polyfit(grid[:cut], log_sep[:cut], 1)[0])
     return DivergenceReport(
         times=grid,
         log_separation=log_sep,
-        fitted_rate=slope,
+        fitted_rate=_slope(log_sep[:cut].tolist(), step),
         fit_window=(float(grid[0]), float(grid[cut - 1])),
     )

@@ -19,6 +19,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .errors import DomainError, EmptyImage, check_cap, check_count, check_real
+from .integrate import _slope
 
 #: Refuse to allocate escape grids beyond this many pixels.  The tiled
 #: kernel peaks at about 4.5 bytes per pixel, the int32 counts plus O(tile)
@@ -453,8 +454,8 @@ def box_count_dimension(
 
     For each exponent k the image is covered by boxes of ceil(dim / 2**k)
     pixels on a grid anchored at the origin (dim is the larger image side);
-    the estimate is the least-squares slope of ln(count) against ln(2**k).
-    Returns the slope and the fitted (ln 2**k, ln count) points.
+    the estimate is the least-squares slope of ln(count) against k ln 2, by
+    integrate._slope.  Returns it and the fitted (ln 2**k, ln count) points.
     """
     min_exponent = check_count(min_exponent, "min_exponent", 1)
     max_exponent = check_count(max_exponent, "max_exponent", min_exponent + 1)
@@ -472,7 +473,4 @@ def box_count_dimension(
         rows = np.logical_or.reduceat(bits, np.arange(0, image.height, side), axis=0)
         occupied = np.logical_or.reduceat(rows, np.arange(0, image.width, side), axis=1)
         pts.append((k * math.log(2.0), math.log(int(occupied.sum()))))
-    xs = np.array([p[0] for p in pts])
-    ys = np.array([p[1] for p in pts])
-    slope = float(np.polyfit(xs, ys, 1)[0])
-    return slope, pts
+    return _slope([p[1] for p in pts], math.log(2.0)), pts

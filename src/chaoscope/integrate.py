@@ -284,6 +284,16 @@ def _check_length(values, dim: int, what: str) -> None:
         raise DomainError(f"{what} returned shape ({len(values)},), expected ({dim},)")
 
 
+def _slope(ys: Sequence[float], step: float) -> float:
+    """Least-squares slope of the points (k * step, ys[k]), n = len(ys) >= 2,
+    as fsum((k - m) * (ys[k] - ys[0])) / (n (n**2 - 1) / 12) / step with
+    m = (n - 1) / 2 on Python floats: k - m is exact and so is fsum, so no
+    BLAS kernel or summation order changes a bit; constant data gives 0.0."""
+    n, m, y0 = len(ys), (len(ys) - 1) / 2, ys[0]
+    moment = math.fsum((k - m) * (y - y0) for k, y in enumerate(ys))
+    return moment / (n * (n * n - 1) / 12) / step
+
+
 def integrate(
     field: FieldFn,
     x0: ArrayLike,
@@ -296,7 +306,8 @@ def integrate(
     Returns the accepted-step sequence only (no dense output).  The first
     recorded time is exactly t0 and the last exactly t1.
 
-    A trial step whose field values or new state include a NaN or Inf is
+    A field value of another length than the state raises DomainError.  A
+    trial step whose field values or new state include a NaN or Inf is
     rejected like any other failed step.  When the controller wants a step
     below min_step, or one too small to change t, the run raises
     NonFiniteState if the last trial was non-finite, naming the start t of
@@ -365,27 +376,40 @@ def integrate(
                 )
             raise StepUnderflow(f"step {h:.3e} does not advance t={t!r}")
 
+        # each stage's length is checked before the next stage reads it
         k2 = f(t + _C2 * h, [y_ + h * (0 + _A21 * a) for y_, a in zip(y, k1)])
+        if len(k2) != dim:
+            _check_length(k2, dim, "field")
         k3 = f(t + _C3 * h, [
             y_ + h * (0 + _A31 * a + _A32 * b) for y_, a, b in zip(y, k1, k2)
         ])
+        if len(k3) != dim:
+            _check_length(k3, dim, "field")
         k4 = f(t + _C4 * h, [
             y_ + h * (0 + _A41 * a + _A42 * b + _A43 * c)
             for y_, a, b, c in zip(y, k1, k2, k3)
         ])
+        if len(k4) != dim:
+            _check_length(k4, dim, "field")
         k5 = f(t + _C5 * h, [
             y_ + h * (0 + _A51 * a + _A52 * b + _A53 * c + _A54 * d)
             for y_, a, b, c, d in zip(y, k1, k2, k3, k4)
         ])
+        if len(k5) != dim:
+            _check_length(k5, dim, "field")
         k6 = f(t + h, [
             y_ + h * (0 + _A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e)
             for y_, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)
         ])
+        if len(k6) != dim:
+            _check_length(k6, dim, "field")
         y_new = [
             y_ + h * (0 + _B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * g)
             for y_, a, c, d, e, g in zip(y, k1, k3, k4, k5, k6)
         ]
         k7 = f(t + h, y_new)
+        if len(k7) != dim:
+            _check_length(k7, dim, "field")
         # |err| / (atol + rtol * max(|y|, |y_new|)), with numpy's NaN-propagating
         # maximum: |y| is never NaN, so `u if u >= v else v` is np.maximum.
         # Every stage enters err, k2 with the weight 0.0, and 0.0 * v is NaN
@@ -431,8 +455,9 @@ def iterate_map(
 
     The orbit counts x0 as iterate 0, so discard=0 keeps the initial point
     and points[k] is iterate discard + k (n - discard points in total).
-    The iterates are Python floats; an ndarray MapFn is called through an
-    adapter that checks the shape of each result.  Orbits of more than
+    The iterates are Python floats, and an iterate of another length than
+    x0 raises DomainError; an ndarray MapFn is called through an adapter
+    that checks the shape of each result.  Orbits of more than
     MAX_ORBIT_VALUES values (n times the dimension, discarded iterates
     included) raise GridTooLarge.
     """
@@ -442,17 +467,13 @@ def iterate_map(
     dim = len(cur)
     check_cap(n * dim, MAX_ORBIT_VALUES, f"{n} iterates x {dim} components", "value")
     step = _float_kernel(map_fn, dim, "map")
-    points = []  # the kept iterates, back to back
-    for i in range(n):
-        if i >= discard:
-            points += cur
-        if i == n - 1:
-            break
+    points = [] if discard else list(cur)  # the kept iterates, back to back
+    for i in range(1, n):
         cur = step(cur)
-        if i == 0:
+        if len(cur) != dim:
             _check_length(cur, dim, "map")
         if 0.0 * sum(cur) != 0.0 and not all(map(_isfinite, cur)):
-            raise NonFiniteState(
-                f"orbit left the finite range at iterate {i + 1}", index=i + 1
-            )
+            raise NonFiniteState(f"orbit left the finite range at iterate {i}", index=i)
+        if i >= discard:
+            points += cur
     return _from_flat(MapOrbit, points, dim, discarded=discard)

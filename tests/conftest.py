@@ -16,6 +16,7 @@ import io
 import math
 from typing import Callable, Iterable, Optional, Sequence
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -464,6 +465,16 @@ def loop_iterate_map(
                 f"orbit left the finite range at iterate {i + 1}", index=i + 1
             )
     return MapOrbit(points=points, discarded=discard)
+
+
+def mp_slope(xs, ys) -> float:
+    """The least-squares slope of the points (xs[k], ys[k]) in 60 digits,
+    rounded once to a float."""
+    with mpmath.workdps(60):
+        xs, ys = [mpmath.mpf(x) for x in xs], [mpmath.mpf(y) for y in ys]
+        mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+        return float(sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+                     / sum((x - mx) ** 2 for x in xs))
 
 
 def henon_inverse(p, s):

@@ -107,6 +107,15 @@ def test_lorenz_equilibria_above_onset():
     assert np.allclose(points[2], [-w, -w, 27.0])
 
 
+def test_lorenz_equilibria_that_overflow_raise():
+    with pytest.raises(NonFiniteState, match=r"^C\+- are not finite: b \* \(r - 1\) overflows "
+                                             r"for b=10000000000.0, r=1e\+308$"):
+        lorenz_equilibria(LorenzParams(10.0, 1e308, 1e10))
+    # the largest finite C+- are kept as they are
+    points = lorenz_equilibria(LorenzParams(10.0, 1e308, 1.0))
+    assert [list(p) for p in points[1:]] == [[1e154, 1e154, 1e308], [-1e154, -1e154, 1e308]]
+
+
 @settings(max_examples=100)
 @given(
     sigma=st.floats(0.1, 100.0),
@@ -465,13 +474,20 @@ def test_divergence_rate_lorenz_positive():
     assert report.fit_window[1] < 40.0
 
 
-@pytest.mark.parametrize("t1", [2.0 ** -511, 1e-150, 1e-10, 3e-9])
+@pytest.mark.parametrize("t1", [1e-320, 1e-300, 2.0 ** -511, 1e-150, 1e-10, 3e-9])
 def test_divergence_rate_of_a_constant_log_separation_is_zero(t1):
     # the twins' log separation is bit-constant over so short a window; the
-    # least-squares slope of constant data is 0 (polyfit gave -2.6e136 at 1e-150)
+    # least-squares slope of constant data is exactly 0 (np.polyfit gave
+    # -2.6e136 at 1e-150 and failed below 2**-511)
     report = divergence_rate(c.preset("lorenz").field(None), [15.0, 20.0, 30.0], 1e-8, t1)
     assert len(set(report.log_separation.tolist())) == 1
     assert report.fitted_rate == 0.0 and report.fit_window == (0.0, t1)
+
+
+@pytest.mark.parametrize("t1", [5e-324, 4e-321])
+def test_divergence_rate_refuses_a_grid_step_that_underflows(t1):
+    with pytest.raises(DomainError, match=r"^t1 / 1999 must lie in \(0, inf\), got 0.0$"):
+        divergence_rate(c.preset("lorenz").field(None), [15.0, 20.0, 30.0], 1e-8, t1)
 
 
 def test_divergence_rate_separation_underflow():

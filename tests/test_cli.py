@@ -424,14 +424,41 @@ def test_boxdim_with_an_empty_out_writes_no_csv(tmp_path, run_cli, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["s.pgm"]
 
 
-def test_divergence_below_the_least_t1_exits_2_with_one_line(tmp_path, run_cli, capsys):
-    # a smaller t1 underflows np.polyfit's column scale, sqrt(sum t^2)
+@pytest.mark.parametrize("t1", ["0", "-1", "nan", "inf", "-inf"])
+def test_divergence_t1_outside_0_inf_exits_2_with_one_line(t1, tmp_path, run_cli, capsys):
+    out = tmp_path / "d.csv"
+    code, stdout = run_cli(["divergence", "--system", "lorenz", f"--t1={t1}", "--out", str(out)])
+    assert (code, stdout) == (2, "")
+    assert capsys.readouterr().err == (
+        f"chaoscope divergence: t1 must lie in (0, inf), got {float(t1)}\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_divergence_with_a_tiny_t1_fits_rate_0(tmp_path, run_cli, capsys):
+    # the twins' log separation is constant over so short a window
     out = tmp_path / "d.csv"
     code, stdout = run_cli(["divergence", "--system", "lorenz", "--t1", "1e-300",
                             "--out", str(out)])
+    assert (code, stdout) == (0, "fitted_rate 0\nfit_window 0 1e-300\n")
+    assert out.exists()
+    # a t1 whose grid step t1 / 1999 underflows to 0 is refused with one line
+    code, stdout = run_cli(["divergence", "--system", "lorenz", "--t1", "4e-321",
+                            "--out", str(out)])
     assert (code, stdout) == (2, "")
     assert capsys.readouterr().err == (
-        "chaoscope divergence: t1 must lie in [1.4916681462400413e-154, inf), got 1e-300\n"
+        "chaoscope divergence: t1 / 1999 must lie in (0, inf), got 0.0\n"
+    )
+
+
+def test_equilibria_that_overflow_exit_1_with_one_line(tmp_path, run_cli, capsys):
+    out = tmp_path / "eq.csv"
+    code, stdout = run_cli(["equilibria", "--system", "lorenz", "--params", "10,1e308,1e10",
+                            "--out", str(out)])
+    assert (code, stdout) == (1, "")
+    assert capsys.readouterr().err == (
+        "chaoscope equilibria: NonFiniteState: C+- are not finite: b * (r - 1) overflows "
+        "for b=10000000000.0, r=1e+308\n"
     )
     assert list(tmp_path.iterdir()) == []
 

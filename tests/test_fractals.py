@@ -23,7 +23,7 @@ from chaoscope.fractals import (
     sierpinski_ifs,
     similarity_dimension,
 )
-from conftest import full_grid_ifs_iterate, full_grid_mandelbrot
+from conftest import full_grid_ifs_iterate, full_grid_mandelbrot, mp_slope
 
 CLASSIC_WINDOW = ComplexWindow(-2.4, 1.2, -1.5, 1.5, 0.005)
 
@@ -315,13 +315,21 @@ def test_similarity_dimension_back_substitution(n, r):
 
 
 def test_box_count_full_square():
+    # the log counts are k ln 4 up to rounding, and the closed-form slope on
+    # them is exactly 2 (a plain sum of its products gives 1.9999999999999998)
     estimate, pts = box_count_dimension(BinaryImage.full(1024, 1024), 1, 6)
-    assert abs(estimate - 2.0) <= 0.01
+    assert estimate == 2.0
     assert len(pts) == 6
     # every box is occupied: counts are exactly 4^k
     for (lx, ly), k in zip(pts, range(1, 7)):
         assert lx == k * math.log(2.0)
         assert abs(ly - math.log(4.0 ** k)) < 1e-12
+
+
+def test_box_count_full_strip_is_exactly_one():
+    # np.polyfit gave 0.9999999999999996 here
+    assert box_count_dimension(BinaryImage.full(1024, 4), 1, 2)[0] == 1.0
+    assert box_count_dimension(BinaryImage.full(4, 1024), 1, 2)[0] == 1.0
 
 
 def test_box_count_single_pixel():
@@ -332,8 +340,10 @@ def test_box_count_single_pixel():
 
 
 def test_box_count_sierpinski(sierpinski_depth7):
-    estimate, _ = box_count_dimension(sierpinski_depth7, 2, 7)
+    estimate, pts = box_count_dimension(sierpinski_depth7, 2, 7)
     assert abs(estimate - similarity_dimension(3, 0.5)) <= 0.08
+    # and it is the correctly rounded least-squares fit of its points
+    assert estimate == mp_slope(*zip(*pts)) == 1.5849625007211563
 
 
 def test_box_count_preconditions():

@@ -41,6 +41,7 @@ import hashlib
 import io
 import json
 import os
+import platform
 import subprocess
 import sys
 import tempfile
@@ -232,32 +233,72 @@ def test_cli_processes_match_golden_digests(tmp_path):
     assert list(tmp_path.rglob("*.tmp")) == []
 
 
+def openblas_core():
+    """The core type that numpy's bundled OpenBLAS chose when it loaded, or
+    None where numpy bundles no ``scipy_openblas64`` library."""
+    import ctypes
+    import glob
+
+    import numpy
+
+    libs = glob.glob(os.path.join(os.path.dirname(numpy.__file__), os.pardir, "numpy.libs",
+                                  "libscipy_openblas64_*.so"))
+    if not libs:
+        return None
+    corename = ctypes.CDLL(libs[0]).scipy_openblas_get_corename64_
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
+
+
+def _child_digests(root: Path, **env) -> tuple:
+    """The OpenBLAS core and every digest, computed in a fresh process with
+    env added to its environment."""
+    paths = [SRC, str(Path(__file__).parent)]
+    if os.environ.get("PYTHONPATH"):
+        paths.append(os.environ["PYTHONPATH"])
+    script = (
+        "import json, sys; from pathlib import Path; "
+        "from test_golden import compute_digests, openblas_core; "
+        "print(json.dumps([openblas_core(), compute_digests(Path(sys.argv[1]))]))"
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", script, str(root)],
+        env=dict(os.environ, **env, PYTHONPATH=os.pathsep.join(paths)),
+        capture_output=True, text=True, timeout=600,
+    )
+    assert child.returncode == 0, child.stderr
+    return tuple(json.loads(child.stdout))
+
+
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_golden_digests_do_not_depend_on_blas_threads(threads, tmp_path):
     """The digests hold in a fresh process with OPENBLAS_NUM_THREADS=1 and =2.
 
     The thread count is read when numpy loads, hence the subprocess.  This
-    covers any BLAS or LAPACK call of the tour, such as the least-squares
-    fits behind ``boxdim`` and ``divergence``, splitting its work over a
-    different number of threads.  A different CPU, on which OpenBLAS picks
-    other kernels at run time, cannot be tested by a suite that runs on one
-    machine.
+    covers any BLAS or LAPACK call of the tour splitting its work over a
+    different number of threads.
     """
-    paths = [SRC, str(Path(__file__).parent)]
-    if os.environ.get("PYTHONPATH"):
-        paths.append(os.environ["PYTHONPATH"])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(paths))
-    script = (
-        "import json, sys; from pathlib import Path; "
-        "from test_golden import compute_digests; "
-        "print(json.dumps(compute_digests(Path(sys.argv[1]))))"
-    )
-    child = subprocess.run(
-        [sys.executable, "-c", script, str(tmp_path)],
-        env=env, capture_output=True, text=True, timeout=600,
-    )
-    assert child.returncode == 0, child.stderr
-    assert json.loads(child.stdout) == json.loads(GOLDEN.read_text())
+    _, digests = _child_digests(tmp_path, OPENBLAS_NUM_THREADS=threads)
+    assert digests == json.loads(GOLDEN.read_text())
+
+
+@pytest.mark.parametrize("core", ["Haswell", "Sandybridge"])
+def test_golden_digests_do_not_depend_on_the_openblas_core(core, tmp_path):
+    """The digests hold in a fresh process whose OpenBLAS runs the kernels of
+    another x86-64 core, chosen by OPENBLAS_CORETYPE.
+
+    numpy's bundled OpenBLAS picks its kernels by CPU when it loads, so
+    this runs, on one machine, the kernels that an AVX2 (Haswell) or AVX
+    (Sandybridge) CPU would run.  An unknown name falls back to the native
+    core silently, so the child reports the core OpenBLAS really chose,
+    which must be the one asked for.  Other CPU families,
+    other BLAS builds and other numpy versions are not covered.
+    """
+    if platform.machine().lower() not in ("x86_64", "amd64") or openblas_core() is None:
+        pytest.skip("needs numpy's bundled OpenBLAS on x86-64")
+    chosen, digests = _child_digests(tmp_path, OPENBLAS_CORETYPE=core)
+    assert chosen == core
+    assert digests == json.loads(GOLDEN.read_text())
 
 
 if __name__ == "__main__":

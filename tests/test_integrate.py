@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import math
+import random
 import struct
 import sys
 import tracemalloc
@@ -24,13 +25,14 @@ from chaoscope.integrate import (
     IntegratorConfig,
     MapOrbit,
     Trajectory,
+    _slope,
     as_state,
     integrate,
     iterate_map,
 )
 from chaoscope.systems import PRESETS
 
-from conftest import loop_integrate, loop_iterate_map
+from conftest import loop_integrate, loop_iterate_map, mp_slope
 
 #: The start of the NonFiniteState message at the step floor, before its t.
 NON_FINITE = r"^non-finite field value or state in the step from t="
@@ -39,10 +41,11 @@ def linear_field(a):
     return lambda t, x: a * x
 
 
-def test_kept_steps_peak_at_most_200_bytes_each():
+def test_kept_steps_peak_at_most_150_bytes_each():
     # Lorenz 0:200 at rel_tol 1e-6 keeps about 9600 steps of 4 values: the
-    # flat float list peaks near 130 bytes a step, with a float64 copy made
-    # at the end 170, one list of times and one list per state about 265
+    # flat float list peaks near 128.5 bytes a step, so 150 refuses a
+    # float64 copy made at the end (about 170) and one list of times and
+    # one list per state (about 265)
     field = PRESETS["lorenz"].field(None)
     tracemalloc.start()
     try:
@@ -51,7 +54,7 @@ def test_kept_steps_peak_at_most_200_bytes_each():
     finally:
         tracemalloc.stop()
     assert len(traj.times) > 9000
-    assert peak <= 200 * len(traj.times)
+    assert peak <= 150 * len(traj.times)
 
 
 def test_kept_iterates_peak_at_most_36_bytes_per_value():
@@ -691,6 +694,45 @@ def test_ndarray_callable_messages_are_unchanged():
         iterate_map(lambda s: s * np.inf, [1.0, 2.0], 4)
 
 
+def _counting(kernel):
+    """kernel, and the list its wrapper appends each call's arguments to."""
+    calls = []
+    return (lambda *args: calls.append(args) or kernel(len(calls), *args)), calls
+
+
+@pytest.mark.parametrize("length", [1, 3])
+@pytest.mark.parametrize("bad_call", [1, 2, 3, 4, 5, 6, 7, 8, 20])
+def test_a_float_field_result_of_another_length_is_refused_at_any_call(bad_call, length):
+    # call 1 is k1 before the loop, 2-7 the first trial's k2-k7, 8 on the second's
+    kernel, calls = _counting(lambda k, t, s: (1.0,) * (length if k == bad_call else 2))
+    message = rf"^field returned shape \({length},\), expected \(2,\)$"
+    with pytest.raises(DomainError, match=message):
+        integrate(FloatKernel(kernel, 2), [0.0, 0.0], 0.0, 100.0)
+    assert len(calls) == bad_call  # refused before any later stage reads it
+
+
+@pytest.mark.parametrize("length", [1, 3])
+@pytest.mark.parametrize("bad_call", [1, 2, 6])
+def test_a_float_map_result_of_another_length_is_refused_at_any_call(bad_call, length):
+    kernel, calls = _counting(lambda k, s: (1.0,) * (length if k == bad_call else 2))
+    message = rf"^map returned shape \({length},\), expected \(2,\)$"
+    with pytest.raises(DomainError, match=message):
+        iterate_map(FloatKernel(kernel, 2), [0.0, 0.0], 10)
+    assert len(calls) == bad_call
+
+
+def test_a_float_kernel_that_changes_length_is_refused_like_the_loops():
+    # the loops of conftest check every result; the engines once checked
+    # only the first, and kept rows that were not iterates or steps
+    step = FloatKernel(lambda s: (s[0] + 1.0, 1.0) if s[0] < 3 else (s[0] + 1.0,), 2)
+    field = FloatKernel(lambda t, s: (1.0, 1.0) if t < 0.5 else (1.0,), 2)
+    for engine, fn, args in ((iterate_map, step, (8,)), (integrate, field, (0.0, 1.0))):
+        loop = loop_iterate_map if engine is iterate_map else loop_integrate
+        want = _outcome(loop, fn, [0.0, 0.0], *args)
+        assert want[0] is DomainError
+        assert _outcome(engine, fn, [0.0, 0.0], *args) == want
+
+
 def _record_outcome(make):
     """make()'s record as its fields, each array as (dtype, shape, bytes), and
     its repr; or the type and message of what it raised."""
@@ -797,3 +839,31 @@ def test_as_state_of_floats_is_a_new_list():
     state = as_state(values, "x0")
     assert state == values and state is not values
     assert as_state((1.0,), "x0") == [1.0]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_slope_agrees_with_mpmath_on_random_uniform_grids(seed):
+    rng = random.Random(seed)
+    n, step, rate = rng.randint(2, 300), rng.uniform(1e-3, 10.0), rng.uniform(-5.0, 5.0)
+    offset = rng.uniform(-100.0, 100.0)
+    ys = [offset + rate * k * step + rng.gauss(0.0, 1.0) for k in range(n)]
+    want = mp_slope([k * step for k in range(n)], ys)
+    assert abs(_slope(ys, step) - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("n", [2, 3, 2000])
+@pytest.mark.parametrize("value", [0.0, -3.5, 1e300, -math.pi])
+def test_slope_of_constant_data_is_zero_on_any_step(n, value):
+    for step in (1.0, math.log(2.0), 5e-324, 1e300):
+        assert _slope([value] * n, step) == 0.0
+
+
+@pytest.mark.parametrize("offset", [0, 2 ** 52])
+@pytest.mark.parametrize("seed", range(20))
+def test_slope_of_integers_on_a_unit_step_is_the_correctly_rounded_fit(seed, offset):
+    # each ys[k] - ys[0] and each product by k - m is exact here, and fsum adds
+    # them exactly, so the one rounding is the division by n (n**2 - 1) / 12
+    rng = random.Random(seed)
+    n = rng.randint(2, 300)
+    ys = [float(offset + rng.randint(-1000, 1000)) for _ in range(n)]
+    assert _slope(ys, 1.0) == mp_slope(range(n), ys)
