@@ -376,7 +376,8 @@ def integrate(
                 )
             raise StepUnderflow(f"step {h:.3e} does not advance t={t!r}")
 
-        # each stage's length is checked before the next stage reads it
+        # each stage's length is checked before the next stage reads it, by
+        # an inline len test that spares a step six calls
         k2 = f(t + _C2 * h, [y_ + h * (0 + _A21 * a) for y_, a in zip(y, k1)])
         if len(k2) != dim:
             _check_length(k2, dim, "field")
