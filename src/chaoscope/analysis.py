@@ -10,14 +10,14 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from .errors import (DomainError, NonFiniteState, SeparationUnderflow, check_cap, check_count,
                      check_real)
-from .integrate import (MAX_ORBIT_VALUES, FieldFn, FloatKernel, IntegratorConfig, Trajectory,
-                        _check_length, _float_kernel, _slope, as_state)
+from .integrate import (MAX_ORBIT_VALUES, FieldFn, FloatKernel, IntegratorConfig, _check_length,
+                        _FlatRows, _float_kernel, _slope, as_state)
 from .systems import LogisticParams, LorenzParams, check_logistic_x0, logistic_step
 
 #: Number of uniform sample times the divergence probe projects both twin
@@ -198,23 +198,28 @@ def bifurcation_scan(
 
 
 @dataclass(frozen=True)
-class DivergenceReport:
+class DivergenceReport(_FlatRows):
     """Twin-trajectory separation history and its fitted exponential rate."""
 
+    _COLUMNS = {"times": 0, "log_separation": 1}
     times: np.ndarray
     log_separation: np.ndarray
     fitted_rate: float
     fit_window: Tuple[float, float]
 
 
-def _nearest_states(traj: Trajectory, grid: np.ndarray) -> np.ndarray:
-    """State at the accepted step endpoint nearest to each grid time."""
-    idx = np.searchsorted(traj.times, grid)
-    idx = np.clip(idx, 1, len(traj.times) - 1)
-    left = traj.times[idx - 1]
-    right = traj.times[idx]
-    pick = np.where(grid - left <= right - grid, idx - 1, idx)
-    return traj.states[pick]
+def _nearest_states(values: List[float], width: int, grid: List[float]) -> List[float]:
+    """The states at the accepted steps nearest each time of a nondecreasing
+    grid, back to back, from a run's rows (t, then the state) of width floats
+    back to back in values.  One forward walk finds what searchsorted (side
+    left) finds, clipped to [1, n - 1], and takes the earlier step on a tie."""
+    last, i, states = len(values) - width, width, []
+    for g in grid:
+        while i < last and values[i] < g:
+            i += width
+        k = i - width if g - values[i - width] <= values[i] - g else i
+        states += values[k + 1 : k + width]
+    return states
 
 
 def divergence_rate(
@@ -227,14 +232,18 @@ def divergence_rate(
     """Measure the exponential separation rate of twin trajectories.
 
     Integrates from x0 and from x0 perturbed by delta0 along the first
-    coordinate, samples both on a shared uniform grid (nearest accepted
-    step endpoint), and fits log separation against time by least squares
-    (integrate._slope, with the grid step t1 / (DIVERGENCE_GRID_POINTS - 1),
-    which must not underflow to 0).  The fit window is the prefix before
-    separation saturates at SATURATION_FRACTION of the reference attractor's
-    coordinate diameter; if that prefix is degenerate the full grid is used.
-    A log separation that is constant over the window (a fixed point, or a
-    t1 too short for any change to show in float64) fits the rate 0.0.
+    coordinate, and samples both, one run held at a time, on a shared
+    uniform grid with np.linspace's bits (nearest accepted step endpoint).
+    A separation is the sqrt of its squared differences summed left to right
+    from 0.0, np.linalg.norm(axis=1)'s order below 8 components, and its log
+    is math.log's (-inf for 0).  The log separation is fitted against time by
+    least squares (integrate._slope, with the grid step t1 /
+    (DIVERGENCE_GRID_POINTS - 1), which must not underflow to 0).  The fit
+    window is the prefix before separation saturates at SATURATION_FRACTION
+    of the reference attractor's coordinate diameter; if that prefix is
+    degenerate the full grid is used.  A log separation that is constant
+    over the window (a fixed point, or a t1 too short for any change to show
+    in float64) fits the rate 0.0.
     """
     check_real(delta0, "delta0", "(0, inf)")
     check_real(t1, "t1", "(0, inf)")
@@ -249,28 +258,31 @@ def divergence_rate(
     # test double), and must not keep that wrapper once it is removed
     from .integrate import integrate
 
-    # the reference's arrays are read before the twin runs, so its flat
-    # list of floats is freed first and the two runs never hold both
-    grid = np.linspace(0.0, t1, DIVERGENCE_GRID_POINTS)
-    ref = integrate(field, base, 0.0, t1, config)
-    ref_near = _nearest_states(ref, grid)
-    diameter = float(np.max(np.ptp(ref.states, axis=0)))
-    twin = integrate(field, perturbed, 0.0, t1, config)
-    sep = np.linalg.norm(ref_near - _nearest_states(twin, grid), axis=1)
-    with np.errstate(divide="ignore"):
-        log_sep = np.log(sep)
+    grid = [k * step for k in range(DIVERGENCE_GRID_POINTS - 1)] + [t1]
+    width = len(base) + 1
+    run = integrate(field, base, 0.0, t1, config)._flat()
+    ref_near = _nearest_states(run, width, grid)
+    diameter = max(max(col) - min(col) for col in (run[j::width] for j in range(1, width)))
+    del run  # the reference run is freed before the twin's is made
+    run = integrate(field, perturbed, 0.0, t1, config)._flat()
+    twin_near = _nearest_states(run, width, grid)
+    squares = iter([(a - b) * (a - b) for a, b in zip(ref_near, twin_near)])
+    sep = []
+    for row in zip(*[squares] * (width - 1)):
+        total = 0.0  # not sum(), math.hypot, math.dist or fsum: each rounds otherwise
+        for square in row:
+            total += square
+        sep.append(math.sqrt(total))
+    log_sep = [math.log(s) if s else -math.inf for s in sep]
 
     threshold = SATURATION_FRACTION * diameter
-    below = sep <= threshold
-    cut = int(np.argmin(below)) if not below.all() else len(grid)
+    cut = next((k for k, s in enumerate(sep) if not s <= threshold), len(grid))
     if cut < 2:
         cut = len(grid)  # degenerate geometry (e.g. a fixed point): fit everything
-    if np.any(sep[:cut] == 0.0):
+    if 0.0 in sep[:cut]:
         raise SeparationUnderflow("twin trajectories coincide bit-exactly")
 
-    return DivergenceReport(
-        times=grid,
-        log_separation=log_sep,
-        fitted_rate=_slope(log_sep[:cut].tolist(), step),
-        fit_window=(float(grid[0]), float(grid[cut - 1])),
+    return DivergenceReport._from_flat(
+        [v for row in zip(grid, log_sep) for v in row], 2,
+        fitted_rate=_slope(log_sep[:cut], step), fit_window=(grid[0], grid[cut - 1]),
     )

@@ -5,7 +5,7 @@ directory, then rename) and are byte-deterministic: floats are printed with
 17 significant digits, which round-trips IEEE doubles exactly, and lines
 always end with LF.  The writers import the result types they dispatch on,
 and numpy, only when called, so loading this module loads no computation;
-writing a trajectory or map orbit loads no numpy either.
+writing a trajectory, map orbit or divergence report loads no numpy either.
 """
 
 from __future__ import annotations
@@ -171,10 +171,10 @@ def write_trajectory_csv(series: Series, path) -> None:
 
 
 def write_divergence_csv(report: DivergenceReport, path) -> None:
-    """Time / log-separation pairs with an x,y header."""
-    write_rows_csv(
-        path, ["x", "y"], zip(report.times.tolist(), report.log_separation.tolist())
-    )
+    """Time / log-separation pairs with an x,y header, read in place from the
+    report's flat list of floats."""
+    values = iter(report._flat())
+    write_rows_csv(path, ["x", "y"], zip(values, values), "%.17g,%.17g\n")
 
 
 def _escape_to_bytes(grid: EscapeGrid) -> np.ndarray:
@@ -217,7 +217,9 @@ def write_pgm(raster: Raster, path) -> None:
 
 
 def read_pgm(path) -> GrayImage:
-    """Read a binary PGM with maxval 255 into a GrayImage."""
+    """Read a binary PGM with maxval 255 into a GrayImage.  Its header numbers
+    are ASCII decimal digits, as Netpbm allows; a sign, an underscore or a
+    non-ASCII digit raises FormatError."""
     import numpy as np
 
     data = Path(path).read_bytes()
@@ -241,10 +243,16 @@ def read_pgm(path) -> GrayImage:
             raise FormatError("unexpected end of PGM header")
         return data[start:pos]
 
+    def number():
+        text = token()
+        if not text.isdigit():  # bytes.isdigit: ASCII 0-9 only
+            raise ValueError(f"{text!r} is not a decimal number")
+        return int(text)
+
     if token() != b"P5":
         raise FormatError("only binary PGM (P5) is supported")
     try:
-        width, height, maxval = int(token()), int(token()), int(token())
+        width, height, maxval = number(), number(), number()
     except ValueError as exc:
         raise FormatError(f"malformed PGM header: {exc}") from None
     if width < 1 or height < 1:

@@ -127,35 +127,44 @@ class IntegratorConfig:
             check_real(self.min_step, "min_step", "(0, inf)")
 
 
-def _from_flat(cls, values: List[float], width: int, **fields):
-    """A record of cls as the engines make it: values holds its rows of
-    width floats back to back, and fields its other fields.  Its arrays are
-    built from values, with the same bits, when first read."""
-    record = object.__new__(cls)
-    record.__dict__.update(fields, _values=values, _width=width)
-    return record
+class _FlatRows:
+    """Base of a frozen dataclass whose _COLUMNS maps each array field to its
+    column (an int) or columns (a slice) of rows of floats.  A record that
+    an engine makes by _from_flat keeps its rows back to back in one list,
+    which the CSV writers read in place through _flat, and builds its
+    float64 arrays from it, with the same bits, on first access; they then
+    replace the list.  A record built by its constructor holds its arrays.
+    """
 
+    @classmethod
+    def _from_flat(cls, values: List[float], width: int, **fields):
+        record = object.__new__(cls)
+        record.__dict__.update(fields, _values=values, _width=width)
+        return record
 
-def _rows(record, name: str, arrays: tuple):
-    """The float64 rows of record's flat values, which the record then drops
-    to hold its values once; or AttributeError for name when it is not one
-    of arrays or record holds no flat values."""
-    if name not in arrays or "_values" not in record.__dict__:
-        raise AttributeError(f"{type(record).__name__!r} object has no attribute {name!r}")
-    import numpy as np
+    def __getattr__(self, name):
+        if name not in self._COLUMNS or "_values" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        import numpy as np
 
-    return np.array(record.__dict__.pop("_values"), dtype=np.float64).reshape(-1, record._width)
+        rows = np.array(self.__dict__.pop("_values"), dtype=np.float64).reshape(-1, self._width)
+        self.__dict__.update((field, rows[:, cols]) for field, cols in self._COLUMNS.items())
+        return self.__dict__[name]
+
+    def _flat(self) -> List[float]:
+        """The rows back to back as floats."""
+        if "_values" in self.__dict__:
+            return self._values
+        import numpy as np
+
+        return np.column_stack([getattr(self, f) for f in self._COLUMNS]).ravel().tolist()
 
 
 @dataclass(frozen=True)
-class Trajectory:
-    """Accepted integration steps: times (strictly increasing) and states.
+class Trajectory(_FlatRows):
+    """Accepted integration steps: times (strictly increasing) and states."""
 
-    integrate keeps each step as t then the state, back to back in one list
-    of floats, which the CSV writer reads; times and states are float64
-    arrays built from it on first access, which then replace it.
-    """
-
+    _COLUMNS = {"times": 0, "states": slice(1, None)}
     times: np.ndarray
     states: np.ndarray
 
@@ -172,33 +181,16 @@ class Trajectory:
             raise DomainError("times must be strictly increasing")
         object.__setattr__(self, "_width", self.states.shape[1] + 1)
 
-    def __getattr__(self, name):
-        rows = _rows(self, name, ("times", "states"))
-        self.__dict__.update(times=rows[:, 0], states=rows[:, 1:])
-        return self.__dict__[name]
-
     @property
     def dimension(self) -> int:
         return self._width - 1
 
-    def _flat(self) -> List[float]:
-        """Each step's t, then its state, back to back as floats."""
-        if "_values" in self.__dict__:
-            return self._values
-        import numpy as np
-
-        return np.column_stack((self.times, self.states)).ravel().tolist()
-
 
 @dataclass(frozen=True)
-class MapOrbit:
-    """Iterates of a discrete map; points[k] is iterate number discarded + k.
+class MapOrbit(_FlatRows):
+    """Iterates of a discrete map; points[k] is iterate number discarded + k."""
 
-    iterate_map keeps the points back to back in one list of floats, which
-    the CSV writer reads; points is a float64 array built from it on first
-    access, which then replaces it.
-    """
-
+    _COLUMNS = {"points": slice(None)}
     points: np.ndarray
     discarded: int = 0
 
@@ -211,19 +203,9 @@ class MapOrbit:
         object.__setattr__(self, "discarded", check_count(self.discarded, "discarded", 0))
         object.__setattr__(self, "_width", self.points.shape[1])
 
-    def __getattr__(self, name):
-        self.__dict__["points"] = _rows(self, name, ("points",))
-        return self.points
-
     @property
     def dimension(self) -> int:
         return self._width
-
-    def _flat(self) -> List[float]:
-        """The points' coordinates, back to back as floats."""
-        if "_values" in self.__dict__:
-            return self._values
-        return self.points.ravel().tolist()
 
 
 class FloatKernel:
@@ -443,7 +425,7 @@ def integrate(
         else:
             h = h * min(1.0, max(0.1, _SAFETY * err_norm ** (-0.2)))
 
-    return _from_flat(Trajectory, kept, dim + 1)
+    return Trajectory._from_flat(kept, dim + 1)
 
 
 def iterate_map(
@@ -477,4 +459,4 @@ def iterate_map(
             raise NonFiniteState(f"orbit left the finite range at iterate {i}", index=i)
         if i >= discard:
             points += cur
-    return _from_flat(MapOrbit, points, dim, discarded=discard)
+    return MapOrbit._from_flat(points, dim, discarded=discard)

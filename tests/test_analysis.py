@@ -25,7 +25,7 @@ from chaoscope.analysis import (
     verify_equilibrium,
 )
 from chaoscope.errors import DomainError, GridTooLarge, NonFiniteState, SeparationUnderflow
-from chaoscope.integrate import FloatKernel, IntegratorConfig
+from chaoscope.integrate import FloatKernel, IntegratorConfig, Trajectory
 from chaoscope.systems import Linear1DParams, LogisticParams, LorenzParams, linear_solution
 
 from conftest import loop_bifurcation_scan, loop_cobweb_trace
@@ -493,6 +493,104 @@ def test_divergence_rate_refuses_a_grid_step_that_underflows(t1):
 def test_divergence_rate_separation_underflow():
     with pytest.raises(SeparationUnderflow):
         divergence_rate(lambda t, x: np.zeros_like(x), [1.0], 1e-20, 1.0)
+
+
+def _searchsorted_nearest(times, states, grid):
+    """The nearest-step rule as numpy formulated it: searchsorted (side
+    left), clipped to [1, n - 1], and the earlier step on a tie."""
+    times, states, grid = np.array(times), np.array(states), np.array(grid)
+    idx = np.clip(np.searchsorted(times, grid), 1, len(times) - 1)
+    pick = np.where(grid - times[idx - 1] <= times[idx] - grid, idx - 1, idx)
+    return states[pick].reshape(len(grid), -1)
+
+
+#: Step times and grid times: small integers and their halves, so that a
+#: grid time can lie exactly midway between two steps, and any floats.
+_SAMPLE_TIMES = st.one_of(st.integers(-80, 80).map(lambda k: k / 2), st.floats(-50.0, 50.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    times=st.lists(_SAMPLE_TIMES, min_size=2, max_size=12, unique=True).map(sorted),
+    grid=st.lists(_SAMPLE_TIMES, min_size=1, max_size=40).map(sorted),
+    dim=st.integers(1, 3),
+)
+def test_nearest_states_walk_matches_searchsorted(times, grid, dim):
+    # grid times midway between two steps, before the first step, past the
+    # last, and runs of two steps: the forward walk picks the step numpy did
+    states = [[10.0 * i + j for j in range(dim)] for i in range(len(times))]
+    values = [v for t, state in zip(times, states) for v in [t, *state]]
+    walked = analysis._nearest_states(values, dim + 1, grid)
+    assert walked == _searchsorted_nearest(times, states, grid).ravel().tolist()
+
+
+def _coupled_field(rates):
+    """x_i' = rates[i] x_i + x_(i+1 mod d): a perturbation of x_0 reaches
+    every component, so each term of a separation is non-zero."""
+    d = len(rates)
+    return FloatKernel(lambda t, s: [r * s[i] + s[(i + 1) % d] for i, r in enumerate(rates)], d)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rates=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=7),
+    x0=st.floats(0.5, 5.0),
+    t1=st.one_of(st.floats(1e-300, 1e-6), st.floats(1e-6, 8.0)),
+)
+def test_divergence_samples_match_linspace_searchsorted_and_norm(rates, x0, t1):
+    # the probe on Python floats against its numpy formulation: the grid
+    # has np.linspace's bits, and each separation np.linalg.norm(axis=1)'s,
+    # so its math.log is the logged separation (np.log rounds otherwise)
+    module = importlib.import_module("chaoscope.integrate")
+    real, runs = module.integrate, []
+
+    def keeping(*args):
+        runs.append(real(*args))
+        return runs[-1]
+
+    start = [x0] + [1.0] * (len(rates) - 1)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(module, "integrate", keeping)
+        report = divergence_rate(_coupled_field(rates), start, 1e-6, t1)
+    grid = np.linspace(0.0, t1, analysis.DIVERGENCE_GRID_POINTS)
+    assert report.times.tolist() == grid.tolist()
+    ref, twin = (_searchsorted_nearest(run.times, run.states, grid) for run in runs)
+    sep = np.linalg.norm(ref - twin, axis=1).tolist()
+    assert report.log_separation.tolist() == [math.log(s) if s else -math.inf for s in sep]
+
+
+def test_divergence_holds_one_run_at_a_time(monkeypatch):
+    # Lorenz 0:400 at rel_tol 1e-6 keeps about 19,200 steps a run.  One
+    # run's flat list peaks near 129 bytes a step, and the probe near 157
+    # with its samples; with the reference's list alive while the twin
+    # runs, it peaked near 195.  The runs are recorded untraced, then
+    # replayed under tracemalloc as fresh lists of fresh floats, which peak
+    # as integrate's own lists do (within 0.1 B/step) in a small part of
+    # the time
+    module = importlib.import_module("chaoscope.integrate")
+    real, runs = module.integrate, {}
+
+    def recording(field, x0, *args):
+        traj = real(field, x0, *args)
+        runs[tuple(x0)] = traj._flat()
+        return traj
+
+    def replaying(field, x0, *args):
+        return Trajectory._from_flat([v * 1.0 for v in runs[tuple(x0)]], 4)
+
+    field = c.preset("lorenz").field(None)
+    monkeypatch.setattr(module, "integrate", recording)
+    divergence_rate(field, [15.0, 20.0, 30.0], 1e-8, 400.0)
+    monkeypatch.setattr(module, "integrate", replaying)
+    tracemalloc.start()
+    try:
+        divergence_rate(field, [15.0, 20.0, 30.0], 1e-8, 400.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    steps = max(len(values) // 4 for values in runs.values())
+    assert steps > 18_000
+    assert peak <= 180 * steps
 
 
 def test_divergence_rate_preconditions():

@@ -188,6 +188,27 @@ def test_pgm_reader_rejects_bad_input(tmp_path):
         read_pgm(f)
 
 
+@pytest.mark.parametrize("header", [
+    b"+2 1_0 255",  # int() read this as a 2x10 image
+    b"2 10 2_55",
+    b"2 10 +255",
+    b"+0002 10 255",
+    b"2 -10 255",
+    b"2 \xd9\xa3 255",  # a non-ASCII digit
+])
+def test_pgm_reader_refuses_header_numbers_that_are_not_decimal_digits(tmp_path, header):
+    f = tmp_path / "bad.pgm"
+    f.write_bytes(b"P5\n" + header + b"\n" + bytes(20))
+    with pytest.raises(FormatError, match=r"^malformed PGM header: b'.*' is not a decimal"):
+        read_pgm(f)
+
+
+def test_pgm_reader_reads_decimal_header_numbers_with_leading_zeros(tmp_path):
+    f = tmp_path / "zeros.pgm"
+    f.write_bytes(b"P5\n002 #c\n01\n0255\n\x07\x09")
+    assert read_pgm(f).pixels.tolist() == [[7, 9]]
+
+
 def test_writers_leave_no_temp_files(tmp_path):
     out = tmp_path / "x.csv"
     write_rows_csv(out, ["a", "b"], [[1.0, 2.0]])

@@ -9,9 +9,11 @@ one of them non-square) and ``decompress`` of each resulting code, which
 the tour's flat ramp barely exercises.  The large cases add the
 benchmark's ``bifurcate`` run: its 100k rows cross many CSV blocks and
 repeat each parameter 100 times, where the tour's 25 rows fit in one
-block.  They also add the benchmark's two ``mandelbrot`` windows and a
+block.  They also add the benchmark's two ``mandelbrot`` windows, a
 zoom on the neck at -0.75 at nmax 3000, whose pixels lie mostly inside
-the main cardioid and the period-2 bulb or at their common boundary.
+the main cardioid and the period-2 bulb or at their common boundary, and
+a deep zoom near -0.7435 + 0.1318i at nmax 3000, whose counts depend on
+how numpy's complex square rounds.
 Last come the benchmark's flow and map runs: Lorenz and Chua ``simulate``
 over 0:40 at tolerance 1e-8 (thousands of integrator steps, where the
 tour's run takes a few hundred), Lorenz ``divergence`` to t1 = 40, and a
@@ -25,8 +27,8 @@ case uses the check of the ``workloads.tour_small`` command with its
 flags, and the seven large cases taken from the benchmark their workload
 command's, found by command line in ``bench/workloads.py``.  The codec
 cases use the same ``compress`` and ``decompress`` checks on their own
-images, and the neck zoom, which no workload runs, the escape-time check
-on its own window.
+images, and the neck and deep zooms, which no workload runs, the
+escape-time check on their own windows.
 
 After a deliberate output change, rewrite the digests with
 
@@ -67,6 +69,7 @@ import workloads  # noqa: E402
 #: Seeds the pixels that the escape-time checks sample.
 ORACLE_SEED = 2026
 NECK = (-0.755, -0.745, -0.005, 0.005)
+DEEP = (-0.7440, -0.7430, 0.1313, 0.1323)
 
 # name -> (height, width, seed, extra compress flags)
 CODEC_CASES = {
@@ -86,6 +89,8 @@ LARGE_CASES = {
                                  "--scale", "4e-4", "--nmax", "300"]),
     "mandelbrot_neck_3000": (".pgm", ["mandelbrot", workloads.window_flag(NECK),
                                       "--scale", "4e-5", "--nmax", "3000"]),
+    "mandelbrot_deep_3000": (".pgm", ["mandelbrot", workloads.window_flag(DEEP),
+                                      "--scale", "2e-6", "--nmax", "3000"]),
     "simulate_lorenz_1e-8": (".csv", ["simulate", "--system", "lorenz", "--span", "0:40",
                                       "--rel-tol", "1e-8", "--abs-tol", "1e-8"]),
     "simulate_chua_1e-8": (".csv", ["simulate", "--system", "chua", "--span", "0:40",
@@ -196,6 +201,7 @@ def case_checks(root: Path) -> dict:
     checks.update((name, large[_flags(argv)]) for name, (_, argv) in LARGE_CASES.items()
                   if _flags(argv) in large)
     checks["mandelbrot_neck_3000"] = oracles.mandelbrot(NECK, 4e-5, 3000, ORACLE_SEED)
+    checks["mandelbrot_deep_3000"] = oracles.mandelbrot(DEEP, 2e-6, 3000, ORACLE_SEED)
     for name, (height, width, seed, flags) in CODEC_CASES.items():
         given = dict(zip(flags[::2], flags[1::2]))
         floor = workloads.PSNR_FLOOR_128 if height * width >= 128 * 128 else workloads.PSNR_FLOOR_64
@@ -250,16 +256,35 @@ def openblas_core():
     return corename().decode()
 
 
+#: The numpy loops, as (ufunc, loop signature), whose SIMD level the
+#: dispatch variants set: float64 ``log``, which rounds otherwise than libm
+#: and which no output may call, and complex128 ``square``, which the
+#: escape-time kernel runs.
+DISPATCHED = (("log", "dd"), ("square", "DD"))
+
+
+def numpy_dispatch(field: str = "current") -> dict:
+    """Each DISPATCHED loop's SIMD level as numpy reports it ("current": the
+    level it runs, "available": all it was built with), or {} where numpy
+    does not report it."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_targets_info__ as info
+    except ImportError:
+        return {}
+    return {ufunc: info[ufunc][sig][field] for ufunc, sig in DISPATCHED}
+
+
 def _child_digests(root: Path, **env) -> tuple:
-    """The OpenBLAS core and every digest, computed in a fresh process with
-    env added to its environment."""
+    """The OpenBLAS core, the numpy dispatch and every digest, computed in a
+    fresh process with env added to its environment."""
     paths = [SRC, str(Path(__file__).parent)]
     if os.environ.get("PYTHONPATH"):
         paths.append(os.environ["PYTHONPATH"])
     script = (
         "import json, sys; from pathlib import Path; "
-        "from test_golden import compute_digests, openblas_core; "
-        "print(json.dumps([openblas_core(), compute_digests(Path(sys.argv[1]))]))"
+        "from test_golden import compute_digests, numpy_dispatch, openblas_core; "
+        "print(json.dumps([openblas_core(), numpy_dispatch(), "
+        "compute_digests(Path(sys.argv[1]))]))"
     )
     child = subprocess.run(
         [sys.executable, "-c", script, str(root)],
@@ -278,7 +303,7 @@ def test_golden_digests_do_not_depend_on_blas_threads(threads, tmp_path):
     covers any BLAS or LAPACK call of the tour splitting its work over a
     different number of threads.
     """
-    _, digests = _child_digests(tmp_path, OPENBLAS_NUM_THREADS=threads)
+    _, _, digests = _child_digests(tmp_path, OPENBLAS_NUM_THREADS=threads)
     assert digests == json.loads(GOLDEN.read_text())
 
 
@@ -296,9 +321,60 @@ def test_golden_digests_do_not_depend_on_the_openblas_core(core, tmp_path):
     """
     if platform.machine().lower() not in ("x86_64", "amd64") or openblas_core() is None:
         pytest.skip("needs numpy's bundled OpenBLAS on x86-64")
-    chosen, digests = _child_digests(tmp_path, OPENBLAS_CORETYPE=core)
+    chosen, _, digests = _child_digests(tmp_path, OPENBLAS_CORETYPE=core)
     assert chosen == core
     assert digests == json.loads(GOLDEN.read_text())
+
+
+#: variant -> (environment of the child, the SIMD level each DISPATCHED
+#: loop must then run, or None when numpy's dispatch is not the variant,
+#: and the cases whose digests are expected to differ under it).
+CPU_VARIANTS = {
+    # an AVX2 CPU's numpy loops
+    "numpy_X86_V3": ({"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}, "X86_V3",
+                     set()),
+    # an SSE4.2 CPU's numpy loops: complex square without FMA changes 259 of
+    # the deep zoom's 251,016 bytes
+    "numpy_X86_V2": ({"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"},
+                     "baseline(X86_V2)", {"mandelbrot_deep_3000"}),
+    # glibc's libm without FMA: its pow, the step controller's **, rounds
+    # otherwise, which changes these flow runs
+    "glibc_no_fma": ({"GLIBC_TUNABLES": "glibc.cpu.hwcaps=-AVX2,-FMA,-AVX512F"}, None,
+                     {"divergence", "divergence_lorenz_40", "simulate_lorenz_1e-8",
+                      "simulate_chua_1e-8"}),
+}
+
+
+@pytest.mark.parametrize("variant", list(CPU_VARIANTS))
+def test_golden_digests_under_other_x86_64_cpus(variant, tmp_path):
+    """Every digest recomputed in a fresh process that runs the numpy loops
+    or the glibc libm of another x86-64 CPU: exactly the listed cases differ
+    from their committed digests.
+
+    NPY_DISABLE_CPU_FEATURES caps numpy's run-time SIMD dispatch, and
+    silently ignores a name it does not know, so the child reports the
+    level that float64 log and complex square really run, which must be the
+    one asked for.  GLIBC_TUNABLES masks the CPU features glibc picks its
+    libm variants by.  Both act on the child only.  A listed case that
+    matches fails the test as an unlisted case that differs does, so the
+    list shrinks as outputs stop depending on the CPU.  Not covered: other
+    CPU families (aarch64), other C libraries (musl) and other numpy
+    versions.
+    """
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        pytest.skip("the variants are x86-64 CPUs")
+    if platform.libc_ver()[0] != "glibc":
+        pytest.skip("the committed digests and the libm variant are glibc's")
+    env, level, differ = CPU_VARIANTS[variant]
+    available = numpy_dispatch("available")
+    if level is not None and not all(level in levels.split() for levels in available.values()):
+        pytest.skip(f"numpy here has no {level} loop for each of {DISPATCHED}: {available}")
+    _, dispatch, digests = _child_digests(tmp_path, **env)
+    if level is not None:
+        assert dispatch == {ufunc: level for ufunc, _ in DISPATCHED}
+    golden = json.loads(GOLDEN.read_text())
+    assert digests.keys() == golden.keys()
+    assert {name for name in golden if digests[name] != golden[name]} == differ
 
 
 if __name__ == "__main__":

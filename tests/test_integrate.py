@@ -4,13 +4,16 @@ import math
 import random
 import struct
 import sys
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chaoscope.analysis import DivergenceReport, divergence_rate
 from chaoscope.errors import (
     ChaoscopeError,
     DomainError,
@@ -20,6 +23,7 @@ from chaoscope.errors import (
     StepUnderflow,
     check_real,
 )
+from chaoscope.formats import write_divergence_csv
 from chaoscope.integrate import (
     FloatKernel,
     IntegratorConfig,
@@ -750,13 +754,13 @@ def _record_outcome(make):
 
 
 def _assert_behaves_as_built(record, built):
-    """record, as integrate or iterate_map made it, against the same values
-    given to the public constructor: fields, arrays, repr, replace and
-    immutability."""
+    """record, as integrate, iterate_map or divergence_rate made it, against
+    the same values given to the public constructor: fields, arrays, repr,
+    replace and immutability."""
     assert _record_outcome(lambda: record) == _record_outcome(lambda: built)
     assert [(f.name, f.type) for f in dataclasses.fields(record)] == [
         (f.name, f.type) for f in dataclasses.fields(built)]
-    assert record.dimension == built.dimension
+    assert getattr(record, "dimension", None) == getattr(built, "dimension", None)
     name = dataclasses.fields(record)[0].name
     assert getattr(record, name) is getattr(record, name)  # built once
     copy = dataclasses.replace(record)
@@ -792,6 +796,21 @@ def test_engine_records_match_records_built_from_their_values(x0, t1, n, discard
                      discarded=discard)
     _assert_behaves_as_built(orbit, built)
     assert orbit.points.dtype == np.float64
+
+    report = divergence_rate(PRESETS["lorenz"].field(None), x0, 1e-8, t1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.times = None
+    with tempfile.TemporaryDirectory() as tmp:
+        engine_csv, built_csv = Path(tmp) / "engine.csv", Path(tmp) / "built.csv"
+        write_divergence_csv(report, engine_csv)  # from the flat list, in place
+        values = report._flat()
+        built = DivergenceReport(times=np.array(values[0::2]),
+                                 log_separation=np.array(values[1::2]),
+                                 fitted_rate=report.fitted_rate, fit_window=report.fit_window)
+        write_divergence_csv(built, built_csv)  # from the arrays
+        assert built_csv.read_bytes() == engine_csv.read_bytes()
+    _assert_behaves_as_built(report, built)
+    assert report.times.dtype == report.log_separation.dtype == np.float64
 
 
 def _numpy_state(x, name):
