@@ -10,14 +10,14 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from .errors import (DomainError, NonFiniteState, SeparationUnderflow, check_cap, check_count,
                      check_real)
 from .integrate import (MAX_ORBIT_VALUES, FieldFn, FloatKernel, IntegratorConfig, _check_length,
-                        _FlatRows, _float_kernel, _slope, as_state)
+                        _FlatRows, _float_kernel, _slope, _stream, as_state)
 from .systems import LogisticParams, LorenzParams, check_logistic_x0, logistic_step
 
 #: Number of uniform sample times the divergence probe projects both twin
@@ -104,7 +104,7 @@ def cobweb_trace(p: LogisticParams, x0: float, n: int) -> CobwebTrace:
     check_logistic_x0(x0)
     n = check_count(n, "n", 1)
     check_cap(2 * (2 * n + 1), MAX_ORBIT_VALUES, f"2 x (2 x {n} steps + 1)", "value")
-    from .integrate import iterate_map  # looked up when called, as in divergence_rate
+    from .integrate import iterate_map  # looked up when called: a tracer's wrapper is not kept
 
     step = FloatKernel(lambda s: (logistic_step(p, s[0]),), 1)
     orbit = iterate_map(step, [x0], n + 1).points[:, 0]
@@ -208,18 +208,19 @@ class DivergenceReport(_FlatRows):
     fit_window: Tuple[float, float]
 
 
-def _nearest_states(values: List[float], width: int, grid: List[float]) -> List[float]:
-    """The states at the accepted steps nearest each time of a nondecreasing
-    grid, back to back, from a run's rows (t, then the state) of width floats
-    back to back in values.  One forward walk finds what searchsorted (side
-    left) finds, clipped to [1, n - 1], and takes the earlier step on a tie."""
-    last, i, states = len(values) - width, width, []
+def _nearest_states(steps: Iterator[Tuple[float, List[float]]], grid: List[float]):
+    """The states of a stream of (t, state) steps nearest each time of a
+    nondecreasing grid that ends at the last step's time, and every state's
+    per-component min and max.  A forward walk holding two steps finds what
+    searchsorted (side left) finds, clipped to [1, n - 1], earlier on a tie."""
+    (t_a, a), (t_b, b) = next(steps), next(steps)
+    lo, hi, near = list(map(min, a, b)), list(map(max, a, b)), []
     for g in grid:
-        while i < last and values[i] < g:
-            i += width
-        k = i - width if g - values[i - width] <= values[i] - g else i
-        states += values[k + 1 : k + width]
-    return states
+        while t_b < g:  # g is at most the last step's time, so b is not the last
+            (t_a, a), (t_b, b) = (t_b, b), next(steps)
+            lo, hi = list(map(min, lo, b)), list(map(max, hi, b))
+        near.append(a if g - t_a <= t_b - g else b)
+    return near, lo, hi
 
 
 def divergence_rate(
@@ -232,18 +233,19 @@ def divergence_rate(
     """Measure the exponential separation rate of twin trajectories.
 
     Integrates from x0 and from x0 perturbed by delta0 along the first
-    coordinate, and samples both, one run held at a time, on a shared
-    uniform grid with np.linspace's bits (nearest accepted step endpoint).
-    A separation is the sqrt of its squared differences summed left to right
-    from 0.0, np.linalg.norm(axis=1)'s order below 8 components, and its log
-    is math.log's (-inf for 0).  The log separation is fitted against time by
-    least squares (integrate._slope, with the grid step t1 /
+    coordinate, in that order, and samples both on a shared uniform grid
+    with np.linspace's bits (nearest accepted step endpoint) as it walks
+    each run's stream of steps: it holds each twin's 2000 samples, never a
+    run.  A separation is the sqrt of its squared differences summed left to
+    right from 0.0, np.linalg.norm(axis=1)'s order below 8 components, and
+    its log is math.log's (-inf for 0).  The log separation is fitted against
+    time by least squares (integrate._slope, with the grid step t1 /
     (DIVERGENCE_GRID_POINTS - 1), which must not underflow to 0).  The fit
     window is the prefix before separation saturates at SATURATION_FRACTION
     of the reference attractor's coordinate diameter; if that prefix is
-    degenerate the full grid is used.  A log separation that is constant
-    over the window (a fixed point, or a t1 too short for any change to show
-    in float64) fits the rate 0.0.
+    degenerate the full grid is used.  A log separation that is constant over
+    the window (a fixed point, or a t1 too short for any change to show in
+    float64) fits the rate 0.0.
     """
     check_real(delta0, "delta0", "(0, inf)")
     check_real(t1, "t1", "(0, inf)")
@@ -253,29 +255,18 @@ def divergence_rate(
     if perturbed == base:
         raise SeparationUnderflow("delta0 vanished under addition; twins coincide")
 
-    # looked up when called, not bound when this module loads: this module
-    # may load after a wrapper was installed on the integrator (a tracer, a
-    # test double), and must not keep that wrapper once it is removed
-    from .integrate import integrate
-
     grid = [k * step for k in range(DIVERGENCE_GRID_POINTS - 1)] + [t1]
-    width = len(base) + 1
-    run = integrate(field, base, 0.0, t1, config)._flat()
-    ref_near = _nearest_states(run, width, grid)
-    diameter = max(max(col) - min(col) for col in (run[j::width] for j in range(1, width)))
-    del run  # the reference run is freed before the twin's is made
-    run = integrate(field, perturbed, 0.0, t1, config)._flat()
-    twin_near = _nearest_states(run, width, grid)
-    squares = iter([(a - b) * (a - b) for a, b in zip(ref_near, twin_near)])
+    ref_near, lo, hi = _nearest_states(_stream(field, base, 0.0, t1, config), grid)
+    twin_near = _nearest_states(_stream(field, perturbed, 0.0, t1, config), grid)[0]
     sep = []
-    for row in zip(*[squares] * (width - 1)):
+    for ref, twin in zip(ref_near, twin_near):
         total = 0.0  # not sum(), math.hypot, math.dist or fsum: each rounds otherwise
-        for square in row:
-            total += square
+        for a, b in zip(ref, twin):
+            total += (a - b) * (a - b)
         sep.append(math.sqrt(total))
     log_sep = [math.log(s) if s else -math.inf for s in sep]
 
-    threshold = SATURATION_FRACTION * diameter
+    threshold = SATURATION_FRACTION * max(h - l for h, l in zip(hi, lo))
     cut = next((k for k, s in enumerate(sep) if not s <= threshold), len(grid))
     if cut < 2:
         cut = len(grid)  # degenerate geometry (e.g. a fixed point): fit everything

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import (
     DomainError,
@@ -285,8 +285,8 @@ def integrate(
 ) -> Trajectory:
     """Integrate x' = field(t, x) over [t0, t1] with adaptive Dormand-Prince 4(5).
 
-    Returns the accepted-step sequence only (no dense output).  The first
-    recorded time is exactly t0 and the last exactly t1.
+    Collects the stream of accepted steps, _stream (no dense output); the
+    first recorded time is exactly t0 and the last exactly t1.
 
     A field value of another length than the state raises DomainError.  A
     trial step whose field values or new state include a NaN or Inf is
@@ -311,6 +311,18 @@ def integrate(
     ratio adds ``0.0*|y_new_i|``: +0.0 when y_new_i is finite, which changes
     no bit of a ratio that is never -0.0, and NaN when it overflowed.
     """
+    kept = []  # accepted steps as one flat list of floats, t then the state
+    for t, y in _stream(field, x0, t0, t1, config):
+        kept.append(t)
+        kept += y
+    return Trajectory._from_flat(kept, len(y) + 1)
+
+
+def _stream(field, x0, t0, t1, config) -> Iterator[Tuple[float, List[float]]]:
+    """integrate's accepted steps as (t, state), the state a list of floats
+    never changed: (t0, x0) once the field's value there has the state's
+    length, then one per accepted step, the last at t1.  integrate's checks
+    and refusals come from next(), in its order, the checks from the first."""
     cfg = config if config is not None else IntegratorConfig()
     check_real(t0, "t0", "(-inf, inf)")
     check_real(t1, "t1", "(-inf, inf)")
@@ -333,8 +345,7 @@ def integrate(
     t = t0
     k1 = f(t, y)
     _check_length(k1, dim, "field")
-    # accepted steps as one flat list of floats, t then the state, per step
-    kept = [t0, *y]
+    yield t, y
     prev_err = 1e-4
     err_norm = 0.0  # the last trial's; NaN or Inf when a stage was
     attempts = 0
@@ -413,8 +424,7 @@ def integrate(
             t = t1 if final else t + h
             y = y_new
             k1 = k7  # FSAL: stage 7 is the next step's stage 1
-            kept.append(t)
-            kept += y
+            yield t, y
             if err_norm == 0.0:
                 factor = _FAC_MAX
             else:
@@ -424,8 +434,6 @@ def integrate(
             h = h * factor
         else:
             h = h * min(1.0, max(0.1, _SAFETY * err_norm ** (-0.2)))
-
-    return Trajectory._from_flat(kept, dim + 1)
 
 
 def iterate_map(

@@ -1,5 +1,4 @@
 import ast
-import importlib
 import math
 import tracemalloc
 import warnings
@@ -25,7 +24,7 @@ from chaoscope.analysis import (
     verify_equilibrium,
 )
 from chaoscope.errors import DomainError, GridTooLarge, NonFiniteState, SeparationUnderflow
-from chaoscope.integrate import FloatKernel, IntegratorConfig, Trajectory
+from chaoscope.integrate import FloatKernel, IntegratorConfig, integrate
 from chaoscope.systems import Linear1DParams, LogisticParams, LorenzParams, linear_solution
 
 from conftest import loop_bifurcation_scan, loop_cobweb_trace
@@ -81,8 +80,8 @@ def test_verify_equilibrium_refuses_a_result_of_another_length(field, want):
 
 
 def test_analysis_evaluates_its_field_only_through_the_float_kernel():
-    # verify_equilibrium and, through integrate, divergence_rate evaluate a
-    # field as the integrator does: no call of a field in analysis itself
+    # verify_equilibrium and, through the integrator's stream, divergence_rate
+    # evaluate a field as the integrator does: no call of a field in analysis
     tree = ast.parse(Path(analysis.__file__).read_text(encoding="utf-8"))
     called = [node.func.id for node in ast.walk(tree)
               if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
@@ -439,21 +438,6 @@ def test_divergence_rate_linear_field():
     assert report.fit_window[0] == 0.0
 
 
-def test_divergence_rate_calls_the_integrator_of_the_moment(monkeypatch):
-    # analysis can load while the integrator is wrapped (the benchmark's
-    # tracer, a test double): it must look the integrator up when called
-    module = importlib.import_module("chaoscope.integrate")
-    real, calls = module.integrate, []
-
-    def counting(field, x0, t0, t1, config=None):
-        calls.append((t0, t1))
-        return real(field, x0, t0, t1, config)
-
-    monkeypatch.setattr(module, "integrate", counting)
-    divergence_rate(lambda t, x: 0.7 * x, [1.0], 1e-8, 2.0)
-    assert calls == [(0.0, 2.0), (0.0, 2.0)]
-
-
 def test_divergence_rate_zero_field():
     report = divergence_rate(lambda t, x: np.zeros_like(x), [1.0, 2.0], 1e-8, 5.0)
     assert abs(report.fitted_rate) < 1e-6
@@ -512,16 +496,25 @@ _SAMPLE_TIMES = st.one_of(st.integers(-80, 80).map(lambda k: k / 2), st.floats(-
 @settings(max_examples=300, deadline=None)
 @given(
     times=st.lists(_SAMPLE_TIMES, min_size=2, max_size=12, unique=True).map(sorted),
-    grid=st.lists(_SAMPLE_TIMES, min_size=1, max_size=40).map(sorted),
+    grid=st.lists(_SAMPLE_TIMES, min_size=0, max_size=40),
     dim=st.integers(1, 3),
+    data=st.data(),
 )
-def test_nearest_states_walk_matches_searchsorted(times, grid, dim):
-    # grid times midway between two steps, before the first step, past the
-    # last, and runs of two steps: the forward walk picks the step numpy did
-    states = [[10.0 * i + j for j in range(dim)] for i in range(len(times))]
-    values = [v for t, state in zip(times, states) for v in [t, *state]]
-    walked = analysis._nearest_states(values, dim + 1, grid)
-    assert walked == _searchsorted_nearest(times, states, grid).ravel().tolist()
+def test_nearest_states_walk_matches_searchsorted(times, grid, dim, data):
+    # grid times midway between two steps, before the first step, and runs
+    # of two steps: the forward walk over the stream picks the step numpy
+    # did.  The grid ends at the last step's time, as divergence_rate's
+    # ends at t1, so the walk never reads past the stream's end
+    grid = sorted(g for g in grid if g < times[-1]) + [times[-1]]
+    states = data.draw(st.lists(st.lists(st.floats(-1e3, 1e3), min_size=dim, max_size=dim),
+                                min_size=len(times), max_size=len(times)))
+    walked, lo, hi = analysis._nearest_states(iter(list(zip(times, states))), grid)
+    assert walked == _searchsorted_nearest(times, states, grid).tolist()
+    # the min and max of every column, zero signs included, as min() and
+    # max() over the whole column find them
+    columns = list(zip(*states))
+    assert list(map(repr, lo)) == [repr(min(col)) for col in columns]
+    assert list(map(repr, hi)) == [repr(max(col)) for col in columns]
 
 
 def _coupled_field(rates):
@@ -538,59 +531,67 @@ def _coupled_field(rates):
     t1=st.one_of(st.floats(1e-300, 1e-6), st.floats(1e-6, 8.0)),
 )
 def test_divergence_samples_match_linspace_searchsorted_and_norm(rates, x0, t1):
-    # the probe on Python floats against its numpy formulation: the grid
-    # has np.linspace's bits, and each separation np.linalg.norm(axis=1)'s,
-    # so its math.log is the logged separation (np.log rounds otherwise)
-    module = importlib.import_module("chaoscope.integrate")
-    real, runs = module.integrate, []
-
-    def keeping(*args):
-        runs.append(real(*args))
-        return runs[-1]
-
-    start = [x0] + [1.0] * (len(rates) - 1)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(module, "integrate", keeping)
-        report = divergence_rate(_coupled_field(rates), start, 1e-6, t1)
+    # the probe on Python floats against its numpy formulation over the
+    # public integrate's runs: the grid has np.linspace's bits, and each
+    # separation np.linalg.norm(axis=1)'s, so its math.log is the logged
+    # separation (np.log rounds otherwise); the fit window ends where the
+    # separation first passes SATURATION_FRACTION of the reference run's
+    # largest column range
+    field, start = _coupled_field(rates), [x0] + [1.0] * (len(rates) - 1)
+    report = divergence_rate(field, start, 1e-6, t1)
+    ref, twin = (integrate(field, s, 0.0, t1) for s in (start, [x0 + 1e-6, *start[1:]]))
     grid = np.linspace(0.0, t1, analysis.DIVERGENCE_GRID_POINTS)
     assert report.times.tolist() == grid.tolist()
-    ref, twin = (_searchsorted_nearest(run.times, run.states, grid) for run in runs)
-    sep = np.linalg.norm(ref - twin, axis=1).tolist()
+    near = [_searchsorted_nearest(run.times, run.states, grid) for run in (ref, twin)]
+    sep = np.linalg.norm(near[0] - near[1], axis=1)
     assert report.log_separation.tolist() == [math.log(s) if s else -math.inf for s in sep]
+    diameter = (ref.states.max(axis=0) - ref.states.min(axis=0)).max()
+    over = np.flatnonzero(~(sep <= analysis.SATURATION_FRACTION * diameter))
+    cut = over[0] if len(over) and over[0] >= 2 else len(grid)
+    assert report.fit_window == (0.0, grid[cut - 1])
 
 
-def test_divergence_holds_one_run_at_a_time(monkeypatch):
-    # Lorenz 0:400 at rel_tol 1e-6 keeps about 19,200 steps a run.  One
-    # run's flat list peaks near 129 bytes a step, and the probe near 157
-    # with its samples; with the reference's list alive while the twin
-    # runs, it peaked near 195.  The runs are recorded untraced, then
-    # replayed under tracemalloc as fresh lists of fresh floats, which peak
-    # as integrate's own lists do (within 0.1 B/step) in a small part of
-    # the time
-    module = importlib.import_module("chaoscope.integrate")
-    real, runs = module.integrate, {}
+def test_divergence_holds_no_run(monkeypatch):
+    # Lorenz 0:400 at rel_tol 1e-6 takes about 19,200 steps a run, 0:40
+    # about 1,950; the probe holds each twin's 2000 samples and two steps
+    # of the stream, so its peak does not grow with the run (a collected
+    # run would add about 130 bytes a step).  The streams are recorded
+    # untraced, then replayed under tracemalloc as fresh floats in fresh
+    # lists, as the integrator yields them, in a small part of the time
+    field, x0 = c.preset("lorenz").field(None), [15.0, 20.0, 30.0]
+    runs = {(t1, s[0]): list(analysis._stream(field, s, 0.0, t1, None))
+            for t1 in (40.0, 400.0) for s in (x0, [x0[0] + 1e-8, *x0[1:]])}
+    real = divergence_rate(field, x0, 1e-8, 40.0)
 
-    def recording(field, x0, *args):
-        traj = real(field, x0, *args)
-        runs[tuple(x0)] = traj._flat()
-        return traj
+    def replaying(field, x0, t0, t1, config):
+        for t, state in runs[t1, x0[0]]:
+            yield t * 1.0, [v * 1.0 for v in state]
 
-    def replaying(field, x0, *args):
-        return Trajectory._from_flat([v * 1.0 for v in runs[tuple(x0)]], 4)
+    monkeypatch.setattr(analysis, "_stream", replaying)
+    peaks = {}
+    for t1 in (40.0, 400.0):
+        tracemalloc.start()
+        try:
+            report = divergence_rate(field, x0, 1e-8, t1)
+            peaks[t1] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        if t1 == 40.0:
+            assert report._flat() == real._flat()
+    assert min(len(run) for key, run in runs.items() if key[0] == 400.0) > 18_000
+    assert peaks[400.0] <= 1.2 * peaks[40.0]
 
-    field = c.preset("lorenz").field(None)
-    monkeypatch.setattr(module, "integrate", recording)
-    divergence_rate(field, [15.0, 20.0, 30.0], 1e-8, 400.0)
-    monkeypatch.setattr(module, "integrate", replaying)
-    tracemalloc.start()
-    try:
-        divergence_rate(field, [15.0, 20.0, 30.0], 1e-8, 400.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    steps = max(len(values) // 4 for values in runs.values())
-    assert steps > 18_000
-    assert peak <= 180 * steps
+
+def test_divergence_logs_an_exact_zero_separation_after_the_fit_window():
+    # x' = x until t = 10, then x' = -5x: the twins decay until their
+    # sampled states coincide bit-exactly at some grid times (the first at
+    # index 501, t ~ 200.5), long after the fit window ends (t ~ 6.8), so
+    # each zero separation is logged as -inf and not refused
+    field = FloatKernel(lambda t, s: (s[0] if t < 10.0 else -5.0 * s[0],), 1)
+    report = divergence_rate(field, [1e-3], 1e-4, 800.0)
+    log_sep = report.log_separation.tolist()
+    assert -math.inf in log_sep and math.isfinite(report.fitted_rate)
+    assert report.fit_window[1] < report.times[log_sep.index(-math.inf)]
 
 
 def test_divergence_rate_preconditions():

@@ -47,8 +47,10 @@ import platform
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import chaoscope
@@ -180,6 +182,37 @@ def _flags(argv) -> tuple:
                  if i not in files and arg not in ("--in", "--out"))
 
 
+def all_of(*checks):
+    """A check that fails with the reason of the first of checks that fails."""
+    return lambda out, stdout: next(filter(None, (c(out, stdout) for c in checks)), None)
+
+
+def escape_classes(window, scale: float, nmax: int, seed: int, samples: int = 200):
+    """A check of a ``mandelbrot`` PGM on a window of mostly one kind of
+    pixel, where ``oracles.mandelbrot``'s uniform sample barely sees the
+    other kind: up to ``samples`` seeded pixels that the image shows
+    escaping (a byte below 255), and as many of the rest, each class
+    matching ``oracles.escape_count`` at that check's 97%."""
+    xmin, _, ymin, _ = window
+    levels = np.rint(255.0 * (np.arange(1, nmax + 1) - 1.0) / (nmax - 1.0))
+
+    def run(path, stdout):
+        img = oracles.read_pgm(path)
+        rng = np.random.default_rng(seed)
+        for kind, pixels in (("escaping", np.flatnonzero(img < 255)),
+                             ("other", np.flatnonzero(img == 255))):
+            oracles.expect(len(pixels) > 0, f"no {kind} pixel")
+            picked = rng.choice(pixels, min(samples, len(pixels)), replace=False)
+            agree = 0
+            for r, col in zip(*np.divmod(picked, img.shape[1])):
+                c = complex(xmin + scale * col, ymin + scale * (img.shape[0] - 1 - r))
+                agree += int(img[r, col] == levels[oracles.escape_count(c, nmax, 4.0) - 1])
+            oracles.expect(agree >= 0.97 * len(picked),
+                           f"only {agree}/{len(picked)} sampled {kind} pixels match")
+
+    return oracles.guarded(run)
+
+
 def case_checks(root: Path) -> dict:
     """Map each case to its oracle check.
 
@@ -200,8 +233,10 @@ def case_checks(root: Path) -> dict:
     checks = {name: tour[_flags(argv)] for name, argv, _ in _determinism_cases(root)[0]}
     checks.update((name, large[_flags(argv)]) for name, (_, argv) in LARGE_CASES.items()
                   if _flags(argv) in large)
-    checks["mandelbrot_neck_3000"] = oracles.mandelbrot(NECK, 4e-5, 3000, ORACLE_SEED)
-    checks["mandelbrot_deep_3000"] = oracles.mandelbrot(DEEP, 2e-6, 3000, ORACLE_SEED)
+    for name, window, scale in (("mandelbrot_neck_3000", NECK, 4e-5),
+                                ("mandelbrot_deep_3000", DEEP, 2e-6)):
+        checks[name] = all_of(oracles.mandelbrot(window, scale, 3000, ORACLE_SEED),
+                              escape_classes(window, scale, 3000, ORACLE_SEED))
     for name, (height, width, seed, flags) in CODEC_CASES.items():
         given = dict(zip(flags[::2], flags[1::2]))
         floor = workloads.PSNR_FLOOR_128 if height * width >= 128 * 128 else workloads.PSNR_FLOOR_64
@@ -295,37 +330,6 @@ def _child_digests(root: Path, **env) -> tuple:
     return tuple(json.loads(child.stdout))
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_golden_digests_do_not_depend_on_blas_threads(threads, tmp_path):
-    """The digests hold in a fresh process with OPENBLAS_NUM_THREADS=1 and =2.
-
-    The thread count is read when numpy loads, hence the subprocess.  This
-    covers any BLAS or LAPACK call of the tour splitting its work over a
-    different number of threads.
-    """
-    _, _, digests = _child_digests(tmp_path, OPENBLAS_NUM_THREADS=threads)
-    assert digests == json.loads(GOLDEN.read_text())
-
-
-@pytest.mark.parametrize("core", ["Haswell", "Sandybridge"])
-def test_golden_digests_do_not_depend_on_the_openblas_core(core, tmp_path):
-    """The digests hold in a fresh process whose OpenBLAS runs the kernels of
-    another x86-64 core, chosen by OPENBLAS_CORETYPE.
-
-    numpy's bundled OpenBLAS picks its kernels by CPU when it loads, so
-    this runs, on one machine, the kernels that an AVX2 (Haswell) or AVX
-    (Sandybridge) CPU would run.  An unknown name falls back to the native
-    core silently, so the child reports the core OpenBLAS really chose,
-    which must be the one asked for.  Other CPU families,
-    other BLAS builds and other numpy versions are not covered.
-    """
-    if platform.machine().lower() not in ("x86_64", "amd64") or openblas_core() is None:
-        pytest.skip("needs numpy's bundled OpenBLAS on x86-64")
-    chosen, _, digests = _child_digests(tmp_path, OPENBLAS_CORETYPE=core)
-    assert chosen == core
-    assert digests == json.loads(GOLDEN.read_text())
-
-
 #: variant -> (environment of the child, the SIMD level each DISPATCHED
 #: loop must then run, or None when numpy's dispatch is not the variant,
 #: and the cases whose digests are expected to differ under it).
@@ -343,10 +347,90 @@ CPU_VARIANTS = {
                      {"divergence", "divergence_lorenz_40", "simulate_lorenz_1e-8",
                       "simulate_chua_1e-8"}),
 }
+THREADS = ["1", "2"]
+CORES = ["Haswell", "Sandybridge"]
+#: (test, parameter) -> the environment its child adds, for each of the
+#: seven tests below that recompute every digest in a fresh process.
+CHILD_ENVS = {
+    **{("threads", n): {"OPENBLAS_NUM_THREADS": n} for n in THREADS},
+    **{("core", core): {"OPENBLAS_CORETYPE": core} for core in CORES},
+    **{("variant", name): env for name, (env, _, _) in CPU_VARIANTS.items()},
+}
+
+
+def _skip_reason(kind: str, name: str):
+    """Why this machine cannot run the child of CHILD_ENVS[kind, name], or None."""
+    if kind == "threads":
+        return None
+    x86 = platform.machine().lower() in ("x86_64", "amd64")
+    if kind == "core":
+        return None if x86 and openblas_core() is not None else (
+            "needs numpy's bundled OpenBLAS on x86-64")
+    if not x86:
+        return "the variants are x86-64 CPUs"
+    if platform.libc_ver()[0] != "glibc":
+        return "the committed digests and the libm variant are glibc's"
+    level, available = CPU_VARIANTS[name][1], numpy_dispatch("available")
+    if level is not None and not all(level in levels.split() for levels in available.values()):
+        return f"numpy here has no {level} loop for each of {DISPATCHED}: {available}"
+    return None
+
+
+@pytest.fixture(scope="module")
+def children(tmp_path_factory):
+    """Map (kind, name) -> the future of _child_digests for each child of
+    CHILD_ENVS that this machine can run.  All are submitted when the first
+    of the tests below starts and run two at a time, while the tests take
+    their results in order; a child not yet started when the module ends
+    (a run of some of the tests) is cancelled."""
+    pool = ThreadPoolExecutor(max_workers=2)
+    try:
+        yield {key: pool.submit(_child_digests, tmp_path_factory.mktemp(key[1]), **env)
+               for key, env in CHILD_ENVS.items() if _skip_reason(*key) is None}
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _child(children, kind: str, name: str) -> tuple:
+    """What the child of CHILD_ENVS[kind, name] returned; skips the test
+    where this machine cannot run it."""
+    reason = _skip_reason(kind, name)
+    if reason is not None:
+        pytest.skip(reason)
+    return children[kind, name].result()
+
+
+@pytest.mark.parametrize("threads", THREADS)
+def test_golden_digests_do_not_depend_on_blas_threads(threads, children):
+    """The digests hold in a fresh process with OPENBLAS_NUM_THREADS=1 and =2.
+
+    The thread count is read when numpy loads, hence the subprocess.  This
+    covers any BLAS or LAPACK call of the tour splitting its work over a
+    different number of threads.
+    """
+    _, _, digests = _child(children, "threads", threads)
+    assert digests == json.loads(GOLDEN.read_text())
+
+
+@pytest.mark.parametrize("core", CORES)
+def test_golden_digests_do_not_depend_on_the_openblas_core(core, children):
+    """The digests hold in a fresh process whose OpenBLAS runs the kernels of
+    another x86-64 core, chosen by OPENBLAS_CORETYPE.
+
+    numpy's bundled OpenBLAS picks its kernels by CPU when it loads, so
+    this runs, on one machine, the kernels that an AVX2 (Haswell) or AVX
+    (Sandybridge) CPU would run.  An unknown name falls back to the native
+    core silently, so the child reports the core OpenBLAS really chose,
+    which must be the one asked for.  Other CPU families,
+    other BLAS builds and other numpy versions are not covered.
+    """
+    chosen, _, digests = _child(children, "core", core)
+    assert chosen == core
+    assert digests == json.loads(GOLDEN.read_text())
 
 
 @pytest.mark.parametrize("variant", list(CPU_VARIANTS))
-def test_golden_digests_under_other_x86_64_cpus(variant, tmp_path):
+def test_golden_digests_under_other_x86_64_cpus(variant, children):
     """Every digest recomputed in a fresh process that runs the numpy loops
     or the glibc libm of another x86-64 CPU: exactly the listed cases differ
     from their committed digests.
@@ -361,15 +445,8 @@ def test_golden_digests_under_other_x86_64_cpus(variant, tmp_path):
     CPU families (aarch64), other C libraries (musl) and other numpy
     versions.
     """
-    if platform.machine().lower() not in ("x86_64", "amd64"):
-        pytest.skip("the variants are x86-64 CPUs")
-    if platform.libc_ver()[0] != "glibc":
-        pytest.skip("the committed digests and the libm variant are glibc's")
-    env, level, differ = CPU_VARIANTS[variant]
-    available = numpy_dispatch("available")
-    if level is not None and not all(level in levels.split() for levels in available.values()):
-        pytest.skip(f"numpy here has no {level} loop for each of {DISPATCHED}: {available}")
-    _, dispatch, digests = _child_digests(tmp_path, **env)
+    _, dispatch, digests = _child(children, "variant", variant)
+    _, level, differ = CPU_VARIANTS[variant]
     if level is not None:
         assert dispatch == {ufunc: level for ufunc, _ in DISPATCHED}
     golden = json.loads(GOLDEN.read_text())
