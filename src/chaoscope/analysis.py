@@ -10,28 +10,28 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from .errors import (DomainError, NonFiniteState, SeparationUnderflow, check_cap, check_count,
                      check_real)
-from .integrate import (MAX_ORBIT_VALUES, FieldFn, FloatKernel, IntegratorConfig, _check_length,
-                        _FlatRows, _float_kernel, _slope, _stream, as_state)
-from .systems import LogisticParams, LorenzParams, check_logistic_x0, logistic_step
+from .integrate import (MAX_ORBIT_VALUES, FieldFn, IntegratorConfig, _check_length, _FlatRows,
+                        _float_kernel, _slope, _stream, as_state)
+from .systems import LogisticParams, LorenzParams, check_logistic_x0, logistic_step, preset
 
 #: Number of uniform sample times the divergence probe projects both twin
 #: trajectories onto (nearest accepted step endpoint wins).
 DIVERGENCE_GRID_POINTS = 2000
 
 #: Caps of bifurcation_scan, checked before anything is allocated.  A sweep
-#: of the logistic family peaks at about 8 bytes per kept row (the lane
-#: buffer, which the diagram keeps as its samples) plus 33 per parameter (the
-#: lanes and the family's temporaries), and its CSV writer streams, so
-#: MAX_SCAN_ROWS rows take 0.2-1 GB (tracemalloc).  One lane-iterate costs
-#: about 6-10 ns and one step of the loop at least about 4.5 us whatever the
-#: lane count, so a step is charged as at least _MIN_LANES lanes, and
-#: MAX_SCAN_ITERATES takes about 13-18 s.
+#: peaks at about 8 bytes per kept row (the lane buffer, which the diagram
+#: keeps as its samples) plus 32 per value of mu (the lanes and the step's
+#: temporaries), and its CSV writer streams, so MAX_SCAN_ROWS rows take
+#: 0.2-1 GB (tracemalloc).  One lane-iterate costs about 6-10 ns and one
+#: step of the loop at least about 1.5 us whatever the lane count (one lane,
+#: 100k steps), so a step is charged as at least _MIN_LANES lanes, and
+#: MAX_SCAN_ITERATES takes about 6 s on one lane and 13-18 s on 2M.
 MAX_SCAN_ROWS = 25_000_000
 MAX_SCAN_ITERATES = 2_000_000_000
 _MIN_LANES = 512
@@ -106,8 +106,7 @@ def cobweb_trace(p: LogisticParams, x0: float, n: int) -> CobwebTrace:
     check_cap(2 * (2 * n + 1), MAX_ORBIT_VALUES, f"2 x (2 x {n} steps + 1)", "value")
     from .integrate import iterate_map  # looked up when called: a tracer's wrapper is not kept
 
-    step = FloatKernel(lambda s: (logistic_step(p, s[0]),), 1)
-    orbit = iterate_map(step, [x0], n + 1).points[:, 0]
+    orbit = iterate_map(preset("logistic").map((p.mu,)), [x0], n + 1).points[:, 0]
     # (x0, 0), then (x_k, x_k+1) and (x_k+1, x_k+1) for each step k
     verts = np.empty((2 * n + 1, 2), dtype=np.float64)
     verts[0] = (x0, 0.0)
@@ -121,11 +120,11 @@ def cobweb_trace(p: LogisticParams, x0: float, n: int) -> CobwebTrace:
 
 @dataclass(frozen=True)
 class BifurcationDiagram:
-    """Post-transient samples of a 1-D family across a parameter sweep.
+    """Post-transient iterates of the logistic map across a sweep of mu.
 
-    ``params`` holds the P swept parameters and ``samples`` the (P, keep)
+    ``params`` holds the P swept values of mu and ``samples`` the (P, keep)
     kept iterates: samples[i] are the iterates at params[i], in iterate
-    order.
+    order.  The record checks only these shapes, so it holds any sweep.
     """
 
     params: np.ndarray
@@ -140,7 +139,6 @@ class BifurcationDiagram:
 
 
 def bifurcation_scan(
-    family: Callable[[np.ndarray, np.ndarray], np.ndarray],
     p_lo: float,
     p_hi: float,
     p_steps: int,
@@ -148,22 +146,23 @@ def bifurcation_scan(
     discard: int,
     keep: int,
 ) -> BifurcationDiagram:
-    """Sweep `family(params, x)` over p_steps parameters, keeping post-transient iterates.
+    """Sweep the logistic map over p_steps values of mu, keeping post-transient iterates.
 
-    All parameters are iterated at once as float64 lanes: `family` receives
-    the (p_steps,) parameter and state ndarrays and must act elementwise,
-    returning the next states in an array of the same shape (any other shape
-    raises DomainError).  discard must be at least 100 so transients
-    have died before sampling.  An orbit that turns NaN/Inf raises
-    NonFiniteState naming the first such parameter in sweep order and its
-    first non-finite iterate.  Sweeps over MAX_SCAN_ROWS kept rows or
+    Every mu of np.linspace(p_lo, p_hi, p_steps) is iterated at once, as a
+    float64 lane, with systems.logistic_step's operations in its order.
+    Both ends must lie in [0, 4] and x0 in [0, 1], and discard must be at
+    least 100 so transients have died before sampling.  A span too narrow
+    for p_steps strictly increasing values of mu raises DomainError, so every
+    mu lies in [p_lo, p_hi] and, by logistic_step's range lemma, every
+    iterate in [0, 1].  Sweeps over MAX_SCAN_ROWS kept rows or
     MAX_SCAN_ITERATES iterates raise GridTooLarge before any allocation.
     """
+    for mu in (p_lo, p_hi):
+        LogisticParams(mu)
+    check_logistic_x0(x0)
     p_steps = check_count(p_steps, "p_steps", 1)
     discard = check_count(discard, "discard", 100)
     keep = check_count(keep, "keep", 1)
-    for name, value in (("p_lo", p_lo), ("p_hi", p_hi), ("x0", x0)):
-        check_real(value, name, "(-inf, inf)")
     if not p_lo < p_hi:
         raise DomainError("need p_lo < p_hi")
     check_cap(p_steps * keep, MAX_SCAN_ROWS, f"{p_steps} parameters x {keep} kept iterates",
@@ -171,29 +170,15 @@ def bifurcation_scan(
     check_cap(max(p_steps, _MIN_LANES) * (discard + keep), MAX_SCAN_ITERATES,
               f"max({p_steps}, {_MIN_LANES}) parameters x {discard + keep} iterates", "iterate")
     params = np.linspace(p_lo, p_hi, p_steps)
+    if not (params[1:] > params[:-1]).all():
+        raise DomainError(f"{p_steps} values of mu from {p_lo!r} to {p_hi!r} are not strictly "
+                          f"increasing in float64")
     kept = np.empty((keep, p_steps), dtype=np.float64)
     x = np.full(p_steps, x0, dtype=np.float64)
-    diverged = None  # (parameter, iterate) of the lowest lane gone non-finite
-    with np.errstate(all="ignore"):
-        for i in range(discard + keep):
-            if i >= discard:
-                kept[i - discard] = x
-            x = family(params, x)
-            if np.shape(x) != params.shape:
-                raise DomainError(f"family returned shape {np.shape(x)}, expected {params.shape}")
-            finite = np.isfinite(x)
-            if not finite.all():
-                lane = int(finite.argmin())
-                diverged = (float(params[lane]), i + 1)
-                if lane == 0:
-                    break
-                # only the lanes before it can still be reported
-                params, x, kept = params[:lane], x[:lane], kept[:, :lane]
-    if diverged is not None:
-        param, index = diverged
-        raise NonFiniteState(
-            f"orbit diverged at parameter {param!r}, iterate {index}", index=index
-        )
+    for i in range(discard + keep):
+        if i >= discard:
+            kept[i - discard] = x
+        x = params * x * (1.0 - x)
     return BifurcationDiagram(params=params, samples=kept.T)
 
 

@@ -91,8 +91,9 @@ def keystream(key: ChaosKey, n: int) -> bytes:
                 f"orbit hit the fixed point {float(before[j])!r} at iterate {step}"
             )
         if done >= 0:  # chunks end where the warmup ends
-            # with mu <= 4 every rounded iterate lies in [0, 1], so the
-            # int64 cast truncates x * 2**32 exactly as int() does
+            # with mu <= 4 every rounded iterate lies in [0, 1] (the range
+            # lemma in systems.logistic_step), so the int64 cast truncates
+            # x * 2**32 exactly as int() does
             out[done : done + m] = (xs * _TWO32).astype(np.int64) & 0xFF
         done += m
     return out.tobytes()

@@ -155,21 +155,9 @@ def _cobweb(args) -> None:
 def _bifurcate(args) -> None:
     from .analysis import bifurcation_scan
     from .formats import write_trajectory_csv
-    from .systems import LogisticParams, check_logistic_x0
 
     lo, hi = _parse_colon(args.mu_range, 2, "--mu-range")
-    for mu in (lo, hi):  # both ends must lie in the logistic map's domain
-        LogisticParams(mu)
-    check_logistic_x0(args.x0)
-    diagram = bifurcation_scan(
-        lambda mu, x: mu * x * (1.0 - x),
-        lo,
-        hi,
-        args.mu_steps,
-        args.x0,
-        args.discard,
-        args.keep,
-    )
+    diagram = bifurcation_scan(lo, hi, args.mu_steps, args.x0, args.discard, args.keep)
     write_trajectory_csv(diagram, args.out)
 
 

@@ -156,7 +156,9 @@ def mandelbrot_grid(
     with |w_N| > threshold; points that never escape within nmax iterations
     carry count nmax.  threshold must be at least 2, the proven escape
     radius.  A grid over DEFAULT_MAX_PIXELS pixels, or over
-    MAX_ESCAPE_ITERATES pixel-iterations, raises GridTooLarge.
+    MAX_ESCAPE_ITERATES pixel-iterations, raises GridTooLarge.  Then a
+    window whose x_values() or y_values() are not strictly increasing, a
+    scale too fine for float64 at its bounds, raises DomainError.
 
     The grid is walked in tiles of whole rows.  Each tile iterates only its
     active pixels, as compacted flat index, z and w arrays, so memory is the
@@ -212,6 +214,10 @@ def mandelbrot_grid(
               f"max({nx}x{ny}, {_MIN_ESCAPE_PIXELS}) pixels x nmax {nmax}", "iteration")
 
     xs, ys = window.x_values(), window.y_values()
+    for axis, values in (("x", xs), ("y", ys)):
+        if not (values[1:] > values[:-1]).all():
+            raise DomainError(f"the window's {axis} values are not strictly increasing: "
+                              f"scale {window.scale!r} is below float64's resolution there")
     counts = np.full((ny, nx), nmax, dtype=np.int32)
     flat_counts = counts.reshape(-1)
     mirrored = np.array_equal(ys, -ys[::-1])

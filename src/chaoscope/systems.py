@@ -73,7 +73,17 @@ class _NoParams:
 
 
 def logistic_step(p: LogisticParams, x: float) -> float:
-    """One iterate mu * x * (1 - x)."""
+    """One iterate mu * x * (1 - x), rounded as fl(fl(mu * x) * fl(1 - x)).
+
+    The range lemma: for mu in [0, 4] and x in [0, 1] the rounded iterate
+    lies in [0, 1].  Both factors are at least 0, and fl(mu * x) <= 4x,
+    since 4x is a float and rounding is monotone.  For x >= 1/2, 1 - x is
+    exact (Sterbenz), so the product is at most 4x(1 - x) <= 1 before its
+    rounding and after it.  For x < 1/2, fl(1 - x) <= 1 - x + 2^-54, so the
+    product is below 4x(1 - x) + 2 * 2^-54 <= 1 + 2^-53 and rounds to at
+    most 1.  bifurcation_scan's lanes and cipher.keystream's byte cast rely
+    on it.
+    """
     return p.mu * x * (1.0 - x)
 
 

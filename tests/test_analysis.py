@@ -1,7 +1,6 @@
 import ast
 import math
 import tracemalloc
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -224,19 +223,19 @@ def _clusters(values, radius=1e-4):
 
 
 def test_bifurcation_scan_attracting_zero():
-    diagram = bifurcation_scan(logistic_family, 0.4, 0.5, 3, 0.3, 500, 10)
+    diagram = bifurcation_scan(0.4, 0.5, 3, 0.3, 500, 10)
     assert np.all(np.abs(diagram.samples) < 1e-6)
 
 
 def test_bifurcation_scan_interior_fixed_point():
-    diagram = bifurcation_scan(logistic_family, 1.99, 2.0, 2, 0.3, 500, 10)
+    diagram = bifurcation_scan(1.99, 2.0, 2, 0.3, 500, 10)
     assert diagram.params[1] == 2.0
     samples = diagram.samples[1]
     assert np.all(np.abs(samples - 0.5) < 1e-9)
 
 
 def test_bifurcation_scan_period_two_cycle():
-    diagram = bifurcation_scan(logistic_family, 3.19999, 3.2, 2, 0.3, 500, 20)
+    diagram = bifurcation_scan(3.19999, 3.2, 2, 0.3, 500, 20)
     assert diagram.params[1] == 3.2
     samples = diagram.samples[1]
     groups = _clusters(samples)
@@ -247,67 +246,21 @@ def test_bifurcation_scan_period_two_cycle():
 
 
 def test_bifurcation_period_doubling_onset():
-    above = bifurcation_scan(logistic_family, 3.02, 3.08, 4, 0.3, 500, 12)
+    above = bifurcation_scan(3.02, 3.08, 4, 0.3, 500, 12)
     for samples in above.samples:
         assert len(_clusters(samples)) == 2
-    below = bifurcation_scan(logistic_family, 2.90, 2.98, 4, 0.3, 500, 12)
+    below = bifurcation_scan(2.90, 2.98, 4, 0.3, 500, 12)
     for samples in below.samples:
         assert len(_clusters(samples)) == 1
 
 
 def test_bifurcation_scan_preconditions():
     with pytest.raises(DomainError):
-        bifurcation_scan(logistic_family, 3.0, 2.0, 5, 0.3, 500, 10)
+        bifurcation_scan(3.0, 2.0, 5, 0.3, 500, 10)
     with pytest.raises(DomainError):
-        bifurcation_scan(logistic_family, 2.0, 3.0, 5, 0.3, 99, 10)
+        bifurcation_scan(2.0, 3.0, 5, 0.3, 99, 10)
     with pytest.raises(DomainError):
-        bifurcation_scan(logistic_family, 2.0, 3.0, 5, 0.3, 500, 0)
-
-
-@pytest.mark.parametrize("family, shape", [
-    (lambda mu, x: 0.5, "()"),
-    (lambda mu, x: x[:1], "(1,)"),
-    (lambda mu, x: np.full((2, 3), 0.5), "(2, 3)"),
-    (lambda mu, x: np.full(4, 0.5), "(4,)"),
-])
-def test_bifurcation_scan_refuses_a_result_of_another_shape(family, shape):
-    # a scalar or one-value result would otherwise broadcast to every lane
-    want = f"family returned shape {shape}, expected (3,)"
-    with pytest.raises(DomainError) as err:
-        bifurcation_scan(family, 2.0, 3.0, 3, 0.3, 100, 5)
-    assert str(err.value) == want
-
-
-@pytest.mark.parametrize(
-    "nan_at, param, index, calls_made",
-    [
-        ({0: 50}, 2.0, 50, 50),  # discard phase of the first parameter
-        ({0: 103}, 2.0, 103, 103),  # keep phase of the first parameter
-        ({1: 7}, 3.0, 7, 105),  # the second parameter, at its own iterate 7
-        ({1: 7, 0: 60}, 2.0, 60, 60),  # sweep order wins over time order
-    ],
-    # the first three ids count calls as the one-parameter-at-a-time loop made
-    # them: NaN at call 112 there is lane 1's iterate 7 here
-    ids=["50-2.0-50", "103-2.0-103", "112-3.0-7", "sweep-order-2.0-60"],
-)
-def test_bifurcation_scan_reports_the_diverging_iterate(nan_at, param, index, calls_made):
-    calls = []
-
-    def family(mu, x):  # the logistic map, with NaN put into lane j at call i
-        calls.append(len(mu))
-        nxt = logistic_family(mu, x)
-        for lane, call in nan_at.items():
-            if len(calls) == call and lane < len(nxt):
-                nxt[lane] = math.nan
-        return nxt
-
-    # 100 discarded + 5 kept iterates: 105 calls, each on every lane still reported
-    with pytest.raises(NonFiniteState) as info:
-        bifurcation_scan(family, 2.0, 3.0, 2, 0.3, 100, 5)
-    assert info.value.index == index
-    want = f"orbit diverged at parameter {param!r}, iterate {index}"
-    assert str(info.value) == want
-    assert len(calls) == calls_made
+        bifurcation_scan(2.0, 3.0, 5, 0.3, 500, 0)
 
 
 def _bits(a):
@@ -322,11 +275,13 @@ def _outcome(fn, *args):
 
 
 # The lane sweep against the per-parameter loop it replaced (conftest's
-# loop_bifurcation_scan): the same bits, or the same error.  Ranges reaching
-# above mu = 4 send orbits out of [0, 1] and on to -inf.
+# loop_bifurcation_scan, run with the scalar logistic family): the same bits,
+# and every sample in [0, 1], the range lemma of systems.logistic_step.  An
+# end of the sweep outside [0, 4], or an x0 outside [0, 1], is refused first,
+# with the text of LogisticParams or check_logistic_x0.
 @settings(max_examples=80, deadline=None)
 @given(
-    lo=st.floats(0.0, 4.6),
+    lo=st.one_of(st.floats(0.0, 4.0), st.floats(-0.5, 4.6)),
     width=st.floats(1e-9, 1.5),
     p_steps=st.integers(1, 40),
     x0=st.one_of(st.floats(0.0, 1.0), st.floats(-0.5, 1.5)),
@@ -334,43 +289,73 @@ def _outcome(fn, *args):
     keep=st.integers(1, 30),
 )
 def test_bifurcation_scan_matches_the_parameter_loop(lo, width, p_steps, x0, discard, keep):
-    args = (logistic_family, lo, lo + width, p_steps, x0, discard, keep)
-    with np.errstate(all="ignore"):
-        want, want_exc = _outcome(loop_bifurcation_scan, *args)
-    got, got_exc = _outcome(bifurcation_scan, *args)
-    if want_exc is not None:
-        assert type(got_exc) is type(want_exc)
-        assert str(got_exc) == str(want_exc)
-        assert getattr(got_exc, "index", None) == getattr(want_exc, "index", None)
+    args = (lo, lo + width, p_steps, x0, discard, keep)
+    refusals = [f"mu must lie in [0, 4], got {mu}" for mu in args[:2] if not 0.0 <= mu <= 4.0]
+    if not 0.0 <= x0 <= 1.0:
+        refusals.append(f"x0 must lie in [0, 1], got {x0}")
+    if refusals:
+        with pytest.raises(DomainError) as err:
+            bifurcation_scan(*args)
+        assert str(err.value) == refusals[0]
         return
-    assert got_exc is None
+    want = loop_bifurcation_scan(logistic_family, *args)
+    got = bifurcation_scan(*args)
     assert got.params.shape == want.params.shape == (p_steps,)
     assert got.samples.shape == want.samples.shape == (p_steps, keep)
     assert np.array_equal(_bits(got.params), _bits(want.params))
     assert np.array_equal(_bits(got.samples), _bits(want.samples))
+    assert ((got.samples >= 0.0) & (got.samples <= 1.0)).all()
 
 
-def test_bifurcation_scan_overflowing_lanes_stay_silent():
-    args = (logistic_family, 3.9, 6.0, 50, 0.3, 100, 5)
-    with np.errstate(all="ignore"):
-        _, want = _outcome(loop_bifurcation_scan, *args)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # an overflow warning would raise here
-        with pytest.raises(NonFiniteState) as info:
+def test_bifurcation_scan_refuses_mu_above_four():
+    # the sweep whose lanes above mu = 4 once ran off to -inf
+    with pytest.raises(DomainError, match=r"^mu must lie in \[0, 4\], got 6.0$"):
+        bifurcation_scan(3.9, 6.0, 50, 0.3, 100, 5)
+
+
+def test_bifurcation_scan_refuses_x0_above_one():
+    # the sweep of `bifurcate --mu-range 2.8:4.0 --x0 1.5`, whose every lane
+    # once ran off to -inf
+    with pytest.raises(DomainError, match=r"^x0 must lie in \[0, 1\], got 1.5$"):
+        bifurcation_scan(2.8, 4.0, 600, 1.5, 500, 100)
+
+
+def test_bifurcation_scan_checks_in_the_command_line_order():
+    # both ends, then x0, then the counts, the order of the ends and the caps
+    cases = [
+        ((-1.0, 5.0, 0, 2.0, 0, 0), DomainError, "mu must lie in [0, 4], got -1.0"),
+        ((3.0, 5.0, 0, 2.0, 0, 0), DomainError, "mu must lie in [0, 4], got 5.0"),
+        ((4.0, 3.0, 0, 2.0, 0, 0), DomainError, "x0 must lie in [0, 1], got 2.0"),
+        ((4.0, 3.0, 0, 0.3, 0, 0), DomainError, "p_steps must be at least 1, got 0"),
+        ((4.0, 3.0, 2, 0.3, 100, 1), DomainError, "need p_lo < p_hi"),
+        ((3.0, 4.0, MAX_SCAN_ROWS + 1, 0.3, 100, 1), GridTooLarge, None),
+    ]
+    for args, kind, text in cases:
+        with pytest.raises(kind) as err:
             bifurcation_scan(*args)
-    assert str(info.value) == str(want)
+        assert text is None or str(err.value) == text
 
 
-def test_bifurcation_scan_from_x0_above_one_diverges_silently():
-    # the sweep of `bifurcate --mu-range 2.8:4.0 --x0 1.5`, which the CLI now
-    # refuses: every lane runs off to -inf, the first in sweep order at
-    # iterate 10, and the error is the only output
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # an overflow warning would raise here
-        with pytest.raises(NonFiniteState) as info:
-            bifurcation_scan(logistic_family, 2.8, 4.0, 600, 1.5, 500, 100)
-    assert str(info.value) == "orbit diverged at parameter 2.8, iterate 10"
-    assert info.value.index == 10
+def _ulps_above(x, k):
+    for _ in range(k):
+        x = math.nextafter(x, math.inf)
+    return x
+
+
+@pytest.mark.parametrize("k", [1, 999])
+def test_bifurcation_scan_refuses_mu_values_that_repeat(k):
+    # k + 1 values of mu over a span of k ulps are each a float apart; one
+    # more and np.linspace repeats a value, so the diagram would hold fewer
+    # distinct mu than rows
+    lo = 3.9
+    hi = _ulps_above(lo, k)
+    diagram = bifurcation_scan(lo, hi, k + 1, 0.3, 100, 1)
+    assert diagram.params[0] == lo and diagram.params[-1] == hi
+    assert (np.diff(diagram.params) > 0).all()
+    with pytest.raises(DomainError) as err:
+        bifurcation_scan(lo, hi, k + 2, 0.3, 100, 1)
+    assert str(err.value) == (f"{k + 2} values of mu from {lo!r} to {hi!r} are not strictly "
+                              f"increasing in float64")
 
 
 def test_bifurcation_scan_keeps_one_float_per_kept_row():
@@ -378,7 +363,7 @@ def test_bifurcation_scan_keeps_one_float_per_kept_row():
     # per kept row, where (parameter, x) rows built from it took 16 more
     tracemalloc.start()
     try:
-        diagram = bifurcation_scan(logistic_family, 2.8, 4.0, 2000, 0.3, 100, 1000)
+        diagram = bifurcation_scan(2.8, 4.0, 2000, 0.3, 100, 1000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -423,12 +408,13 @@ def test_cobweb_refuses_x0_outside_the_unit_interval(x0):
         (1, MAX_SCAN_ITERATES // 512, 1),  # a single lane is charged as 512
     ],
 )
-def test_bifurcation_scan_caps_refuse_before_allocating(p_steps, discard, keep):
-    def family(mu, x):
+def test_bifurcation_scan_caps_refuse_before_allocating(p_steps, discard, keep, monkeypatch):
+    def linspace(*args):  # the sweep's first allocation
         raise AssertionError("the sweep started")
 
+    monkeypatch.setattr(analysis.np, "linspace", linspace)
     with pytest.raises(GridTooLarge):
-        bifurcation_scan(family, 2.8, 4.0, p_steps, 0.3, discard, keep)
+        bifurcation_scan(2.8, 4.0, p_steps, 0.3, discard, keep)
 
 
 def test_divergence_rate_linear_field():

@@ -71,18 +71,14 @@ BIG = np.int64(2**62)
 TINY = c.ComplexWindow(-0.1, 0.1, -0.1, 0.1, 0.1)
 
 
-def _logistic(mu, x):
-    return mu * x * (1.0 - x)
-
-
 @pytest.mark.parametrize(
     "call",
     [
         lambda: c.mandelbrot_grid(TINY, BIG),
         lambda: c.ifs_iterate(c.sierpinski_ifs(), c.BinaryImage.full(4, 4), BIG),
-        lambda: c.bifurcation_scan(_logistic, 3.0, 4.0, BIG, 0.3, 100, 1),
-        lambda: c.bifurcation_scan(_logistic, 3.0, 4.0, 2, 0.3, BIG, 1),
-        lambda: c.bifurcation_scan(_logistic, 3.0, 4.0, 2, 0.3, 100, BIG),
+        lambda: c.bifurcation_scan(3.0, 4.0, BIG, 0.3, 100, 1),
+        lambda: c.bifurcation_scan(3.0, 4.0, 2, 0.3, BIG, 1),
+        lambda: c.bifurcation_scan(3.0, 4.0, 2, 0.3, 100, BIG),
         lambda: c.iterate_map(c.preset("henon").map(None), [0.1, 0.0], BIG),
         lambda: c.cobweb_trace(c.LogisticParams(3.9), 0.2, BIG),
         lambda: c.avalanche_test(c.ChaosKey(3.9, 0.3), BIG, 8),

@@ -316,6 +316,27 @@ def test_bifurcate_refuses_x0_outside_unit_interval_like_cobweb(x0, tmp_path, ru
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, err", [
+    (["bifurcate", "--mu-range", "3.9:3.9000000000000004", "--mu-steps", "1000",
+      "--out", "o.csv"],
+     "chaoscope bifurcate: 1000 values of mu from 3.9 to 3.9000000000000004 are not "
+     "strictly increasing in float64\n"),
+    (["mandelbrot", "--window=-0.75:-0.7499999999999:0.1:0.1000000000001", "--scale", "1e-16",
+      "--out", "o.pgm"],
+     "chaoscope mandelbrot: the window's x values are not strictly increasing: "
+     "scale 1e-16 is below float64's resolution there\n"),
+])
+def test_an_axis_float64_cannot_resolve_exits_2_with_one_line(argv, err, tmp_path, run_cli,
+                                                              capsys, monkeypatch):
+    # a sweep or window whose samples repeat would write rows or columns
+    # that were never the grid the flags ask for
+    monkeypatch.chdir(tmp_path)
+    code, _ = run_cli(argv)
+    assert code == 2
+    assert capsys.readouterr().err == err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_warmup_help_names_the_cipher_cap():
     assert cli._WARMUP_HELP == f"keystream warmup iterates, 256 to {MAX_WARMUP}"
 

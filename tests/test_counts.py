@@ -18,10 +18,6 @@ IMAGE = c.GrayImage.constant(16, 16, 100)
 CODE = c.PifsCode(16, 16, 8, [(0, 0, 0, 32, 10)] * 4)
 
 
-def _logistic(mu, x):
-    return mu * x * (1.0 - x)
-
-
 def _ifs_size(size, tmp_path):
     args = argparse.Namespace(preset="sierpinski", size=size, steps=1, out=str(tmp_path / "o.pgm"))
     cli._ifs(args)
@@ -36,11 +32,11 @@ COUNTS = [
     ("MapOrbit-discarded", lambda v, _: c.MapOrbit(points=[[0.0]], discarded=v), 0),
     ("cobweb_trace-n", lambda v, _: c.cobweb_trace(c.LogisticParams(3.9), 0.2, v), 1),
     ("bifurcation_scan-p_steps",
-     lambda v, _: c.bifurcation_scan(_logistic, 3.0, 4.0, v, 0.3, 100, 1), 1),
+     lambda v, _: c.bifurcation_scan(3.0, 4.0, v, 0.3, 100, 1), 1),
     ("bifurcation_scan-discard",
-     lambda v, _: c.bifurcation_scan(_logistic, 3.0, 4.0, 2, 0.3, v, 1), 100),
+     lambda v, _: c.bifurcation_scan(3.0, 4.0, 2, 0.3, v, 1), 100),
     ("bifurcation_scan-keep",
-     lambda v, _: c.bifurcation_scan(_logistic, 3.0, 4.0, 2, 0.3, 100, v), 1),
+     lambda v, _: c.bifurcation_scan(3.0, 4.0, 2, 0.3, 100, v), 1),
     ("mandelbrot_grid-nmax",
      lambda v, _: c.mandelbrot_grid(c.ComplexWindow(-0.1, 0.1, -0.1, 0.1, 0.1), v), 1),
     ("ifs_iterate-n",

@@ -342,7 +342,7 @@ def _series_rows(series):
                             IntegratorConfig(rel_tol=1e-4, abs_tol=1e-4)),
         lambda: c.iterate_map(c.preset("henon").map(None), [0.1, 0.1], BLOCK + 50, 7),
         lambda: c.cobweb_trace(c.LogisticParams(3.8282), 0.2, 50),
-        lambda: c.bifurcation_scan(lambda mu, x: mu * x * (1.0 - x), 2.8, 4.0, 30, 0.3, 100, 70),
+        lambda: c.bifurcation_scan(2.8, 4.0, 30, 0.3, 100, 70),
         # parameters that differ only in sign, or are NaN or subnormal, with
         # rows of BLOCK - 1 samples, so that each row after the first crosses
         # a block boundary
@@ -363,7 +363,7 @@ def test_series_csv_matches_the_row_writer(tmp_path, make):
 def test_bench_size_diagram_writes_in_bounded_memory(tmp_path):
     # 1000 parameters x 100 kept iterates: a 3.9 MB CSV, which the line-list
     # writer held about three times over (16.4 MiB peak)
-    diagram = c.bifurcation_scan(lambda mu, x: mu * x * (1.0 - x), 2.8, 4.0, 1000, 0.3, 500, 100)
+    diagram = c.bifurcation_scan(2.8, 4.0, 1000, 0.3, 500, 100)
     out = tmp_path / "bif.csv"
     tracemalloc.start()
     try:

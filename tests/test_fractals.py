@@ -183,6 +183,26 @@ def test_mandelbrot_preconditions(monkeypatch):
         mandelbrot_grid(CLASSIC_WINDOW, 50, 4.0)
 
 
+@pytest.mark.parametrize("scale", [2.0**-53, 2.0**-54])
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_escape_grid_refuses_a_pitch_float64_cannot_resolve(axis, scale):
+    # floats next to 0.75 lie 2^-53 apart, so lo + k * 2^-54 repeats values
+    # on an axis that starts there, while the other axis, about 0, resolves
+    lo = -0.75 if axis == "x" else 0.75
+    near, zero = (lo, lo + 4 * scale), (-2 * scale, 2 * scale)
+    window = ComplexWindow(*(near + zero if axis == "x" else zero + near), scale)
+    values = window.x_values() if axis == "x" else window.y_values()
+    if scale == 2.0**-53:
+        assert (np.diff(values) > 0).all()
+        assert mandelbrot_grid(window, 5).counts.shape == (5, 5)
+        return
+    assert not (np.diff(values) > 0).all()
+    with pytest.raises(DomainError) as err:
+        mandelbrot_grid(window, 5)
+    assert str(err.value) == (f"the window's {axis} values are not strictly increasing: "
+                              f"scale {scale!r} is below float64's resolution there")
+
+
 def test_affine_map_contractivity_enforced():
     with pytest.raises(DomainError):
         AffineMap2(np.eye(2), np.zeros(2))

@@ -20,8 +20,14 @@ DECAY = c.preset("linear1d").field((-1.0,))
 WINDOW = (-0.1, 0.1, -0.1, 0.1, 0.1)
 
 
-def _logistic(mu, x):
-    return mu * x * (1.0 - x)
+def _scan(p_lo, p_hi, x0=0.3):
+    """A short logistic sweep.  An end equal to the other end passes the
+    range checks and is refused after them, by the order check."""
+    if p_lo == p_hi:
+        with pytest.raises(DomainError, match=r"^need p_lo < p_hi$"):
+            c.bifurcation_scan(p_lo, p_hi, 2, x0, 100, 1)
+        return
+    c.bifurcation_scan(p_lo, p_hi, 2, x0, 100, 1)
 
 
 def _window(field, v):
@@ -64,12 +70,9 @@ REALS = [
      "delta0", "(0, inf)"),
     ("divergence_rate-t1", lambda v: c.divergence_rate(LORENZ, [1.0, 1.0, 1.0], 1e-8, v),
      "t1", "(0, inf)"),
-    ("bifurcation_scan-p_lo", lambda v: c.bifurcation_scan(_logistic, v, 4.0, 2, 0.3, 100, 1),
-     "p_lo", FINITE),
-    ("bifurcation_scan-p_hi", lambda v: c.bifurcation_scan(_logistic, 3.0, v, 2, 0.3, 100, 1),
-     "p_hi", FINITE),
-    ("bifurcation_scan-x0", lambda v: c.bifurcation_scan(_logistic, 3.0, 4.0, 2, v, 100, 1),
-     "x0", FINITE),
+    ("bifurcation_scan-p_lo", lambda v: _scan(v, 4.0), "mu", "[0, 4]"),
+    ("bifurcation_scan-p_hi", lambda v: _scan(0.0, v), "mu", "[0, 4]"),
+    ("bifurcation_scan-x0", lambda v: _scan(3.0, 4.0, v), "x0", "[0, 1]"),
     *[(f"ComplexWindow-{name}", lambda v, name=name: _window(name, v), name, FINITE)
       for name in ("xmin", "xmax", "ymin", "ymax")],
     ("ComplexWindow-scale", lambda v: _window("scale", v), "scale", "(0, inf)"),

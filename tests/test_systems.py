@@ -1,5 +1,6 @@
 import ast
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +41,32 @@ def test_logistic_step_values():
 
 @given(mu=st.floats(0.0, 4.0), x=st.floats(0.0, 1.0))
 def test_logistic_preserves_unit_interval(mu, x):
+    assert 0.0 <= logistic_step(LogisticParams(mu), x) <= 1.0
+
+
+def test_logistic_range_lemma_at_its_edge():
+    # x = 1/2 - k 2^-54, just below 1/2, where fl(1 - x) may round up and
+    # 4x(1 - x) is within 2^-53 of 1: the edge of the range lemma in
+    # logistic_step's docstring.  The rounded product reaches 1 and no more.
+    x = 0.5 - np.arange(2_000_001) * 2.0**-54
+    at_four = logistic_step(LogisticParams(4.0), x)
+    below_four = logistic_step(LogisticParams(math.nextafter(4.0, 0.0)), x)
+    assert at_four.max() == below_four.max() == 1.0
+    assert at_four.min() >= 0.0 and below_four.min() >= 0.0
+    assert np.mean(at_four == 1.0) > 0.7
+    # at k = 3, fl(1 - x) = 1/2 + 2^-52 rounds up, so the exact product of
+    # the rounded factors passes 1 and only its rounding brings it back
+    x3 = 0.5 - 3 * 2.0**-54
+    assert Fraction(4.0 * x3) * Fraction(1.0 - x3) > 1
+    assert logistic_step(LogisticParams(4.0), x3) == 1.0
+
+
+@given(k=st.integers(0, 2**40), above=st.booleans(), ulps=st.integers(0, 2**30))
+def test_logistic_preserves_unit_interval_near_its_maximum(k, above, ulps):
+    # x on the float grid within 2^-13 of 1/2, on either side, and mu a few
+    # ulps of [2, 4) below 4
+    x = 0.5 + k * 2.0**-53 if above else 0.5 - k * 2.0**-54
+    mu = 4.0 - ulps * 2.0**-51
     assert 0.0 <= logistic_step(LogisticParams(mu), x) <= 1.0
 
 
