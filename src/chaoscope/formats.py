@@ -1,4 +1,5 @@
-"""CSV and PGM serialization shared by the CLI, and the gray image it reads.
+"""CSV and PGM serialization shared by the CLI, the gray image it reads, and
+_Raster, the base that casts and checks the array of every raster record.
 
 All writers go through ``write_bytes_atomic`` (temp file in the destination
 directory, then rename) and are byte-deterministic: floats are printed with
@@ -11,6 +12,7 @@ writing a trajectory, map orbit or divergence report loads no numpy either.
 from __future__ import annotations
 
 import os
+import re
 import tempfile
 from dataclasses import dataclass
 from itertools import chain, count, islice, repeat
@@ -23,41 +25,52 @@ if TYPE_CHECKING:
     import numpy as np
 
     from .analysis import BifurcationDiagram, CobwebTrace, DivergenceReport
-    from .fractals import BinaryImage, EscapeGrid
+    from .fractals import EscapeGrid
     from .integrate import MapOrbit, Trajectory
 
     Series = Union[Trajectory, MapOrbit, CobwebTrace, BifurcationDiagram]
-    Raster = Union[EscapeGrid, GrayImage, BinaryImage]
 
 #: Rows that write_rows_csv formats with one ``%`` operation and writes as
 #: one chunk.
 CSV_BLOCK_ROWS = 1024
 
 
-@dataclass(frozen=True)
-class GrayImage:
-    """8-bit grayscale raster; pixels[0] is the top row."""
-
-    pixels: np.ndarray
+class _Raster:
+    """Base of a frozen dataclass that holds one non-empty 2-D array, in the
+    field that _FIELD names, cast to _DTYPE.  An array of another shape
+    raises _SHAPE_ERROR, and one whose values the cast would change raises
+    _VALUE_ERROR; an array already of _DTYPE is kept as it is.
+    """
 
     def __post_init__(self):
         import numpy as np
 
-        given = np.asarray(self.pixels)
+        given = np.asarray(getattr(self, self._FIELD))
         with np.errstate(invalid="ignore"):  # NaN and +-inf are refused below
-            object.__setattr__(self, "pixels", given.astype(np.uint8, copy=False))
-        if self.pixels.ndim != 2 or self.pixels.size == 0:
-            raise DomainError("pixels must be a non-empty 2-D uint8 array")
-        if self.pixels is not given and not np.array_equal(self.pixels, given):
-            raise DomainError("pixels must be whole numbers in [0, 255]")
+            array = given.astype(self._DTYPE, copy=False)
+        object.__setattr__(self, self._FIELD, array)
+        if array.ndim != 2 or array.size == 0:
+            raise DomainError(self._SHAPE_ERROR)
+        if array is not given and not np.array_equal(array, given):
+            raise DomainError(self._VALUE_ERROR)
 
     @property
     def width(self) -> int:
-        return self.pixels.shape[1]
+        return getattr(self, self._FIELD).shape[1]
 
     @property
     def height(self) -> int:
-        return self.pixels.shape[0]
+        return getattr(self, self._FIELD).shape[0]
+
+
+@dataclass(frozen=True)
+class GrayImage(_Raster):
+    """8-bit grayscale raster; pixels[0] is the top row."""
+
+    _FIELD, _DTYPE = "pixels", "uint8"
+    _SHAPE_ERROR = "pixels must be a non-empty 2-D uint8 array"
+    _VALUE_ERROR = "pixels must be whole numbers in [0, 255]"
+    pixels: np.ndarray
 
     @classmethod
     def constant(cls, width: int, height: int, value: int) -> "GrayImage":
@@ -190,7 +203,7 @@ def _escape_to_bytes(grid: EscapeGrid) -> np.ndarray:
     return scaled.astype(np.uint8)[grid.counts - 1]
 
 
-def write_pgm(raster: Raster, path) -> None:
+def write_pgm(raster: _Raster, path) -> None:
     """Write a binary PGM (P5, maxval 255); row 0 of the file is the top.
 
     Escape grids are scaled count -> round(255*(count-1)/(nmax-1)) and
@@ -224,24 +237,17 @@ def read_pgm(path) -> GrayImage:
 
     data = Path(path).read_bytes()
     pos = 0
+    # the next token after any whitespace and # comments, which run to the
+    # end of their line; on bytes \s is the six ASCII bytes of bytes.isspace
+    next_token = re.compile(rb"(?:\s+|#[^\n]*)*(\S*)").match
 
     def token():
         nonlocal pos
-        while pos < len(data):
-            c = data[pos : pos + 1]
-            if c == b"#":
-                while pos < len(data) and data[pos : pos + 1] != b"\n":
-                    pos += 1
-            elif c.isspace():
-                pos += 1
-            else:
-                break
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
+        match = next_token(data, pos)
+        pos = match.end()
+        if not match[1]:
             raise FormatError("unexpected end of PGM header")
-        return data[start:pos]
+        return match[1]
 
     def number():
         text = token()

@@ -19,6 +19,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .errors import DomainError, EmptyImage, check_cap, check_count, check_real
+from .formats import _Raster
 from .integrate import _slope
 
 #: Refuse to allocate escape grids beyond this many pixels.  The tiled
@@ -113,22 +114,19 @@ def _axis_samples(lo: float, hi: float, scale: float) -> int:
 
 
 @dataclass(frozen=True)
-class EscapeGrid:
+class EscapeGrid(_Raster):
     """Escape iteration counts; rows follow the imaginary axis ascending."""
 
+    _FIELD, _DTYPE = "counts", "int32"
+    _SHAPE_ERROR = "counts must be a non-empty 2-D array"
+    _VALUE_ERROR = "escape counts must be whole numbers"
     counts: np.ndarray
     nmax: int
     threshold: float
     window: ComplexWindow
 
     def __post_init__(self):
-        given = np.asarray(self.counts)
-        with np.errstate(invalid="ignore"):  # NaN and +-inf are refused below
-            object.__setattr__(self, "counts", given.astype(np.int32, copy=False))
-        if self.counts.ndim != 2 or self.counts.size == 0:
-            raise DomainError("counts must be a non-empty 2-D array")
-        if self.counts is not given and not np.array_equal(self.counts, given):
-            raise DomainError("escape counts must be whole numbers")
+        super().__post_init__()
         if not (self.counts.min() >= 1 and self.counts.max() <= self.nmax):
             raise DomainError("escape counts must lie in [1, nmax]")
 
@@ -163,7 +161,12 @@ def mandelbrot_grid(
     The grid is walked in tiles of whole rows.  Each tile iterates only its
     active pixels, as compacted flat index, z and w arrays, so memory is the
     int32 counts plus O(tile) and the work follows the useful iterations.
-    Every active pixel sees the same float operations as a full-grid update.
+    Every active pixel sees the same float operations as a full-grid update,
+    on the condition that w is squared out of place.  On an AVX-512 CPU,
+    numpy 2.4.6 squares a one-element complex array into itself (np.square
+    or np.multiply with out=w) by a non-FMA loop, and an array of any other
+    length, or any square out of place, by the FMA loop; a pixel that is
+    the only live one in its array would get other bits.
     Two kinds of pixel are never iterated, and neither changes a count:
 
     Mirrored rows.  When the imaginary samples satisfy ys == -ys[::-1]
@@ -233,11 +236,10 @@ def mandelbrot_grid(
             continue
         z = (xs[None, :] + 1j * ys[r0:r1, None]).ravel()[outside]
         w = np.zeros_like(z)
-        modulus = np.empty(live)
         for n in range(1, nmax + 1):
-            np.square(w, out=w)
+            w = np.square(w)
             w += z
-            out = np.flatnonzero(np.abs(w, out=modulus[: len(w)]) > threshold)
+            out = np.flatnonzero(np.abs(w) > threshold)
             if len(out):
                 flat_counts[idx[out]] = n
                 live -= len(out)
@@ -314,26 +316,13 @@ IFS_PRESETS = {"sierpinski": sierpinski_ifs}
 
 
 @dataclass(frozen=True)
-class BinaryImage:
+class BinaryImage(_Raster):
     """Boolean raster over the unit square; row j covers y in [j/h, (j+1)/h)."""
 
+    _FIELD, _DTYPE = "bits", "bool"
+    _SHAPE_ERROR = "bits must be a non-empty 2-D boolean array"
+    _VALUE_ERROR = "bits must be 0 or 1"
     bits: np.ndarray
-
-    def __post_init__(self):
-        given = np.asarray(self.bits)
-        object.__setattr__(self, "bits", given.astype(bool, copy=False))
-        if self.bits.ndim != 2 or self.bits.size == 0:
-            raise DomainError("bits must be a non-empty 2-D boolean array")
-        if self.bits is not given and not np.array_equal(self.bits, given):
-            raise DomainError("bits must be 0 or 1")
-
-    @property
-    def width(self) -> int:
-        return self.bits.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.bits.shape[0]
 
     @classmethod
     def full(cls, width: int, height: int) -> "BinaryImage":

@@ -138,16 +138,25 @@ def test_binary_image_pgm(tmp_path):
     assert payload == bytes([0, 0, 0, 255, 0, 0])
 
 
-@pytest.mark.parametrize("make", [
-    lambda: c.GrayImage(pixels=np.array([[256, -1]])),
-    lambda: c.GrayImage(pixels=np.array([[0.5, 1.0, 254.9]])),
-    lambda: c.GrayImage(pixels=np.array([[np.nan, np.inf]])),
-    lambda: c.GrayImage(pixels=[[256]]),
-    lambda: c.GrayImage.constant(2, 2, 300),
-    lambda: c.GrayImage.constant(2, 2, 2.5),
-], ids=["wrapping-ints", "fractions", "nan-inf", "list", "constant-300", "constant-2.5"])
-def test_gray_image_refuses_values_its_cast_would_change(make):
-    with pytest.raises(DomainError, match=r"^pixels must be whole numbers in \[0, 255\]$"):
+_PIXEL_VALUES = r"^pixels must be whole numbers in \[0, 255\]$"
+_PIXEL_SHAPE = r"^pixels must be a non-empty 2-D uint8 array$"
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: c.GrayImage(pixels=np.array([[256, -1]])), _PIXEL_VALUES),
+    (lambda: c.GrayImage(pixels=np.array([[0.5, 1.0, 254.9]])), _PIXEL_VALUES),
+    (lambda: c.GrayImage(pixels=np.array([[np.nan, np.inf]])), _PIXEL_VALUES),
+    (lambda: c.GrayImage(pixels=[[256]]), _PIXEL_VALUES),
+    (lambda: c.GrayImage.constant(2, 2, 300), _PIXEL_VALUES),
+    (lambda: c.GrayImage.constant(2, 2, 2.5), _PIXEL_VALUES),
+    (lambda: c.GrayImage(pixels=np.empty((0, 3), dtype=np.uint8)), _PIXEL_SHAPE),
+    (lambda: c.GrayImage.constant(0, 2, 7), _PIXEL_SHAPE),
+    (lambda: c.GrayImage(pixels=[1, 2]), _PIXEL_SHAPE),
+    (lambda: c.GrayImage(pixels=[[[300]]]), _PIXEL_SHAPE),  # the shape is tested first
+], ids=["wrapping-ints", "fractions", "nan-inf", "list", "constant-300", "constant-2.5",
+        "no-rows", "no-columns", "1-d", "3-d"])
+def test_gray_image_refuses_values_its_cast_would_change(make, message):
+    with pytest.raises(DomainError, match=message):
         make()
 
 
@@ -195,11 +204,13 @@ def test_pgm_reader_rejects_bad_input(tmp_path):
     b"+0002 10 255",
     b"2 -10 255",
     b"2 \xd9\xa3 255",  # a non-ASCII digit
+    b"2#c 1 255",  # a comment starts only after whitespace
 ])
 def test_pgm_reader_refuses_header_numbers_that_are_not_decimal_digits(tmp_path, header):
     f = tmp_path / "bad.pgm"
     f.write_bytes(b"P5\n" + header + b"\n" + bytes(20))
-    with pytest.raises(FormatError, match=r"^malformed PGM header: b'.*' is not a decimal"):
+    with pytest.raises(FormatError,
+                       match=r"^malformed PGM header: b'.*' is not a decimal number$"):
         read_pgm(f)
 
 
@@ -207,6 +218,50 @@ def test_pgm_reader_reads_decimal_header_numbers_with_leading_zeros(tmp_path):
     f = tmp_path / "zeros.pgm"
     f.write_bytes(b"P5\n002 #c\n01\n0255\n\x07\x09")
     assert read_pgm(f).pixels.tolist() == [[7, 9]]
+
+
+_PGM_SPACE = st.lists(st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"]),
+                      min_size=1, max_size=3).map(b"".join)
+_PGM_COMMENT = st.binary(max_size=8).map(lambda text: b"#" + text.replace(b"\n", b"") + b"\n")
+_PGM_FILLER = st.lists(st.one_of(_PGM_SPACE, _PGM_COMMENT), max_size=3).map(b"".join)
+# a token ends at whitespace, so a comment after one needs whitespace first
+_PGM_SEPARATOR = st.tuples(_PGM_SPACE, _PGM_FILLER).map(b"".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    lead=_PGM_FILLER,
+    seps=st.tuples(_PGM_SEPARATOR, _PGM_SEPARATOR, _PGM_SEPARATOR),
+    last=st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"]),
+    width=st.integers(1, 6),
+    height=st.integers(1, 6),
+    zeros=st.integers(0, 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pgm_reader_skips_any_whitespace_and_comments_between_fields(
+    tmp_path_factory, lead, seps, last, width, height, zeros, seed
+):
+    # exactly one whitespace byte ends the header; the payload follows it
+    pixels = np.random.default_rng(seed).integers(0, 256, size=(height, width), dtype=np.uint8)
+    fields = [b"P5", b"%d" % width, b"%d" % height, b"0" * zeros + b"255"]
+    header = lead + b"".join(f + sep for f, sep in zip(fields, seps)) + fields[-1] + last
+    f = tmp_path_factory.mktemp("pgm") / "spaced.pgm"
+    f.write_bytes(header + pixels.tobytes())
+    img = read_pgm(f)
+    assert (img.width, img.height) == (width, height)
+    assert np.array_equal(img.pixels, pixels)
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"P5\n2 1\n# a comment to the end",
+     r"^malformed PGM header: unexpected end of PGM header$"),
+    (b" # nothing but a comment", r"^unexpected end of PGM header$"),
+], ids=["in-the-numbers", "before-the-magic"])
+def test_pgm_reader_refuses_a_comment_that_runs_to_the_end(tmp_path, data, message):
+    f = tmp_path / "bad.pgm"
+    f.write_bytes(data)
+    with pytest.raises(FormatError, match=message):
+        read_pgm(f)
 
 
 def test_writers_leave_no_temp_files(tmp_path):

@@ -111,17 +111,40 @@ def test_escape_grid_keeps_int32_counts_and_casts_exact_values():
     assert cast.dtype == np.int32 and cast.tolist() == [[1, 2]]
 
 
-@pytest.mark.parametrize("counts", [np.empty((0, 3)), np.empty((3, 0)), [1, 2], [[[1]]]])
-def test_escape_grid_refuses_counts_no_pgm_can_hold(counts):
-    # an empty grid would write a 0x0 PGM, which read_pgm refuses
-    with pytest.raises(DomainError, match=r"^counts must be a non-empty 2-D array$"):
+_COUNT_SHAPE = r"^counts must be a non-empty 2-D array$"
+_COUNT_RANGE = r"^escape counts must lie in \[1, nmax\]$"
+
+
+@pytest.mark.parametrize("counts, message", [
+    (np.empty((0, 3)), _COUNT_SHAPE),
+    (np.empty((3, 0)), _COUNT_SHAPE),
+    ([1, 2], _COUNT_SHAPE),
+    ([[[1]]], _COUNT_SHAPE),
+    ([[1, 0, 5]], _COUNT_RANGE),
+    ([[1, 6, 5]], _COUNT_RANGE),
+    (np.array([[-2**31]]), _COUNT_RANGE),
+], ids=["counts0", "counts1", "counts2", "counts3", "zero", "above-nmax", "int32-min"])
+def test_escape_grid_refuses_counts_no_pgm_can_hold(counts, message):
+    # an empty grid would write a 0x0 PGM, which read_pgm refuses, and a
+    # count outside [1, nmax] has no gray level
+    with pytest.raises(DomainError, match=message):
         EscapeGrid(counts=counts, nmax=5, threshold=4.0, window=CLASSIC_WINDOW)
 
 
-@pytest.mark.parametrize("bad", [0.5, math.nan, 7, math.inf, -1, 2])
-def test_binary_image_refuses_bits_its_cast_would_change(bad):
-    with pytest.raises(DomainError, match=r"^bits must be 0 or 1$"):
-        BinaryImage(bits=[[0.0, bad, 1.0]])
+_BITS_VALUES = r"^bits must be 0 or 1$"
+_BITS_SHAPE = r"^bits must be a non-empty 2-D boolean array$"
+
+
+@pytest.mark.parametrize("bits, message", [
+    *[([[0.0, bad, 1.0]], _BITS_VALUES) for bad in (0.5, math.nan, 7, math.inf, -1, 2)],
+    (np.empty((0, 3), dtype=bool), _BITS_SHAPE),
+    (np.empty((3, 0)), _BITS_SHAPE),
+    ([True, False], _BITS_SHAPE),
+    ([[[2]]], _BITS_SHAPE),  # the shape is tested first
+], ids=["0.5", "nan", "7", "inf", "-1", "2", "no-rows", "no-columns", "1-d", "3-d"])
+def test_binary_image_refuses_bits_its_cast_would_change(bits, message):
+    with pytest.raises(DomainError, match=message):
+        BinaryImage(bits=bits)
 
 
 def test_binary_image_keeps_bool_bits_and_casts_zeros_and_ones():
@@ -511,6 +534,10 @@ def test_escape_grid_matches_full_grid_across_the_skipped_regions_edge(name):
     mirrored=st.booleans(),
     nmax=st.integers(1, 2000),
 )
+# after iterate 117 pixel (4, 17) is the only live one in its tile; squared
+# in place, it got count 1406 where the full grid gives 1407
+@example(edge=0.25 + 0j, offset=(0.0, 0.4225116689038404), scale=0.004100583887525776,
+         nx=19, ny=12, mirrored=False, nmax=1407)
 def test_escape_grid_matches_full_grid_on_windows_straddling_a_region_edge(
     edge, offset, scale, nx, ny, mirrored, nmax
 ):
