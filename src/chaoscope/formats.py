@@ -2,8 +2,10 @@
 _Raster, the base that casts and checks the array of every raster record.
 
 All writers go through ``write_bytes_atomic`` (temp file in the destination
-directory, then rename) and are byte-deterministic: floats are printed with
-17 significant digits, which round-trips IEEE doubles exactly, and lines
+directory, then rename) and are byte-deterministic: every CSV value prints
+with ``%.17g``, which round-trips IEEE doubles exactly, unless the writer
+states its row format (a map orbit's iterate index prints with ``%d``, and a
+bifurcation diagram repeats its parameter's ``%.17g`` text), and lines
 always end with LF.  The writers import the result types they dispatch on,
 and numpy, only when called, so loading this module loads no computation;
 writing a trajectory, map orbit or divergence report loads no numpy either.
@@ -103,39 +105,26 @@ def write_bytes_atomic(path, data: Union[bytes, Iterable[bytes]]) -> None:
         raise
 
 
-def _field_format(value) -> str:
-    if isinstance(value, int):
-        return "%d"
-    return "%s" if isinstance(value, str) else "%.17g"
-
-
 def _csv_chunks(header: Sequence[str], rows: Iterable[Sequence],
                 fmt: Optional[str] = None) -> Iterator[bytes]:
+    width = len(header)
+    fmt = fmt or ",".join(["%.17g"] * width) + "\n"
     yield (",".join(header) + "\n").encode("utf-8")
     rows = iter(rows)
-    first = next(rows, None)
-    if first is None:
-        return
-    fmt = fmt or ",".join(map(_field_format, first)) + "\n"
-    width = len(first)
-    block = [first, *islice(rows, CSV_BLOCK_ROWS - 1)]
-    while block:
+    while block := list(islice(rows, CSV_BLOCK_ROWS)):
         if any(n != width for n in map(len, block)):
-            raise TypeError(f"every CSV row needs {width} fields, like the first")
+            raise TypeError(f"every CSV row needs {width} fields, one per header column")
         yield ((fmt * len(block)) % tuple(chain.from_iterable(block))).encode("utf-8")
-        block = list(islice(rows, CSV_BLOCK_ROWS))
 
 
 def write_rows_csv(path, header: Sequence[str], rows: Iterable[Sequence],
                    fmt: Optional[str] = None) -> None:
-    """Write a generic CSV with 17-significant-digit numeric fields.
+    """Write a generic CSV whose values print with ``%.17g``.
 
-    A Python int prints as an integer, a str as itself and any other value
-    as a float with 17 significant digits.  Every row must have the length
-    and the column kinds of the first, whose values fix the one format
-    string of all rows, unless fmt gives it (a ``%`` format of one row and
-    its newline); rows are formatted and written CSV_BLOCK_ROWS at a time,
-    so the text is never held whole.
+    Every row has one field per header column, or TypeError is raised and
+    no file is left.  fmt, when given, is the ``%`` format of one row and
+    its newline, and replaces ``%.17g`` in every column; rows are formatted
+    and written CSV_BLOCK_ROWS at a time, so the text is never held whole.
     """
     write_bytes_atomic(path, _csv_chunks(header, rows, fmt))
 
@@ -151,17 +140,17 @@ def write_trajectory_csv(series: Series, path) -> None:
     """
     from .integrate import MapOrbit, Trajectory
 
-    fmt = None  # each column's format from the first row's values
+    fmt = None  # "%.17g" in every column
     if isinstance(series, (Trajectory, MapOrbit)):
-        # rows are read in place from the flat floats, in fixed formats
+        # rows are read in place from the flat floats
         names = [f"x{i}" for i in range(series.dimension)]
         values = iter(series._flat())
         if isinstance(series, Trajectory):
-            header, first, rows = ["t"] + names, "%.17g", zip(*[values] * (len(names) + 1))
+            header, rows = ["t"] + names, zip(*[values] * (len(names) + 1))
         else:
-            header, first = ["n"] + names, "%d"
+            # the absolute iterate index prints as an integer
+            header, fmt = ["n"] + names, "%d" + ",%.17g" * len(names) + "\n"
             rows = zip(count(series.discarded), *[values] * len(names))
-        fmt = ",".join([first] + ["%.17g"] * len(names)) + "\n"
     else:
         # only the commands that make these types load analysis
         from .analysis import BifurcationDiagram, CobwebTrace
@@ -174,6 +163,7 @@ def write_trajectory_csv(series: Series, path) -> None:
             # row of samples; both columns stream, the samples a block at a
             # time in row order, so memory stays flat whatever the shape
             texts = map("%.17g".__mod__, series.params)
+            fmt = "%s,%.17g\n"
             flat, keep = series.samples.flat, series.samples.shape[1]
             rows = zip(chain.from_iterable(map(repeat, texts, repeat(keep))),
                        chain.from_iterable(flat[k : k + CSV_BLOCK_ROWS].tolist()
@@ -187,7 +177,7 @@ def write_divergence_csv(report: DivergenceReport, path) -> None:
     """Time / log-separation pairs with an x,y header, read in place from the
     report's flat list of floats."""
     values = iter(report._flat())
-    write_rows_csv(path, ["x", "y"], zip(values, values), "%.17g,%.17g\n")
+    write_rows_csv(path, ["x", "y"], zip(values, values))
 
 
 def _escape_to_bytes(grid: EscapeGrid) -> np.ndarray:
@@ -232,14 +222,16 @@ def write_pgm(raster: _Raster, path) -> None:
 def read_pgm(path) -> GrayImage:
     """Read a binary PGM with maxval 255 into a GrayImage.  Its header numbers
     are ASCII decimal digits, as Netpbm allows; a sign, an underscore or a
-    non-ASCII digit raises FormatError."""
+    non-ASCII digit raises FormatError.  As in libnetpbm's pm_getc, a ``#``
+    anywhere in the header starts a comment, which reads as the CR or LF
+    that ends it; after maxval, that byte is the one before the raster."""
     import numpy as np
 
     data = Path(path).read_bytes()
     pos = 0
-    # the next token after any whitespace and # comments, which run to the
-    # end of their line; on bytes \s is the six ASCII bytes of bytes.isspace
-    next_token = re.compile(rb"(?:\s+|#[^\n]*)*(\S*)").match
+    # the next token after any whitespace and comments; on bytes \s is the
+    # six ASCII bytes of bytes.isspace
+    next_token = re.compile(rb"(?:\s+|#[^\r\n]*)*([^\s#]*)").match
 
     def token():
         nonlocal pos
@@ -252,19 +244,18 @@ def read_pgm(path) -> GrayImage:
     def number():
         text = token()
         if not text.isdigit():  # bytes.isdigit: ASCII 0-9 only
-            raise ValueError(f"{text!r} is not a decimal number")
+            raise FormatError(f"malformed PGM header: {text!r} is not a decimal number")
         return int(text)
 
     if token() != b"P5":
         raise FormatError("only binary PGM (P5) is supported")
-    try:
-        width, height, maxval = number(), number(), number()
-    except ValueError as exc:
-        raise FormatError(f"malformed PGM header: {exc}") from None
+    width, height, maxval = number(), number(), number()
     if width < 1 or height < 1:
         raise FormatError(f"PGM size {width}x{height} is not positive")
     if maxval != 255:
         raise FormatError(f"unsupported maxval {maxval} (need 255)")
+    # a comment glued to maxval runs to the CR or LF before the raster
+    pos = re.compile(rb"(?:#[^\r\n]*)?").match(data, pos).end()
     pos += 1  # exactly one whitespace byte separates header from payload
     payload = data[pos : pos + width * height]
     if len(payload) != width * height:

@@ -204,7 +204,6 @@ def test_pgm_reader_rejects_bad_input(tmp_path):
     b"+0002 10 255",
     b"2 -10 255",
     b"2 \xd9\xa3 255",  # a non-ASCII digit
-    b"2#c 1 255",  # a comment starts only after whitespace
 ])
 def test_pgm_reader_refuses_header_numbers_that_are_not_decimal_digits(tmp_path, header):
     f = tmp_path / "bad.pgm"
@@ -212,6 +211,19 @@ def test_pgm_reader_refuses_header_numbers_that_are_not_decimal_digits(tmp_path,
     with pytest.raises(FormatError,
                        match=r"^malformed PGM header: b'.*' is not a decimal number$"):
         read_pgm(f)
+
+
+@pytest.mark.parametrize("header", [
+    b"P5\n# c\r2 1\n255\n",  # a comment ends at a CR too
+    b"P5\n2#c\n1 255\n",  # a comment may start right after a number
+    b"P5\n2 1\n255#c\n",  # ... after maxval too, where its LF ends the header
+])
+def test_pgm_reader_follows_netpbms_comment_rule(tmp_path, header):
+    # libnetpbm's pm_getc: a # anywhere in the header starts a comment, and
+    # the CR or LF that ends it stands in its place
+    f = tmp_path / "netpbm.pgm"
+    f.write_bytes(header + b"\x07\x09")
+    assert read_pgm(f).pixels.tolist() == [[7, 9]]
 
 
 def test_pgm_reader_reads_decimal_header_numbers_with_leading_zeros(tmp_path):
@@ -222,17 +234,19 @@ def test_pgm_reader_reads_decimal_header_numbers_with_leading_zeros(tmp_path):
 
 _PGM_SPACE = st.lists(st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"]),
                       min_size=1, max_size=3).map(b"".join)
-_PGM_COMMENT = st.binary(max_size=8).map(lambda text: b"#" + text.replace(b"\n", b"") + b"\n")
+# a comment runs to a CR or an LF, and may follow a token with no whitespace
+_PGM_COMMENT = st.tuples(st.binary(max_size=8), st.sampled_from([b"\n", b"\r"])).map(
+    lambda parts: b"#" + parts[0].replace(b"\n", b"").replace(b"\r", b"") + parts[1])
 _PGM_FILLER = st.lists(st.one_of(_PGM_SPACE, _PGM_COMMENT), max_size=3).map(b"".join)
-# a token ends at whitespace, so a comment after one needs whitespace first
-_PGM_SEPARATOR = st.tuples(_PGM_SPACE, _PGM_FILLER).map(b"".join)
+_PGM_SEPARATOR = st.lists(st.one_of(_PGM_SPACE, _PGM_COMMENT), min_size=1, max_size=3).map(
+    b"".join)
 
 
 @settings(max_examples=200, deadline=None)
 @given(
     lead=_PGM_FILLER,
     seps=st.tuples(_PGM_SEPARATOR, _PGM_SEPARATOR, _PGM_SEPARATOR),
-    last=st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"]),
+    last=st.one_of(st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"]), _PGM_COMMENT),
     width=st.integers(1, 6),
     height=st.integers(1, 6),
     zeros=st.integers(0, 2),
@@ -241,7 +255,8 @@ _PGM_SEPARATOR = st.tuples(_PGM_SPACE, _PGM_FILLER).map(b"".join)
 def test_pgm_reader_skips_any_whitespace_and_comments_between_fields(
     tmp_path_factory, lead, seps, last, width, height, zeros, seed
 ):
-    # exactly one whitespace byte ends the header; the payload follows it
+    # exactly one whitespace byte ends the header, or the CR or LF of a
+    # comment on maxval; the payload follows it
     pixels = np.random.default_rng(seed).integers(0, 256, size=(height, width), dtype=np.uint8)
     fields = [b"P5", b"%d" % width, b"%d" % height, b"0" * zeros + b"255"]
     header = lead + b"".join(f + sep for f, sep in zip(fields, seps)) + fields[-1] + last
@@ -253,8 +268,7 @@ def test_pgm_reader_skips_any_whitespace_and_comments_between_fields(
 
 
 @pytest.mark.parametrize("data, message", [
-    (b"P5\n2 1\n# a comment to the end",
-     r"^malformed PGM header: unexpected end of PGM header$"),
+    (b"P5\n2 1\n# a comment to the end", r"^unexpected end of PGM header$"),
     (b" # nothing but a comment", r"^unexpected end of PGM header$"),
 ], ids=["in-the-numbers", "before-the-magic"])
 def test_pgm_reader_refuses_a_comment_that_runs_to_the_end(tmp_path, data, message):
@@ -268,6 +282,19 @@ def test_writers_leave_no_temp_files(tmp_path):
     out = tmp_path / "x.csv"
     write_rows_csv(out, ["a", "b"], [[1.0, 2.0]])
     assert [p.name for p in tmp_path.iterdir()] == ["x.csv"]
+
+
+def test_csv_values_print_with_17_significant_digits_by_default(tmp_path):
+    # an int is a value like any other: no column takes a format from its type
+    out = tmp_path / "v.csv"
+    write_rows_csv(out, ["a", "b", "c"], [[7, 2**62, 0.5], [-3, 2**53 + 1, 1]])
+    assert out.read_text() == "a,b,c\n7,4.6116860184273879e+18,0.5\n-3,9007199254740992,1\n"
+
+
+def test_csv_refuses_rows_wider_than_the_header_and_leaves_no_file(tmp_path):
+    with pytest.raises(TypeError):
+        write_rows_csv(tmp_path / "rows.csv", ["a", "b"], [[1.0, 2.0, 3.0]] * 3)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_csv_17_digit_roundtrip_format(tmp_path):
@@ -304,8 +331,9 @@ def test_atomic_write_cleans_up_and_keeps_the_umask_mode(tmp_path):
 
 # The block writer against the line-list writer it replaced (conftest's
 # row_csv_text): the same bytes for int, float and str columns, at and around
-# the block size.  A str column carries the "%.17g" text of floats, so its
-# expected bytes are the oracle's on those floats.
+# the block size, with the row format each kind states.  A str column carries
+# the "%.17g" text of floats, so its expected bytes are the oracle's on those
+# floats.
 
 BLOCK = CSV_BLOCK_ROWS
 _SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.2250738585072e-308,
@@ -332,8 +360,9 @@ def test_block_csv_matches_the_line_writer(tmp_path_factory, kinds, n, seed):
     columns = [_random_column(k, n, rng) for k in kinds]
     shown = [["%.17g" % v for v in col] if k == "str" else col for k, col in zip(kinds, columns)]
     header = [f"c{i}" for i in range(len(kinds))]
+    fmt = ",".join({"int": "%d", "str": "%s", "float": "%.17g"}[k] for k in kinds) + "\n"
     out = tmp_path_factory.mktemp("csv") / "rows.csv"
-    write_rows_csv(out, header, zip(*shown))
+    write_rows_csv(out, header, zip(*shown), fmt)
     assert out.read_bytes() == row_csv_text(header, zip(*columns)).encode("utf-8")
 
 
@@ -349,7 +378,7 @@ def test_block_csv_refuses_a_row_of_another_length(tmp_path, bad):
     rows = [[float(i), -float(i)] for i in range(2 * BLOCK + 7)]
     for i, width in bad.items():
         rows[i] = rows[i][:1] if width == 1 else rows[i] + [7.0]
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match=r"^every CSV row needs 2 fields, one per header column$"):
         write_rows_csv(tmp_path / "rows.csv", ["a", "b"], rows)
     assert list(tmp_path.iterdir()) == []
 
