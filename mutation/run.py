@@ -9,9 +9,11 @@ directory, and its tests run against that copy in a pytest child with
 so that no Hypothesis database carries a failing example from one run into
 the next.  Before any mutant, every selected test must pass on an unedited
 copy.  A mutant is killed when its child fails a test or cannot import the
-mutated program (pytest exits 1 or 2); it survives when the child passes.
-A record whose old text is not found exactly once, or whose tests pytest
-cannot select, fails the run, and so does a surviving mutant.
+mutated program (pytest exits 1 or 2); it survives when the child passes,
+unless its record's ``platform`` test says this platform cannot tell it
+apart, and then it is equivalent here.  A record whose old text is not
+found exactly once, or whose tests pytest cannot select, fails the run,
+and so does a surviving mutant.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from mutants import MUTANTS, Mutant
 
 ROOT = Path(__file__).resolve().parents[1]
 
-KILLED, SURVIVED = "killed", "survived"
+KILLED, SURVIVED, EQUIVALENT = "killed", "survived", "equivalent here"
 
 
 class GateError(Exception):
@@ -65,7 +67,7 @@ def judge(mutant: Mutant) -> str:
     if code in (1, 2):  # a test failed, or collection failed on the mutated copy
         return KILLED
     if code == 0:
-        return SURVIVED
+        return SURVIVED if mutant.platform() else EQUIVALENT
     raise GateError(f"{mutant.name}: pytest exited {code} on {' '.join(mutant.tests)}")
 
 
@@ -86,18 +88,17 @@ def main(argv: Sequence[str]) -> int:
     start = time.perf_counter()
     try:
         check_baseline(chosen)
-        survivors = []
+        verdicts = []
         for mutant in chosen:
-            verdict = judge(mutant)
-            print(f"{verdict:8} {mutant.name}", flush=True)
-            if verdict == SURVIVED:
-                survivors.append(mutant.name)
+            verdicts.append(judge(mutant))
+            print(f"{verdicts[-1]:15} {mutant.name}", flush=True)
     except GateError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(f"{len(chosen) - len(survivors)} of {len(chosen)} killed "
+    print(f"{verdicts.count(KILLED)} killed, {verdicts.count(EQUIVALENT)} equivalent "
+          f"here, {verdicts.count(SURVIVED)} survived, of {len(chosen)}, "
           f"in {time.perf_counter() - start:.1f} s")
-    return 1 if survivors else 0
+    return 1 if SURVIVED in verdicts else 0
 
 
 if __name__ == "__main__":

@@ -245,7 +245,10 @@ def read_pgm(path) -> GrayImage:
         text = token()
         if not text.isdigit():  # bytes.isdigit: ASCII 0-9 only
             raise FormatError(f"malformed PGM header: {text!r} is not a decimal number")
-        return int(text)
+        try:
+            return int(text)
+        except ValueError as exc:  # more digits than sys.get_int_max_str_digits()
+            raise FormatError(f"malformed PGM header: {exc}") from None
 
     if token() != b"P5":
         raise FormatError("only binary PGM (P5) is supported")

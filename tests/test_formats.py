@@ -232,6 +232,20 @@ def test_pgm_reader_reads_decimal_header_numbers_with_leading_zeros(tmp_path):
     assert read_pgm(f).pixels.tolist() == [[7, 9]]
 
 
+@pytest.mark.parametrize("header", [
+    b"1" * 5000 + b" 1 255",
+    b"2 " + b"0" * 4400 + b"1 255",  # a zero-padded size past int()'s digit limit
+    b"2 1 " + b"9" * 4301,
+], ids=["width", "zero-padded-height", "maxval"])
+def test_pgm_reader_refuses_header_numbers_of_too_many_digits(tmp_path, header):
+    # int() raises a plain ValueError past sys.get_int_max_str_digits() digits
+    f = tmp_path / "long.pgm"
+    f.write_bytes(b"P5\n" + header + b"\n" + bytes(2))
+    with pytest.raises(FormatError,
+                       match=r"^malformed PGM header: Exceeds the limit \(4300 digits\)"):
+        read_pgm(f)
+
+
 _PGM_SPACE = st.lists(st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"]),
                       min_size=1, max_size=3).map(b"".join)
 # a comment runs to a CR or an LF, and may follow a token with no whitespace
