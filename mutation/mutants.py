@@ -47,6 +47,7 @@ class Mutant(NamedTuple):
 
 _FORMATS = "tests/test_formats.py::"
 _ANALYSIS = "tests/test_analysis.py::"
+_PACKAGE = "tests/test_package.py::"
 
 MUTANTS = [
     Mutant(
@@ -123,5 +124,52 @@ MUTANTS = [
         "for mu in (p_lo,):",
         (_ANALYSIS + "test_bifurcation_scan_checks_in_the_command_line_order",),
         "a high end above 4 then passes, and lanes above mu = 4 leave [0, 1]",
+    ),
+    Mutant(
+        "pgm-magic-after-whitespace", "formats.py",
+        '    if data[:2] != b"P5":\n'
+        '        raise FormatError("only binary PGM (P5) is supported")\n'
+        '    pos = 2\n',
+        '    pos = re.compile(rb"(?:\\s+|#[^\\r\\n]*)*").match(data).end()\n'
+        '    if data[pos : pos + 2] != b"P5":\n'
+        '        raise FormatError("only binary PGM (P5) is supported")\n'
+        '    pos += 2\n',
+        (_FORMATS + "test_pgm_reader_reads_the_magic_as_the_first_two_bytes",),
+        "libnetpbm reads the magic number as the file's first two bytes, so a "
+        "file with whitespace or a comment before P5 is not a PGM there",
+    ),
+    Mutant(
+        "analysis-numpy-at-import", "analysis.py",
+        "if TYPE_CHECKING:\n    import numpy as np\n",
+        "import numpy as np\n",
+        (_PACKAGE + "test_each_command_loads_only_its_modules[divergence]",),
+        "the divergence probe computes on Python floats, and numpy's import is "
+        "about a third of its child's time",
+    ),
+    Mutant(
+        "fractals-integrator-at-import", "fractals.py",
+        "from .formats import _Raster\n",
+        "from .formats import _Raster\nfrom .integrate import _slope  # noqa: F401\n",
+        (_PACKAGE + "test_each_command_loads_only_its_modules[mandelbrot]",),
+        "only box counting fits a slope, so mandelbrot and ifs need not load "
+        "the integrator",
+    ),
+    Mutant(
+        "integrate-setter-keeps-the-submodule", "__init__.py",
+        '        if value is not sys.modules.get(f"{__name__}.integrate"):  # the import system\'s '
+        'binding\n'
+        '            vars(self)["integrate"] = value\n',
+        '        vars(self)["integrate"] = value\n',
+        (_PACKAGE + "test_integrate_stays_the_function",),
+        "the import system binds the submodule on the package when it loads "
+        "it, and chaoscope.integrate then reads as the module, not the function",
+    ),
+    Mutant(
+        "cli-one-subparser-own-usage", "cli.py",
+        '    metavar = command and "{" + ",".join(COMMANDS) + "}"',
+        "    metavar = None",
+        ("tests/test_cli.py::test_one_subparser_parses_as_the_full_parser",),
+        "an error that the top-level parser reports prints its usage line, "
+        "which then lists the one command instead of all of them",
     ),
 ]

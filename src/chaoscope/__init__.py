@@ -10,11 +10,8 @@ The exported names below load their submodule on first use (PEP 562), so
 """
 
 import importlib
-
-# The one exported name that shadows its own submodule: bound here, after
-# the submodule has loaded, it stays the function (a later ``import
-# chaoscope.integrate`` finds the module loaded and rebinds nothing).
-from .integrate import integrate
+import sys
+import types
 
 __version__ = "0.1.0"
 
@@ -83,3 +80,21 @@ def __getattr__(name):
 
 def __dir__():
     return sorted(set(globals()) | set(__all__))
+
+
+class _Package(types.ModuleType):
+    """The package, whose ``integrate`` is the function, loaded on first read."""
+
+    @property
+    def integrate(self):
+        if "integrate" not in vars(self):
+            vars(self)["integrate"] = importlib.import_module(f"{__name__}.integrate").integrate
+        return vars(self)["integrate"]
+
+    @integrate.setter
+    def integrate(self, value):
+        if value is not sys.modules.get(f"{__name__}.integrate"):  # the import system's binding
+            vars(self)["integrate"] = value
+
+
+sys.modules[__name__].__class__ = _Package

@@ -10,15 +10,16 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
 
 from .errors import (DomainError, NonFiniteState, SeparationUnderflow, check_cap, check_count,
                      check_real)
 from .integrate import (MAX_ORBIT_VALUES, FieldFn, IntegratorConfig, _check_length, _FlatRows,
                         _float_kernel, _slope, _stream, as_state)
 from .systems import LogisticParams, LorenzParams, check_logistic_x0, logistic_step, preset
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Number of uniform sample times the divergence probe projects both twin
 #: trajectories onto (nearest accepted step endpoint wins).
@@ -71,6 +72,8 @@ def lorenz_equilibria(p: LorenzParams) -> list[np.ndarray]:
     """All equilibria of the Lorenz field: the origin, plus C+- when r > 1.
     C+- = (+-w, +-w, r - 1) with w = sqrt(b (r - 1)); an overflowing w
     raises NonFiniteState."""
+    import numpy as np
+
     points = [np.zeros(3)]
     if p.r > 1.0:
         w = math.sqrt(p.b * (p.r - 1.0))
@@ -104,6 +107,7 @@ def cobweb_trace(p: LogisticParams, x0: float, n: int) -> CobwebTrace:
     check_logistic_x0(x0)
     n = check_count(n, "n", 1)
     check_cap(2 * (2 * n + 1), MAX_ORBIT_VALUES, f"2 x (2 x {n} steps + 1)", "value")
+    import numpy as np
     from .integrate import iterate_map  # looked up when called: a tracer's wrapper is not kept
 
     orbit = iterate_map(preset("logistic").map((p.mu,)), [x0], n + 1).points[:, 0]
@@ -131,6 +135,8 @@ class BifurcationDiagram:
     samples: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
+
         object.__setattr__(self, "params", np.asarray(self.params, dtype=np.float64))
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=np.float64))
         if (self.params.ndim != 1 or self.samples.ndim != 2
@@ -157,6 +163,8 @@ def bifurcation_scan(
     iterate in [0, 1].  Sweeps over MAX_SCAN_ROWS kept rows or
     MAX_SCAN_ITERATES iterates raise GridTooLarge before any allocation.
     """
+    import numpy as np
+
     for mu in (p_lo, p_hi):
         LogisticParams(mu)
     check_logistic_x0(x0)

@@ -351,14 +351,17 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """Every command's parser, or the named one's, which parses and errs alike."""
     parser = argparse.ArgumentParser(
         prog="chaoscope",
         description="Chaotic flows and maps, fractals, fractal image "
         "compression, and a logistic-map stream cipher.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (summary, _, flags) in COMMANDS.items():
+    metavar = command and "{" + ",".join(COMMANDS) + "}"  # the full parser's usage line
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in [command] if command else COMMANDS:
+        summary, _, flags = COMMANDS[name]
         p = sub.add_parser(name, help=summary)
         for names, options in flags:
             p.add_argument(*names, **options)
@@ -386,11 +389,9 @@ def _normalize_argv(argv):
 
 
 def main(argv: Optional[list] = None) -> int:
-    parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    try:
-        args = parser.parse_args(_normalize_argv(list(argv)))
+    argv = _normalize_argv(list(sys.argv[1:] if argv is None else argv))
+    try:  # only the named command's subparser, when argv names one
+        args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
 

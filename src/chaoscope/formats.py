@@ -222,13 +222,15 @@ def write_pgm(raster: _Raster, path) -> None:
 def read_pgm(path) -> GrayImage:
     """Read a binary PGM with maxval 255 into a GrayImage.  Its header numbers
     are ASCII decimal digits, as Netpbm allows; a sign, an underscore or a
-    non-ASCII digit raises FormatError.  As in libnetpbm's pm_getc, a ``#``
-    anywhere in the header starts a comment, which reads as the CR or LF
-    that ends it; after maxval, that byte is the one before the raster."""
+    non-ASCII digit raises FormatError.  As in libnetpbm, the magic is the first
+    two bytes, and then a ``#`` anywhere starts a comment that reads as the CR
+    or LF ending it (pm_getc); after maxval, that byte precedes the raster."""
     import numpy as np
 
     data = Path(path).read_bytes()
-    pos = 0
+    if data[:2] != b"P5":
+        raise FormatError("only binary PGM (P5) is supported")
+    pos = 2
     # the next token after any whitespace and comments; on bytes \s is the
     # six ASCII bytes of bytes.isspace
     next_token = re.compile(rb"(?:\s+|#[^\r\n]*)*([^\s#]*)").match
@@ -250,8 +252,6 @@ def read_pgm(path) -> GrayImage:
         except ValueError as exc:  # more digits than sys.get_int_max_str_digits()
             raise FormatError(f"malformed PGM header: {exc}") from None
 
-    if token() != b"P5":
-        raise FormatError("only binary PGM (P5) is supported")
     width, height, maxval = number(), number(), number()
     if width < 1 or height < 1:
         raise FormatError(f"PGM size {width}x{height} is not positive")

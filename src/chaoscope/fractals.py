@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import DomainError, EmptyImage, check_cap, check_count, check_real
 from .formats import _Raster
-from .integrate import _slope
 
 #: Refuse to allocate escape grids beyond this many pixels.  The tiled
 #: kernel peaks at about 4.5 bytes per pixel, the int32 counts plus O(tile)
@@ -452,6 +451,8 @@ def box_count_dimension(
     the estimate is the least-squares slope of ln(count) against k ln 2, by
     integrate._slope.  Returns it and the fitted (ln 2**k, ln count) points.
     """
+    from .integrate import _slope
+
     min_exponent = check_count(min_exponent, "min_exponent", 1)
     max_exponent = check_count(max_exponent, "max_exponent", min_exponent + 1)
     bits = image.bits

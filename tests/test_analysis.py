@@ -412,7 +412,7 @@ def test_bifurcation_scan_caps_refuse_before_allocating(p_steps, discard, keep, 
     def linspace(*args):  # the sweep's first allocation
         raise AssertionError("the sweep started")
 
-    monkeypatch.setattr(analysis.np, "linspace", linspace)
+    monkeypatch.setattr(np, "linspace", linspace)
     with pytest.raises(GridTooLarge):
         bifurcation_scan(2.8, 4.0, p_steps, 0.3, discard, keep)
 

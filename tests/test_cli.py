@@ -17,6 +17,7 @@ from chaoscope.formats import read_pgm, write_pgm
 from chaoscope.fractals import mandelbrot_grid
 from chaoscope.integrate import IntegratorConfig, iterate_map
 from conftest import make_blob64
+from test_acceptance import _determinism_cases
 
 
 def test_simulate_lorenz_writes_csv(tmp_path, run_cli):
@@ -655,6 +656,38 @@ def test_help_texts_are_unchanged(command, run_cli, monkeypatch):
     code, stdout = run_cli([command, "--help"] if command else ["--help"])
     assert code == 0
     assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == _HELP_DIGESTS[command]
+
+
+def _parse(parser, argv, capsys):
+    """parse_args on argv: its Namespace or exit code, stdout and stderr."""
+    try:
+        result = parser.parse_args(argv)
+    except SystemExit as exc:
+        result = exc.code
+    return result, *capsys.readouterr()
+
+
+def test_one_subparser_parses_as_the_full_parser(tmp_path, capsys, monkeypatch):
+    # main builds only the named command's subparser; its Namespace, and its
+    # exit code and stderr on a bad flag, an extra positional (reported with
+    # the top-level usage) or missing required flags, are the full parser's
+    monkeypatch.setenv("COLUMNS", "80")
+    for name, argv, outs in _determinism_cases(tmp_path)[0]:
+        tour = cli._normalize_argv(argv + (["--out", outs[0]] if outs else []))
+        for argv in (tour, tour + ["--nosuch", "1"], tour + ["extra"], [name]):
+            full = _parse(cli.build_parser(), argv, capsys)
+            assert _parse(cli.build_parser(name), argv, capsys) == full, argv
+            if not isinstance(full[0], argparse.Namespace):
+                assert (cli.main(argv), *capsys.readouterr()) == full, argv
+
+
+@pytest.mark.parametrize("argv, code", [([], 2), (["--help"], 0), (["nosuch"], 2)],
+                         ids=["no-arguments", "help", "unknown-command"])
+def test_the_full_parser_lists_every_command(argv, code, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert cli.main(argv) == code
+    out, err = capsys.readouterr()
+    assert "{" + ",".join(cli.COMMANDS) + "}" in (out if code == 0 else err)
 
 
 def test_help_digests_cover_every_command():

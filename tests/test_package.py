@@ -45,20 +45,20 @@ ALL = [
     "similarity_dimension", "verify_equilibrium",
 ]
 
-#: Modules every command loads: the package binds `integrate` eagerly.
-BASE = {"chaoscope", "chaoscope.cli", "chaoscope.errors", "chaoscope.integrate"}
+#: Modules every command loads.
+BASE = {"chaoscope", "chaoscope.cli", "chaoscope.errors"}
 
 #: The further chaoscope modules each command loads, and no others.
 LOADS = {
-    "simulate": {"formats", "systems"},
-    "iterate": {"formats", "systems"},
-    "cobweb": {"analysis", "formats", "systems"},
-    "bifurcate": {"analysis", "formats", "systems"},
-    "divergence": {"analysis", "formats", "systems"},
-    "equilibria": {"analysis", "formats", "systems"},
+    "simulate": {"formats", "integrate", "systems"},
+    "iterate": {"formats", "integrate", "systems"},
+    "cobweb": {"analysis", "formats", "integrate", "systems"},
+    "bifurcate": {"analysis", "formats", "integrate", "systems"},
+    "divergence": {"analysis", "formats", "integrate", "systems"},
+    "equilibria": {"analysis", "formats", "integrate", "systems"},
     "mandelbrot": {"formats", "fractals"},
     "ifs": {"formats", "fractals"},
-    "boxdim": {"formats", "fractals"},
+    "boxdim": {"formats", "fractals", "integrate"},
     "simdim": {"similarity"},
     "compress": {"compression", "formats"},
     "decompress": {"compression", "formats"},
@@ -68,7 +68,7 @@ LOADS = {
 }
 
 #: The commands that run without numpy; every other command loads it.
-NUMPY_FREE = {"simulate", "iterate", "simdim"}
+NUMPY_FREE = {"simulate", "iterate", "divergence", "simdim"}
 
 _LOADED = (
     "import contextlib, io, sys\n"
@@ -122,12 +122,14 @@ def test_unknown_attribute_raises_attribute_error():
         chaoscope.nosuch  # noqa: B018
 
 
-def test_integrate_stays_the_function():
-    # in a fresh interpreter: after the package import, a command that runs
-    # the integrator, and an explicit import of the submodule
+def test_integrate_stays_the_function(monkeypatch):
+    # in fresh interpreters: read after the package import, after a command
+    # that runs the integrator and after an explicit import of the submodule;
+    # and read first after the submodule import, which binds it on the package
     out = _child("-c", (
         "import sys, tempfile, os\n"
         "import chaoscope\n"
+        "assert 'chaoscope.integrate' not in sys.modules\n"
         "f = chaoscope.integrate\n"
         "assert callable(f) and f.__module__ == 'chaoscope.integrate', f\n"
         "assert {'chaoscope.analysis', 'chaoscope.fractals'}.isdisjoint(sys.modules)\n"
@@ -141,6 +143,23 @@ def test_integrate_stays_the_function():
         "print('ok')\n"
     ))
     assert out == "ok\n"
+    out = _child("-c", (
+        "import sys\n"
+        "import chaoscope.integrate\n"
+        "f = sys.modules['chaoscope.integrate'].integrate\n"
+        "assert chaoscope.integrate is f, chaoscope.integrate\n"
+        "from chaoscope import integrate\n"
+        "assert integrate is f\n"
+        "print('ok')\n"
+    ))
+    assert out == "ok\n"
+    # any other value is kept, and undoing the patch restores the function
+    f = chaoscope.integrate
+    fake = object()
+    monkeypatch.setattr(chaoscope, "integrate", fake)
+    assert chaoscope.integrate is fake
+    monkeypatch.undo()
+    assert chaoscope.integrate is f is importlib.import_module("chaoscope.integrate").integrate
 
 
 def test_submodules_resolve_as_attributes():
@@ -178,4 +197,5 @@ def test_importing_the_package_loads_no_numpy():
     out = _child("-c", "import sys, chaoscope; print(' '.join(sorted(sys.modules)))")
     loaded = set(out.split())
     assert not any(m == "numpy" or m.startswith("numpy.") for m in loaded)
-    assert {m for m in loaded if m.startswith("chaoscope")} == BASE - {"chaoscope.cli"}
+    assert "chaoscope.integrate" not in loaded
+    assert {m for m in loaded if m.startswith("chaoscope")} == {"chaoscope"}
