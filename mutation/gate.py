@@ -1,7 +1,7 @@
 """Run the mutation gate: every mutant in mutants.py must be killed.
 
-    python mutation/run.py          # every mutant
-    python mutation/run.py NAME...  # the named ones
+    python mutation/gate.py          # every mutant
+    python mutation/gate.py NAME...  # the named ones
 
 Each mutant is applied to a fresh copy of ``src/`` in a temporary
 directory, and its tests run against that copy in a pytest child with

@@ -10,8 +10,8 @@ A mutant that only some numpy builds or CPUs tell apart names them in its
 ``platform`` test: where that returns False the mutant is equivalent, and
 its survival there does not fail the gate.
 
-    python mutation/run.py          # run every mutant
-    python mutation/run.py NAME...  # run the named ones
+    python mutation/gate.py          # run every mutant
+    python mutation/gate.py NAME...  # run the named ones
 """
 
 from __future__ import annotations
@@ -48,6 +48,8 @@ class Mutant(NamedTuple):
 _FORMATS = "tests/test_formats.py::"
 _ANALYSIS = "tests/test_analysis.py::"
 _PACKAGE = "tests/test_package.py::"
+_INTEGRATE = "tests/test_integrate.py::"
+_BUDGET = "return max(1, min(1_000_000, MAX_ORBIT_VALUES // (dim + 1) - 1))"
 
 MUTANTS = [
     Mutant(
@@ -171,5 +173,119 @@ MUTANTS = [
         ("tests/test_cli.py::test_one_subparser_parses_as_the_full_parser",),
         "an error that the top-level parser reports prints its usage line, "
         "which then lists the one command instead of all of them",
+    ),
+    Mutant(
+        "budget-above-one-million", "integrate.py",
+        _BUDGET, _BUDGET.replace("min(1_000_000,", "max(1_000_000,"),
+        (_INTEGRATE + "test_the_default_budget_is_resolved_per_dimension",),
+        "a 3-component flow would get 2,499,999 attempts, and a 12-component "
+        "one 1,000,000, whose kept steps pass the cap",
+    ),
+    Mutant(
+        "budget-without-the-time-column", "integrate.py",
+        _BUDGET, _BUDGET.replace("// (dim + 1)", "// dim"),
+        (_INTEGRATE + "test_the_default_budget_is_resolved_per_dimension",),
+        "each kept step holds its time too, dim + 1 values, so a 9-component "
+        "flow would keep 1,000,001 steps of 10 values, over the cap",
+    ),
+    Mutant(
+        "budget-counts-the-start-as-an-attempt", "integrate.py",
+        _BUDGET, _BUDGET.replace(" - 1))", "))"),
+        (_INTEGRATE + "test_the_default_budget_is_resolved_per_dimension",),
+        "integrate keeps the start and one step per attempt, max_steps + 1 "
+        "steps, so 1,000,000 attempts at 9 components pass the cap by one step",
+    ),
+    Mutant(
+        "budget-not-clamped-to-one", "integrate.py",
+        _BUDGET, "return min(1_000_000, MAX_ORBIT_VALUES // (dim + 1) - 1)",
+        (_INTEGRATE + "test_a_state_too_wide_for_one_kept_step_is_refused_before_the_field",),
+        "a budget of 0 or -1 keeps at most one step, which passes the cap "
+        "check, so the field runs and the run fails with MaxStepsExceeded",
+    ),
+    Mutant(
+        "iterate-map-ignores-the-domain", "integrate.py",
+        'cur = as_state(x0, "x0", getattr(map_fn, "domain", "(-inf, inf)"))',
+        'cur = as_state(x0, "x0")',
+        ("tests/test_reals.py::"
+         "test_a_logistic_start_outside_the_presets_domain_is_a_domain_error",),
+        "a logistic start of 1.5 then runs until it overflows at iterate 10, "
+        "a NonFiniteState (exit 1) where the command line exits 2",
+    ),
+    Mutant(
+        "logistic-preset-without-domain", "systems.py",
+        '(0.2,), (3.8282,), "[0, 1]"),', "(0.2,), (3.8282,)),",
+        ("tests/test_reals.py::"
+         "test_a_logistic_start_outside_the_presets_domain_is_a_domain_error",),
+        "the map keeps [0, 1] only; a start outside it leaves to -inf",
+    ),
+    # The Dormand-Prince step.  Equivalent, so not listed: y_new's sum as
+    # 0 + (_B1*a + ... + _B6*g), the leading 0 moved outside the sum.  The
+    # two differ only when every partial sum is a zero, and then 0 + makes
+    # both +0.0.
+    Mutant(
+        "stage-7-at-y", "integrate.py",
+        "k7 = f(t + h, y_new)", "k7 = f(t + h, y)",
+        (_INTEGRATE + "test_each_attempt_calls_the_field_six_times_and_ends_at_y_new",),
+        "stage 7 is the field at the new state, and the next step's stage 1",
+    ),
+    Mutant(
+        "stage-7-at-node-c5", "integrate.py",
+        "k7 = f(t + h, y_new)", "k7 = f(t + _C5 * h, y_new)",
+        (_INTEGRATE + "test_each_attempt_calls_the_field_six_times_and_ends_at_y_new",),
+        "stage 7's node is 1, so a non-autonomous field is read at t + h",
+    ),
+    Mutant(
+        "y-new-regrouped", "integrate.py",
+        "_B4 * d + _B5 * e + _B6 * g)", "_B4 * d + (_B5 * e + _B6 * g))",
+        (_INTEGRATE + "test_float_core_raises_like_ndarray_loop",),
+        "the ndarray formulation sums the weights left to right, and another "
+        "grouping rounds otherwise",
+    ),
+    Mutant(
+        "initial-step-floor-open", "integrate.py",
+        'f"[{min_step!r}, inf)"', 'f"({min_step!r}, inf)"',
+        (_INTEGRATE + "test_initial_step_equal_to_min_step_runs",),
+        "an initial step equal to min_step is one the run may take",
+    ),
+    Mutant(
+        "error-sum-without-stage-2", "integrate.py",
+        "_E1 * a + 0.0 * b + _E3", "_E1 * a + _E3",
+        (_INTEGRATE + "test_a_nan_only_at_stage_2_rejects_that_trial",),
+        "stage 2 enters no later sum, so without its 0.0 weight a NaN there "
+        "would not reject the trial",
+    ),
+    Mutant(
+        "floor-always-underflows", "integrate.py",
+        "if not _isfinite(err_norm):", "if False:",
+        (_INTEGRATE + "test_a_field_nan_from_t_0_1_raises_just_below_it",),
+        "a floor reached after a non-finite trial is a NonFiniteState, not a "
+        "StepUnderflow",
+    ),
+    Mutant(
+        "nan-error-accepted", "integrate.py",
+        "if err_norm <= 1.0:", "if not err_norm > 1.0:",
+        (_INTEGRATE + "test_a_first_step_that_overflows_is_shrunk",),
+        "a NaN error norm compares false, so the trial would be kept",
+    ),
+    Mutant(
+        "max-skips-a-nan-ratio", "integrate.py",
+        "err_norm = max(ratios) if total == total else total",
+        "err_norm = max(ratios)",
+        (_INTEGRATE + "test_float_core_raises_like_ndarray_loop",),
+        "max() skips a NaN after the first ratio, where np.max propagates it",
+    ),
+    Mutant(
+        "ratio-ignores-an-overflowed-state", "integrate.py",
+        " + 0.0 * v\n", "\n",
+        (_INTEGRATE + "test_a_state_that_overflows_with_finite_stages_raises",),
+        "a finite error over atol + rtol * inf is 0, so a new state that "
+        "overflowed with finite stages would be kept",
+    ),
+    Mutant(
+        "rk-weight-b3-perturbed", "integrate.py",
+        "500 / 1113", "500 / 1112",
+        (_INTEGRATE + "test_exponential_growth_endpoint",),
+        "the fifth-order weights then sum to 1 + 4e-4, so x' = x from 1 "
+        "misses e**t by far more than the tolerance",
     ),
 ]

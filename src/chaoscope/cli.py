@@ -97,19 +97,17 @@ def _given(args, *names) -> dict:
 def _system_args(args):
     """The --system preset, its --params (None for the defaults) and --x0 state.
 
-    The --x0 state is a tuple of floats, and a logistic start must lie in
-    [0, 1], as for cobweb and bifurcate.  The library checks that each
-    component is finite and that the state has the preset's dimension.
+    The --x0 state is a tuple of floats.  The library checks that each
+    component lies in the preset's domain and that the state has the
+    preset's dimension.
     """
-    from .systems import check_logistic_x0, preset as named_preset
+    from .systems import preset as named_preset
 
     preset = named_preset(args.system)
     params = _parse_floats(args.params, "--params") if args.params else None
     state = preset.default_state
     if getattr(args, "x0", None):
         state = _parse_floats(args.x0, "--x0")
-        if preset.name == "logistic":
-            check_logistic_x0(state[0])
     return preset, params, state
 
 

@@ -82,12 +82,13 @@ _isfinite = math.isfinite
 MAX_ORBIT_VALUES = 10_000_000
 
 
-def as_state(x: ArrayLike, name: str) -> List[float]:
+def as_state(x: ArrayLike, name: str, interval: str = "(-inf, inf)") -> List[float]:
     """The point x in phase space as a new list of floats.  The only check of
-    an input state: a shape other than a non-empty 1-D vector, or a NaN or
-    +-inf component (by check_real), raises a DomainError that names the
-    state.  A non-empty list or tuple of Python floats is copied and checked
-    without numpy; any other x goes through numpy's float64 conversion."""
+    an input state: a shape other than a non-empty 1-D vector, or a NaN,
+    +-inf or other component outside ``interval`` (by check_real), raises a
+    DomainError that names the state.  A non-empty list or tuple of Python
+    floats is copied and checked without numpy; any other x goes through
+    numpy's float64 conversion."""
     if type(x) in (list, tuple) and x and all(type(v) is float for v in x):
         values = list(x)
     else:
@@ -98,7 +99,7 @@ def as_state(x: ArrayLike, name: str) -> List[float]:
             raise DomainError(f"{name} must be a 1-D vector, got shape {arr.shape}")
         values = arr.tolist()
     for value in values:
-        check_real(value, name, "(-inf, inf)")
+        check_real(value, name, interval)
     return values
 
 
@@ -108,13 +109,14 @@ class IntegratorConfig:
 
     ``initial_step=None`` selects h0 = (t1 - t0)/100 clamped to
     [min_step, t1 - t0], and integrate refuses a given one below min_step.
+    ``max_steps=None`` selects _step_budget of the state's dimension.
     ``min_step=None`` selects 1e-12 * (t1 - t0).
     """
 
     rel_tol: float = 1e-6
     abs_tol: float = 1e-6
     initial_step: Optional[float] = None
-    max_steps: int = 1_000_000
+    max_steps: Optional[int] = None
     min_step: Optional[float] = None
 
     def __post_init__(self):
@@ -122,7 +124,8 @@ class IntegratorConfig:
         check_real(self.abs_tol, "abs_tol", "(0, 1)")
         if self.initial_step is not None:
             check_real(self.initial_step, "initial_step", "(0, inf)")
-        object.__setattr__(self, "max_steps", check_count(self.max_steps, "max_steps", 1))
+        if self.max_steps is not None:
+            object.__setattr__(self, "max_steps", check_count(self.max_steps, "max_steps", 1))
         if self.min_step is not None:
             check_real(self.min_step, "min_step", "(0, inf)")
 
@@ -217,14 +220,16 @@ class FloatKernel:
     sequence of floats.  The library runs it directly on floats; called like
     any other FieldFn or MapFn, with an ndarray state, it returns an ndarray.
     Either way a state of another length is refused, and a scalar state
-    counts as one component.  Preset fields and maps are FloatKernels.
+    counts as one component.  iterate_map refuses a start state with a
+    component outside ``domain``.  Preset fields and maps are FloatKernels.
     """
 
-    __slots__ = ("kernel", "dimension")
+    __slots__ = ("kernel", "dimension", "domain")
 
-    def __init__(self, kernel: Callable, dimension: int):
+    def __init__(self, kernel: Callable, dimension: int, domain: str = "(-inf, inf)"):
         self.kernel = kernel
         self.dimension = dimension
+        self.domain = domain
 
     def __call__(self, *args) -> np.ndarray:
         try:
@@ -266,6 +271,12 @@ def _check_length(values, dim: int, what: str) -> None:
         raise DomainError(f"{what} returned shape ({len(values)},), expected ({dim},)")
 
 
+def _step_budget(dim: int) -> int:
+    """The default max_steps of dim components: 1,000,000 or as many as fit
+    MAX_ORBIT_VALUES, but at least 1, so the cap refuses a state too wide."""
+    return max(1, min(1_000_000, MAX_ORBIT_VALUES // (dim + 1) - 1))
+
+
 def _slope(ys: Sequence[float], step: float) -> float:
     """Least-squares slope of the points (k * step, ys[k]), n = len(ys) >= 2,
     as fsum((k - m) * (ys[k] - ys[0])) / (n (n**2 - 1) / 12) / step with
@@ -294,9 +305,10 @@ def integrate(
     below min_step, or one too small to change t, the run raises
     NonFiniteState if the last trial was non-finite, naming the start t of
     that step, and StepUnderflow otherwise.  MaxStepsExceeded is raised
-    when the attempt budget runs out.  A given initial_step below min_step
-    raises DomainError, and max_steps + 1 kept steps of dimension + 1
-    values over MAX_ORBIT_VALUES GridTooLarge, before the field is called.
+    when the attempt budget, max_steps or by default _step_budget of the
+    state's dimension, runs out.  A given initial_step below min_step raises
+    DomainError, and max_steps + 1 kept steps of dimension + 1 values over
+    MAX_ORBIT_VALUES GridTooLarge, before the field is called.
 
     The state and the stages are Python floats.  Every sum keeps the
     order of the ndarray formulation ``sum(a_j * k_j)``, its leading
@@ -322,7 +334,8 @@ def _stream(field, x0, t0, t1, config) -> Iterator[Tuple[float, List[float]]]:
     """integrate's accepted steps as (t, state), the state a list of floats
     never changed: (t0, x0) once the field's value there has the state's
     length, then one per accepted step, the last at t1.  integrate's checks
-    and refusals come from next(), in its order, the checks from the first."""
+    and refusals come from next(), in its order, the checks from the first,
+    which resolve the defaults of max_steps, min_step and h0."""
     cfg = config if config is not None else IntegratorConfig()
     check_real(t0, "t0", "(-inf, inf)")
     check_real(t1, "t1", "(-inf, inf)")
@@ -331,7 +344,8 @@ def _stream(field, x0, t0, t1, config) -> Iterator[Tuple[float, List[float]]]:
     check_real(span := t1 - t0, "t1 - t0", "(0, inf)")
     y = as_state(x0, "x0")
     dim = len(y)
-    steps = cfg.max_steps + 1
+    max_steps = cfg.max_steps if cfg.max_steps is not None else _step_budget(dim)
+    steps = max_steps + 1
     check_cap(steps * (dim + 1), MAX_ORBIT_VALUES, f"{steps} steps x {dim + 1} values", "value")
     f = _float_kernel(field, dim, "field")
     min_step = cfg.min_step if cfg.min_step is not None else 1e-12 * span
@@ -352,9 +366,9 @@ def _stream(field, x0, t0, t1, config) -> Iterator[Tuple[float, List[float]]]:
 
     while t < t1:
         attempts += 1
-        if attempts > cfg.max_steps:
+        if attempts > max_steps:
             raise MaxStepsExceeded(
-                f"no convergence to t1={t1} within {cfg.max_steps} attempted steps"
+                f"no convergence to t1={t1} within {max_steps} attempted steps"
             )
         final = t + h >= t1
         if final:
@@ -448,13 +462,14 @@ def iterate_map(
     and points[k] is iterate discard + k (n - discard points in total).
     The iterates are Python floats, and an iterate of another length than
     x0 raises DomainError; an ndarray MapFn is called through an adapter
-    that checks the shape of each result.  Orbits of more than
+    that checks the shape of each result.  A start state with a component
+    outside a FloatKernel's domain raises DomainError.  Orbits of more than
     MAX_ORBIT_VALUES values (n times the dimension, discarded iterates
     included) raise GridTooLarge.
     """
     discard = check_count(discard, "discard", 0)
     n = check_count(n, "n", discard + 1)
-    cur = as_state(x0, "x0")
+    cur = as_state(x0, "x0", getattr(map_fn, "domain", "(-inf, inf)"))
     dim = len(cur)
     check_cap(n * dim, MAX_ORBIT_VALUES, f"{n} iterates x {dim} components", "value")
     step = _float_kernel(map_fn, dim, "map")

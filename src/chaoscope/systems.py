@@ -93,7 +93,7 @@ def _logistic(p: LogisticParams, s) -> Tuple[float]:
 
 def check_logistic_x0(x0: float) -> None:
     """Refuse a logistic-map start outside [0, 1], which the map keeps for mu in [0, 4]."""
-    check_real(x0, "x0", "[0, 1]")
+    check_real(x0, "x0", PRESETS["logistic"].domain)
 
 
 def henon_step(p: HenonParams, s: Tuple[float, float]) -> Tuple[float, float]:
@@ -152,7 +152,8 @@ class SystemPreset:
     ``formula(p, state)`` is the right-hand side (flow) or the next state
     (map) as a tuple of Python floats, with ``p`` an instance of
     ``params_type``; the state's dimension and the parameter names follow
-    from ``default_state`` and the fields of ``params_type``.
+    from ``default_state`` and the fields of ``params_type``.  Every
+    component of a map's start state must lie in ``domain``.
     """
 
     name: str
@@ -161,6 +162,7 @@ class SystemPreset:
     formula: Callable
     default_state: Tuple[float, ...]
     default_params: Tuple[float, ...]
+    domain: str = "(-inf, inf)"
 
     @property
     def dimension(self) -> int:
@@ -200,13 +202,13 @@ class SystemPreset:
     def map(self, params: Optional[Tuple[float, ...]] = None):
         """Callable state -> next state, for map presets."""
         p, formula = self._record("map", params), self.formula
-        return FloatKernel(lambda s: formula(p, s), self.dimension)
+        return FloatKernel(lambda s: formula(p, s), self.dimension, self.domain)
 
 
 PRESETS = {
     p.name: p
     for p in (
-        SystemPreset("logistic", "map", LogisticParams, _logistic, (0.2,), (3.8282,)),
+        SystemPreset("logistic", "map", LogisticParams, _logistic, (0.2,), (3.8282,), "[0, 1]"),
         SystemPreset("henon", "map", HenonParams, henon_step, (0.1, 0.0), (1.2, 0.4)),
         SystemPreset(
             "lorenz", "flow", LorenzParams, _lorenz, (15.0, 20.0, 30.0),

@@ -12,6 +12,7 @@ three-keystream avalanche, the column-slice trace and the block CSV writer
 must reproduce exactly."""
 
 import contextlib
+import importlib
 import io
 import math
 from typing import Callable, Iterable, Optional, Sequence
@@ -365,13 +366,18 @@ def loop_integrate(
     error norm and is rejected like any other.  Raises NonFiniteState when the controller wants
     a step below min_step, or one too small to change t, after a non-finite
     trial, StepUnderflow after a finite one, and MaxStepsExceeded when the
-    attempt budget runs out.
+    attempt budget runs out.  The default budget is 1,000,000 attempts, or
+    fewer for a state of 9 or more components: the largest count whose
+    kept steps, one more than the attempts, of dim + 1 values each, fit
+    MAX_ORBIT_VALUES, and at least 1.
     """
     cfg = config if config is not None else IntegratorConfig()
     if not t1 > t0:
         raise DomainError(f"need t1 > t0, got [{t0}, {t1}]")
     y = np.array(as_state(x0, "x0"))
     dim = y.size
+    cap = importlib.import_module("chaoscope.integrate").MAX_ORBIT_VALUES
+    max_steps = cfg.max_steps or max(1, min(1_000_000, cap // (dim + 1) - 1))
     span = t1 - t0
     min_step = cfg.min_step if cfg.min_step is not None else 1e-12 * span
     if cfg.initial_step is not None:
@@ -390,9 +396,9 @@ def loop_integrate(
 
     while t < t1:
         attempts += 1
-        if attempts > cfg.max_steps:
+        if attempts > max_steps:
             raise MaxStepsExceeded(
-                f"no convergence to t1={t1} within {cfg.max_steps} attempted steps"
+                f"no convergence to t1={t1} within {max_steps} attempted steps"
             )
         final = t + h >= t1
         if final:
@@ -444,12 +450,13 @@ def loop_iterate_map(
 
     The orbit counts x0 as iterate 0, so discard=0 keeps the initial point
     and points[k] is iterate discard + k (n - discard points in total).
+    A FloatKernel's start state must lie in its domain.
     """
     if discard < 0:
         raise DomainError("discard cannot be negative")
     if n <= discard:
         raise DomainError(f"need n > discard, got n={n}, discard={discard}")
-    cur = np.array(as_state(x0, "x0"))
+    cur = np.array(as_state(x0, "x0", getattr(map_fn, "domain", "(-inf, inf)")))
     dim = cur.size
     points = np.empty((n - discard, dim), dtype=np.float64)
     for i in range(n):

@@ -111,7 +111,11 @@ def test_integrate_caps_the_kept_steps_before_calling_the_field():
     assert len(c.integrate(c.preset("lorenz").field(None), [1.0, 1.0, 1.0], 0.0, 1.0, at_cap).times)
     with pytest.raises(GridTooLarge, match="2500001 steps x 4 values"):
         c.integrate(_never_called, [1.0, 1.0, 1.0], 0.0, 1.0, c.IntegratorConfig(max_steps=cap // 4))
-    # the default budget stays accepted for every flow preset
-    default = c.IntegratorConfig().max_steps
+    # the default budget, resolved per dimension, keeps 1,000,000 attempts
+    # for every flow preset, and its kept steps fit the cap at every width
+    # that fits one kept step, up to 2 x 5,000,000 values
+    budget = _constant("integrate._step_budget")
     flows = [p for p in _constant("systems.PRESETS").values() if p.kind == "flow"]
-    assert flows and all((default + 1) * (p.dimension + 1) <= cap for p in flows)
+    assert flows and all(budget(p.dimension) == 1_000_000 for p in flows)
+    for dim in [*range(1, 200), 10**3, 10**4, 10**5, 10**6, cap // 2 - 1]:
+        assert (budget(dim) + 1) * (dim + 1) <= cap, dim

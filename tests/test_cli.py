@@ -15,7 +15,7 @@ from chaoscope.cipher import MAX_WARMUP, ChaosKey
 from chaoscope.cli import KEY_ENV_VAR
 from chaoscope.formats import read_pgm, write_pgm
 from chaoscope.fractals import mandelbrot_grid
-from chaoscope.integrate import IntegratorConfig, iterate_map
+from chaoscope.integrate import IntegratorConfig, _step_budget, iterate_map
 from conftest import make_blob64
 from test_acceptance import _determinism_cases
 
@@ -306,9 +306,10 @@ def test_runtime_failure_exits_1_without_output(tmp_path, run_cli, capsys):
 @pytest.mark.parametrize("x0", ["1.5", "-0.1", "nan"])
 def test_bifurcate_refuses_x0_outside_unit_interval_like_cobweb(x0, tmp_path, run_cli, capsys,
                                                                 monkeypatch):
-    # one check and one message for the logistic start in both commands
+    # one message for the logistic start in every command that takes one
     monkeypatch.chdir(tmp_path)
-    for argv in (["cobweb"], ["bifurcate", "--mu-range", "2.8:4.0"]):
+    for argv in (["cobweb"], ["bifurcate", "--mu-range", "2.8:4.0"],
+                 ["iterate", "--system", "logistic", "--steps", "12"]):
         code, _ = run_cli(argv + ["--x0", x0, "--out", "o.csv"])
         assert code == 2
         assert capsys.readouterr().err == (
@@ -761,14 +762,22 @@ _DEFAULT_RUNS = {
     "divergence": ["divergence", "--system", "lorenz", "--t1", "1"],
 }
 
+#: Library defaults of None that the runs above resolve to one value: the
+#: attempt budget of their 3-component flows.
+_RESOLVED = {"max_steps": _step_budget(3)}
+
+
+def _library_default(name, owner):
+    return _RESOLVED.get(name, inspect.signature(owner).parameters[name].default)
+
 
 @pytest.mark.parametrize(
     "command, name, owner",
     [(cmd, name, owner) for cmd, name, owner in _LIBRARY_DEFAULTS
-     if inspect.signature(owner).parameters[name].default is not None],
+     if _library_default(name, owner) is not None],
 )
 def test_a_left_out_flag_gives_the_library_default(command, name, owner, tmp_path, run_cli):
-    default = inspect.signature(owner).parameters[name].default
+    default = _library_default(name, owner)
     src = tmp_path / "in.pgm"
     write_pgm(make_blob64(), src)
     outputs = []
@@ -805,6 +814,8 @@ def test_system_args_leaves_the_state_components_to_the_library():
                     if isinstance(n, ast.FunctionDef) and n.name == "_system_args")
     assert not [n for n in ast.walk(function) if isinstance(n, (ast.For, ast.comprehension))]
     assert "check_real" not in ast.unparse(function)
+    # nor the logistic domain, which the preset carries to iterate_map
+    assert "logistic" not in ast.unparse(function)
 
 
 def test_system_args_leaves_the_dimension_to_the_library():

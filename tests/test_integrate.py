@@ -30,6 +30,7 @@ from chaoscope.integrate import (
     MapOrbit,
     Trajectory,
     _slope,
+    _step_budget,
     as_state,
     integrate,
     iterate_map,
@@ -148,6 +149,51 @@ def test_max_steps_exceeded():
     cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-10, max_steps=5)
     with pytest.raises(MaxStepsExceeded):
         integrate(lambda t, x: np.array([math.sin(t) * x[0] + 1.0]), [1.0], 0.0, 50.0, cfg)
+
+
+@pytest.mark.parametrize("dim, budget", [(3, 1_000_000), (8, 1_000_000), (9, 999_999),
+                                         (12, 769_229)])
+def test_the_default_budget_is_resolved_per_dimension(dim, budget):
+    # the most attempts whose kept steps, one more, of dim + 1 values each,
+    # fit the 10M-value cap, and never more than 1,000,000
+    assert IntegratorConfig().max_steps is None
+    assert _step_budget(dim) == budget
+
+
+def _diagonal_field(rates):
+    """x_i' = rates[i] x_i, one FloatKernel component per rate."""
+    return FloatKernel(lambda t, s: [r * v for r, v in zip(rates, s)], len(rates))
+
+
+def test_a_12_component_flow_runs_under_the_default_config():
+    # its kept steps at the old fixed budget, 1000001 x 13 values, passed the
+    # cap, so the run was refused before its first step
+    field = _diagonal_field([0.5] * 12)
+    traj = integrate(field, [1.0] * 12, 0.0, 8.0)
+    assert traj.times[-1] == 8.0 and traj.states.shape[1] == 12
+    assert traj.states[-1] == pytest.approx([math.exp(4.0)] * 12, rel=1e-5)
+    for config in (None, IntegratorConfig()):
+        report = divergence_rate(field, [1.0] * 12, 1e-6, 8.0, config)
+        assert report.fitted_rate == pytest.approx(0.5, abs=0.01)
+
+
+@pytest.mark.parametrize("dim", [6, 12])
+def test_a_state_too_wide_for_one_kept_step_is_refused_before_the_field(dim, monkeypatch):
+    # with a 12-value cap, 12 // 7 - 1 = 0 and 12 // 13 - 1 = -1 attempts
+    # would pass the cap check and fail only after calling the field; the
+    # budget of at least 1 keeps 2 steps of dim + 1 values, over the cap
+    monkeypatch.setattr(importlib.import_module("chaoscope.integrate"), "MAX_ORBIT_VALUES", 12)
+
+    def field(t, y):
+        raise AssertionError("the field was called")
+
+    with pytest.raises(GridTooLarge, match=rf"^2 steps x {dim + 1} values = {2 * (dim + 1)}, "):
+        integrate(field, [1.0] * dim, 0.0, 1.0)
+    with pytest.raises(GridTooLarge):
+        divergence_rate(field, [1.0] * dim, 1e-6, 1.0)
+    # 12 // 6 - 1 = 1: five components keep their one attempt
+    with pytest.raises(MaxStepsExceeded, match=r"within 1 attempted steps$"):
+        integrate(_diagonal_field([0.5] * 5), [1.0] * 5, 0.0, 1.0)
 
 
 def test_nonfinite_field_raises():
@@ -651,7 +697,10 @@ def test_float_map_loop_matches_ndarray_loop(name, data, n, discard):
     with np.errstate(over="ignore", invalid="ignore"):
         want = _outcome(loop_iterate_map, step, x0, n, discard)
         assert _outcome(iterate_map, step, x0, n, discard) == want
-        assert _outcome(iterate_map, lambda s: step(s), x0, n, discard) == want
+        # an ndarray MapFn that wraps the kernel has no domain to check
+        wrapped = lambda s: step(s)  # noqa: E731
+        assert (_outcome(iterate_map, wrapped, x0, n, discard)
+                == _outcome(loop_iterate_map, wrapped, x0, n, discard))
 
 
 @pytest.mark.parametrize(

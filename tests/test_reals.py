@@ -173,6 +173,19 @@ def test_a_non_finite_state_component_is_a_domain_error(call, name):
         assert err.traceback[-1].name == "check_real"
 
 
+def test_a_logistic_start_outside_the_presets_domain_is_a_domain_error():
+    # the preset's domain, checked by iterate_map on the start state; before,
+    # x0 = 1.5 ran until the orbit overflowed, a NonFiniteState at iterate 10
+    step = c.preset("logistic").map(None)
+    for v in [*_outside("[0, 1]"), 1.5]:
+        with pytest.raises(DomainError) as err:
+            c.iterate_map(step, [v], 12)
+        assert str(err.value) == f"x0 must lie in [0, 1], got {v}"
+        assert err.traceback[-1].name == "check_real"
+    for v in (0.0, 1.0):
+        c.iterate_map(step, [v], 12)
+
+
 def test_a_state_that_is_not_a_vector_is_refused_by_its_name():
     with pytest.raises(DomainError, match=r"^x0 must be a 1-D vector, got shape \(1, 2\)$"):
         c.integrate(DECAY, [[1.0, 2.0]], 0.0, 1.0)
