@@ -93,11 +93,10 @@ MUTANTS = [
     ),
     Mutant(
         "pgm-maxval-comment-kept", "formats.py",
-        '    pos = re.compile(rb"(?:#[^\\r\\n]*)?").match(data, pos).end()',
-        "    pass",
+        r' * 3 + rb"(?:#[^\r\n]*)?").match', " * 3).match",
         (_FORMATS + "test_pgm_reader_follows_netpbms_comment_rule",),
-        "the token pattern stops at a # right after maxval, so without the skip "
-        "`255#c\\n` reads the comment as pixels",
+        "the header's last group stops at a # right after maxval, so without the "
+        "glued-comment group `255#c\\n` reads the comment as pixels",
     ),
     Mutant(
         "escape-square-in-place", "fractals.py",
@@ -129,16 +128,131 @@ MUTANTS = [
     ),
     Mutant(
         "pgm-magic-after-whitespace", "formats.py",
-        '    if data[:2] != b"P5":\n'
-        '        raise FormatError("only binary PGM (P5) is supported")\n'
-        '    pos = 2\n',
-        '    pos = re.compile(rb"(?:\\s+|#[^\\r\\n]*)*").match(data).end()\n'
-        '    if data[pos : pos + 2] != b"P5":\n'
-        '        raise FormatError("only binary PGM (P5) is supported")\n'
-        '    pos += 2\n',
+        '        if data[:2] != b"P5":\n',
+        '        data = data.lstrip()\n        if data[:2] != b"P5":\n',
         (_FORMATS + "test_pgm_reader_reads_the_magic_as_the_first_two_bytes",),
         "libnetpbm reads the magic number as the file's first two bytes, so a "
-        "file with whitespace or a comment before P5 is not a PGM there",
+        "file with whitespace before P5 is not a PGM there",
+    ),
+    Mutant(
+        "pgm-digit-check-dropped", "formats.py",
+        "if not text.isdigit():", "if not text:",
+        (_FORMATS + "test_pgm_reader_refuses_header_numbers_that_are_not_decimal_digits",),
+        "int() also reads a sign, underscores and non-ASCII digits, so `+2 1_0 "
+        "255` would read as a 2x10 image where Netpbm allows only ASCII digits",
+    ),
+    Mutant(
+        "pgm-groups-out-of-order", "formats.py",
+        "width, height, maxval = numbers", "height, width, maxval = numbers",
+        (_FORMATS + "test_pgm_roundtrip",),
+        "the header gives the width first, so a 9x5 image would read as 5x9 "
+        "with its rows wrapped",
+    ),
+    Mutant(
+        "pgm-raster-at-the-match-end", "formats.py",
+        "start = width * height, match.end() + 1", "start = width * height, match.end()",
+        (_FORMATS + "test_pgm_roundtrip",),
+        "one whitespace byte ends the header, so the raster would start with "
+        "it and lose its last pixel",
+    ),
+    Mutant(
+        "pgm-raster-read-one-byte-long", "formats.py",
+        "fh.read(min(size - len(payload), 1 << 24))",
+        "fh.read(min(size + 1 - len(payload), 1 << 24))",
+        (_FORMATS + "test_pgm_reader_reads_no_byte_past_the_raster_beyond_its_header_blocks",),
+        "a raster that the first read does not hold would take one byte after "
+        "it, which is read and then refused as a raster of the wrong length",
+    ),
+    Mutant(
+        "pgm-raster-read-in-one-call", "formats.py",
+        "fh.read(min(size - len(payload), 1 << 24))", "fh.read(size - len(payload))",
+        (_FORMATS + "test_pgm_reader_refuses_a_size_the_file_does_not_hold_without_allocating_it",),
+        "a read allocates the size it asks for, so a header that claims 10**18 "
+        "pixels raises MemoryError where the file is refused as too short",
+    ),
+    Mutant(
+        "pgm-reads-ahead-after-a-complete-header", "formats.py",
+        "(match := header(data)).end() == len(data)", "(match := header(data)).end() <= len(data)",
+        (_FORMATS + "test_pgm_reader_reads_no_byte_past_the_raster_beyond_its_header_blocks",),
+        "a match that ends before the data does is complete, so reading on "
+        "would read the whole file, bytes after the raster included",
+    ),
+    Mutant(
+        "pgm-never-reads-ahead", "formats.py",
+        "(match := header(data)).end() == len(data)", "(match := header(data)).end() > len(data)",
+        (_FORMATS + "test_pgm_reader_reads_a_header_longer_than_the_first_read",),
+        "a header that runs past the first 64 KiB would end at the end of the "
+        "read, an unexpected end or a number cut short",
+    ),
+    Mutant(
+        "state-strings-parsed", "integrate.py",
+        "            if isinstance(value, (str, bytes)):  # which numpy would parse\n"
+        "                check_real(value, name, interval)\n",
+        "            pass\n",
+        ("tests/test_reals.py::test_a_string_state_component_is_a_type_error",),
+        "numpy's float64 conversion parses \"0.5\", where a real parameter given "
+        "the same string raises check_real's TypeError",
+    ),
+    Mutant(
+        "state-strings-in-object-arrays-parsed", "integrate.py",
+        'given.dtype.kind in "OSU"', 'given.dtype.kind in "SU"',
+        ("tests/test_reals.py::test_a_state_given_as_text_is_refused_in_any_container",),
+        "numpy keeps a string beside an int too wide for int64 in an object "
+        "array, and its float64 conversion parses that string too",
+    ),
+    # Refusals that each have one test, which must see the refusal deleted.
+    Mutant(
+        "pifs-code-hash-dropped", "compression.py",
+        "    def __hash__(self):\n        return hash(self.to_bytes())\n", "",
+        ("tests/test_compression.py::test_codes_hash_by_their_bytes_and_do_not_equal_other_types",),
+        "a frozen dataclass with eq then hashes its fields, and the record array "
+        "of transforms is unhashable",
+    ),
+    Mutant(
+        "pifs-code-equals-any-type", "compression.py",
+        "        if not isinstance(other, PifsCode):\n            return NotImplemented\n", "",
+        ("tests/test_compression.py::test_codes_hash_by_their_bytes_and_do_not_equal_other_types",),
+        "a code compared with bytes or None would call to_bytes on it and raise "
+        "AttributeError, where == should be False",
+    ),
+    Mutant(
+        "affine-map-shape-unchecked", "fractals.py",
+        '            raise DomainError("need a 2x2 linear part and a 2-vector offset")', "            pass",
+        ("tests/test_fractals.py::test_affine_map_refuses_a_part_of_another_shape",),
+        "a map of another shape fails later, inside numpy, with no DomainError",
+    ),
+    Mutant(
+        "trajectory-ndim-unchecked", "integrate.py",
+        '            raise DomainError("trajectory needs 1-D times and 2-D states")', "            pass",
+        (_INTEGRATE + "test_trajectory_refuses_arrays_of_the_wrong_shape",),
+        "1-D states or 2-D times would pass the length check, or fail it with "
+        "the wrong reason",
+    ),
+    Mutant(
+        "trajectory-length-unchecked", "integrate.py",
+        '            raise DomainError("times and states must have equal length")', "            pass",
+        (_INTEGRATE + "test_trajectory_refuses_arrays_of_the_wrong_shape",),
+        "a time without a state, or a state without a time, would be kept",
+    ),
+    Mutant(
+        "divergence-zero-in-the-window-fitted", "analysis.py",
+        '        raise SeparationUnderflow("twin trajectories coincide bit-exactly")', "        pass",
+        (_ANALYSIS + "test_divergence_rate_refuses_twins_that_coincide_inside_the_fit_window",),
+        "an exact zero separation logs as -inf, and the fit over it is not a rate",
+    ),
+    Mutant(
+        "series-csv-of-any-type", "formats.py",
+        '            raise TypeError(f"cannot serialize {type(series).__name__} as series CSV")',
+        "            return",
+        (_FORMATS + "test_writers_refuse_a_record_they_cannot_serialize_and_leave_no_file",),
+        "a record of another type would be skipped silently, with no file written",
+    ),
+    Mutant(
+        "pgm-of-any-type", "formats.py",
+        '            raise TypeError(f"cannot serialize {type(raster).__name__} as PGM")',
+        "            payload = raster",
+        (_FORMATS + "test_writers_refuse_a_record_they_cannot_serialize_and_leave_no_file",),
+        "any 2-D array would be written as a PGM, a MapOrbit failing later",
     ),
     Mutant(
         "analysis-numpy-at-import", "analysis.py",

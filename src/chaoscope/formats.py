@@ -220,48 +220,44 @@ def write_pgm(raster: _Raster, path) -> None:
 
 
 def read_pgm(path) -> GrayImage:
-    """Read a binary PGM with maxval 255 into a GrayImage.  Its header numbers
-    are ASCII decimal digits, as Netpbm allows; a sign, an underscore or a
-    non-ASCII digit raises FormatError.  As in libnetpbm, the magic is the first
-    two bytes, and then a ``#`` anywhere starts a comment that reads as the CR
-    or LF ending it (pm_getc); after maxval, that byte precedes the raster."""
+    """Read a binary PGM with maxval 255 into a GrayImage.
+
+    The grammar is libnetpbm's: ``P5`` as the first two bytes; width, height
+    and maxval in ASCII decimal digits, each after any whitespace and comments
+    (a ``#`` anywhere starts one, read as the CR or LF ending it: pm_getc);
+    one whitespace byte, or that CR or LF; the raster.  The header is read in
+    blocks, 64 KiB and then doubling, then only the raster bytes they miss:
+    bytes after the raster are read only within those blocks."""
     import numpy as np
 
-    data = Path(path).read_bytes()
-    if data[:2] != b"P5":
-        raise FormatError("only binary PGM (P5) is supported")
-    pos = 2
-    # the next token after any whitespace and comments; on bytes \s is the
-    # six ASCII bytes of bytes.isspace
-    next_token = re.compile(rb"(?:\s+|#[^\r\n]*)*([^\s#]*)").match
-
-    def token():
-        nonlocal pos
-        match = next_token(data, pos)
-        pos = match.end()
-        if not match[1]:
-            raise FormatError("unexpected end of PGM header")
-        return match[1]
-
-    def number():
-        text = token()
-        if not text.isdigit():  # bytes.isdigit: ASCII 0-9 only
-            raise FormatError(f"malformed PGM header: {text!r} is not a decimal number")
-        try:
-            return int(text)
-        except ValueError as exc:  # more digits than sys.get_int_max_str_digits()
-            raise FormatError(f"malformed PGM header: {exc}") from None
-
-    width, height, maxval = number(), number(), number()
-    if width < 1 or height < 1:
-        raise FormatError(f"PGM size {width}x{height} is not positive")
-    if maxval != 255:
-        raise FormatError(f"unsupported maxval {maxval} (need 255)")
-    # a comment glued to maxval runs to the CR or LF before the raster
-    pos = re.compile(rb"(?:#[^\r\n]*)?").match(data, pos).end()
-    pos += 1  # exactly one whitespace byte separates header from payload
-    payload = data[pos : pos + width * height]
-    if len(payload) != width * height:
+    # on bytes \s is the six ASCII bytes of bytes.isspace
+    header = re.compile(rb"P5" + rb"(?:\s+|#[^\r\n]*)*([^\s#]*)" * 3 + rb"(?:#[^\r\n]*)?").match
+    with open(path, "rb", buffering=0) as fh:
+        data = fh.read(1 << 16)
+        if data[:2] != b"P5":
+            raise FormatError("only binary PGM (P5) is supported")
+        # a match that ends with the data may run on in the bytes not yet read
+        while (match := header(data)).end() == len(data) and (more := fh.read(len(data))):
+            data += more
+        numbers = []
+        for text in match.groups():
+            if not text.isdigit():  # ASCII 0-9 only; an empty group is the end of the data
+                raise FormatError(f"malformed PGM header: {text!r} is not a decimal number"
+                                  if text else "unexpected end of PGM header")
+            try:
+                numbers.append(int(text))
+            except ValueError as exc:  # more digits than sys.get_int_max_str_digits()
+                raise FormatError(f"malformed PGM header: {exc}") from None
+        width, height, maxval = numbers
+        if width < 1 or height < 1:
+            raise FormatError(f"PGM size {width}x{height} is not positive")
+        if maxval != 255:
+            raise FormatError(f"unsupported maxval {maxval} (need 255)")
+        size, start = width * height, match.end() + 1
+        payload = bytearray(data[start : start + size])
+        # at most 16 MiB a read, so a size the file does not hold allocates nothing
+        while len(payload) < size and (more := fh.read(min(size - len(payload), 1 << 24))):
+            payload += more
+    if len(payload) != size:
         raise FormatError("PGM payload is shorter than width*height")
-    pixels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width)
-    return GrayImage(pixels=pixels.copy())
+    return GrayImage(pixels=np.frombuffer(payload, dtype=np.uint8).reshape(height, width))

@@ -85,15 +85,19 @@ MAX_ORBIT_VALUES = 10_000_000
 def as_state(x: ArrayLike, name: str, interval: str = "(-inf, inf)") -> List[float]:
     """The point x in phase space as a new list of floats.  The only check of
     an input state: a shape other than a non-empty 1-D vector, or a NaN,
-    +-inf or other component outside ``interval`` (by check_real), raises a
-    DomainError that names the state.  A non-empty list or tuple of Python
-    floats is copied and checked without numpy; any other x goes through
-    numpy's float64 conversion."""
+    +-inf or other component outside ``interval``, raises a DomainError that
+    names the state, and a string component a TypeError (both by check_real).
+    A non-empty list or tuple of Python floats is copied and checked without
+    numpy; any other x goes through numpy's float64 conversion."""
     if type(x) in (list, tuple) and x and all(type(v) is float for v in x):
         values = list(x)
     else:
         import numpy as np
 
+        given = np.asarray(x)
+        for value in given.ravel().tolist() if given.dtype.kind in "OSU" else ():
+            if isinstance(value, (str, bytes)):  # which numpy would parse
+                check_real(value, name, interval)
         arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
         if arr.ndim != 1 or arr.size < 1:
             raise DomainError(f"{name} must be a 1-D vector, got shape {arr.shape}")

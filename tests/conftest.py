@@ -9,12 +9,15 @@ library's tiled kernels must reproduce exactly, and the per-parameter
 bifurcation loop, the two-streams-per-trial avalanche loop, the row-by-row
 cobweb trace and the line-list CSV writer that the lane sweep, the
 three-keystream avalanche, the column-slice trace and the block CSV writer
-must reproduce exactly."""
+must reproduce exactly, and the token-by-token PGM reader that read_pgm's
+one header pattern must agree with."""
 
 import contextlib
 import importlib
 import io
 import math
+import re
+from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
 
 import mpmath
@@ -35,6 +38,7 @@ from chaoscope.errors import (
     DegenerateOrbit,
     DimensionMismatch,
     DomainError,
+    FormatError,
     GridTooLarge,
     MaxStepsExceeded,
     NonFiniteState,
@@ -683,6 +687,45 @@ def row_csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
         lines.append(fmt % tuple(first))
         lines.extend(fmt % tuple(row) for row in rows)
     return "\n".join(lines) + "\n"
+
+
+def token_read_pgm(path) -> GrayImage:
+    """read_pgm as a token reader: the whole file, then one token at a time
+    after any whitespace and comments, each checked before the next is read,
+    then a comment glued to maxval and one byte before the raster."""
+    data = Path(path).read_bytes()
+    if data[:2] != b"P5":
+        raise FormatError("only binary PGM (P5) is supported")
+    pos = 2
+    next_token = re.compile(rb"(?:\s+|#[^\r\n]*)*([^\s#]*)").match
+
+    def token():
+        nonlocal pos
+        match = next_token(data, pos)
+        pos = match.end()
+        if not match[1]:
+            raise FormatError("unexpected end of PGM header")
+        return match[1]
+
+    def number():
+        text = token()
+        if not text.isdigit():
+            raise FormatError(f"malformed PGM header: {text!r} is not a decimal number")
+        try:
+            return int(text)
+        except ValueError as exc:
+            raise FormatError(f"malformed PGM header: {exc}") from None
+
+    width, height, maxval = number(), number(), number()
+    if width < 1 or height < 1:
+        raise FormatError(f"PGM size {width}x{height} is not positive")
+    if maxval != 255:
+        raise FormatError(f"unsupported maxval {maxval} (need 255)")
+    pos = re.compile(rb"(?:#[^\r\n]*)?").match(data, pos).end() + 1
+    payload = data[pos : pos + width * height]
+    if len(payload) != width * height:
+        raise FormatError("PGM payload is shorter than width*height")
+    return GrayImage(pixels=np.frombuffer(payload, dtype=np.uint8).reshape(height, width).copy())
 
 
 @pytest.fixture

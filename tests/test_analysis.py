@@ -465,6 +465,15 @@ def test_divergence_rate_separation_underflow():
         divergence_rate(lambda t, x: np.zeros_like(x), [1.0], 1e-20, 1.0)
 
 
+def test_divergence_rate_refuses_twins_that_coincide_inside_the_fit_window():
+    # x' = -20 x from 1e-3 and 1.1e-3: both twins underflow to 0.0 well
+    # before t1 = 100, and the separation never nears the saturation
+    # threshold, so the fit window is the whole grid and holds the zeros
+    field = FloatKernel(lambda t, s: (-20.0 * s[0],), 1)
+    with pytest.raises(SeparationUnderflow, match=r"^twin trajectories coincide bit-exactly$"):
+        divergence_rate(field, [1e-3], 1e-4, 100.0)
+
+
 def _searchsorted_nearest(times, states, grid):
     """The nearest-step rule as numpy formulated it: searchsorted (side
     left), clipped to [1, n - 1], and the earlier step on a tie."""

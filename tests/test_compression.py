@@ -203,6 +203,14 @@ def test_transforms_must_be_records_or_integer_rows():
         PifsCode(width=16, height=16, range_size=8, transforms=[(0, 0, 0, 0, 0)] * 3)
 
 
+def test_codes_hash_by_their_bytes_and_do_not_equal_other_types():
+    rows = [(0, 0, 0, 32, 10)] * 4
+    code, twin = (PifsCode(16, 16, 8, rows) for _ in range(2))
+    assert code is not twin and hash(code) == hash(twin) == hash(code.to_bytes())
+    assert len({code, twin, PifsCode(16, 16, 8, [(0, 0, 1, 32, 10)] * 4)}) == 2
+    assert code.__eq__(code.to_bytes()) is NotImplemented and code != code.to_bytes()
+
+
 def test_record_layout_is_the_fic1_layout():
     # 16x16 at range size 4: 16 records, domain corners in [0, 8]
     rows = [(0, 8, 7, -63, -255), (8, 0, 3, 63, 255), (4, 2, 0, 0, 0), (1, 1, 5, -1, 17)] * 4

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chaoscope as c
+from chaoscope import formats
 from chaoscope.analysis import BifurcationDiagram
 from chaoscope.errors import DomainError, FormatError
 from chaoscope.formats import (
@@ -19,7 +24,7 @@ from chaoscope.formats import (
 )
 from chaoscope.integrate import IntegratorConfig, MapOrbit, Trajectory
 
-from conftest import row_csv_text
+from conftest import row_csv_text, token_read_pgm
 
 
 def test_empty_diagram_writes_header_only(tmp_path):
@@ -300,6 +305,140 @@ def test_pgm_reader_reads_the_magic_as_the_first_two_bytes(tmp_path, lead):
         read_pgm(f)
     f.write_bytes(b"P5 2 1 255\n\x07\x09")
     assert read_pgm(f).pixels.tolist() == [[7, 9]]
+
+
+#: Runs of whitespace or comment bytes that end at, or straddle, the end of
+#: read_pgm's first 64 KiB read and of its first doubling.
+_PGM_LONG_RUNS = st.tuples(st.sampled_from([b" ", b"\n", b"#", b"c"]),
+                           st.sampled_from([1 << 16, 1 << 17]), st.integers(-12, 12)).map(
+    lambda run: run[0] * (run[1] + run[2]))
+_PGM_PIECES = st.one_of(
+    st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c", b"#", b"#c\n", b"# c\r", b"1",
+                     b"2", b"3", b"255", b"0", b"+", b"-", b"_", b"\xd9\xa3", b"x"]),
+    st.binary(max_size=3),
+    st.sampled_from([b"9" * 4301, b"1" * 5000, b"0" * 4400 + b"1"]),
+    _PGM_LONG_RUNS,
+)
+_PGM_SEP = st.lists(st.sampled_from([b" ", b"\n", b"\r", b"\t", b"#c\n", b"#\r", b"# x", b""]),
+                    max_size=3).map(b"".join) | _PGM_LONG_RUNS.map(lambda run: b"#" + run + b"\n")
+_PGM_NUMBER = st.integers(0, 4).map(b"%d".__mod__) | st.sampled_from(
+    [b"", b"x", b"+2", b"2_0", b"02", b"1" * 5000])
+#: Headers built from fragments, and near-valid ones: the field order kept,
+#: with numbers, separators and the byte after maxval drawn from valid and
+#: invalid choices.
+_PGM_HEADERS = st.one_of(
+    st.lists(_PGM_PIECES, max_size=10).map(lambda pieces: b"P5" + b"".join(pieces)),
+    st.tuples(st.sampled_from([b"P5", b"P5", b"P2", b" P5", b"P"]), _PGM_SEP, _PGM_NUMBER,
+              _PGM_SEP, _PGM_NUMBER, _PGM_SEP,
+              st.sampled_from([b"255", b"0255", b"256", b"25", b"9" * 4301]),
+              st.sampled_from([b" ", b"\n", b"#c\n", b"#c\r", b"#c", b""])).map(b"".join),
+)
+
+
+def _outcome(reader, path):
+    try:
+        return reader(path).pixels.tolist()
+    except FormatError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(header=_PGM_HEADERS, payload=st.binary(max_size=40))
+def test_read_pgm_matches_the_token_reader(tmp_path_factory, header, payload):
+    # one header pattern, read in blocks, gives the image, or the refusal and
+    # its text, of the token reader that read the whole file
+    f = tmp_path_factory.mktemp("pgm") / "any.pgm"
+    f.write_bytes(header + payload)
+    assert _outcome(read_pgm, f) == _outcome(token_read_pgm, f)
+
+
+@pytest.mark.parametrize("length", [(1 << 16) - 9, (1 << 16) - 8, 1 << 16, 3 << 16, 1 << 20])
+def test_pgm_reader_reads_a_header_longer_than_the_first_read(tmp_path, length):
+    # the first 64 KiB read ends in the whitespace before maxval, or in the
+    # height; a comment runs past it, or past several doublings of it
+    f = tmp_path / "long.pgm"
+    f.write_bytes(b"P5\n#" + b"c" * length + b"\n2 1\n255\n\x07\x09")
+    assert read_pgm(f).pixels.tolist() == [[7, 9]]
+
+
+def test_pgm_reader_refuses_a_size_the_file_does_not_hold_without_allocating_it(tmp_path):
+    # a 10**18-byte raster: one read of the size the header claims would
+    # raise MemoryError, not the refusal
+    f = tmp_path / "huge.pgm"
+    f.write_bytes(b"P5\n1000000000 1000000000\n255\n\x07\x09")
+    with pytest.raises(FormatError, match=r"^PGM payload is shorter than width\*height$"):
+        read_pgm(f)
+
+
+class _CountingFile:
+    """A file whose reads are summed in ``read_bytes``."""
+
+    read_bytes = 0
+
+    def __init__(self, *args, **kwargs):
+        self._file = open(*args, **kwargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._file.close()
+
+    def read(self, size):
+        data = self._file.read(size)
+        _CountingFile.read_bytes += len(data)
+        return data
+
+
+@pytest.mark.parametrize("header, size, tail", [
+    (b"P5\n2 1\n255\n", 2, 1 << 20),  # the first read holds the raster
+    (b"P5\n400 300\n255\n", 120_000, 1 << 20),  # then the raster bytes it misses
+    (b"P5\n#" + b"c" * 100_000 + b"\n2 1\n255\n", 2, 1 << 20),  # a header that runs on
+], ids=["small", "large", "long-header"])
+def test_pgm_reader_reads_no_byte_past_the_raster_beyond_its_header_blocks(
+        tmp_path, monkeypatch, header, size, tail):
+    f = tmp_path / "tail.pgm"
+    f.write_bytes(header + bytes(size) + b"\xff" * tail)
+    monkeypatch.setattr(formats, "open", _CountingFile, raising=False)
+    monkeypatch.setattr(_CountingFile, "read_bytes", 0)
+    assert read_pgm(f).pixels.sum() == 0
+    # 64 KiB, doubled while the header runs on; then the raster's last byte
+    blocks = 1 << 16
+    while blocks <= len(header):
+        blocks *= 2
+    assert _CountingFile.read_bytes == max(blocks, len(header) + size)
+
+
+_MAXRSS = ("import resource, sys\n"
+           "from chaoscope.formats import read_pgm\n"
+           "assert read_pgm(sys.argv[1]).pixels.tolist() == [[7, 9]]\n"
+           "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+
+
+def test_pgm_reader_memory_does_not_grow_with_bytes_after_the_raster(tmp_path):
+    # a sparse tail takes no disk; a reader of the whole file would hold it
+    plain, padded = tmp_path / "plain.pgm", tmp_path / "padded.pgm"
+    for f in (plain, padded):
+        f.write_bytes(b"P5\n2 1\n255\n\x07\x09")
+    os.truncate(padded, 256 << 20)
+    env = dict(os.environ, PYTHONPATH=str(Path(formats.__file__).parents[1]))
+    peak_kib = [int(subprocess.run([sys.executable, "-c", _MAXRSS, str(f)], env=env,
+                                   capture_output=True, text=True, check=True).stdout)
+                for f in (plain, padded)]
+    assert peak_kib[1] - peak_kib[0] < 5 * 1024
+
+
+@pytest.mark.parametrize("write, record, message", [
+    (write_trajectory_csv, c.GrayImage.constant(2, 1, 0), "GrayImage as series CSV"),
+    (write_trajectory_csv, [[0.0, 1.0]], "list as series CSV"),
+    (write_pgm, MapOrbit(points=np.array([[0.5]]), discarded=0), "MapOrbit as PGM"),
+    (write_pgm, np.zeros((2, 2), dtype=np.uint8), "ndarray as PGM"),
+], ids=["csv-image", "csv-list", "pgm-orbit", "pgm-array"])
+def test_writers_refuse_a_record_they_cannot_serialize_and_leave_no_file(
+        tmp_path, write, record, message):
+    with pytest.raises(TypeError, match=f"^cannot serialize {message}$"):
+        write(record, tmp_path / "out")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_writers_leave_no_temp_files(tmp_path):

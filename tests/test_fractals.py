@@ -234,6 +234,17 @@ def test_affine_map_contractivity_enforced():
         IfsSystem(maps=())
 
 
+@pytest.mark.parametrize("linear, offset", [
+    (np.eye(3) * 0.5, np.zeros(2)),
+    ([0.5, 0.5], np.zeros(2)),
+    (np.eye(2) * 0.5, np.zeros(3)),
+    (np.eye(2) * 0.5, np.zeros((2, 1))),
+], ids=["3x3", "1-D-linear", "3-offset", "column-offset"])
+def test_affine_map_refuses_a_part_of_another_shape(linear, offset):
+    with pytest.raises(DomainError, match=r"^need a 2x2 linear part and a 2-vector offset$"):
+        AffineMap2(linear, offset)
+
+
 @pytest.mark.parametrize(
     "linear, offset",
     [

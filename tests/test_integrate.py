@@ -892,6 +892,14 @@ _STATES = st.one_of(
     st.lists(st.lists(_ANY_FLOAT, min_size=1, max_size=2), min_size=1, max_size=2),
     st.lists(_ANY_FLOAT, max_size=4).map(np.array),
     st.lists(_ANY_FLOAT, max_size=4).map(lambda v: [np.float64(x) for x in v]),
+    # numpy scalars, 0-d states, and the other numeric dtypes and object arrays
+    st.integers(-2**60, 2**60).map(np.int64),
+    st.booleans().map(np.bool_),
+    _ANY_FLOAT.map(np.array),
+    st.lists(st.integers(0, 2**64 - 1), max_size=3).map(lambda v: np.array(v, dtype=np.uint64)),
+    st.lists(st.floats(width=32), max_size=3).map(lambda v: np.array(v, dtype=np.float32)),
+    st.lists(st.integers(-2**1100, 2**1100), max_size=3),
+    st.lists(st.one_of(st.none(), _ANY_FLOAT), max_size=3),
 )
 
 
@@ -900,6 +908,16 @@ _STATES = st.one_of(
 def test_as_state_without_numpy_matches_the_numpy_path(x):
     with np.errstate(all="ignore"):
         assert _state_outcome(as_state, x) == _state_outcome(_numpy_state, x)
+
+
+@pytest.mark.parametrize("times, states, message", [
+    ([[0.0, 1.0]], [[1.0], [2.0]], "trajectory needs 1-D times and 2-D states"),
+    ([0.0, 1.0], [1.0, 2.0], "trajectory needs 1-D times and 2-D states"),
+    ([0.0, 1.0, 2.0], [[1.0], [2.0]], "times and states must have equal length"),
+], ids=["2-D-times", "1-D-states", "lengths"])
+def test_trajectory_refuses_arrays_of_the_wrong_shape(times, states, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        Trajectory(times=times, states=states)
 
 
 def test_as_state_of_floats_is_a_new_list():

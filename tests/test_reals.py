@@ -173,6 +173,26 @@ def test_a_non_finite_state_component_is_a_domain_error(call, name):
         assert err.traceback[-1].name == "check_real"
 
 
+@pytest.mark.parametrize("call, name", [case[1:] for case in STATES],
+                         ids=[case[0] for case in STATES])
+def test_a_string_state_component_is_a_type_error(call, name):
+    # as for a real parameter; numpy's float64 conversion would parse it
+    for v in ("0.5", b"0.5", np.str_("0.5")):
+        with pytest.raises(TypeError, match=r"^bad operand type for abs\(\): '(str|bytes)'$") as err:
+            call(v)
+        assert err.traceback[-1].name == "check_real"
+
+
+@pytest.mark.parametrize("x0", [
+    ["0.1", "0"], ("0.1", 0.0), "0.1", np.array(["0.1", "0"]), np.array([b"0.1", b"0"]),
+    np.array(["0.1", 2**70], dtype=object), np.str_("0.1"), [["0.1", "0"]],
+])
+def test_a_state_given_as_text_is_refused_in_any_container(x0):
+    with pytest.raises(TypeError) as err:
+        c.iterate_map(c.preset("henon").map(None), x0, 3)
+    assert err.traceback[-1].name == "check_real"
+
+
 def test_a_logistic_start_outside_the_presets_domain_is_a_domain_error():
     # the preset's domain, checked by iterate_map on the start state; before,
     # x0 = 1.5 ran until the orbit overflowed, a NonFiniteState at iterate 10
