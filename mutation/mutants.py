@@ -49,6 +49,7 @@ _FORMATS = "tests/test_formats.py::"
 _ANALYSIS = "tests/test_analysis.py::"
 _PACKAGE = "tests/test_package.py::"
 _INTEGRATE = "tests/test_integrate.py::"
+_COMPRESSION = "tests/test_compression.py::"
 _BUDGET = "return max(1, min(1_000_000, MAX_ORBIT_VALUES // (dim + 1) - 1))"
 
 MUTANTS = [
@@ -331,6 +332,56 @@ MUTANTS = [
         ("tests/test_reals.py::"
          "test_a_logistic_start_outside_the_presets_domain_is_a_domain_error",),
         "the map keeps [0, 1] only; a start outside it leaves to -inf",
+    ),
+    # The exact PIFS search: the tile's matrix product, the float64 margin,
+    # the tie rule and each block's first minimum.  Equivalent, so not
+    # listed: a tile slice one block too long, which encodes the next
+    # tile's first block twice, the same both times.
+    Mutant(
+        "pifs-margin-2-60", "compression.py",
+        "margin = 2.0**-40 * (var_r * scale + upper)",
+        "margin = 2.0**-60 * (var_r * scale + upper)",
+        (_COMPRESSION + "test_a_tie_that_float64_rounds_above_u_survives_the_margin",),
+        "L of a candidate that ties the optimum can round above U by a few "
+        "2^-53 * Z, more than 2^-60 * (Z + U), and that candidate is pruned",
+    ),
+    Mutant(
+        "pifs-margin-dropped", "compression.py",
+        "bound <= (upper + margin)[:, None]", "bound <= upper[:, None]",
+        (_COMPRESSION + "test_a_tie_that_float64_rounds_above_u_survives_the_margin",),
+        "with U = 0 a tie whose L rounds up to 9e-7 is pruned, and a later "
+        "candidate wins",
+    ),
+    Mutant(
+        "pifs-tie-cut-strict", "compression.py",
+        "(c <= c0[b])", "(c < c0[b])",
+        (_COMPRESSION + "test_flat_range_blocks_scan_at_most_two_candidates",),
+        "where U = 0 the seed itself is an optimum; without it a flat block "
+        "keeps only earlier candidates, or none",
+    ),
+    Mutant(
+        "pifs-gemm-float32", "compression.py",
+        "cross = (ranges[blocks] @ cand.T).astype(np.int64)",
+        "cross = (ranges[blocks].astype(np.float32) @ cand.T.astype(np.float32))"
+        ".astype(np.int64)",
+        (_COMPRESSION + "test_cross_products_are_exact_where_float32_is_not",),
+        "float32 holds integers only up to 2^24, and a range_size 16 cross "
+        "product reaches 256 * 1020 * 255",
+    ),
+    Mutant(
+        "pifs-last-minimum", "compression.py",
+        "win = hit[np.searchsorted(b[hit], ids)]",
+        'win = hit[np.searchsorted(b[hit], ids, side="right") - 1]',
+        (_COMPRESSION + "test_encoder_matches_brute_force",),
+        "the tie-break is the lowest (domain, isometry, s_q), the first of a "
+        "block's minima",
+    ),
+    Mutant(
+        "pifs-tile-one-block-short", "compression.py",
+        "blocks = slice(t0, t0 + tile)", "blocks = slice(t0, t0 + tile - 1)",
+        (_COMPRESSION + "test_tiles_and_scan_chunks_do_not_change_the_code",),
+        "the last block of every tile is never searched, and its row keeps "
+        "whatever np.empty held",
     ),
     # The Dormand-Prince step.  Equivalent, so not listed: y_new's sum as
     # 0 + (_B1*a + ... + _B6*g), the leading 0 moved outside the sum.  The

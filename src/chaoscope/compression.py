@@ -19,7 +19,10 @@ its integer error.  Only candidates whose bound is at most U, the exact
 best error of the candidate with the smallest bound, plus a margin for
 float64 rounding are scanned exactly.  Since no candidate that can reach the
 optimum, or tie with it, is skipped, the codes are byte-identical to an
-exhaustive scan (see ``pifs_encode``).
+exhaustive scan (see ``pifs_encode``).  The search runs on a tile of range
+blocks at a time: one float64 matrix product gives every cross product of
+the tile, exactly, since each is an integer below 2^53, so the codes do not
+depend on the BLAS, its CPU kernels or its thread count.
 """
 
 from __future__ import annotations
@@ -186,14 +189,18 @@ def apply_isometry(block: np.ndarray, t: int) -> np.ndarray:
 
 
 def _scan(cross, sd, sd2, sr, sr2, n, s_grid):
-    """Exact integer errors of candidates against one range block.
+    """Exact integer errors of candidates against range blocks.
 
-    cross, sd and sd2 hold each candidate's sum(S*R), sum(S) and sum(S^2).
-    Returns (err, o), both (candidates, len(s_grid)): the scaled squared
-    error at the best offset for each contrast, and that offset.
+    Row i pairs a candidate, whose sum(S), sum(S^2) and sum(S*R) are sd[i],
+    sd2[i] and cross[i], with a block whose sum(R) and sum(R^2) are sr[i]
+    and sr2[i]; sr and sr2 may also be scalars, one block for every row.
+    Returns (err, o), both (rows, len(s_grid)): the scaled squared error at
+    the best offset for each contrast, and that offset.
     """
     s = s_grid[None, :]
     sd = sd[:, None]
+    sr = np.asarray(sr)[..., None]
+    sr2 = np.asarray(sr2)[..., None]
     # the error is 252^2*n*(o - num/den)^2 plus a term free of o, with
     # num = 252*sr - s*sd and den = 252*n: the nearest integer to num/den,
     # the smaller on a tie, clipped to the offset range, is the best offset
@@ -210,6 +217,13 @@ def _scan(cross, sd, sd2, sr, sr2, n, s_grid):
         - 2 * (_SCALE * big_o) * sr
     )
     return err, o
+
+
+#: Entries (blocks x candidates) of one tile of the search, and (block,
+#: candidate) pairs of one exact scan: with both fixed, the encoder's working
+#: arrays do not grow with the number of range blocks.
+_TILE_ENTRIES = 1 << 18
+_SCAN_PAIRS = 1 << 9
 
 
 def pifs_encode(
@@ -243,6 +257,19 @@ def pifs_encode(
     of its true value, where Z = 252^2 * varR / n >= L.  The margin
     2^-40 * (Z + U) exceeds that error, and the rounding of U + margin, by
     a factor of several hundred; pruning less than possible only costs time.
+
+    The blocks are searched a tile at a time: as many as keep the tile's
+    blocks x candidates within _TILE_ENTRIES, and at least one.  One
+    float64 matrix product gives the tile's cross products sum(S*R).  Each
+    is an integer of at most n * 1020 * 255 < 2^53, and so is every partial
+    sum, so the product is exact whatever order the BLAS adds in, on any
+    CPU kernel and thread count.  The code therefore depends only on
+    integer arithmetic and on the float64 operations of L and of the
+    margin: each an IEEE-754 conversion, add, subtract, multiply or
+    divide, correctly rounded, run elementwise in the order of a one-block
+    search.  The seed scans of a tile run as one _scan, and its surviving
+    (block, candidate) pairs, ordered by block and then candidate, are
+    scanned _SCAN_PAIRS at a time.
     """
     domain_step = check_count(domain_step, "domain_step", 1)
     check_real(s_max, "s_max", "[0, 1]")
@@ -253,14 +280,15 @@ def pifs_encode(
     nby, nbx = image.height // rs, image.width // rs
     px = image.pixels
 
-    # candidate pool: (domain row-major) x (isometry 0..7), flattened blocks
+    # candidate pool: (domain row-major) x (isometry 0..7), flattened blocks;
+    # float64 holds every sum and product of it exactly
     windows = np.lib.stride_tricks.sliding_window_view(px, (2 * rs, 2 * rs))
     windows = windows[::domain_step, ::domain_step]
     n_dx = windows.shape[1]
-    sums = windows.reshape(-1, rs, 2, rs, 2).sum(axis=(2, 4), dtype=np.int64)
+    sums = windows.reshape(-1, rs, 2, rs, 2).sum(axis=(2, 4), dtype=np.float64)
     cand = np.stack([apply_isometry(sums, t) for t in range(8)], axis=1).reshape(-1, n)
-    sd = cand.sum(axis=1)
-    sd2 = (cand * cand).sum(axis=1)
+    sd = cand.sum(axis=1).astype(np.int64)
+    sd2 = (cand * cand).sum(axis=1).astype(np.int64)
     # varD = 0 only for a flat domain, where cov = 0 as well; 1 keeps cov^2/varD 0
     var_d = np.maximum(n * sd2 - sd * sd, 1).astype(np.float64)
 
@@ -268,30 +296,49 @@ def pifs_encode(
     s_grid = np.arange(-s_cap, s_cap + 1, dtype=np.int64)
 
     ranges = px.reshape(nby, rs, nbx, rs).transpose(0, 2, 1, 3).reshape(-1, n)
-    ranges = ranges.astype(np.int64)
+    ranges = ranges.astype(np.float64)
+    sr_all = ranges.sum(axis=1).astype(np.int64)
+    sr2_all = (ranges * ranges).sum(axis=1).astype(np.int64)
     scale = _SCALE * _SCALE / n
 
     rows = np.empty((len(ranges), 5), dtype=np.int64)  # TRANSFORM's field order
-    for b, r in enumerate(ranges):
-        cross = cand @ r  # per block: no (candidates x blocks) matrix
-        sr = int(r.sum())
-        sr2 = int(r @ r)
+    tile = max(1, _TILE_ENTRIES // len(cand))
+    for t0 in range(0, len(ranges), tile):
+        blocks = slice(t0, t0 + tile)
+        sr, sr2 = sr_all[blocks], sr2_all[blocks]
         var_r = n * sr2 - sr * sr
-        cov = (n * cross - sd * sr).astype(np.float64)
-        bound = (var_r - cov * cov / var_d) * scale
-        c0 = int(np.argmin(bound))
-        sl = slice(c0, c0 + 1)
-        upper = int(_scan(cross[sl], sd[sl], sd2[sl], sr, sr2, n, s_grid)[0].min())
+        ids = np.arange(len(sr))
+        cross = (ranges[blocks] @ cand.T).astype(np.int64)  # (blocks, candidates)
+        # L in the one-block search's operation order, in place
+        bound = (n * cross - np.multiply.outer(sr, sd)).astype(np.float64)
+        bound *= bound
+        bound /= var_d
+        np.subtract(var_r[:, None], bound, out=bound)
+        bound *= scale
+        c0 = bound.argmin(axis=1)  # each block's first minimum
+        upper = _scan(cross[ids, c0], sd[c0], sd2[c0], sr, sr2, n, s_grid)[0].min(axis=1)
         margin = 2.0**-40 * (var_r * scale + upper)
-        keep = np.flatnonzero(bound <= upper + margin)
-        if upper == 0:  # nothing scores lower, so no later candidate wins a tie
-            keep = keep[keep <= c0]
-        err, o = _scan(cross[keep], sd[keep], sd2[keep], sr, sr2, n, s_grid)
-        flat = int(np.argmin(err))  # first minimum: lowest (dy,dx,iso,s_q)
-        k, s_idx = divmod(flat, len(s_grid))
-        d, iso = divmod(int(keep[k]), 8)
-        d_y, d_x = divmod(d, n_dx)
-        rows[b] = (d_x * domain_step, d_y * domain_step, iso, s_grid[s_idx], o[k, s_idx])
+        b, c = np.nonzero(bound <= (upper + margin)[:, None])  # by block, then candidate
+        # where U = 0 nothing scores lower, so no later candidate wins a tie
+        tie_cut = (upper[b] != 0) | (c <= c0[b])
+        b, c = b[tie_cut], c[tie_cut]
+        best, s_at, o_at = (np.empty(len(b), dtype=np.int64) for _ in range(3))
+        for p0 in range(0, len(b), _SCAN_PAIRS):
+            p = slice(p0, p0 + _SCAN_PAIRS)
+            pb, pc = b[p], c[p]
+            err, o = _scan(cross[pb, pc], sd[pc], sd2[pc], sr[pb], sr2[pb], n, s_grid)
+            k = err.argmin(axis=1)  # first minimum: lowest s_q
+            at = np.arange(len(k))
+            best[p], s_at[p], o_at[p] = err[at, k], k, o[at, k]
+        # each block's first minimum in candidate order: lowest (dy,dx,iso,s_q)
+        low = np.minimum.reduceat(best, np.searchsorted(b, ids))
+        hit = np.flatnonzero(best == low[b])
+        win = hit[np.searchsorted(b[hit], ids)]
+        d, iso = np.divmod(c[win], 8)
+        d_y, d_x = np.divmod(d, n_dx)
+        rows[blocks] = np.stack(
+            [d_x * domain_step, d_y * domain_step, iso, s_grid[s_at[win]], o_at[win]], axis=1
+        )
     return PifsCode(
         width=image.width,
         height=image.height,

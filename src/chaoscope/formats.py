@@ -226,8 +226,11 @@ def read_pgm(path) -> GrayImage:
     and maxval in ASCII decimal digits, each after any whitespace and comments
     (a ``#`` anywhere starts one, read as the CR or LF ending it: pm_getc);
     one whitespace byte, or that CR or LF; the raster.  The header is read in
-    blocks, 64 KiB and then doubling, then only the raster bytes they miss:
-    bytes after the raster are read only within those blocks."""
+    blocks, 64 KiB and then 16 times larger each time, then only the raster
+    bytes they miss: bytes after the raster are read only within those
+    blocks.  A header that runs past a block is matched again from its
+    start, so the 16-fold growth keeps the bytes matched within about twice
+    its length."""
     import numpy as np
 
     # on bytes \s is the six ASCII bytes of bytes.isspace
@@ -237,7 +240,7 @@ def read_pgm(path) -> GrayImage:
         if data[:2] != b"P5":
             raise FormatError("only binary PGM (P5) is supported")
         # a match that ends with the data may run on in the bytes not yet read
-        while (match := header(data)).end() == len(data) and (more := fh.read(len(data))):
+        while (match := header(data)).end() == len(data) and (more := fh.read(15 * len(data))):
             data += more
         numbers = []
         for text in match.groups():

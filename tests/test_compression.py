@@ -1,4 +1,6 @@
 import struct
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -337,24 +339,97 @@ def test_pruned_search_and_vectorised_decode_match_oracles(rs, step, s_max, corp
             assert np.array_equal(got, loop_decode(code, 3, s).pixels), name
 
 
-def test_flat_range_blocks_scan_at_most_two_candidates(monkeypatch):
-    scanned = []
+def _recording_scan(monkeypatch):
+    """Replace compression._scan by a wrapper that records, for each call,
+    the per-row block sums sr it was given; returns the list of them."""
+    calls = []
     scan = compression._scan
 
-    def counting_scan(cross, *args):
-        scanned.append(len(cross))
-        return scan(cross, *args)
+    def recording_scan(cross, sd, sd2, sr, sr2, n, s_grid):
+        calls.append(np.broadcast_to(sr, cross.shape).copy())
+        return scan(cross, sd, sd2, sr, sr2, n, s_grid)
 
-    monkeypatch.setattr(compression, "_scan", counting_scan)
+    monkeypatch.setattr(compression, "_scan", recording_scan)
+    return calls
+
+
+def test_flat_range_blocks_scan_at_most_two_candidates(monkeypatch):
+    calls = _recording_scan(monkeypatch)
     rng = np.random.default_rng(8)
-    tiles = rng.integers(0, 256, size=(8, 8), dtype=np.uint8)
-    images = [GrayImage.constant(64, 64, 93), GrayImage(pixels=np.kron(tiles, np.ones((8, 8), np.uint8)))]
+    # 64 distinct gray levels give every flat block its own sum sr = 64 * level
+    levels = rng.permutation(256)[:64].astype(np.uint8).reshape(8, 8)
+    images = [GrayImage.constant(64, 64, 93), GrayImage(pixels=np.kron(levels, np.ones((8, 8), np.uint8)))]
     for img in images:
-        scanned.clear()
+        calls.clear()
         code = pifs_encode(img)  # every 8x8 range block is flat
-        assert len(scanned) == 2 * 64
-        assert all(a + b <= 2 for a, b in zip(scanned[::2], scanned[1::2]))
+        blocks = Counter(img.pixels[::8, ::8].ravel().astype(np.int64) * 64)
+        scanned = Counter(np.concatenate(calls).tolist())
+        # the seed and at most one survivor per block, in the batched scans
+        assert set(scanned) == set(blocks)
+        assert all(scanned[sr] <= 2 * count for sr, count in blocks.items())
         assert code == exhaustive_encode(img, 8, 8, 1.0)
+
+
+def test_tiles_and_scan_chunks_do_not_change_the_code(monkeypatch):
+    # a 64x64 image has 64 range blocks and 7*7*8 = 392 candidates: tiles of
+    # 5 blocks leave a last tile of 4, and scans of 7 pairs split survivors
+    monkeypatch.setattr(compression, "_TILE_ENTRIES", 5 * 392 + 391)
+    monkeypatch.setattr(compression, "_SCAN_PAIRS", 7)
+    calls = _recording_scan(monkeypatch)
+    for seed in (5, 6):
+        img = make_photo(64, 64, seed)
+        calls.clear()
+        code = pifs_encode(img)
+        sizes = [len(sr) for sr in calls]
+        assert max(sizes) == 7 and sizes.count(4) >= 1
+        assert code == exhaustive_encode(img, 8, 8, 1.0)
+
+
+def test_cross_products_are_exact_where_float32_is_not():
+    # with range_size 16 a cross product reaches 256*1020*255 > 2**24, past
+    # float32's integers; on a bright ramp many candidates tie or nearly
+    # tie, so an error of a few units in one of them picks another code
+    yy, xx = np.mgrid[0:64, 0:64]
+    img = GrayImage(pixels=(150 + xx + yy // 2).astype(np.uint8))
+    for s_max in (1.0, 0.5):
+        assert pifs_encode(img, 16, 8, s_max) == exhaustive_encode(img, 16, 8, s_max)
+
+
+def test_a_tie_that_float64_rounds_above_u_survives_the_margin():
+    # the range block at (64, 0) is R = 20 + x, x = 45 on the first 101 of
+    # its 256 pixels; domain A at x = 0 fits it exactly with s_q = 42 (2x2
+    # sums 6x), domain B at x = 32 with s_q = 63 (sums 4(100 + x)).  Both
+    # score 0, so A, the earlier, is the optimum.  In float64 B's L is 0 but
+    # A's rounds up to about 9e-7, with U = 0 and Z = 252^2 * varR / n near
+    # 7.9e9: the margin 2^-40 * Z keeps A, and 2^-60 * Z, or none, would not
+    x = 45 * (np.arange(256) < 101).reshape(16, 16)
+    rest = np.full((32, 32), 20)
+    rest[:16, :16] += x
+    parts = [np.kron(x, [[2, 2], [1, 1]]), np.kron(100 + x, np.ones((2, 2), int)), rest]
+    img = GrayImage(pixels=np.concatenate(parts, axis=1).astype(np.uint8))
+    code = pifs_encode(img, 16, 32, 1.0)
+    assert tuple(code.transforms[4]) == (0, 0, 0, 42, 20)
+    assert code == exhaustive_encode(img, 16, 32, 1.0)
+
+
+def test_encode_memory_stays_within_the_tile_budget():
+    # a 256x256 photo: 1024 range blocks against 31*31*8 = 7688 candidates.
+    # The bound is the candidate pool (the float64 block sums, their 8
+    # isometries and the squares, each 7688*64*8 bytes), eight arrays of a
+    # tile (_TILE_ENTRIES entries of 8 bytes) and sixteen of a scan
+    # (_SCAN_PAIRS pairs x 127 contrasts of 8 bytes).  One untiled
+    # (candidates x blocks) matrix alone is larger than all of that.
+    cands, blocks = 7688, 1024
+    bound = (3 * cands * 64 + 8 * compression._TILE_ENTRIES + 16 * compression._SCAN_PAIRS * 127) * 8
+    assert cands * blocks * 8 > bound
+    img = make_photo(256, 256, 3)
+    tracemalloc.start()
+    try:
+        pifs_encode(img)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound
 
 
 def _two_candidate_scan(cross, sd, sd2, sr, sr2, n, s_grid):
