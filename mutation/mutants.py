@@ -50,6 +50,8 @@ _ANALYSIS = "tests/test_analysis.py::"
 _PACKAGE = "tests/test_package.py::"
 _INTEGRATE = "tests/test_integrate.py::"
 _COMPRESSION = "tests/test_compression.py::"
+_RECORDS = "tests/test_records.py::"
+_TWIN = (_RECORDS + "test_each_record_behaves_as_its_dataclass_twin",)
 _BUDGET = "return max(1, min(1_000_000, MAX_ORBIT_VALUES // (dim + 1) - 1))"
 
 MUTANTS = [
@@ -63,8 +65,8 @@ MUTANTS = [
     ),
     Mutant(
         "csv-width-only-caps-long-rows", "formats.py",
-        "if any(n != width for n in map(len, block)):",
-        "if any(n > width for n in map(len, block)):",
+        "if set(map(len, block)) != {width}:",
+        "if max(map(len, block)) > width:",
         (_FORMATS + "test_block_csv_refuses_a_row_of_another_length",),
         "a short row then reaches the % operation, which refuses it with its own "
         "message, or formats it with the next row's fields when a long row makes "
@@ -206,8 +208,8 @@ MUTANTS = [
         "pifs-code-hash-dropped", "compression.py",
         "    def __hash__(self):\n        return hash(self.to_bytes())\n", "",
         ("tests/test_compression.py::test_codes_hash_by_their_bytes_and_do_not_equal_other_types",),
-        "a frozen dataclass with eq then hashes its fields, and the record array "
-        "of transforms is unhashable",
+        "a class that defines __eq__ and no __hash__ is unhashable, so a code "
+        "could not be a set member or a dict key",
     ),
     Mutant(
         "pifs-code-equals-any-type", "compression.py",
@@ -332,6 +334,46 @@ MUTANTS = [
         ("tests/test_reals.py::"
          "test_a_logistic_start_outside_the_presets_domain_is_a_domain_error",),
         "the map keeps [0, 1] only; a start outside it leaves to -inf",
+    ),
+    # The Record base, whose methods every record shares in place of a
+    # generated dataclass's.
+    Mutant(
+        "record-eq-takes-a-subclass", "records.py",
+        "if other.__class__ is not self.__class__:", "if not isinstance(other, type(self)):",
+        _TWIN,
+        "a dataclass's __eq__ compares only instances of its own class, so a "
+        "record would equal an instance of a subclass with the same fields",
+    ),
+    Mutant(
+        "record-hash-skips-the-last-field", "records.py",
+        "return hash(self._astuple())", "return hash(self._astuple()[:-1])",
+        _TWIN,
+        "a dataclass hashes the tuple of every field; records that differ only "
+        "in their last field would collide, and the hash of a one-field record "
+        "would be hash(())",
+    ),
+    Mutant(
+        "record-setattr-assigns", "records.py",
+        '        raise FrozenInstanceError(f"cannot assign to field {name!r}")\n',
+        "        object.__setattr__(self, name, value)\n",
+        _TWIN,
+        "a checked record could then be changed after __post_init__ accepted it",
+    ),
+    Mutant(
+        "record-positional-bound-off-by-one", "records.py",
+        "if len(args) > len(names):", "if len(args) > len(names) + 1:",
+        _TWIN,
+        "one positional argument more than the fields would be dropped, not "
+        "refused with the TypeError of a dataclass's __init__.  Binding each "
+        "argument to the next field is not listed: module-level presets then "
+        "fail to build, and pytest exits 4 while loading conftest",
+    ),
+    Mutant(
+        "record-default-unapplied", "records.py",
+        "given[name] if name in given else defaults[name]", "given.get(name)",
+        _TWIN,
+        "a field left out would hold None, not its default: ChaosKey(3.9, 0.3) "
+        "then has no warmup",
     ),
     # The exact PIFS search: the tile's matrix product, the float64 margin,
     # the tie rule and each block's first minimum.  Equivalent, so not

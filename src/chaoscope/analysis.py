@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
 
 from .errors import (DomainError, NonFiniteState, SeparationUnderflow, check_cap, check_count,
                      check_real)
 from .integrate import (MAX_ORBIT_VALUES, FieldFn, IntegratorConfig, _check_length, _FlatRows,
                         _float_kernel, _slope, _stream, as_state)
+from .records import Record
 from .systems import LogisticParams, LorenzParams, check_logistic_x0, logistic_step, preset
 
 if TYPE_CHECKING:
@@ -85,8 +85,7 @@ def lorenz_equilibria(p: LorenzParams) -> list[np.ndarray]:
     return points
 
 
-@dataclass(frozen=True)
-class CobwebTrace:
+class CobwebTrace(Record):
     """Staircase polyline between a 1-D map's graph and the diagonal.
 
     ``vertices`` starts at (x0, 0), then alternates vertical moves onto the
@@ -122,8 +121,7 @@ def cobweb_trace(p: LogisticParams, x0: float, n: int) -> CobwebTrace:
     return CobwebTrace(vertices=verts, curve_samples=curve)
 
 
-@dataclass(frozen=True)
-class BifurcationDiagram:
+class BifurcationDiagram(Record):
     """Post-transient iterates of the logistic map across a sweep of mu.
 
     ``params`` holds the P swept values of mu and ``samples`` the (P, keep)
@@ -190,8 +188,7 @@ def bifurcation_scan(
     return BifurcationDiagram(params=params, samples=kept.T)
 
 
-@dataclass(frozen=True)
-class DivergenceReport(_FlatRows):
+class DivergenceReport(_FlatRows, Record):
     """Twin-trajectory separation history and its fitted exponential rate."""
 
     _COLUMNS = {"times": 0, "log_separation": 1}

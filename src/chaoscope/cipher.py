@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DegenerateOrbit, DomainError, FormatError, check_cap, check_count, check_real
+from .records import Record
 
 CONTAINER_MAGIC = b"CHX1"
 CONTAINER_VERSION = 1
@@ -45,8 +45,7 @@ MAX_AVALANCHE_TRIALS = 10_000_000
 _CHUNK = 65536
 
 
-@dataclass(frozen=True)
-class ChaosKey:
+class ChaosKey(Record):
     """Cipher key: map parameter, initial condition, and warmup length."""
 
     mu: float
@@ -135,10 +134,10 @@ def avalanche_test(key: ChaosKey, n_bytes: int, trials: int) -> float:
     trials = check_count(trials, "trials", 8)
     check_cap(n_bytes, MAX_AVALANCHE_BYTES, "n_bytes", "byte")
     check_cap(trials, MAX_AVALANCHE_TRIALS, "trials", "trial")
-    up = replace(key, x0=math.nextafter(key.x0, 1.0))
+    up = ChaosKey(key.mu, math.nextafter(key.x0, 1.0), key.warmup)
     base = keystream(key, n_bytes)
     up_fraction = _bit_fraction(base, keystream(up, n_bytes))
-    down = replace(key, x0=math.nextafter(key.x0, 0.0))
+    down = ChaosKey(key.mu, math.nextafter(key.x0, 0.0), key.warmup)
     down_fraction = _bit_fraction(base, keystream(down, n_bytes))
     # np.mean sums pairwise, so the per-trial fractions are kept in order
     # (up, down, up, ...) to give the float that a list of them gave
@@ -180,7 +179,7 @@ def unpack_container(mu: float, x0: float, data: bytes) -> bytes:
             f"container length field says {length}, payload has {len(body)} bytes"
         )
     try:
-        key = replace(key, warmup=warmup)
+        key = ChaosKey(key.mu, key.x0, warmup)
     except DomainError as exc:
         raise FormatError(f"invalid cipher container: {exc}") from None
     return decrypt(key, body)

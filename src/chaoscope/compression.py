@@ -28,7 +28,6 @@ depend on the BLAS, its CPU kernels or its thread count.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -44,6 +43,7 @@ from .errors import (
     check_real,
 )
 from .formats import GrayImage
+from .records import Record
 
 MAGIC = b"FIC1"
 _HEADER = struct.Struct("<4sHHBB")
@@ -97,8 +97,7 @@ def _check_blocks(width: int, height: int, range_size: int) -> None:
         raise ImageTooSmall(f"no {dsize}x{dsize} domain block fits in {width}x{height}")
 
 
-@dataclass(frozen=True, eq=False)
-class PifsCode:
+class PifsCode(Record):
     """The compressed image: one transform per range block, row-major.
 
     ``transforms`` is a read-only record array of TRANSFORM; it may be given

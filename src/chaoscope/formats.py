@@ -16,12 +16,12 @@ from __future__ import annotations
 import os
 import re
 import tempfile
-from dataclasses import dataclass
 from itertools import chain, count, islice, repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import DomainError, FormatError
+from .records import Record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -38,7 +38,7 @@ CSV_BLOCK_ROWS = 1024
 
 
 class _Raster:
-    """Base of a frozen dataclass that holds one non-empty 2-D array, in the
+    """Base of a frozen record that holds one non-empty 2-D array, in the
     field that _FIELD names, cast to _DTYPE.  An array of another shape
     raises _SHAPE_ERROR, and one whose values the cast would change raises
     _VALUE_ERROR; an array already of _DTYPE is kept as it is.
@@ -65,8 +65,7 @@ class _Raster:
         return getattr(self, self._FIELD).shape[0]
 
 
-@dataclass(frozen=True)
-class GrayImage(_Raster):
+class GrayImage(_Raster, Record):
     """8-bit grayscale raster; pixels[0] is the top row."""
 
     _FIELD, _DTYPE = "pixels", "uint8"
@@ -112,7 +111,7 @@ def _csv_chunks(header: Sequence[str], rows: Iterable[Sequence],
     yield (",".join(header) + "\n").encode("utf-8")
     rows = iter(rows)
     while block := list(islice(rows, CSV_BLOCK_ROWS)):
-        if any(n != width for n in map(len, block)):
+        if set(map(len, block)) != {width}:
             raise TypeError(f"every CSV row needs {width} fields, one per header column")
         yield ((fmt * len(block)) % tuple(chain.from_iterable(block))).encode("utf-8")
 

@@ -13,13 +13,13 @@ argument that they never escape is in mandelbrot_grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
 
 from .errors import DomainError, EmptyImage, check_cap, check_count, check_real
 from .formats import _Raster
+from .records import Record
 
 #: Refuse to allocate escape grids beyond this many pixels.  The tiled
 #: kernel peaks at about 4.5 bytes per pixel, the int32 counts plus O(tile)
@@ -63,8 +63,7 @@ _BAND_PIXELS = 1 << 16
 _MAX_GATHERS = 16
 
 
-@dataclass(frozen=True)
-class ComplexWindow:
+class ComplexWindow(Record):
     """Axis-aligned complex-plane rectangle sampled at a fixed pitch."""
 
     xmin: float
@@ -112,8 +111,7 @@ def _axis_samples(lo: float, hi: float, scale: float) -> int:
     return int(math.floor((hi - lo) / scale + 1e-9)) + 1
 
 
-@dataclass(frozen=True)
-class EscapeGrid(_Raster):
+class EscapeGrid(_Raster, Record):
     """Escape iteration counts; rows follow the imaginary axis ascending."""
 
     _FIELD, _DTYPE = "counts", "int32"
@@ -258,8 +256,7 @@ def mandelbrot_grid(
     return EscapeGrid(counts=counts, nmax=nmax, threshold=threshold, window=window)
 
 
-@dataclass(frozen=True)
-class AffineMap2:
+class AffineMap2(Record):
     """Contractive planar affine map p -> linear @ p + offset."""
 
     linear: np.ndarray
@@ -287,8 +284,7 @@ def _spectral_norm(a: float, b: float, c: float, d: float) -> float:
     return 0.5 * (math.hypot(a + d, c - b) + math.hypot(a - d, b + c))
 
 
-@dataclass(frozen=True)
-class IfsSystem:
+class IfsSystem(Record):
     """A non-empty collection of contractive maps; their union drives iteration."""
 
     maps: Tuple[AffineMap2, ...]
@@ -314,8 +310,7 @@ def sierpinski_ifs() -> IfsSystem:
 IFS_PRESETS = {"sierpinski": sierpinski_ifs}
 
 
-@dataclass(frozen=True)
-class BinaryImage(_Raster):
+class BinaryImage(_Raster, Record):
     """Boolean raster over the unit square; row j covers y in [j/h, (j+1)/h)."""
 
     _FIELD, _DTYPE = "bits", "bool"

@@ -23,7 +23,6 @@ given.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import (
@@ -35,6 +34,7 @@ from .errors import (
     check_count,
     check_real,
 )
+from .records import Record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -107,8 +107,7 @@ def as_state(x: ArrayLike, name: str, interval: str = "(-inf, inf)") -> List[flo
     return values
 
 
-@dataclass(frozen=True)
-class IntegratorConfig:
+class IntegratorConfig(Record):
     """Tolerances and step limits for the adaptive integrator.
 
     ``initial_step=None`` selects h0 = (t1 - t0)/100 clamped to
@@ -135,7 +134,7 @@ class IntegratorConfig:
 
 
 class _FlatRows:
-    """Base of a frozen dataclass whose _COLUMNS maps each array field to its
+    """Base of a frozen record whose _COLUMNS maps each array field to its
     column (an int) or columns (a slice) of rows of floats.  A record that
     an engine makes by _from_flat keeps its rows back to back in one list,
     which the CSV writers read in place through _flat, and builds its
@@ -167,8 +166,7 @@ class _FlatRows:
         return np.column_stack([getattr(self, f) for f in self._COLUMNS]).ravel().tolist()
 
 
-@dataclass(frozen=True)
-class Trajectory(_FlatRows):
+class Trajectory(_FlatRows, Record):
     """Accepted integration steps: times (strictly increasing) and states."""
 
     _COLUMNS = {"times": 0, "states": slice(1, None)}
@@ -193,8 +191,7 @@ class Trajectory(_FlatRows):
         return self._width - 1
 
 
-@dataclass(frozen=True)
-class MapOrbit(_FlatRows):
+class MapOrbit(_FlatRows, Record):
     """Iterates of a discrete map; points[k] is iterate number discarded + k."""
 
     _COLUMNS = {"points": slice(None)}

@@ -9,38 +9,41 @@ the one callable form of a system.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 from typing import Callable, Optional, Tuple
 
 from .errors import DomainError, check_real, lookup_preset
 from .integrate import FloatKernel
+from .records import Record
 
 
 class _Params:
-    """A parameter record whose every field must lie in ``interval``."""
+    """Base of a parameter record whose every field must lie in ``interval``."""
 
     interval = "(-inf, inf)"
 
     def __post_init__(self):
-        for f in fields(self):
-            check_real(getattr(self, f.name), f.name, self.interval)
+        for name in self._fields:
+            check_real(getattr(self, name), name, self.interval)
 
 
-@dataclass(frozen=True)
-class LogisticParams(_Params):
+class LogisticParams(_Params, Record):
+    """The logistic map's parameter mu."""
+
     mu: float
 
     interval = "[0, 4]"
 
 
-@dataclass(frozen=True)
-class HenonParams(_Params):
+class HenonParams(_Params, Record):
+    """The Henon map's parameters a and b."""
+
     a: float
     b: float
 
 
-@dataclass(frozen=True)
-class LorenzParams(_Params):
+class LorenzParams(_Params, Record):
+    """The Lorenz flow's parameters sigma, r and b."""
+
     sigma: float
     r: float
     b: float
@@ -48,8 +51,9 @@ class LorenzParams(_Params):
     interval = "(0, inf)"
 
 
-@dataclass(frozen=True)
-class ChuaParams(_Params):
+class ChuaParams(_Params, Record):
+    """Chua's circuit's couplings c1, c2, c3 and its element's slopes m0, m1."""
+
     c1: float
     c2: float
     c3: float
@@ -62,13 +66,13 @@ class ChuaParams(_Params):
             raise DomainError("m0 == m1 makes the circuit element linear")
 
 
-@dataclass(frozen=True)
-class Linear1DParams(_Params):
+class Linear1DParams(_Params, Record):
+    """The rate a of the linear flow x' = a*x."""
+
     a: float
 
 
-@dataclass(frozen=True)
-class _NoParams:
+class _NoParams(Record):
     """The empty parameter record of a preset that takes no parameters."""
 
 
@@ -145,8 +149,7 @@ def _linear1d(p: Linear1DParams, s) -> Tuple[float]:
     return (p.a * s[0],)
 
 
-@dataclass(frozen=True)
-class SystemPreset:
+class SystemPreset(Record):
     """A named system the CLI can run: a flow or a map, as one record.
 
     ``formula(p, state)`` is the right-hand side (flow) or the next state
@@ -170,7 +173,7 @@ class SystemPreset:
 
     @property
     def param_names(self) -> Tuple[str, ...]:
-        return tuple(f.name for f in fields(self.params_type))
+        return self.params_type._fields
 
     def resolve_params(self, params: Optional[Tuple[float, ...]] = None):
         """The given parameters, or the defaults when None, checked for count."""

@@ -50,21 +50,21 @@ BASE = {"chaoscope", "chaoscope.cli", "chaoscope.errors"}
 
 #: The further chaoscope modules each command loads, and no others.
 LOADS = {
-    "simulate": {"formats", "integrate", "systems"},
-    "iterate": {"formats", "integrate", "systems"},
-    "cobweb": {"analysis", "formats", "integrate", "systems"},
-    "bifurcate": {"analysis", "formats", "integrate", "systems"},
-    "divergence": {"analysis", "formats", "integrate", "systems"},
-    "equilibria": {"analysis", "formats", "integrate", "systems"},
-    "mandelbrot": {"formats", "fractals"},
-    "ifs": {"formats", "fractals"},
-    "boxdim": {"formats", "fractals", "integrate"},
+    "simulate": {"formats", "integrate", "records", "systems"},
+    "iterate": {"formats", "integrate", "records", "systems"},
+    "cobweb": {"analysis", "formats", "integrate", "records", "systems"},
+    "bifurcate": {"analysis", "formats", "integrate", "records", "systems"},
+    "divergence": {"analysis", "formats", "integrate", "records", "systems"},
+    "equilibria": {"analysis", "formats", "integrate", "records", "systems"},
+    "mandelbrot": {"formats", "fractals", "records"},
+    "ifs": {"formats", "fractals", "records"},
+    "boxdim": {"formats", "fractals", "integrate", "records"},
     "simdim": {"similarity"},
-    "compress": {"compression", "formats"},
-    "decompress": {"compression", "formats"},
-    "encrypt": {"cipher", "formats"},
-    "decrypt": {"cipher", "formats"},
-    "avalanche": {"cipher"},
+    "compress": {"compression", "formats", "records"},
+    "decompress": {"compression", "formats", "records"},
+    "encrypt": {"cipher", "formats", "records"},
+    "decrypt": {"cipher", "formats", "records"},
+    "avalanche": {"cipher", "records"},
 }
 
 #: The commands that run without numpy; every other command loads it.
@@ -77,7 +77,8 @@ _LOADED = (
     "    code = main(sys.argv[1:])\n"
     "assert code == 0, code\n"
     "names = sorted(m for m in sys.modules if m.split('.')[0] == 'chaoscope')\n"
-    "print(' '.join(names + ['numpy'] * ('numpy' in sys.modules)))\n"
+    "names += [m for m in ('dataclasses', 'inspect', 'numpy') if m in sys.modules]\n"
+    "print(' '.join(names))\n"
 )
 
 
@@ -188,8 +189,10 @@ def tour(tmp_path_factory):
 
 @pytest.mark.parametrize("command", sorted(LOADS))
 def test_each_command_loads_only_its_modules(command, tour):
+    # no command loads dataclasses, and a command without numpy (which
+    # imports inspect) loads no inspect either
     loaded = set(_child("-c", _LOADED, *tour[command]).split())
-    numpy = set() if command in NUMPY_FREE else {"numpy"}
+    numpy = set() if command in NUMPY_FREE else {"inspect", "numpy"}
     assert loaded == BASE | {f"chaoscope.{m}" for m in LOADS[command]} | numpy
 
 
